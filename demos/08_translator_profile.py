@@ -8,8 +8,8 @@ error vanishing as eps -> 0.
 
 import numpy as np
 
-from fbmcf.regularize import (free_boundary_halving, i_epsilon, slab_mass,
-                              solve_translator_profile, translate_slices)
+from fbmcf.regularize import (i_epsilon, slab_mass, solve_translator_profile,
+                              translate_slices)
 
 t_grid = np.linspace(0.0, 0.4, 9)
 print(f"{'eps':>6} {'z_max':>8} {'resid':>10} {'I_eps':>9} {'sup slice err':>14}")
@@ -29,7 +29,3 @@ for t, r in zip(t_grid, translate_slices(p, t_grid)):
 m = slab_mass(p, (0.0, 1.0))
 print(f"\nslab z in [0,1]: area {m:.4f} <= (1 + eps) * 2 pi R0 = "
       f"{1.05 * 2 * np.pi:.4f}")
-rep = free_boundary_halving(p)
-print(f"halving by a plane through the axis: {rep.half_area:.4f} "
-      f"= half of {rep.full_area:.4f}, orthogonality residual "
-      f"{rep.orthogonality_residual}")

@@ -762,38 +762,6 @@ class InverseProjection:
         return True
 
 
-# -- module-level operation surface -------------------------------------------
-
-def distance(S: Barrier, x):
-    """d(x) = |x - zeta(x)|, the distance from x to the barrier."""
-    return S.distance(x)
-
-
-def project(S: Barrier, x):
-    """zeta(x), the nearest-point projection of x onto the barrier."""
-    return S.project(x)
-
-
-def reflect_point(S: Barrier, x):
-    return S.reflect_point(x)
-
-
-def reflect_vector(S: Barrier, x, v):
-    return S.reflect_vector(x, v)
-
-
-def inverse_projection(S: Barrier, y):
-    return S.inverse_projection(y)
-
-
-def reflection_regularity_scale(S: Barrier, x):
-    return S.reflection_regularity_scale(x)
-
-
-def regularity_scale(S: Barrier, x, k, alpha=0.0):
-    return S.regularity_scale(x, k, alpha)
-
-
 def measured_c1(S: Barrier, n_base=8, n_probe=24, seed=0):
     """Empirical constant in |y~ - refl(y)| <= c1 |y - zeta(x)|^2 / r_S.
 

@@ -87,16 +87,7 @@ def _cmd_density(args):
     radii = [float(r) for r in args.radii.split(",")] if args.radii \
         else [0.4, 0.2, 0.1, 0.05]
     rep = monotonicity_report(history, barrier, (x, y, t), params, radii)
-    out = {
-        "center": rep.center.tolist(),
-        "radii": rep.radii.tolist(),
-        "theta_values": rep.theta_values.tolist(),
-        "fitted_A": rep.fitted_A,
-        "M_bound": rep.M_bound,
-        "theta_at_point": rep.theta_at_point,
-        "theta_error": rep.theta_error,
-    }
-    print(json.dumps(out, sort_keys=True, indent=1))
+    print(json.dumps(rep.to_dict(), sort_keys=True, indent=1))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         rep.write_csv(os.path.join(args.out, "density_profile.csv"))

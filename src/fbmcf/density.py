@@ -17,36 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .barrier import Barrier
 from .errors import InadmissibleRadius, KappaTooLarge, NoFiniteA, OutOfHistory
 from .flow import CurveState, FlowHistory
 from .kernels import KernelParams, cutoff, heat_kernel, reflected_truncated_kernel
-
-_GL = {}
-
-
-def _gl(order=8):
-    if order not in _GL:
-        _GL[order] = leggauss(order)
-    return _GL[order]
+from .varifold import segment_quadrature
 
 
 def integrate_slice(state: CurveState, fn, order=8):
-    """int fn dmu over a slice, 8-point Gauss-Legendre per segment."""
-    nodes, weights = _gl(order)
-    s = 0.5 * (nodes + 1.0)
+    """int fn dmu over a slice, ``order``-point Gauss-Legendre per segment."""
     total = 0.0
     for comp in state.components:
         if len(comp.points) < 2:
             continue
-        starts = comp.points if comp.closed else comp.points[:-1]
-        ends = np.roll(comp.points, -1, axis=0) if comp.closed else comp.points[1:]
-        d = ends - starts
-        L = np.linalg.norm(d, axis=1)
-        pts = (starts[:, None, :] + s[None, :, None] * d[:, None, :]).reshape(-1, 2)
-        vals = np.asarray(fn(pts)).reshape(len(L), len(s))
+        pts, L, weights = segment_quadrature(*comp.segments(), order)
+        vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(len(L), order)
         total += float(np.sum(0.5 * L * (vals @ weights)))
     return total
 
@@ -124,6 +110,18 @@ class DensityReport:
     def monotone_quantity(self):
         return (np.exp(self.fitted_A * np.sqrt(self.radii)) * self.theta_values
                 + self.fitted_A * self.M_bound * self.radii ** 2)
+
+    def to_dict(self):
+        """JSON fields of ``fbmcf density`` and density_report.json."""
+        return {
+            "center": self.center.tolist(),
+            "radii": self.radii.tolist(),
+            "theta_values": self.theta_values.tolist(),
+            "fitted_A": self.fitted_A,
+            "M_bound": self.M_bound,
+            "theta_at_point": self.theta_at_point,
+            "theta_error": self.theta_error,
+        }
 
     def write_csv(self, path):
         mono = self.monotone_quantity()

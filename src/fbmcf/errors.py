@@ -30,10 +30,6 @@ class NonNegativeTime(FbmcfError):
     """Backward heat kernels require t < 0 (tau = -t > 0)."""
 
 
-class DifferentiationFailure(FbmcfError):
-    """Finite-difference stencil could not be evaluated."""
-
-
 class CalibrationFailure(FbmcfError):
     """No cutoff constant alpha on the search grid makes the heat-operator inequality hold."""
 
@@ -48,10 +44,6 @@ class IllConditionedFit(FbmcfError):
 
 class StepTooLarge(FbmcfError):
     """Requested time step violates the explicit stability bound."""
-
-
-class SelfIntersection(FbmcfError):
-    """The evolving front crossed itself."""
 
 
 class InadmissibleTestFunction(FbmcfError):

@@ -27,34 +27,7 @@ import numpy as np
 from .barrier import Barrier
 from .errors import (GraphFailure, InadmissibleTestFunction, OutOfHistory,
                      StepTooLarge, WindowViolation)
-
-
-@dataclass
-class Component:
-    """One polyline: positions, closed flag, and per-vertex barrier flags."""
-
-    points: np.ndarray
-    closed: bool = False
-    on_s: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.on_s is None:
-            self.on_s = np.zeros(len(self.points), dtype=bool)
-        else:
-            self.on_s = np.asarray(self.on_s, dtype=bool)
-
-    def segment_lengths(self):
-        d = (np.roll(self.points, -1, axis=0) if self.closed
-             else self.points[1:]) - (self.points if self.closed
-                                      else self.points[:-1])
-        return np.linalg.norm(d, axis=1)
-
-    def length(self):
-        return float(self.segment_lengths().sum())
-
-    def copy(self):
-        return Component(self.points.copy(), self.closed, self.on_s.copy())
+from .varifold import Component, DiscreteVarifold
 
 
 @dataclass
@@ -546,18 +519,13 @@ def remesh(state: CurveState, h_target):
 
 def _self_intersects(state: CurveState):
     """Any proper crossing between non-adjacent segments (all components)."""
-    segs = []
-    for ci, comp in enumerate(state.components):
-        starts = comp.points if comp.closed else comp.points[:-1]
-        ends = np.roll(comp.points, -1, axis=0) if comp.closed else comp.points[1:]
-        for si in range(len(starts)):
-            segs.append((ci, si, starts[si], ends[si]))
-    M = len(segs)
+    segs = [c.segments() for c in state.components]
+    n_seg = np.array([len(a) for a, _ in segs], dtype=int)
+    M = int(n_seg.sum())
     if M < 3:
         return False
-    P0 = np.array([s[2] for s in segs])
-    P1 = np.array([s[3] for s in segs])
-    d = P1 - P0
+    P0 = np.vstack([a for a, _ in segs])
+    d = np.vstack([b for _, b in segs]) - P0
 
     def cross(a, b):
         return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -570,13 +538,11 @@ def _self_intersects(state: CurveState):
     eps = 1e-9
     hit = (np.abs(denom) > 1e-300) & (t > eps) & (t < 1 - eps) & \
           (u > eps) & (u < 1 - eps)
-    comp_id = np.array([s[0] for s in segs])
-    seg_id = np.array([s[1] for s in segs])
+    comp_id = np.repeat(np.arange(len(segs)), n_seg)
+    seg_id = np.concatenate([np.arange(n) for n in n_seg])
     same_comp = comp_id[:, None] == comp_id[None, :]
     gap = np.abs(seg_id[:, None] - seg_id[None, :])
-    sizes = np.array([len(c.points) for c in state.components])
-    ncomp_seg = np.array([sizes[c] if state.components[c].closed else sizes[c] - 1
-                          for c in comp_id])
+    ncomp_seg = np.repeat(n_seg, n_seg)
     adjacent = same_comp & ((gap <= 1) | (gap >= ncomp_seg[:, None] - 1))
     return bool(np.any(hit & ~adjacent))
 
@@ -766,23 +732,6 @@ def _lumped_vertex_masses(comp: Component):
     return w
 
 
-def integrate_over_state(state: CurveState, fn):
-    """int fn dmu over the slice by 4-point Gauss-Legendre per segment."""
-    from numpy.polynomial.legendre import leggauss
-    nodes, weights = leggauss(4)
-    s = 0.5 * (nodes + 1.0)
-    total = 0.0
-    for comp in state.components:
-        starts = comp.points if comp.closed else comp.points[:-1]
-        ends = np.roll(comp.points, -1, axis=0) if comp.closed else comp.points[1:]
-        d = ends - starts
-        L = np.linalg.norm(d, axis=1)
-        pts = (starts[:, None, :] + s[None, :, None] * d[:, None, :]).reshape(-1, 2)
-        vals = np.asarray(fn(pts)).reshape(len(L), len(s))
-        total += float(np.sum(0.5 * L * (vals @ weights)))
-    return total
-
-
 @dataclass
 class DissipationReport:
     lhs: float
@@ -809,6 +758,7 @@ def dissipation_inequality_check(history: FlowHistory, phi: SpacetimeTestFunctio
     above, and each jump piece passes when the weighted mass does not
     increase beyond tolerance.
     """
+    from .density import integrate_slice
     times = history.times
     sel = (times >= a - 1e-12) & (times <= b + 1e-12)
     snap_times = times[sel]
@@ -840,8 +790,8 @@ def dissipation_inequality_check(history: FlowHistory, phi: SpacetimeTestFunctio
     for kind, lo, hi in pieces:
         state_lo = history.slice_at(lo)
         state_hi = history.slice_at(hi)
-        lhs = integrate_over_state(state_hi, lambda p: phi.value(p, hi)) \
-            - integrate_over_state(state_lo, lambda p: phi.value(p, lo))
+        lhs = integrate_slice(state_hi, lambda p: phi.value(p, hi), order=4) \
+            - integrate_slice(state_lo, lambda p: phi.value(p, lo), order=4)
         lhs_total += lhs
         if kind == "jump":
             # mass may only drop across a pop or vanish
@@ -886,6 +836,7 @@ def _effective_velocities(state: CurveState):
 
 
 def _dissipation_integral(history, phi, a, b):
+    from .density import integrate_slice
     times = history.times
     sel = (times >= a - 1e-12) & (times <= b + 1e-12)
     snap_times = times[sel]
@@ -905,17 +856,16 @@ def _dissipation_integral(history, phi, a, b):
                                       + np.sum(vel * gv, axis=1))))
             if len(comp.points) > 1:
                 h_sq = max(h_sq, comp.segment_lengths().max() ** 2)
-        rate += integrate_over_state(s, lambda p: phi.dt(p, t))
+        rate += integrate_slice(s, lambda p: phi.dt(p, t), order=4)
         rates.append(rate)
     return float(np.trapezoid(rates, snap_times)), h_sq
 
 
 def state_ball_mass(state: CurveState, center, r):
-    from .varifold import Chain, DiscreteVarifold
-    chains = [Chain(c.points, c.closed) for c in state.components if len(c.points) > 1]
-    if not chains:
+    comps = [c for c in state.components if len(c.points) > 1]
+    if not comps:
         return 0.0
-    return DiscreteVarifold(chains).ball_mass(center, r)
+    return DiscreteVarifold(comps).ball_mass(center, r)
 
 
 @dataclass
@@ -1030,8 +980,6 @@ def graph_estimate_check(history: FlowHistory, x, window, fit_width=None):
         dudt = 0.0
         if prev is not None:
             dudt = (u0 - prev[1]) / (tt - prev[0])
-        q = (abs(u0) / np.sqrt(tt) + abs(du) + abs(d2u) * np.sqrt(tt)
-             + abs(dudt) * np.sqrt(tt))
         table.append((tt, abs(u0) / np.sqrt(tt), abs(du),
                       abs(d2u) * np.sqrt(tt), abs(dudt) * np.sqrt(tt)))
         prev = (tt, u0)

@@ -150,30 +150,34 @@ def reflected_truncated_kernel(S: Barrier, X0, x, t, params: KernelParams):
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
-def heat_operator(fn, x, t, L, kappa=1.0):
-    """(d_t - tr_L D^2) fn at (x, t) by Richardson-extrapolated central differences.
+def heat_operator(fn, xs, ts, dirs, kappa=1.0):
+    """(d_t - tr_L D^2) fn at points xs and times ts < 0, batched.
 
-    ``L`` is a unit direction spanning the 1-plane.  The spatial step is tied
-    to the cutoff radius (h = 1e-4 kappa) and halved once for extrapolation;
-    the time step follows parabolic scaling, guarded so tau stays positive.
+    Each row of ``dirs`` is a unit direction spanning the 1-plane of its
+    sample.  Richardson-extrapolated central differences: the spatial step
+    is tied to the cutoff radius (h = 1e-4 kappa) and halved once, the time
+    step follows parabolic scaling, guarded so tau stays positive.  ``fn``
+    is called once, on the 5 spatial and then 4 temporal stencil points of
+    all B samples stacked offset by offset, so row j belongs to sample j mod B.
     """
-    x = np.asarray(x, dtype=float)
-    e = np.asarray(L, dtype=float)
-    e = e / np.linalg.norm(e)
-    tau = -np.asarray(t, dtype=float)
+    B = len(xs)
+    taus = -np.asarray(ts, dtype=float)
     h = 1e-4 * kappa
-
-    def second(hh):
-        return (fn(x + hh * e, t) - 2.0 * fn(x, t) + fn(x - hh * e, t)) / hh ** 2
-
-    d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
-
-    ht = np.minimum(1e-4 * tau, 0.25 * tau)
-
-    def first(hh):
-        return (fn(x, t + hh) - fn(x, t - hh)) / (2.0 * hh)
-
-    d1 = (4.0 * first(ht / 2.0) - first(ht)) / 3.0
+    ht = np.minimum(1e-4 * taus, 0.25 * taus)
+    # spatial offsets 0, +-h, +-h/2 at time t; temporal tau -+ ht, -+ ht/2 at x
+    offs = np.array([0.0, 1.0, -1.0, 0.5, -0.5])
+    pts = (xs[None, :, :] + offs[:, None, None] * h * dirs[None, :, :]).reshape(-1, 2)
+    tgrid = np.concatenate([taus - ht, taus + ht, taus - ht / 2.0, taus + ht / 2.0])
+    vals = fn(np.vstack([pts, np.tile(xs, (4, 1))]),
+              -np.concatenate([np.tile(taus, len(offs)), tgrid]))
+    f = vals[:len(offs) * B].reshape(len(offs), B)
+    g = vals[len(offs) * B:].reshape(4, B)
+    sec_h = (f[1] - 2.0 * f[0] + f[2]) / h ** 2
+    sec_h2 = (f[3] - 2.0 * f[0] + f[4]) / (h / 2.0) ** 2
+    d2 = (4.0 * sec_h2 - sec_h) / 3.0
+    first_h = (g[0] - g[1]) / (2.0 * ht)
+    first_h2 = (g[2] - g[3]) / ht
+    d1 = (4.0 * first_h2 - first_h) / 3.0
     return d1 - d2
 
 
@@ -269,10 +273,16 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
             if len(idx) == 0:
                 continue
             dirs = _unit_dirs(rng, len(idx))
-            for reflected in (False, True):
-                vals = _heat_operator_batch(
-                    S, centers[idx], x_world[idx], tau[idx], dirs, params,
-                    reflected=reflected)
+            c = centers[idx]
+
+            def phi(p, t):
+                return cutoff(p - np.tile(c, (len(p) // len(c), 1)), t, params)
+
+            def phi_reflected(p, t):
+                return phi(2.0 * np.atleast_2d(S.project(p)) - p, t)
+
+            for fn in (phi, phi_reflected):
+                vals = heat_operator(fn, x_world[idx], -tau[idx], dirs, kappa)
                 scaled = vals * kappa ** 0.5 * tau[idx] ** 0.75
                 for j, i in enumerate(idx):
                     out.append(HeatOperatorSample(
@@ -282,39 +292,6 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
         if collected < n_samples:
             raise CalibrationFailure(f"could not draw enough case-{case} samples")
     return out
-
-
-def _heat_operator_batch(S, centers, xs, taus, dirs, params, reflected):
-    """Vectorized (d_t - tr_L D^2) of the (reflected) cutoff over sample batches."""
-    kappa = params.kappa
-    B = len(xs)
-    h = 1e-4 * kappa
-    ht = np.minimum(1e-4 * taus, 0.25 * taus)
-
-    def evaluate(points, tau_pts):
-        if reflected:
-            feet = np.atleast_2d(S.project(points))
-            points = 2.0 * feet - points
-        rel = points - np.tile(centers, (points.shape[0] // B, 1))
-        return cutoff(rel, -tau_pts, params)
-
-    # spatial stencil: offsets 0, +-h, +-h/2 along dirs, all at time -tau
-    offs = np.array([0.0, 1.0, -1.0, 0.5, -0.5])
-    pts = (xs[None, :, :] + offs[:, None, None] * h * dirs[None, :, :]).reshape(-1, 2)
-    tau_rep = np.tile(taus, len(offs))
-    f = evaluate(pts, tau_rep).reshape(len(offs), B)
-    sec_h = (f[1] - 2.0 * f[0] + f[2]) / h ** 2
-    sec_h2 = (f[3] - 2.0 * f[0] + f[4]) / (h / 2.0) ** 2
-    d2 = (4.0 * sec_h2 - sec_h) / 3.0
-
-    # temporal stencil at x: tau -+ ht, tau -+ ht/2  (t = -tau)
-    tgrid = np.concatenate([taus - ht, taus + ht, taus - ht / 2.0, taus + ht / 2.0])
-    pts_t = np.tile(xs, (4, 1))
-    g = evaluate(pts_t, tgrid).reshape(4, B)
-    first_h = (g[0] - g[1]) / (2.0 * ht)
-    first_h2 = (g[2] - g[3]) / ht
-    d1 = (4.0 * first_h2 - first_h) / 3.0
-    return d1 - d2
 
 
 def support_probe(S: Barrier, params: KernelParams, n_probes=1000, seed=0):

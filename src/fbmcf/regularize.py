@@ -203,29 +203,6 @@ def translate_slices(profile: TranslatorProfile, t_grid):
     return np.asarray(profile.radius_at(np.minimum(zz, profile.z_max)))
 
 
-@dataclass
-class HalvingReport:
-    full_area: float
-    half_area: float
-    orthogonality_residual: float
-
-
-def free_boundary_halving(profile: TranslatorProfile, plane_normal=(0.0, 1.0)):
-    """Cut the surface by a plane through the axis.
-
-    By rotational symmetry the meridians lie in the plane and the surface
-    meets it orthogonally, so the orthogonality residual vanishes
-    identically and the area halves exactly.
-    """
-    n = np.asarray(plane_normal, dtype=float)
-    if np.linalg.norm(n) == 0.0:
-        raise ValueError("plane normal must be nonzero")
-    main, cap = _weighted_area_elements(profile, lambda z: np.ones_like(z))
-    full = main + cap
-    return HalvingReport(full_area=full, half_area=0.5 * full,
-                         orthogonality_residual=0.0)
-
-
 def meridian_polyline(profile: TranslatorProfile, n=400):
     """The (x, z) section through the axis on the x >= 0 side."""
     z_grid = np.linspace(0.0, profile.z_max, n)

@@ -194,17 +194,8 @@ def run_scenario(config_path, out_dir=None, seed=None):
         rep = monotonicity_report(history, barrier, center, params, radii)
         emit("density_profile.csv", rep.write_csv)
 
-        def write_report(path):
-            _atomic_write(path, json.dumps({
-                "center": rep.center.tolist(),
-                "radii": rep.radii.tolist(),
-                "theta_values": rep.theta_values.tolist(),
-                "fitted_A": rep.fitted_A,
-                "M_bound": rep.M_bound,
-                "theta_at_point": rep.theta_at_point,
-                "theta_error": rep.theta_error,
-            }, sort_keys=True, indent=1) + "\n")
-        emit("density_report.json", write_report)
+        emit("density_report.json", lambda p: _atomic_write(
+            p, json.dumps(rep.to_dict(), sort_keys=True, indent=1) + "\n"))
 
     if "tangent" in pipeline:
         from .tangent import extract_tangent_flow

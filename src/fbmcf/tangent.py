@@ -18,12 +18,10 @@ from .barrier import Line
 from .flow import Component, CurveState, FlowHistory
 
 
-def point_to_chain_distance(pts, chain_pts, closed=False):
+def point_to_chain_distance(pts, comp: Component):
     """Distance from each point to a polyline (exact point-segment)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    P = np.asarray(chain_pts, dtype=float)
-    starts = P if closed else P[:-1]
-    ends = np.roll(P, -1, axis=0) if closed else P[1:]
+    starts, ends = comp.segments()
     d = ends - starts
     L2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
     rel = pts[:, None, :] - starts[None, :, :]
@@ -33,41 +31,20 @@ def point_to_chain_distance(pts, chain_pts, closed=False):
     return dist.min(axis=1)
 
 
-def _as_chains(obj):
-    """Normalize to a list of (points, closed) chains."""
-    if isinstance(obj, CurveState):
-        return [(c.points, c.closed) for c in obj.components]
-    if isinstance(obj, np.ndarray):
-        return [(obj, False)]
-    return [(np.asarray(p), bool(cl)) for p, cl in obj]
-
-
 def hausdorff_distance(a, b):
-    """Symmetric Hausdorff distance between unions of polylines.
-
-    Accepts CurveStates, lists of (points, closed) pairs, or bare point
-    arrays (treated as degenerate chains, i.e. compared point-to-segment
-    against the other side but segment-free themselves).
-    """
-    ca, cb = _as_chains(a), _as_chains(b)
+    """Symmetric Hausdorff distance between unions of polylines, each given
+    as a CurveState or a list of Components."""
+    ca = a.components if isinstance(a, CurveState) else a
+    cb = b.components if isinstance(b, CurveState) else b
     if not ca or not cb:
         return np.inf
 
     def directed(src, dst):
         worst = 0.0
-        for pts, _ in src:
-            if len(pts) == 0:
-                continue
-            dmin = np.full(len(np.atleast_2d(pts)), np.inf)
-            for qpts, qclosed in dst:
-                if len(qpts) < 2:
-                    rel = np.linalg.norm(
-                        np.atleast_2d(pts)[:, None, :] - np.atleast_2d(qpts)[None, :, :],
-                        axis=-1).min(axis=1)
-                    dmin = np.minimum(dmin, rel)
-                else:
-                    dmin = np.minimum(
-                        dmin, point_to_chain_distance(pts, qpts, qclosed))
+        for c in src:
+            dmin = np.full(len(c.points), np.inf)
+            for q in dst:
+                dmin = np.minimum(dmin, point_to_chain_distance(c.points, q))
             worst = max(worst, float(dmin.max()))
         return worst
 
@@ -78,19 +55,17 @@ def clip_chains(state: CurveState, normal, offset, keep="nonpositive"):
     """Restrict a slice to the half plane normal . x <= offset (or >=).
 
     Segments crossing the boundary line are cut at the exact crossing, so
-    the result is again a union of polylines.
+    the result is again a list of open Components.
     """
     nu = np.asarray(normal, dtype=float)
     sign = 1.0 if keep == "nonpositive" else -1.0
     chains = []
     for comp in state.components:
-        pts = np.vstack([comp.points, comp.points[:1]]) if comp.closed \
-            else comp.points
-        level = sign * (pts @ nu - offset)
+        starts, ends = comp.segments()
+        level_a = sign * (starts @ nu - offset)
+        level_b = sign * (ends @ nu - offset)
         current = []
-        for i in range(len(pts) - 1):
-            a, b = pts[i], pts[i + 1]
-            la, lb = level[i], level[i + 1]
+        for a, b, la, lb in zip(starts, ends, level_a, level_b):
             if la <= 0:
                 current.append(a)
             if (la < 0 < lb) or (lb < 0 < la):
@@ -98,12 +73,12 @@ def clip_chains(state: CurveState, normal, offset, keep="nonpositive"):
                 current.append(a + s * (b - a))
                 if la < 0:  # leaving the half plane
                     if len(current) >= 2:
-                        chains.append((np.asarray(current), False))
+                        chains.append(Component(np.asarray(current)))
                     current = []
-        if level[-1] <= 0:
-            current.append(pts[-1])
+        if len(ends) and level_b[-1] <= 0:
+            current.append(ends[-1])
         if len(current) >= 2:
-            chains.append((np.asarray(current), False))
+            chains.append(Component(np.asarray(current)))
     return chains
 
 
@@ -209,7 +184,6 @@ def self_shrinker_residual(history, t_lo=-1.0, t_hi=-0.25, n_check=7):
     """
     hist = history.history if isinstance(history, RescaledHistory) else history
     ref = hist.slice_at(t_lo)
-    ref_chains = [(c.points, c.closed) for c in ref.components]
     pts = ref.all_points()
     if len(pts) == 0:
         return np.inf
@@ -219,24 +193,24 @@ def self_shrinker_residual(history, t_lo=-1.0, t_hi=-0.25, n_check=7):
     min_scale = np.sqrt(-t_hi) / np.sqrt(-t_lo)
     window = 0.45 * diam * min_scale
 
-    def windowed(src_chains, dst_chains):
+    def windowed(src, dst):
         worst = 0.0
-        for p, _ in src_chains:
-            sel = p[np.linalg.norm(p - centroid, axis=1) <= window]
+        for c in src:
+            sel = c.points[np.linalg.norm(c.points - centroid, axis=1) <= window]
             if len(sel) == 0:
                 continue
             dmin = np.full(len(sel), np.inf)
-            for q, qc in dst_chains:
-                dmin = np.minimum(dmin, point_to_chain_distance(sel, q, qc))
+            for q in dst:
+                dmin = np.minimum(dmin, point_to_chain_distance(sel, q))
             worst = max(worst, float(dmin.max()))
         return worst
 
     worst = 0.0
     for t in np.linspace(t_lo, t_hi, n_check)[1:]:
         scale = np.sqrt(-t) / np.sqrt(-t_lo)
-        scaled_ref = [(p * scale, cl) for p, cl in ref_chains]
-        slice_chains = [(c.points, c.closed) for c in hist.slice_at(t).components]
-        d = max(windowed(slice_chains, scaled_ref),
-                windowed(scaled_ref, slice_chains))
+        scaled_ref = [Component(c.points * scale, c.closed)
+                      for c in ref.components]
+        comps = hist.slice_at(t).components
+        d = max(windowed(comps, scaled_ref), windowed(scaled_ref, comps))
         worst = max(worst, d / diam)
     return float(worst)

@@ -7,7 +7,10 @@ variation against a C^1 field X is
 
     delta V(X) = sum_segments  mult * int_segment <D_e X, e> dl,
 
-computed by fixed-order Gauss-Legendre quadrature per segment.  The atomic
+computed by fixed-order Gauss-Legendre quadrature per segment
+(``segment_quadrature``, which density integrals and the flow's dissipation
+check share).  The polyline type ``Component`` is the same one the flow
+evolves, so a flow slice is a varifold without conversion.  The atomic
 decomposition of delta V -- turning vectors at interior vertices, conormals
 at chain endpoints -- is what the boundary monotonicity identity pairs
 against, which makes that identity exact for polylines up to quadrature.
@@ -26,51 +29,70 @@ from .errors import IllConditionedFit
 _GL_CACHE = {}
 
 
-def _gl(order):
+def segment_quadrature(starts, ends, order):
+    """Gauss-Legendre nodes of the given order on every segment.
+
+    Returns (points, lengths, weights) with points shaped (segments, order, 2);
+    the integral of f over segment k is 0.5 * lengths[k] * (f(points[k]) @ weights).
+    """
     if order not in _GL_CACHE:
         _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
+    nodes, weights = _GL_CACHE[order]
+    d = ends - starts
+    s = 0.5 * (nodes + 1.0)
+    return (starts[:, None, :] + s[None, :, None] * d[:, None, :],
+            np.linalg.norm(d, axis=1), weights)
 
 
 @dataclass
-class Chain:
-    """One polyline with a multiplicity; closed chains wrap around."""
+class Component:
+    """One polyline: positions, closed flag, per-vertex barrier flags and an
+    integer multiplicity.  Closed polylines wrap around."""
 
     points: np.ndarray
     closed: bool = False
+    on_s: np.ndarray = None  # type: ignore[assignment]
     multiplicity: int = 1
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        if self.multiplicity < 1 or self.multiplicity != int(self.multiplicity):
-            raise ValueError("multiplicities must be positive integers")
-        seg = self.segment_lengths()
-        if np.any(seg <= 0.0):
-            raise ValueError("degenerate (zero length) segment")
+        if self.on_s is None:
+            self.on_s = np.zeros(len(self.points), dtype=bool)
+        else:
+            self.on_s = np.asarray(self.on_s, dtype=bool)
 
-    def segment_starts(self):
-        return self.points if self.closed else self.points[:-1]
-
-    def segment_ends(self):
-        return np.roll(self.points, -1, axis=0) if self.closed else self.points[1:]
+    def segments(self):
+        """(starts, ends) of every segment."""
+        if self.closed:
+            return self.points, np.roll(self.points, -1, axis=0)
+        return self.points[:-1], self.points[1:]
 
     def segment_lengths(self):
-        return np.linalg.norm(self.segment_ends() - self.segment_starts(), axis=1)
+        starts, ends = self.segments()
+        return np.linalg.norm(ends - starts, axis=1)
 
-    def directions(self):
-        d = self.segment_ends() - self.segment_starts()
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
+    def length(self):
+        return float(self.segment_lengths().sum())
+
+    def copy(self):
+        return Component(self.points.copy(), self.closed, self.on_s.copy(),
+                         self.multiplicity)
 
 
 class DiscreteVarifold:
-    """Integral 1-varifold backed by polyline chains."""
+    """Integral 1-varifold backed by polyline components."""
 
     def __init__(self, chains):
-        self.chains = [c if isinstance(c, Chain) else Chain(*c) for c in chains]
+        self.chains = list(chains)
+        for c in self.chains:
+            if c.multiplicity < 1 or c.multiplicity != int(c.multiplicity):
+                raise ValueError("multiplicities must be positive integers")
+            if np.any(c.segment_lengths() <= 0.0):
+                raise ValueError("degenerate (zero length) segment")
 
     @classmethod
     def from_polyline(cls, points, closed=False, multiplicity=1):
-        return cls([Chain(points, closed, multiplicity)])
+        return cls([Component(points, closed, multiplicity=multiplicity)])
 
     @property
     def total_mass(self):
@@ -78,11 +100,11 @@ class DiscreteVarifold:
 
     def segments(self):
         """(starts, ends, mults) stacked over all chains."""
-        starts = np.vstack([c.segment_starts() for c in self.chains])
-        ends = np.vstack([c.segment_ends() for c in self.chains])
-        mult = np.concatenate([
-            np.full(len(c.segment_starts()), c.multiplicity) for c in self.chains])
-        return starts, ends, mult
+        segs = [c.segments() for c in self.chains]
+        mult = np.concatenate([np.full(len(a), c.multiplicity)
+                               for (a, _), c in zip(segs, self.chains)])
+        return (np.vstack([a for a, _ in segs]), np.vstack([b for _, b in segs]),
+                mult)
 
     def atoms(self):
         """Atomic first-variation data.
@@ -93,7 +115,9 @@ class DiscreteVarifold:
         """
         pos, vec = [], []
         for c in self.chains:
-            e = c.directions()
+            starts, ends = c.segments()
+            d = ends - starts
+            e = d / np.linalg.norm(d, axis=1, keepdims=True)
             m = c.multiplicity
             if c.closed:
                 k = e - np.roll(e, 1, axis=0)
@@ -159,16 +183,10 @@ def first_variation(V: DiscreteVarifold, X, order=8, refine_tol=1e-10):
 
 
 def _first_variation_at_order(V, X, order):
-    nodes, weights = _gl(order)
     starts, ends, mult = V.segments()
-    d = ends - starts
-    L = np.linalg.norm(d, axis=1)
-    e = d / L[:, None]
-    # quadrature points for all segments at once
-    s = 0.5 * (nodes + 1.0)
-    pts = starts[:, None, :] + s[None, :, None] * d[:, None, :]
-    flat = pts.reshape(-1, 2)
-    jac = X.jacobian(flat).reshape(len(L), order, 2, 2)
+    pts, L, weights = segment_quadrature(starts, ends, order)
+    e = (ends - starts) / L[:, None]
+    jac = X.jacobian(pts.reshape(-1, 2)).reshape(len(L), order, 2, 2)
     div = np.einsum("ka,kqab,kb->kq", e, jac, e)
     integrals = 0.5 * L * (div @ weights)
     return float(np.sum(mult * integrals))
@@ -191,12 +209,9 @@ def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None,
     if tol is None:
         tol = 1e-6 * V.total_mass
     starts, ends, mult = V.segments()
-    d = ends - starts
-    L = np.linalg.norm(d, axis=1)
+    pts, L, weights = segment_quadrature(starts, ends, order)
     nseg = len(L)
-    nodes, weights = _gl(order)
-    s = 0.5 * (nodes + 1.0)
-    pts = (starts[:, None, :] + s[None, :, None] * d[:, None, :]).reshape(-1, 2)
+    pts = pts.reshape(-1, 2)
 
     A = np.empty((len(fields), 2 * nseg))
     b = np.empty(len(fields))
@@ -206,7 +221,7 @@ def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None,
         seg_int = 0.5 * L[:, None] * np.einsum("kqc,q->kc", vals, weights)
         A[i] = (-mult[:, None] * seg_int).reshape(-1)
         b[i] = first_variation(V, X, order=order)
-        norms[i] = field_c1_norm(X, pts)
+        norms[i] = X.c1_norm(pts)
 
     rank = np.linalg.matrix_rank(A, tol=1e-12 * max(1.0, np.abs(A).max()))
     if rank < min(len(fields), 2 * nseg) // 4 + 1:
@@ -227,7 +242,8 @@ def reflect_varifold(V: DiscreteVarifold, P: Line):
     chains = list(V.chains)
     for c in V.chains:
         mirrored = P.reflect_point(c.points)
-        chains.append(Chain(np.atleast_2d(mirrored), c.closed, c.multiplicity))
+        chains.append(Component(np.atleast_2d(mirrored), c.closed,
+                                multiplicity=c.multiplicity))
     return DiscreteVarifold(chains)
 
 
@@ -274,7 +290,7 @@ def boundary_monotonicity_check(V: DiscreteVarifold, S: Barrier, h: ScalarField,
                 mid_d = S.distance(0.5 * (q0 + q1))
                 if mid_d >= rho:
                     continue
-                a_main, a_nu = _segment_tube_integrals(S, h, q0, q1, order)
+                a_main, a_nu, _ = _segment_tube_integrals(S, h, q0, q1, order)
                 main += m * a_main
                 nu_smooth += m * a_nu
         return main, nu_smooth
@@ -302,7 +318,7 @@ def boundary_monotonicity_check(V: DiscreteVarifold, S: Barrier, h: ScalarField,
             mid_d = S.distance(0.5 * (q0 + q1))
             if not (tau < mid_d < sigma):
                 continue
-            rhs += m * _segment_shell_integral(S, h, q0, q1, order)
+            rhs += m * _segment_tube_integrals(S, h, q0, q1, order)[2]
     pos, vec = V.atoms()
     dd = np.atleast_1d(S.distance(pos))
     for p, v, dv in zip(pos, vec, dd):
@@ -344,11 +360,12 @@ def _split_segment_by_tube(S, p0, p1, radii, n_scan=64):
 
 
 def _segment_tube_integrals(S, h, q0, q1, order):
-    nodes, weights = _gl(order)
-    L = np.linalg.norm(q1 - q0)
+    """Integrals over [q0, q1] of h |D^T d|^2 (tube mass), of
+    d (D_e h <D d, e> + h tr_e D^2 d) (smooth part of nu) and of
+    D_e h <D d, e> + h tr_e D^2 d (shell integrand), in that order."""
+    pts, L, weights = segment_quadrature(q0[None, :], q1[None, :], order)
+    pts, L = pts[0], L[0]
     e = (q1 - q0) / L
-    s = 0.5 * (nodes + 1.0)
-    pts = q0[None, :] + s[:, None] * (q1 - q0)[None, :]
     d = np.atleast_1d(S.distance(pts))
     feet = np.atleast_2d(S.project(pts))
     grad_d = (pts - feet) / np.maximum(d, 1e-300)[:, None]
@@ -359,25 +376,8 @@ def _segment_tube_integrals(S, h, q0, q1, order):
     main = hv * dtd ** 2
     tr_term = np.einsum("a,qab,b->q", e, hess, e)
     nu = d * (hg @ e) * dtd + hv * d * tr_term
-    return 0.5 * L * float(weights @ main), 0.5 * L * float(weights @ nu)
-
-
-def _segment_shell_integral(S, h, q0, q1, order):
-    nodes, weights = _gl(order)
-    L = np.linalg.norm(q1 - q0)
-    e = (q1 - q0) / L
-    s = 0.5 * (nodes + 1.0)
-    pts = q0[None, :] + s[:, None] * (q1 - q0)[None, :]
-    d = np.atleast_1d(S.distance(pts))
-    feet = np.atleast_2d(S.project(pts))
-    grad_d = (pts - feet) / np.maximum(d, 1e-300)[:, None]
-    hess = S.distance_hessian(pts)
-    hv = h.value(pts)
-    hg = h.grad(pts)
-    dtd = grad_d @ e
-    tr_term = np.einsum("a,qab,b->q", e, hess, e)
-    integrand = (hg @ e) * dtd + hv * tr_term
-    return 0.5 * L * float(weights @ integrand)
+    shell = (hg @ e) * dtd + hv * tr_term
+    return tuple(0.5 * L * float(weights @ f) for f in (main, nu, shell))
 
 
 # -- test fields ----------------------------------------------------------------
@@ -397,13 +397,8 @@ class TestField:
         return self._jacobian(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def c1_norm(self, pts):
-        return field_c1_norm(self, pts)
-
-
-def field_c1_norm(X, pts):
-    v = np.abs(X.value(pts)).max()
-    j = np.abs(X.jacobian(pts)).max()
-    return float(v + j)
+        return float(np.abs(self.value(pts)).max()
+                     + np.abs(self.jacobian(pts)).max())
 
 
 class Poly2:

@@ -1,32 +1,30 @@
-import numpy as np
 import pytest
 
-from fbmcf.barrier import Circle, Line
-from fbmcf.flow import circle_curve, half_circle_curve, lasso_curve, run
+from fbmcf.acceptance import DENSITY_LINE, ArtifactCache  # noqa: F401
 
-# flat barrier with a raised scale cap so the truncation bias of the
-# reflected kernel stays far below the density tolerances
-DENSITY_LINE = Line(normal=(0.0, -1.0), offset=0.0, scale_cap=1e8)
+# DENSITY_LINE is the flat barrier with a raised scale cap, so the truncation
+# bias of the reflected kernel stays far below the density tolerances.
 
 
 @pytest.fixture(scope="session")
-def circle_extinction_history():
+def artifact_cache():
+    """The acceptance suite's reference histories, each built once per session."""
+    return ArtifactCache(seed=0)
+
+
+@pytest.fixture(scope="session")
+def circle_extinction_history(artifact_cache):
     """Unit circle flowed to just before extinction, finely sampled in time."""
-    return run(circle_curve(radius=1.0, n=512), t_end=0.4995,
-               h_target=2 * np.pi / 512, snapshot_dt=5e-4, vanish_length=0.02)
+    return artifact_cache.circle_extinction()
 
 
 @pytest.fixture(scope="session")
-def corner_history():
+def corner_history(artifact_cache):
     """Half circle on the flat barrier, flowed to just before extinction."""
-    return run(half_circle_curve(radius=1.0, n=512), t_end=0.4995,
-               h_target=np.pi / 512, snapshot_dt=5e-4,
-               barrier=DENSITY_LINE, vanish_length=0.02)
+    return artifact_cache.corner()
 
 
 @pytest.fixture(scope="session")
-def pop_history():
-    st = lasso_curve(barrier_radius=1.0, n=384)
-    barrier = Circle((0.0, 0.0), 1.0, omega_side="outside")
-    return run(st, t_end=0.3, h_target=st.total_length() / 384,
-               snapshot_dt=0.002, barrier=barrier)
+def pop_history(artifact_cache):
+    """Lasso around the unit circle barrier: one pop."""
+    return artifact_cache.peanut()

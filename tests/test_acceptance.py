@@ -2,14 +2,15 @@
 
 import pytest
 
-from fbmcf.acceptance import ALL_CRITERIA, run_all
+from fbmcf.acceptance import ALL_CRITERIA
 
 CRITERION_IDS = [fn.__name__.split("_")[1] for fn in ALL_CRITERIA]
 
 
 @pytest.fixture(scope="module")
-def acceptance_rows():
-    rows = run_all(seed=0, printer=None)
+def acceptance_rows(artifact_cache):
+    """Every criterion, evaluated on the session's shared reference histories."""
+    rows = [fn(artifact_cache) for fn in ALL_CRITERIA]
     print()
     for r in rows:
         print(r.row())

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbmcf.barrier import (
-    Circle, Line, ParametricBarrier, distance, project, reflect_point,
-    reflect_vector, inverse_projection, regularity_scale,
-    reflection_regularity_scale, measured_c1,
-)
+from fbmcf.barrier import Circle, Line, ParametricBarrier, measured_c1
 from fbmcf.errors import BeyondReach
 
 
@@ -36,73 +32,73 @@ def sweep_distance(f, x, n=2_000_001):
 class TestDistanceProject:
     def test_line_distance(self):
         S = Line(normal=(0.0, 1.0), offset=0.0)
-        assert distance(S, np.array([3.0, 4.0])) == pytest.approx(4.0)
+        assert S.distance(np.array([3.0, 4.0])) == pytest.approx(4.0)
 
     def test_circle_distance(self):
         S = Circle((0.0, 0.0), 1.0)
-        assert distance(S, np.array([2.0, 0.0])) == pytest.approx(1.0)
+        assert S.distance(np.array([2.0, 0.0])) == pytest.approx(1.0)
 
     def test_parametric_circle_distance_vs_sweep(self):
         S = unit_circle_parametric(64)
         x = np.array([0.0, 1.5])
         f = lambda t: (np.cos(t), np.sin(t))
         d_oracle, _ = sweep_distance(f, x)
-        assert distance(S, x) == pytest.approx(d_oracle, abs=1e-8)
-        assert distance(S, x) == pytest.approx(0.5, abs=1e-8)
+        assert S.distance(x) == pytest.approx(d_oracle, abs=1e-8)
+        assert S.distance(x) == pytest.approx(0.5, abs=1e-8)
 
     def test_line_project(self):
         S = Line(normal=(0.0, 1.0), offset=0.0)
-        np.testing.assert_allclose(project(S, np.array([3.0, 4.0])), [3.0, 0.0])
+        np.testing.assert_allclose(S.project(np.array([3.0, 4.0])), [3.0, 0.0])
 
     def test_circle_project(self):
         S = Circle((0.0, 0.0), 1.0)
-        np.testing.assert_allclose(project(S, np.array([0.5, 0.0])), [1.0, 0.0])
+        np.testing.assert_allclose(S.project(np.array([0.5, 0.0])), [1.0, 0.0])
 
     def test_ellipse_project_vs_sweep(self):
         S = ellipse_parametric()
         x = np.array([0.0, 2.0])
         f = lambda t: (2.0 * np.cos(t), np.sin(t))
         _, foot_oracle = sweep_distance(f, x)
-        foot = project(S, x)
+        foot = S.project(x)
         np.testing.assert_allclose(foot, foot_oracle, atol=1e-6)
         np.testing.assert_allclose(foot, [0.0, 1.0], atol=1e-8)
 
     def test_circle_center_beyond_reach(self):
         S = Circle((0.0, 0.0), 1.0)
         with pytest.raises(BeyondReach):
-            project(S, np.array([0.0, 0.0]))
+            S.project(np.array([0.0, 0.0]))
 
 
 class TestReflection:
     def test_line_mirror(self):
         S = Line(normal=(0.0, 1.0), offset=0.0)
-        np.testing.assert_allclose(reflect_point(S, np.array([2.0, 3.0])), [2.0, -3.0])
+        np.testing.assert_allclose(S.reflect_point(np.array([2.0, 3.0])), [2.0, -3.0])
 
     def test_circle_mirror(self):
         S = Circle((0.0, 0.0), 1.0)
-        np.testing.assert_allclose(reflect_point(S, np.array([0.5, 0.0])), [1.5, 0.0])
+        np.testing.assert_allclose(S.reflect_point(np.array([0.5, 0.0])), [1.5, 0.0])
 
     def test_reflect_beyond_reach(self):
         S = Circle((0.0, 0.0), 1.0)
         with pytest.raises(BeyondReach):
-            reflect_point(S, np.array([3.0, 0.0]))
+            S.reflect_point(np.array([3.0, 0.0]))
 
     def test_vector_reflection_line(self):
         S = Line(normal=(0.0, 1.0), offset=0.0)
         np.testing.assert_allclose(
-            reflect_vector(S, np.array([0.0, 0.5]), np.array([1.0, 1.0])),
+            S.reflect_vector(np.array([0.0, 0.5]), np.array([1.0, 1.0])),
             [1.0, -1.0])
 
     def test_tangent_vector_fixed(self):
         S = Circle((0.0, 0.0), 1.0)
         x = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])  # tangent at (1, 0)
-        np.testing.assert_allclose(reflect_vector(S, x, v), v, atol=1e-12)
+        np.testing.assert_allclose(S.reflect_vector(x, v), v, atol=1e-12)
 
     def test_normal_vector_flips(self):
         S = Circle((0.0, 0.0), 1.0)
         np.testing.assert_allclose(
-            reflect_vector(S, np.array([1.0, 0.0]), np.array([1.0, 0.0])),
+            S.reflect_vector(np.array([1.0, 0.0]), np.array([1.0, 0.0])),
             [-1.0, 0.0], atol=1e-12)
 
     def test_vector_reflection_preserves_norm(self):
@@ -111,7 +107,7 @@ class TestReflection:
         for _ in range(50):
             x = np.array([1.0, 0.0]) + 0.3 * rng.standard_normal(2)
             v = rng.standard_normal(2)
-            w = reflect_vector(S, x, v)
+            w = S.reflect_vector(x, v)
             assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(v), abs=1e-12)
 
     @settings(max_examples=40, derandomize=True)
@@ -119,7 +115,7 @@ class TestReflection:
     def test_involution_circle(self, _seed, depth, angle):
         S = Circle((0.0, 0.0), 1.0)
         x = (1.0 + depth) * np.array([np.cos(angle), np.sin(angle)])
-        back = reflect_point(S, reflect_point(S, x))
+        back = S.reflect_point(S.reflect_point(x))
         assert np.linalg.norm(back - x) <= 1e-10 * (1.0 + np.linalg.norm(x))
 
     def test_involution_parametric(self):
@@ -128,7 +124,7 @@ class TestReflection:
         for _ in range(20):
             ang = rng.uniform(0, 2 * np.pi)
             x = (1.0 + rng.uniform(-0.3, 0.3)) * np.array([np.cos(ang), np.sin(ang)])
-            back = reflect_point(S, reflect_point(S, x))
+            back = S.reflect_point(S.reflect_point(x))
             assert np.linalg.norm(back - x) <= 1e-8 * (1.0 + np.linalg.norm(x))
 
     def test_foot_consistency(self):
@@ -139,15 +135,15 @@ class TestReflection:
                 base = np.array([np.cos(ang), np.sin(ang)])
                 x = base * (1.0 + rng.uniform(-0.4, 0.4)) if isinstance(S, Circle) \
                     else np.array([rng.uniform(-2, 2), rng.uniform(-1, 1)])
-                foot1 = project(S, x)
-                foot2 = project(S, reflect_point(S, x))
+                foot1 = S.project(x)
+                foot2 = S.project(S.reflect_point(x))
                 assert np.linalg.norm(foot1 - foot2) <= 1e-8
 
     def test_second_order_closeness_circle(self):
         """|y~ - refl(y)| <= c1 |y - zeta(x)|^2 / r_S around a fixed foot."""
         S = Circle((0.0, 0.0), 1.0)
         base = np.array([1.0, 0.0])
-        r_s = reflection_regularity_scale(S, base)
+        r_s = S.reflection_regularity_scale(base)
         refl = S.affine_reflection(base)
         rng = np.random.default_rng(5)
         ratios = []
@@ -165,10 +161,10 @@ class TestReflection:
         # radial probes reflect exactly; the deviation bound is trivially met
         S = Circle((0.0, 0.0), 1.0)
         x = np.array([0.9, 0.1])
-        foot = project(S, x)
+        foot = S.project(x)
         refl = S.affine_reflection(foot)
-        dev = np.linalg.norm(reflect_point(S, x) - refl(x))
-        r_s = reflection_regularity_scale(S, foot)
+        dev = np.linalg.norm(S.reflect_point(x) - refl(x))
+        r_s = S.reflection_regularity_scale(foot)
         assert dev <= 2.0 * np.sum((x - foot) ** 2) / r_s + 1e-12
 
     def test_pointwise_second_order_bound_sampled(self):
@@ -224,7 +220,7 @@ class TestTraceEstimate:
 class TestInverseProjection:
     def test_flat_chart_is_identity(self):
         S = Line(normal=(0.0, 1.0), offset=0.0)
-        phi = inverse_projection(S, np.array([0.0, 0.0]))
+        phi = S.inverse_projection(np.array([0.0, 0.0]))
         xi = np.linspace(-3, 3, 11)
         s = np.linspace(-2, 2, 11)
         XI, SS = np.meshgrid(xi, s)
@@ -234,14 +230,14 @@ class TestInverseProjection:
 
     def test_normalization_at_base(self):
         S = Circle((0.0, 0.0), 2.0)
-        phi = inverse_projection(S, np.array([2.0, 0.0]))
+        phi = S.inverse_projection(np.array([2.0, 0.0]))
         np.testing.assert_allclose(phi.evaluate(0.0, 0.0), [0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(phi.jacobian(0.0, 0.0), np.eye(2), atol=1e-10)
 
     def test_jacobian_deviation_linear_in_radius(self):
         """sup over the 0.1-box of |DPhi - Id| <= c * 0.1 with c <= 2 (unit circle)."""
         S = Circle((0.0, 0.0), 1.0)
-        phi = inverse_projection(S, np.array([1.0, 0.0]))
+        phi = S.inverse_projection(np.array([1.0, 0.0]))
         r = 0.1
         xi = np.linspace(-r, r, 41)
         s = np.linspace(-r, r, 41)
@@ -252,7 +248,7 @@ class TestInverseProjection:
 
     def test_jacobian_matches_finite_differences(self):
         S = Circle((0.0, 0.0), 1.0)
-        phi = inverse_projection(S, np.array([0.0, 1.0]))
+        phi = S.inverse_projection(np.array([0.0, 1.0]))
         h = 1e-6
         for (xi, s) in [(0.05, -0.1), (-0.2, 0.15)]:
             fd0 = (phi.evaluate(xi + h, s) - phi.evaluate(xi - h, s)) / (2 * h)
@@ -263,7 +259,7 @@ class TestInverseProjection:
 
     def test_inversion_roundtrip(self):
         S = Circle((0.0, 0.0), 1.0)
-        phi = inverse_projection(S, np.array([1.0, 0.0]))
+        phi = S.inverse_projection(np.array([1.0, 0.0]))
         targets = np.array([[0.05, 0.1], [-0.1, -0.02], [0.2, 0.0]])
         q = phi.invert(targets)
         np.testing.assert_allclose(phi.evaluate(q[:, 0], q[:, 1]), targets, atol=1e-10)
@@ -272,39 +268,39 @@ class TestInverseProjection:
 class TestRegularityScales:
     def test_flat_scales_capped(self):
         S = Line(normal=(0.0, 1.0))
-        assert regularity_scale(S, np.zeros(2), 2) == S.scale_cap
-        assert reflection_regularity_scale(S, np.zeros(2)) == S.scale_cap
+        assert S.regularity_scale(np.zeros(2), 2) == S.scale_cap
+        assert S.reflection_regularity_scale(np.zeros(2)) == S.scale_cap
 
     def test_circle_scale_proportional_to_radius(self):
         vals = []
         for R in (1.0, 2.0, 4.0):
             S = Circle((0.0, 0.0), R)
-            vals.append(regularity_scale(S, np.array([R, 0.0]), 2) / R)
+            vals.append(S.regularity_scale(np.array([R, 0.0]), 2) / R)
         assert abs(vals[0] - vals[1]) <= 1e-2 * vals[0]
         assert abs(vals[1] - vals[2]) <= 1e-2 * vals[1]
 
     def test_reflection_scale_bounded_by_c3_scale(self):
         S = Circle((0.0, 0.0), 1.0)
         y = np.array([1.0, 0.0])
-        r3 = regularity_scale(S, y, 3)
-        rs = reflection_regularity_scale(S, y)
+        r3 = S.regularity_scale(y, 3)
+        rs = S.reflection_regularity_scale(y)
         assert 0.0 < rs <= r3 * (1 + 1e-9)
 
     def test_reflection_scale_equivariance(self):
-        r1 = reflection_regularity_scale(Circle((0.0, 0.0), 1.0), np.array([1.0, 0.0]))
-        r2 = reflection_regularity_scale(Circle((0.0, 0.0), 2.0), np.array([2.0, 0.0]))
+        r1 = Circle((0.0, 0.0), 1.0).reflection_regularity_scale(np.array([1.0, 0.0]))
+        r2 = Circle((0.0, 0.0), 2.0).reflection_regularity_scale(np.array([2.0, 0.0]))
         assert r2 == pytest.approx(2.0 * r1, rel=5e-3)
 
     def test_circle_beats_ellipse_vertex(self):
         circle = Circle((0.0, 0.0), 1.0)
         ellipse = ellipse_parametric(2.0, 1.0, 256)
-        r_circle = reflection_regularity_scale(circle, np.array([1.0, 0.0]))
-        r_vertex = reflection_regularity_scale(ellipse, np.array([2.0, 0.0]))
+        r_circle = circle.reflection_regularity_scale(np.array([1.0, 0.0]))
+        r_vertex = ellipse.reflection_regularity_scale(np.array([2.0, 0.0]))
         assert r_circle > r_vertex
 
     def test_regularity_scale_equivariance(self):
-        r1 = regularity_scale(Circle((0.0, 0.0), 1.0), np.array([0.0, 1.0]), 2)
-        r2 = regularity_scale(Circle((0.0, 0.0), 3.0), np.array([0.0, 3.0]), 2)
+        r1 = Circle((0.0, 0.0), 1.0).regularity_scale(np.array([0.0, 1.0]), 2)
+        r2 = Circle((0.0, 0.0), 3.0).regularity_scale(np.array([0.0, 3.0]), 2)
         assert r2 == pytest.approx(3.0 * r1, rel=5e-3)
 
 

@@ -9,7 +9,7 @@ from fbmcf.density import (
 )
 from fbmcf.flow import segment_curve, static_history
 from fbmcf.kernels import KernelParams
-from fbmcf.varifold import DiscreteVarifold
+from fbmcf.varifold import Component, DiscreteVarifold
 from conftest import DENSITY_LINE
 
 SHRINKER_DENSITY = np.sqrt(2.0 * np.pi / np.e)  # 1.520347...
@@ -260,9 +260,8 @@ class TestEuclideanDensity:
             assert euclidean_density(V, (0.0, 0.0), r) == pytest.approx(1.0)
 
     def test_two_transverse_lines(self):
-        V = DiscreteVarifold([
-            (np.array([[-3.0, 0.0], [3.0, 0.0]]), False, 1),
-            (np.array([[0.0, -3.0], [0.0, 3.0]]), False, 1)])
+        V = DiscreteVarifold([Component(np.array([[-3.0, 0.0], [3.0, 0.0]])),
+                              Component(np.array([[0.0, -3.0], [0.0, 3.0]]))])
         assert euclidean_density(V, (0.0, 0.0), 1.0) == pytest.approx(2.0)
 
     def test_kgon_vertex(self):

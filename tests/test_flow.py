@@ -6,12 +6,11 @@ from fbmcf.errors import InadmissibleTestFunction, StepTooLarge
 from fbmcf.flow import (
     Component, CurveState, SpacetimeTestFunction, dissipation_inequality_check,
     circle_curve, detect_and_pop, graph_estimate_check, half_circle_curve,
-    lasso_curve, mass_bound_check, orthogonality_residual, remesh, run,
+    mass_bound_check, orthogonality_residual, remesh, run,
     segment_curve, static_history, step, vertex_velocity,
 )
 
 LINE = Line(normal=(0.0, -1.0), offset=0.0)  # Omega = upper half plane
-H_CIRCLE = 2.0 * np.pi / 512
 H_HALF = np.pi / 256
 
 
@@ -20,9 +19,8 @@ def mean_radius(state, center=(0.0, 0.0)):
 
 
 @pytest.fixture(scope="module")
-def circle_history():
-    return run(circle_curve(radius=1.0, n=512), t_end=0.45,
-               h_target=H_CIRCLE, snapshot_dt=0.005)
+def circle_history(artifact_cache):
+    return artifact_cache.circle(512)
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +30,8 @@ def half_circle_history():
 
 
 @pytest.fixture(scope="module")
-def lasso_history():
-    st = lasso_curve(barrier_radius=1.0, n=384)
-    Sc = Circle((0.0, 0.0), 1.0, omega_side="outside")
-    return run(st, t_end=0.3, h_target=st.total_length() / 384,
-               snapshot_dt=0.002, barrier=Sc)
+def lasso_history(artifact_cache):
+    return artifact_cache.peanut()
 
 
 class TestStep:
@@ -122,10 +117,9 @@ class TestRunLaws:
         order = np.log2(errs[0] / errs[1])
         assert order >= 1.8
 
-    def test_reflection_equivariance(self, half_circle_history):
+    def test_reflection_equivariance(self, half_circle_history, circle_history):
         """Half flow with barrier == doubled flow without, restricted to Omega."""
-        full = run(circle_curve(radius=1.0, n=512), t_end=0.45,
-                   h_target=2 * np.pi / 512, snapshot_dt=0.005)
+        full = circle_history
         # criterion-1 bounds the radius-law error by 0.005; polyline-vs-
         # polyline Hausdorff additionally carries an irreducible sagitta
         # floor from mismatched vertex phases, tracked separately below

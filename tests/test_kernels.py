@@ -161,18 +161,22 @@ class TestReflectedTruncatedKernel:
 
 class TestHeatOperator:
     def test_matches_closed_form_on_gaussian(self):
-        """(d_t - D^2_LL) rho against the symbolic derivative."""
+        """(d_t - D^2_LL) rho against the symbolic derivative, one batch."""
         rng = np.random.default_rng(6)
-        fn = lambda x, t: heat_kernel(x, t, 1)
+        xs, taus, dirs = [], [], []
         for _ in range(25):
-            x = rng.uniform(-1.5, 1.5, 2)
-            tau = rng.uniform(0.3, 2.0)
+            xs.append(rng.uniform(-1.5, 1.5, 2))
+            taus.append(rng.uniform(0.3, 2.0))
             e = rng.standard_normal(2)
-            e /= np.linalg.norm(e)
-            rho = heat_kernel(x, -tau, 1)
-            exact = rho * (1.0 / tau - (x @ x + (x @ e) ** 2) / (4.0 * tau ** 2))
-            approx = heat_operator(fn, x, -tau, e, kappa=1.0)
-            assert approx == pytest.approx(exact, abs=1e-6)
+            dirs.append(e / np.linalg.norm(e))
+        xs, taus, dirs = np.array(xs), np.array(taus), np.array(dirs)
+        rho = heat_kernel(xs, -taus, 1)
+        xe = np.sum(xs * dirs, axis=1)
+        exact = rho * (1.0 / taus - (np.sum(xs * xs, axis=1) + xe ** 2)
+                       / (4.0 * taus ** 2))
+        approx = heat_operator(lambda x, t: heat_kernel(x, t, 1), xs, -taus,
+                               dirs, kappa=1.0)
+        assert approx == pytest.approx(exact, abs=1e-6)
 
     def test_cutoff_subsolution_flat(self):
         """phi is a heat subsolution in the admissible band (normalized values)."""

@@ -3,8 +3,8 @@ import pytest
 
 from fbmcf.errors import FbmcfError, OutOfRange
 from fbmcf.regularize import (
-    free_boundary_halving, i_epsilon, i_epsilon_of_table, meridian_polyline,
-    slab_mass, solve_translator_profile, translate_slices,
+    i_epsilon, i_epsilon_of_table, meridian_polyline, slab_mass,
+    solve_translator_profile, translate_slices,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -161,14 +161,6 @@ class TestSlices:
 
 
 class TestHalving:
-    def test_area_halves_exactly(self, profile_010):
-        rep = free_boundary_halving(profile_010)
-        assert rep.half_area == pytest.approx(0.5 * rep.full_area, rel=1e-12)
-
-    def test_orthogonality_by_symmetry(self, profile_010):
-        rep = free_boundary_halving(profile_010)
-        assert rep.orthogonality_residual == 0.0
-
     def test_meridian_certifies_free_boundary(self, profile_010):
         """The meridian section meets the axis orthogonally: the planar
         varifold certification against the axis line passes."""

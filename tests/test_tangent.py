@@ -62,9 +62,8 @@ class TestRescale:
         a = rescale(circle_extinction_history, (0.0, 0.0, 0.5), 0.5)
         b = rescale(a.history, (0.0, 0.0, 0.0), 0.4)
         c = rescale(circle_extinction_history, (0.0, 0.0, 0.5), 0.2)
-        sa = b.history.slice_at(-1.0).all_points()
-        sc = c.history.slice_at(-1.0).all_points()
-        assert hausdorff_distance(sa, sc) <= 1e-10
+        assert hausdorff_distance(b.history.slice_at(-1.0),
+                                  c.history.slice_at(-1.0)) <= 1e-10
 
     def test_density_invariant_at_center(self, circle_extinction_history):
         lam = 0.5

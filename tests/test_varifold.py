@@ -3,7 +3,7 @@ import pytest
 
 from fbmcf.barrier import Circle, Line
 from fbmcf.varifold import (
-    Chain, DiscreteVarifold, ScalarField, boundary_monotonicity_check,
+    Component, DiscreteVarifold, ScalarField, boundary_monotonicity_check,
     certify_free_boundary, check_tangential, first_variation, polynomial_field,
     reflect_varifold, rotational_field, tangential_family, Poly2,
 )
@@ -39,11 +39,12 @@ class TestConstruction:
 
     def test_rejects_fractional_multiplicity(self):
         with pytest.raises(ValueError):
-            Chain(np.array([[0.0, 0.0], [1.0, 0.0]]), multiplicity=1.5)
+            DiscreteVarifold([Component(np.array([[0.0, 0.0], [1.0, 0.0]]),
+                                        multiplicity=1.5)])
 
     def test_total_mass(self):
-        V = DiscreteVarifold([Chain(np.array([[0.0, 0.0], [2.0, 0.0]]),
-                                    multiplicity=3)])
+        V = DiscreteVarifold([Component(np.array([[0.0, 0.0], [2.0, 0.0]]),
+                                        multiplicity=3)])
         assert V.total_mass == pytest.approx(6.0)
 
     def test_ball_mass_exact_clip(self):
