@@ -332,18 +332,25 @@ class Line(Barrier):
     def is_flat(self):
         return True
 
+    def _height(self, pts):
+        """nu . x row by row, elementwise so a row's bits do not depend on
+        how many rows share the call (a BLAS product would)."""
+        return pts[:, 0] * self.nu[0] + pts[:, 1] * self.nu[1]
+
     def project(self, x):
         pts, single = _as_points(x)
-        s = pts @ self.nu - self.offset
+        s = self._height(pts) - self.offset
         return _unpack(pts - s[:, None] * self.nu, single)
 
     def normal(self, y):
         pts, single = _as_points(y)
-        return _unpack(np.broadcast_to(self.nu, pts.shape).copy(), single)
+        out = np.empty_like(pts)
+        out[:] = self.nu
+        return _unpack(out, single)
 
     def omega_signed(self, x):
         pts, single = _as_points(x)
-        return _unpack(self.offset - pts @ self.nu, single)
+        return _unpack(self.offset - self._height(pts), single)
 
     def distance_hessian(self, x, h=None):
         pts, single = _as_points(x)

@@ -9,7 +9,11 @@ circles.  Vertices flagged as boundary points ride on the barrier: their
 velocity is the barrier-tangential part of the mirrored-neighbor curvature,
 their position is re-projected onto the barrier after each step, and a
 single Gauss-Seidel pass rotates the adjacent vertex so the one-sided
-quadratic tangent estimate meets the barrier orthogonally.
+quadratic tangent estimate meets the barrier orthogonally.  That boundary
+arithmetic runs on plain floats with ``math``, so it does not depend on BLAS
+or SIMD dispatch; each component's barrier queries go out in one batch.
+``run`` computes segment lengths once per step and reuses them for the pop
+threshold, the remesh trigger, the vanish test and the next step size.
 
 Interior vertices that reach the barrier moving inward trigger a "pop": the
 touching vertex is duplicated into two boundary vertices placed on the
@@ -20,6 +24,7 @@ are deleted), and detected self-crossings are recorded as events.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +46,16 @@ class CurveState:
     def total_length(self):
         return sum(c.length() for c in self.components)
 
-    def h_min(self):
-        lens = [c.segment_lengths().min() for c in self.components if len(c.points) > 1]
+    def segment_lengths(self):
+        """Per-component segment lengths, in component order."""
+        return [c.segment_lengths() for c in self.components]
+
+    def h_min(self, lengths=None):
+        """Shortest segment; ``lengths`` skips recomputing segment_lengths()."""
+        if lengths is None:
+            lengths = self.segment_lengths()
+        lens = [ls.min() for c, ls in zip(self.components, lengths)
+                if len(c.points) > 1]
         return min(lens) if lens else np.inf
 
     def copy(self):
@@ -177,68 +190,100 @@ class FlowHistory:
 
 # -- discrete curvature ---------------------------------------------------------
 
-def vertex_velocity(comp: Component, barrier: Barrier | None):
+def vertex_velocity(comp: Component, barrier: Barrier | None, *, lengths=None):
     """Curvature velocity at every vertex; boundary vertices slide tangentially.
 
     Boundary vertices use a mirrored neighbor across the barrier, which by
     symmetry produces a barrier-tangential turning vector; the tangential
     projection guards against curvature of the barrier itself.  Free (off
-    barrier) endpoints of open chains are pinned.
+    barrier) endpoints of open chains are pinned.  ``lengths`` is
+    ``comp.segment_lengths()`` when the caller already has it.
     """
     pts = comp.points
     m = len(pts)
     vel = np.zeros_like(pts)
     if m < 2:
         return vel
+    seg_starts, seg_ends = comp.segments()
+    e = seg_ends - seg_starts
+    L = np.linalg.norm(e, axis=1) if lengths is None else lengths
     if comp.closed:
-        e = np.roll(pts, -1, axis=0) - pts
-        L = np.linalg.norm(e, axis=1)
         e_unit = e / L[:, None]
         vel = 2.0 * (e_unit - np.roll(e_unit, 1, axis=0)) \
             / (L + np.roll(L, 1))[:, None]
         return vel
     if m > 2:
-        e = pts[1:] - pts[:-1]
-        L = np.linalg.norm(e, axis=1)
         e_unit = e / L[:, None]
         vel[1:-1] = 2.0 * (e_unit[1:] - e_unit[:-1]) / (L[1:] + L[:-1])[:, None]
-    for j, nb in ((0, 1), (m - 1, m - 2)):
-        if not comp.on_s[j] or barrier is None:
-            continue
-        mirror_nb = barrier.reflect_point(pts[nb])
-        e1 = pts[nb] - pts[j]
-        e0 = pts[j] - mirror_nb
-        l1 = np.linalg.norm(e1)
-        l0 = np.linalg.norm(e0)
+    ends = _boundary_ends(comp) if barrier is not None else []
+    if not ends:
+        return vel
+    mirrors = barrier.reflect_point(pts[[nb for _, nb, _ in ends]]).tolist()
+    normals = barrier.normal(
+        barrier.project(pts[[j for j, _, _ in ends]])).tolist()
+    for (j, nb, _), (mx, my), (nx, ny) in zip(ends, mirrors, normals):
+        (xj, yj), (xn, yn) = pts[[j, nb]].tolist()
+        e1x, e1y = xn - xj, yn - yj
+        e0x, e0y = xj - mx, yj - my
+        l1 = math.sqrt(e1x * e1x + e1y * e1y)
+        l0 = math.sqrt(e0x * e0x + e0y * e0y)
         if l0 < 1e-300 or l1 < 1e-300:
             continue
-        k = 2.0 * (e1 / l1 - e0 / l0) / (l0 + l1)
-        foot = barrier.project(pts[j])
-        nu = barrier.normal(foot)
-        vel[j] = k - (k @ nu) * nu
+        kx = 2.0 * (e1x / l1 - e0x / l0) / (l0 + l1)
+        ky = 2.0 * (e1y / l1 - e0y / l0) / (l0 + l1)
+        kn = kx * nx + ky * ny
+        vel[j] = (kx - kn * nx, ky - kn * ny)
     return vel
 
 
-def _boundary_tangent_estimate(comp: Component, j):
-    """One-sided curve direction at an endpoint, second order when possible."""
-    pts = comp.points
-    m = len(pts)
-    if j == 0:
-        p0, p1 = pts[0], pts[1]
-        p2 = pts[2] if m > 2 else None
-    else:
-        p0, p1 = pts[-1], pts[-2]
-        p2 = pts[-3] if m > 2 else None
-    s1 = np.linalg.norm(p1 - p0)
-    if p2 is None:
-        return (p1 - p0) / s1
-    s2 = s1 + np.linalg.norm(p2 - p1)
-    # derivative at 0 of the quadratic through (0, p0), (s1, p1), (s2, p2)
-    d = (-(s1 + s2) / (s1 * s2) * p0
-         + s2 / (s1 * (s2 - s1)) * p1
-         - s1 / (s2 * (s2 - s1)) * p2)
-    n = np.linalg.norm(d)
-    return d / n if n > 0 else (p1 - p0) / s1
+# -- boundary vertices ----------------------------------------------------------
+#
+# Plain floats and ``math`` throughout: a handful of 2-vectors per endpoint do
+# not pay for numpy calls, and the results do not depend on BLAS or SIMD
+# dispatch.
+
+def _boundary_ends(comp: Component):
+    """(j, nb, nb2) for each barrier-flagged endpoint j of an open component:
+    its neighbor nb and the next vertex nb2 (None on a two-vertex chain)."""
+    m = len(comp.points)
+    if comp.closed or m < 2:
+        return []
+    return [(j, nb, nb2 if m > 2 else None)
+            for j, nb, nb2 in ((0, 1, 2), (m - 1, m - 2, m - 3)) if comp.on_s[j]]
+
+
+def _inward_normals(barrier: Barrier, pts, idx):
+    """Inward barrier normal at the foot of each pts[idx], as float pairs."""
+    return (-barrier.normal(barrier.project(pts[idx]))).tolist()
+
+
+def _tangent_estimate(p0, p1, p2):
+    """Unit one-sided curve direction at p0: the derivative at 0 of the
+    quadratic through (0, p0), (s1, p1), (s2, p2) in chord length s, or the
+    chord direction p0 -> p1 when p2 is None or that derivative vanishes."""
+    x0, y0 = p0
+    x1, y1 = p1
+    ax, ay = x1 - x0, y1 - y0
+    s1 = math.sqrt(ax * ax + ay * ay)
+    if p2 is not None:
+        x2, y2 = p2
+        bx, by = x2 - x1, y2 - y1
+        s2 = s1 + math.sqrt(bx * bx + by * by)
+        c0 = -(s1 + s2) / (s1 * s2)
+        c1 = s2 / (s1 * (s2 - s1))
+        c2 = s1 / (s2 * (s2 - s1))
+        dx = c0 * x0 + c1 * x1 - c2 * x2
+        dy = c0 * y0 + c1 * y1 - c2 * y2
+        n = math.sqrt(dx * dx + dy * dy)
+        if n > 0.0:
+            return dx / n, dy / n
+    return ax / s1, ay / s1
+
+
+def _contact_angle(t, target):
+    """Signed angle from the unit direction t to the unit direction target."""
+    return math.atan2(t[0] * target[1] - t[1] * target[0],
+                      t[0] * target[0] + t[1] * target[1])
 
 
 def orthogonality_residual(state: CurveState):
@@ -248,74 +293,76 @@ def orthogonality_residual(state: CurveState):
         return 0.0
     worst = 0.0
     for comp in state.components:
-        if comp.closed or len(comp.points) < 2:
+        ends = _boundary_ends(comp)
+        if not ends:
             continue
-        for j in (0, len(comp.points) - 1):
-            if not comp.on_s[j]:
-                continue
-            t_est = _boundary_tangent_estimate(comp, j)
-            foot = state.barrier.project(comp.points[j])
-            target = -state.barrier.normal(foot)  # into the admissible side
-            cosang = np.clip(t_est @ target, -1.0, 1.0)
-            worst = max(worst, float(np.arccos(cosang)))
+        pts = comp.points
+        targets = _inward_normals(state.barrier, pts, [j for j, _, _ in ends])
+        for (j, nb, nb2), target in zip(ends, targets):
+            p2 = None if nb2 is None else pts[nb2].tolist()
+            t_est = _tangent_estimate(pts[j].tolist(), pts[nb].tolist(), p2)
+            worst = max(worst, abs(_contact_angle(t_est, target)))
     return worst
-
-
-def _rotate(v, angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
 
 def _gauss_seidel_orthogonality(comp: Component, barrier: Barrier):
     """One pass: rotate each boundary-adjacent vertex about its boundary
     vertex so the quadratic tangent estimate meets the barrier orthogonally."""
     pts = comp.points
-    m = len(pts)
-    for j, nb in ((0, 1), (m - 1, m - 2)):
-        if not comp.on_s[j] or m < 3:
-            continue
-        foot = barrier.project(pts[j])
-        target = -barrier.normal(foot)
+    ends = _boundary_ends(comp) if len(pts) > 2 else []
+    if not ends:
+        return
+    targets = _inward_normals(barrier, pts, [j for j, _, _ in ends])
+    for (j, nb, nb2), target in zip(ends, targets):
+        # read here, not before the loop: on short chains the second end's
+        # stencil contains the vertex the first end just rotated
+        p0, p1, p2 = pts[[j, nb, nb2]].tolist()
+        x0, y0 = p0
+        bx, by = p1[0] - x0, p1[1] - y0
 
-        def residual_angle():
-            t_est = _boundary_tangent_estimate(comp, j)
-            return float(np.arctan2(t_est[0] * target[1] - t_est[1] * target[0],
-                                    t_est @ target))
+        def rotated(theta):
+            c, s = math.cos(theta), math.sin(theta)
+            return x0 + (c * bx - s * by), y0 + (s * bx + c * by)
+
+        def residual_angle(q):
+            return _contact_angle(_tangent_estimate(p0, q, p2), target)
 
         # secant solve for the rotation of the adjacent vertex
-        base = pts[nb] - pts[j]
         theta = 0.0
-        r0 = residual_angle()
+        r0 = residual_angle(p1)
         if abs(r0) < 1e-6:  # already orthogonal to well below the target
             continue
         theta1 = r0
         for _ in range(8):
-            pts[nb] = pts[j] + _rotate(base, theta1)
-            r1 = residual_angle()
+            r1 = residual_angle(rotated(theta1))
             if abs(r1) < 1e-12:
                 break
-            denom = (r1 - r0)
+            denom = r1 - r0
             if abs(denom) < 1e-15:
                 break
-            theta2 = theta1 - r1 * (theta1 - theta) / denom
-            theta, r0, theta1 = theta1, r1, theta2
-        pts[nb] = pts[j] + _rotate(base, theta1)
+            theta, r0, theta1 = theta1, r1, theta1 - r1 * (theta1 - theta) / denom
+        pts[nb] = rotated(theta1)
 
 
-def step(state: CurveState, dt, cfl=0.4):
+def step(state: CurveState, dt, cfl=0.4, *, lengths=None):
     """One explicit Euler step of curvature motion.
 
     Interior vertices move by the discrete curvature vector; boundary
     vertices move tangentially and are re-projected onto the barrier, then
     one Gauss-Seidel pass restores orthogonality at the contact.
+    ``lengths`` are the state's per-component segment lengths when the
+    caller already has them; they serve the step-size guard and the
+    curvature.
     """
-    h = state.h_min()
+    if lengths is None:
+        lengths = state.segment_lengths()
+    h = state.h_min(lengths)
     if dt > cfl * h * h * (1.0 + 1e-9):
         raise StepTooLarge(f"dt={dt:.3g} exceeds {cfl:.2f} h_min^2 = "
                            f"{cfl * h * h:.3g}")
     new_comps = []
-    for comp in state.components:
-        vel = vertex_velocity(comp, state.barrier)
+    for comp, lens in zip(state.components, lengths):
+        vel = vertex_velocity(comp, state.barrier, lengths=lens)
         pts = comp.points + dt * vel
         new_comp = Component(pts, comp.closed, comp.on_s.copy())
         if state.barrier is not None and np.any(comp.on_s):
@@ -328,19 +375,22 @@ def step(state: CurveState, dt, cfl=0.4):
     return CurveState(new_comps, state.time + dt, state.barrier)
 
 
-def detect_and_pop(state: CurveState, pop_threshold=None):
+def detect_and_pop(state: CurveState, pop_threshold=None, *, lengths=None):
     """Split curves where an interior vertex reaches the barrier moving inward.
 
     Returns (new_state, events).  The touching vertex is duplicated into two
     boundary-flagged vertices placed on the barrier.  Vertices that crossed
     to the forbidden side are treated as touching (hard one-sidedness).
     Simultaneous triggers are processed in ascending arc-length order;
-    adjacent triggered vertices are coalesced to the deepest one.
+    adjacent triggered vertices are coalesced to the deepest one.  The
+    default threshold is half the shortest segment, taken from ``lengths``
+    when given.  Components without a trigger are passed on as they are.
     """
     if state.barrier is None:
         return state, []
     S = state.barrier
-    thresh = pop_threshold if pop_threshold is not None else 0.5 * state.h_min()
+    thresh = pop_threshold if pop_threshold is not None \
+        else 0.5 * state.h_min(lengths)
     events = []
     out = []
     for comp in state.components:
@@ -438,32 +488,40 @@ def _local_curvature_pair(pts, flags, i, j, closed):
     return 0.5 * (kappa_at(i) + kappa_at(j))
 
 
-def remesh(state: CurveState, h_target):
+def remesh(state: CurveState, h_target, *, lengths=None):
     """Split segments longer than 1.5 h and merge interior vertices of
     segments shorter than 0.5 h; boundary flags are preserved and the total
-    length changes by at most 1e-3 of itself."""
-    if all(len(c.points) > 1
-           and c.segment_lengths().min() >= 0.5 * h_target
-           and c.segment_lengths().max() <= 1.5 * h_target
-           for c in state.components):
+    length changes by at most 1e-3 of itself.
+
+    ``lengths`` are the state's per-component segment lengths when the
+    caller already has them.  Components that need no change are passed on
+    as they are, and the state itself is returned when none does.
+    """
+    if lengths is None:
+        lengths = state.segment_lengths()
+    lo, hi = 0.5 * h_target, 1.5 * h_target
+    fine = [len(c.points) > 1 and lens.min() >= lo and lens.max() <= hi
+            for c, lens in zip(state.components, lengths)]
+    if all(fine):
         return state
     new_comps = []
-    total_before = state.total_length()
+    total_before = sum(float(lens.sum()) for lens in lengths)
     budget = 1e-3 * max(total_before, 1e-12)
     spent = 0.0
-    for comp in state.components:
+    for comp, lens, ok in zip(state.components, lengths, fine):
+        if ok:
+            new_comps.append(comp)
+            continue
         pts, flags = comp.points, comp.on_s
-        base_len = comp.length()
+        base_len = float(lens.sum())
         # merge pass, kept within the length-change budget; leftovers wait
         # for the next remesh call
         changed = True
         while changed and len(pts) > (3 if not comp.closed else 4):
             changed = False
-            cc = Component(pts, comp.closed, flags)
-            lens = cc.segment_lengths()
             order = np.argsort(lens)
             for si in order:
-                if lens[si] >= 0.5 * h_target:
+                if lens[si] >= lo:
                     break
                 i, j = si, (si + 1) % len(pts)
                 if not comp.closed and si + 1 >= len(pts):
@@ -485,31 +543,24 @@ def remesh(state: CurveState, h_target):
                 trial_pts = np.delete(pts, drop, axis=0)
                 trial_flags = np.delete(flags, drop)
                 trial_pts[keep if keep < drop else keep - 1] = target
-                new_len = Component(trial_pts, comp.closed, trial_flags).length()
+                trial_lens = Component(trial_pts, comp.closed,
+                                       trial_flags).segment_lengths()
+                new_len = float(trial_lens.sum())
                 delta = abs(new_len - base_len)
                 if spent + delta > budget:
                     break
                 spent += delta
                 base_len = new_len
-                pts, flags = trial_pts, trial_flags
+                pts, flags, lens = trial_pts, trial_flags, trial_lens
                 changed = True
                 break
         # split pass: chord midpoints, exactly length neutral
-        lens = Component(pts, comp.closed, flags).segment_lengths()
-        long = set(np.nonzero(lens > 1.5 * h_target)[0].tolist())
-        if long:
-            nxt = np.roll(np.arange(len(pts)), -1) if comp.closed \
-                else np.arange(1, len(pts) + 1)
-            new_pts, new_flags = [], []
-            for i in range(len(pts)):
-                new_pts.append(pts[i])
-                new_flags.append(flags[i])
-                if i in long:
-                    j = nxt[i] % len(pts)
-                    new_pts.append(0.5 * (pts[i] + pts[j]))
-                    new_flags.append(False)
-            pts = np.asarray(new_pts)
-            flags = np.asarray(new_flags, dtype=bool)
+        long = np.nonzero(lens > hi)[0]
+        if len(long):
+            starts, ends = Component(pts, comp.closed, flags).segments()
+            pts = np.insert(pts, long + 1, 0.5 * (starts[long] + ends[long]),
+                            axis=0)
+            flags = np.insert(flags, long + 1, False)
         new_comps.append(Component(pts, comp.closed, flags))
     out = CurveState(new_comps, state.time, state.barrier)
     if abs(out.total_length() - total_before) > 1e-3 * max(total_before, 1e-12):
@@ -547,6 +598,16 @@ def _self_intersects(state: CurveState):
     return bool(np.any(hit & ~adjacent))
 
 
+def _carry_lengths(before: CurveState, after: CurveState, lengths):
+    """Segment lengths of ``after`` given ``lengths`` of ``before``: reused
+    for every component object the two share, computed for the rest."""
+    if after is before:
+        return lengths
+    known = {id(c): lens for c, lens in zip(before.components, lengths)}
+    return [known[id(c)] if id(c) in known else c.segment_lengths()
+            for c in after.components]
+
+
 def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
         pop_threshold=None, vanish_length=None, barrier=None,
         self_intersection_checks=50, config_echo=None):
@@ -555,6 +616,10 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
     Stops at ``t_end``, on total extinction, or on a Collision event.
     ``vanish_length`` (default 10 h_target) deletes components shorter than
     the threshold, recording a Vanish event.
+
+    Segment lengths are computed once per step, after ``step``, and serve the
+    pop threshold, the remesh trigger, the vanish test and the next ``dt``;
+    only components that a pop or remesh replaced are measured again.
     """
     if barrier is not None:
         initial = CurveState(initial.components, initial.time, barrier)
@@ -567,25 +632,32 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
     snapshots = [state.copy()]
     check_stride = max(1, n_snap // max(self_intersection_checks, 1))
     halted = False
+    lengths = state.segment_lengths()
 
     for k in range(1, n_snap + 1):
         t_next = snap_times[k]
         while state.time < t_next - 1e-14:
-            h = state.h_min()
+            h = state.h_min(lengths)
             dt = min(cfl * h * h, t_next - state.time)
-            state = step(state, dt, cfl=cfl)
-            state, pop_events = detect_and_pop(state, pop_threshold)
+            state = step(state, dt, cfl=cfl, lengths=lengths)
+            lengths = state.segment_lengths()
+            popped, pop_events = detect_and_pop(state, pop_threshold,
+                                                lengths=lengths)
             events.extend(pop_events)
-            state = remesh(state, h_target)
+            lengths = _carry_lengths(state, popped, lengths)
+            state = remesh(popped, h_target, lengths=lengths)
+            lengths = _carry_lengths(popped, state, lengths)
             # delete vanished components
-            kept = []
-            for comp in state.components:
-                if comp.length() < vanish_len or len(comp.points) < 3:
+            kept, kept_lengths = [], []
+            for comp, lens in zip(state.components, lengths):
+                if float(lens.sum()) < vanish_len or len(comp.points) < 3:
                     events.append(FlowEvent(state.time, "Vanish",
                                             comp.points.mean(axis=0)))
                 else:
                     kept.append(comp)
+                    kept_lengths.append(lens)
             state = CurveState(kept, state.time, state.barrier)
+            lengths = kept_lengths
             if not state.components:
                 break
         state = CurveState(state.components, t_next, state.barrier)

@@ -331,3 +331,21 @@ class TestNormals:
         # normal points out of Omega
         np.testing.assert_allclose(inside.normal(np.array([1.0, 0.0])), [1.0, 0.0])
         np.testing.assert_allclose(outside.normal(np.array([1.0, 0.0])), [-1.0, 0.0])
+
+
+class TestBatchInvariance:
+    """A query on one point returns the bits of its row in a batched call."""
+
+    @pytest.mark.parametrize("S", [Line(normal=(3.0, 4.0), offset=1.0),
+                                   Line(normal=(-0.6, 1.7), offset=-0.3),
+                                   Circle((0.3, -0.2), 1.3)],
+                             ids=["line", "line-skew", "circle"])
+    def test_single_equals_batch_row(self, S):
+        # within half a unit of S, inside the circle's reach
+        pts = S.boundary_samples(1000) \
+            + np.random.default_rng(3).uniform(-0.5, 0.5, size=(1000, 2))
+        for query in (S.project, S.normal, S.omega_signed, S.reflect_point,
+                      S.distance):
+            batch = query(pts)
+            for x, row in zip(pts, batch):
+                assert np.array_equal(query(x), row), query.__name__

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbmcf.barrier import Circle, Line
 from fbmcf.errors import InadmissibleTestFunction, StepTooLarge
@@ -8,6 +9,7 @@ from fbmcf.flow import (
     circle_curve, detect_and_pop, graph_estimate_check, half_circle_curve,
     mass_bound_check, orthogonality_residual, remesh, run,
     segment_curve, static_history, step, vertex_velocity,
+    _gauss_seidel_orthogonality, _tangent_estimate,
 )
 
 LINE = Line(normal=(0.0, -1.0), offset=0.0)  # Omega = upper half plane
@@ -24,9 +26,10 @@ def circle_history(artifact_cache):
 
 
 @pytest.fixture(scope="module")
-def half_circle_history():
-    return run(half_circle_curve(radius=1.0, n=256), t_end=0.45,
-               h_target=H_HALF, snapshot_dt=0.005, barrier=LINE)
+def half_circle_history(artifact_cache):
+    # n = 256 half circle on y = 0 to t = 0.45 with h = H_HALF; its barrier
+    # differs from LINE only in scale_cap, which the flow never reads
+    return artifact_cache.half_circle()
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +81,116 @@ class TestStep:
     def test_orthogonality_residual_target(self, half_circle_history):
         mid = half_circle_history.snapshots[len(half_circle_history.snapshots) // 2]
         assert orthogonality_residual(mid) < 1e-3
+
+    def test_known_lengths_change_nothing(self):
+        state = CurveState(half_circle_curve(radius=1.0, n=32).components, 0.0,
+                           LINE)
+        dt = 0.1 * state.h_min() ** 2
+        a = step(state, dt)
+        b = step(state, dt, lengths=state.segment_lengths())
+        np.testing.assert_array_equal(a.components[0].points,
+                                      b.components[0].points)
+
+
+def _rot(v, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+
+CONTACT_BARRIERS = {
+    # (barrier, the two feet of the chain)
+    "line": (LINE, [np.array([0.0, 0.0]), np.array([2.0, 0.0])]),
+    "circle": (Circle((0.0, 0.0), 1.0), [np.array([-1.0, 0.0]),
+                                        np.array([1.0, 0.0])]),
+}
+
+
+def _contact_chain(S, feet, alphas, bends, seg):
+    """Open 7-vertex chain between two barrier points; each end leaves S at
+    angle alpha from the inward normal and turns by bend at its neighbor."""
+    arms = []
+    for foot, alpha, bend in zip(feet, alphas, bends):
+        inward = -S.normal(foot)
+        p1 = foot + seg * _rot(inward, alpha)
+        arms.append([foot, p1, p1 + seg * _rot(inward, alpha + bend)])
+    (a0, a1, a2), (b0, b1, b2) = arms
+    flags = np.zeros(7, dtype=bool)
+    flags[0] = flags[-1] = True
+    return Component(np.array([a0, a1, a2, 0.5 * (a2 + b2), b2, b1, b0]),
+                     False, flags)
+
+
+def _end_residual(comp, S, j):
+    """orthogonality_residual with only endpoint j flagged."""
+    flags = np.zeros(len(comp.points), dtype=bool)
+    flags[j] = True
+    return orthogonality_residual(
+        CurveState([Component(comp.points, False, flags)], 0.0, S))
+
+
+class TestBoundaryKernel:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 2 * np.pi),
+           st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(-1.0, 1.0))
+    def test_tangent_matches_polyfit(self, x0, y0, heading, l1, l2, bend):
+        p0 = np.array([x0, y0])
+        p1 = p0 + l1 * _rot(np.array([1.0, 0.0]), heading)
+        p2 = p1 + l2 * _rot(np.array([1.0, 0.0]), heading + bend)
+        pts = np.array([p0, p1, p2])
+        s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0),
+                                                            axis=1))])
+        # d/ds at s = 0 of the quadratic in chord length through the points
+        d = np.array([np.polyfit(s, pts[:, k], 2)[1] for k in (0, 1)])
+        t = _tangent_estimate(p0.tolist(), p1.tolist(), p2.tolist())
+        np.testing.assert_allclose(t, d / np.linalg.norm(d), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", sorted(CONTACT_BARRIERS))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(alphas=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           seg=st.floats(0.02, 0.3))
+    def test_boundary_velocity_matches_vector_formula(self, kind, alphas, seg):
+        """Mirrored-neighbor curvature, barrier-tangential part, in numpy."""
+        S, feet = CONTACT_BARRIERS[kind]
+        comp = _contact_chain(S, feet, alphas, (0.0, 0.0), seg)
+        vel = vertex_velocity(comp, S)
+        pts = comp.points
+        for j, nb in ((0, 1), (6, 5)):
+            e1 = pts[nb] - pts[j]
+            e0 = pts[j] - S.reflect_point(pts[nb])
+            l1, l0 = np.linalg.norm(e1), np.linalg.norm(e0)
+            k = 2.0 * (e1 / l1 - e0 / l0) / (l0 + l1)
+            nu = S.normal(S.project(pts[j]))
+            np.testing.assert_allclose(vel[j], k - (k @ nu) * nu,
+                                       rtol=0, atol=1e-12)
+
+    def test_tangent_two_points_is_chord(self):
+        assert _tangent_estimate((1.0, 1.0), (1.0, 3.0), None) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("kind", sorted(CONTACT_BARRIERS))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(alphas=st.tuples(st.floats(-0.25, 0.25), st.floats(-0.25, 0.25)),
+           bends=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+           seg=st.floats(0.05, 0.3))
+    def test_gauss_seidel_pass(self, kind, alphas, bends, seg):
+        S, feet = CONTACT_BARRIERS[kind]
+        comp = _contact_chain(S, feet, alphas, bends, seg)
+        before = comp.points.copy()
+        start = [_end_residual(comp, S, j) for j in (0, 6)]
+        assert max(start) < 0.3
+        _gauss_seidel_orthogonality(comp, S)
+        after = comp.points
+        # only the two neighbors of the boundary vertices move
+        np.testing.assert_array_equal(after[[0, 2, 3, 4, 6]],
+                                      before[[0, 2, 3, 4, 6]])
+        for j, nb, r0 in ((0, 1, start[0]), (6, 5, start[1])):
+            # a rotation about the boundary vertex
+            d0 = np.linalg.norm(before[nb] - before[j])
+            d1 = np.linalg.norm(after[nb] - after[j])
+            assert abs(d1 - d0) <= 1e-14 * d0
+            if r0 < 1e-6:  # already orthogonal: left alone
+                np.testing.assert_array_equal(after[nb], before[nb])
+            else:
+                assert _end_residual(comp, S, j) < 1e-9
 
 
 class TestRunLaws:
@@ -229,6 +342,21 @@ class TestRemesh:
         h = st.components[0].segment_lengths().mean()
         st2 = remesh(st, h)
         assert len(st2.components[0].points) == 128
+
+    def test_returns_input_within_band(self):
+        """Every segment in [0.5 h, 1.5 h]: the very same state comes back."""
+        state = half_circle_curve(radius=1.0, n=16)
+        h = np.pi / 16
+        for target in (h, 0.67 * h, 1.99 * h):
+            assert remesh(state, target) is state
+
+    def test_untouched_components_pass_through(self):
+        fine = circle_curve(radius=1.0, n=64).components[0]
+        coarse = circle_curve(center=(5.0, 0.0), radius=1.0, n=16).components[0]
+        h = fine.segment_lengths().mean()
+        st2 = remesh(CurveState([fine, coarse]), h)
+        assert st2.components[0] is fine
+        assert len(st2.components[1].points) > 16
 
     def test_split_doubles_coarse_circle(self):
         st = circle_curve(radius=1.0, n=32)
