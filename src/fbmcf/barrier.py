@@ -79,12 +79,6 @@ class LocalChart:
         p = np.asarray(points, dtype=float) - self.base
         return np.stack([p @ self.tangent, p @ self.normal], axis=-1)
 
-    def to_world(self, local):
-        local = np.asarray(local, dtype=float)
-        return (self.base
-                + np.multiply.outer(local[..., 0], self.tangent)
-                + np.multiply.outer(local[..., 1], self.normal))
-
 
 class Barrier:
     """Common query interface; subclasses provide ``project`` and ``normal``."""
@@ -97,8 +91,9 @@ class Barrier:
     def project(self, x):
         raise NotImplementedError
 
-    def normal(self, y):
-        """Unit normal nu_S at a point y on S (vectorized)."""
+    def normal(self, x):
+        """Unit normal nu_S at the foot zeta(x) of each point (vectorized);
+        on S that is the normal at x itself."""
         raise NotImplementedError
 
     def omega_signed(self, x):
@@ -147,9 +142,8 @@ class Barrier:
         """Linear reflection of v across the tangent line at zeta(x)."""
         pts, single = _as_points(x)
         vecs, _ = _as_points(v)
-        feet = np.atleast_2d(self.project(pts))
-        self._check_reach(pts, feet)
-        n = np.atleast_2d(self.normal(feet))
+        self._check_reach(pts, np.atleast_2d(self.project(pts)))
+        n = np.atleast_2d(self.normal(pts))
         out = vecs - 2.0 * np.sum(vecs * n, axis=-1, keepdims=True) * n
         return _unpack(out, single)
 
@@ -342,8 +336,8 @@ class Line(Barrier):
         s = self._height(pts) - self.offset
         return _unpack(pts - s[:, None] * self.nu, single)
 
-    def normal(self, y):
-        pts, single = _as_points(y)
+    def normal(self, x):
+        pts, single = _as_points(x)
         out = np.empty_like(pts)
         out[:] = self.nu
         return _unpack(out, single)
@@ -401,8 +395,8 @@ class Circle(Barrier):
         rel, rr = self._radial(pts)
         return _unpack(self.center + rel * (self.radius / rr)[:, None], single)
 
-    def normal(self, y):
-        pts, single = _as_points(y)
+    def normal(self, x):
+        pts, single = _as_points(x)
         rel, rr = self._radial(pts)
         out = rel / rr[:, None]
         if self.omega_side == "outside":
@@ -525,7 +519,9 @@ class ParametricBarrier(Barrier):
         mask = (sep > 0) & (arc > 3.0 * np.maximum(d, 1e-300))
         return d[mask].min() if np.any(mask) else np.inf
 
-    def _newton_project(self, x):
+    def _foot_parameter(self, x):
+        """Parameter of the foot of one point x: Newton on the squared
+        distance, multistarted from the eight nearest table samples."""
         x = np.asarray(x, dtype=float)
         d2_samples = np.linalg.norm(self.points - x, axis=1)
         starts = self.theta[np.argsort(d2_samples)[:8]]
@@ -553,39 +549,41 @@ class ParametricBarrier(Barrier):
                 best_d2, best_theta = dd, th % (2.0 * np.pi)
         return best_theta
 
+    def _normal_at(self, th):
+        """nu_S at parameter th."""
+        dg = np.asarray(self._df(th), dtype=float)
+        t = dg / np.linalg.norm(dg)
+        # outward of a counterclockwise curve is (t_y, -t_x)
+        nrm = np.array([t[1], -t[0]]) * self._orientation
+        return nrm if self.omega_side == "inside" else -nrm
+
     def project(self, x):
         pts, single = _as_points(x)
         out = np.empty_like(pts)
         for i, p in enumerate(pts):
-            th = self._newton_project(p)
-            out[i] = np.asarray(self._f(th), dtype=float)
+            out[i] = self._f(self._foot_parameter(p))
         return _unpack(out, single)
 
-    def normal(self, y):
-        pts, single = _as_points(y)
+    def normal(self, x):
+        pts, single = _as_points(x)
         out = np.empty_like(pts)
         for i, p in enumerate(pts):
-            th = self._newton_project(p)
-            dg = np.asarray(self._df(th), dtype=float)
-            t = dg / np.linalg.norm(dg)
-            # outward of a counterclockwise curve is (t_y, -t_x)
-            nrm = np.array([t[1], -t[0]]) * self._orientation
-            out[i] = nrm if self.omega_side == "inside" else -nrm
+            out[i] = self._normal_at(self._foot_parameter(p))
         return _unpack(out, single)
 
     def omega_signed(self, x):
         pts, single = _as_points(x)
         out = np.empty(len(pts))
         for i, p in enumerate(pts):
-            foot = self.project(p)
-            n = self.normal(foot)
-            out[i] = -(p - foot) @ n
+            th = self._foot_parameter(p)
+            foot = np.asarray(self._f(th), dtype=float)
+            out[i] = (foot - p) @ self._normal_at(th)
         return _unpack(out, single)
 
     def local_chart(self, y):
-        base = self.project(np.asarray(np.atleast_2d(y)[0], dtype=float))
-        th0 = self._newton_project(base)
-        n = self.normal(base)
+        th0 = self._foot_parameter(np.asarray(np.atleast_2d(y)[0], dtype=float))
+        base = np.asarray(self._f(th0), dtype=float)
+        n = self._normal_at(th0)
         t = np.array([-n[1], n[0]])
 
         def theta_for(xi):

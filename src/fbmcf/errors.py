@@ -76,12 +76,6 @@ class NoFiniteA(FbmcfError):
     """No finite correction constant makes the monotone quantity nondecreasing."""
 
 
-# -- tangent flows ------------------------------------------------------------
-
-class ResolutionFloor(FbmcfError):
-    """Rescaling factor dropped below what the mesh resolution supports."""
-
-
 # -- elliptic regularization --------------------------------------------------
 
 class ShootingFailure(FbmcfError):

@@ -12,8 +12,9 @@ single Gauss-Seidel pass rotates the adjacent vertex so the one-sided
 quadratic tangent estimate meets the barrier orthogonally.  That boundary
 arithmetic runs on plain floats with ``math``, so it does not depend on BLAS
 or SIMD dispatch; each component's barrier queries go out in one batch.
-``run`` computes segment lengths once per step and reuses them for the pop
-threshold, the remesh trigger, the vanish test and the next step size.
+Components are immutable and measure their segment lengths once, so a step,
+the pop threshold, the remesh trigger, the vanish test and the next step
+size share one measurement.
 
 Interior vertices that reach the barrier moving inward trigger a "pop": the
 touching vertex is duplicated into two boundary vertices placed on the
@@ -46,20 +47,11 @@ class CurveState:
     def total_length(self):
         return sum(c.length() for c in self.components)
 
-    def segment_lengths(self):
-        """Per-component segment lengths, in component order."""
-        return [c.segment_lengths() for c in self.components]
-
-    def h_min(self, lengths=None):
-        """Shortest segment; ``lengths`` skips recomputing segment_lengths()."""
-        if lengths is None:
-            lengths = self.segment_lengths()
-        lens = [ls.min() for c, ls in zip(self.components, lengths)
+    def h_min(self):
+        """Shortest segment."""
+        lens = [c.segment_lengths().min() for c in self.components
                 if len(c.points) > 1]
         return min(lens) if lens else np.inf
-
-    def copy(self):
-        return CurveState([c.copy() for c in self.components], self.time, self.barrier)
 
     def all_points(self):
         return np.vstack([c.points for c in self.components]) if self.components \
@@ -127,8 +119,8 @@ class FlowHistory:
                 # remesh changed the count: align by arclength resampling
                 m = max(len(pa), len(pb))
                 n_seg = m if ca.closed else m - 1
-                pa = resample_uniform(pa, n_seg, ca.closed)
-                pb = resample_uniform(pb, n_seg, cb.closed)
+                pa = resample_uniform(ca, n_seg)
+                pb = resample_uniform(cb, n_seg)
                 flags = np.zeros(len(pa), dtype=bool)
                 if not ca.closed:
                     flags[0] = ca.on_s[0] and cb.on_s[0]
@@ -190,14 +182,13 @@ class FlowHistory:
 
 # -- discrete curvature ---------------------------------------------------------
 
-def vertex_velocity(comp: Component, barrier: Barrier | None, *, lengths=None):
+def vertex_velocity(comp: Component, barrier: Barrier | None):
     """Curvature velocity at every vertex; boundary vertices slide tangentially.
 
     Boundary vertices use a mirrored neighbor across the barrier, which by
     symmetry produces a barrier-tangential turning vector; the tangential
     projection guards against curvature of the barrier itself.  Free (off
-    barrier) endpoints of open chains are pinned.  ``lengths`` is
-    ``comp.segment_lengths()`` when the caller already has it.
+    barrier) endpoints of open chains are pinned.
     """
     pts = comp.points
     m = len(pts)
@@ -206,7 +197,7 @@ def vertex_velocity(comp: Component, barrier: Barrier | None, *, lengths=None):
         return vel
     seg_starts, seg_ends = comp.segments()
     e = seg_ends - seg_starts
-    L = np.linalg.norm(e, axis=1) if lengths is None else lengths
+    L = comp.segment_lengths()
     if comp.closed:
         e_unit = e / L[:, None]
         vel = 2.0 * (e_unit - np.roll(e_unit, 1, axis=0)) \
@@ -219,8 +210,7 @@ def vertex_velocity(comp: Component, barrier: Barrier | None, *, lengths=None):
     if not ends:
         return vel
     mirrors = barrier.reflect_point(pts[[nb for _, nb, _ in ends]]).tolist()
-    normals = barrier.normal(
-        barrier.project(pts[[j for j, _, _ in ends]])).tolist()
+    normals = barrier.normal(pts[[j for j, _, _ in ends]]).tolist()
     for (j, nb, _), (mx, my), (nx, ny) in zip(ends, mirrors, normals):
         (xj, yj), (xn, yn) = pts[[j, nb]].tolist()
         e1x, e1y = xn - xj, yn - yj
@@ -250,11 +240,6 @@ def _boundary_ends(comp: Component):
         return []
     return [(j, nb, nb2 if m > 2 else None)
             for j, nb, nb2 in ((0, 1, 2), (m - 1, m - 2, m - 3)) if comp.on_s[j]]
-
-
-def _inward_normals(barrier: Barrier, pts, idx):
-    """Inward barrier normal at the foot of each pts[idx], as float pairs."""
-    return (-barrier.normal(barrier.project(pts[idx]))).tolist()
 
 
 def _tangent_estimate(p0, p1, p2):
@@ -297,7 +282,7 @@ def orthogonality_residual(state: CurveState):
         if not ends:
             continue
         pts = comp.points
-        targets = _inward_normals(state.barrier, pts, [j for j, _, _ in ends])
+        targets = (-state.barrier.normal(pts[[j for j, _, _ in ends]])).tolist()
         for (j, nb, nb2), target in zip(ends, targets):
             p2 = None if nb2 is None else pts[nb2].tolist()
             t_est = _tangent_estimate(pts[j].tolist(), pts[nb].tolist(), p2)
@@ -305,14 +290,12 @@ def orthogonality_residual(state: CurveState):
     return worst
 
 
-def _gauss_seidel_orthogonality(comp: Component, barrier: Barrier):
-    """One pass: rotate each boundary-adjacent vertex about its boundary
-    vertex so the quadratic tangent estimate meets the barrier orthogonally."""
-    pts = comp.points
-    ends = _boundary_ends(comp) if len(pts) > 2 else []
-    if not ends:
-        return
-    targets = _inward_normals(barrier, pts, [j for j, _, _ in ends])
+def _gauss_seidel_orthogonality(pts, ends, targets):
+    """One pass over the point array pts, in place: rotate the neighbor nb of
+    each boundary vertex j in ``ends`` (the (j, nb, nb2) triples of
+    ``_boundary_ends``, nb2 never None) about pts[j] so the quadratic tangent
+    estimate meets the matching unit direction in ``targets``, the inward
+    barrier normal at pts[j]."""
     for (j, nb, nb2), target in zip(ends, targets):
         # read here, not before the loop: on short chains the second end's
         # stencil contains the vertex the first end just rotated
@@ -344,38 +327,34 @@ def _gauss_seidel_orthogonality(comp: Component, barrier: Barrier):
         pts[nb] = rotated(theta1)
 
 
-def step(state: CurveState, dt, cfl=0.4, *, lengths=None):
+def step(state: CurveState, dt, cfl=0.4):
     """One explicit Euler step of curvature motion.
 
     Interior vertices move by the discrete curvature vector; boundary
     vertices move tangentially and are re-projected onto the barrier, then
-    one Gauss-Seidel pass restores orthogonality at the contact.
-    ``lengths`` are the state's per-component segment lengths when the
-    caller already has them; they serve the step-size guard and the
-    curvature.
+    one Gauss-Seidel pass restores orthogonality at the contact.  Each new
+    component is built from its final point array.
     """
-    if lengths is None:
-        lengths = state.segment_lengths()
-    h = state.h_min(lengths)
+    h = state.h_min()
     if dt > cfl * h * h * (1.0 + 1e-9):
         raise StepTooLarge(f"dt={dt:.3g} exceeds {cfl:.2f} h_min^2 = "
                            f"{cfl * h * h:.3g}")
+    S = state.barrier
     new_comps = []
-    for comp, lens in zip(state.components, lengths):
-        vel = vertex_velocity(comp, state.barrier, lengths=lens)
-        pts = comp.points + dt * vel
-        new_comp = Component(pts, comp.closed, comp.on_s.copy())
-        if state.barrier is not None and np.any(comp.on_s):
-            flagged = np.nonzero(new_comp.on_s)[0]
-            new_comp.points[flagged] = np.atleast_2d(
-                state.barrier.project(new_comp.points[flagged]))
-            if not new_comp.closed:
-                _gauss_seidel_orthogonality(new_comp, state.barrier)
-        new_comps.append(new_comp)
+    for comp in state.components:
+        pts = comp.points + dt * vertex_velocity(comp, S)
+        if S is not None and np.any(comp.on_s):
+            flagged = np.nonzero(comp.on_s)[0]
+            pts[flagged] = np.atleast_2d(S.project(pts[flagged]))
+            ends = _boundary_ends(comp) if len(pts) > 2 else []
+            if ends:
+                targets = (-S.normal(pts[[j for j, _, _ in ends]])).tolist()
+                _gauss_seidel_orthogonality(pts, ends, targets)
+        new_comps.append(Component(pts, comp.closed, comp.on_s))
     return CurveState(new_comps, state.time + dt, state.barrier)
 
 
-def detect_and_pop(state: CurveState, pop_threshold=None, *, lengths=None):
+def detect_and_pop(state: CurveState, pop_threshold=None):
     """Split curves where an interior vertex reaches the barrier moving inward.
 
     Returns (new_state, events).  The touching vertex is duplicated into two
@@ -383,14 +362,14 @@ def detect_and_pop(state: CurveState, pop_threshold=None, *, lengths=None):
     to the forbidden side are treated as touching (hard one-sidedness).
     Simultaneous triggers are processed in ascending arc-length order;
     adjacent triggered vertices are coalesced to the deepest one.  The
-    default threshold is half the shortest segment, taken from ``lengths``
-    when given.  Components without a trigger are passed on as they are.
+    default threshold is half the shortest segment.  Components without a
+    trigger are passed on as they are.
     """
     if state.barrier is None:
         return state, []
     S = state.barrier
     thresh = pop_threshold if pop_threshold is not None \
-        else 0.5 * state.h_min(lengths)
+        else 0.5 * state.h_min()
     events = []
     out = []
     for comp in state.components:
@@ -443,8 +422,8 @@ def _split_component(comp: Component, cuts, S: Barrier):
         ordered = cuts + [cuts[0] + len(pts)]
         for a, b in zip(ordered[:-1], ordered[1:]):
             ring = np.arange(a, b + 1) % len(pts)
-            p = pts[ring].copy()
-            f = flags[ring].copy()
+            p = pts[ring]
+            f = flags[ring]
             p[0] = feet[int(ring[0])]
             p[-1] = feet[int(ring[-1])]
             f[0] = f[-1] = True
@@ -488,31 +467,29 @@ def _local_curvature_pair(pts, flags, i, j, closed):
     return 0.5 * (kappa_at(i) + kappa_at(j))
 
 
-def remesh(state: CurveState, h_target, *, lengths=None):
+def remesh(state: CurveState, h_target):
     """Split segments longer than 1.5 h and merge interior vertices of
     segments shorter than 0.5 h; boundary flags are preserved and the total
     length changes by at most 1e-3 of itself.
 
-    ``lengths`` are the state's per-component segment lengths when the
-    caller already has them.  Components that need no change are passed on
-    as they are, and the state itself is returned when none does.
+    Components that need no change are passed on as they are, and the state
+    itself is returned when none does.
     """
-    if lengths is None:
-        lengths = state.segment_lengths()
     lo, hi = 0.5 * h_target, 1.5 * h_target
-    fine = [len(c.points) > 1 and lens.min() >= lo and lens.max() <= hi
-            for c, lens in zip(state.components, lengths)]
+    fine = [len(c.points) > 1 and c.segment_lengths().min() >= lo
+            and c.segment_lengths().max() <= hi for c in state.components]
     if all(fine):
         return state
     new_comps = []
-    total_before = sum(float(lens.sum()) for lens in lengths)
+    total_before = sum(float(c.segment_lengths().sum())
+                       for c in state.components)
     budget = 1e-3 * max(total_before, 1e-12)
     spent = 0.0
-    for comp, lens, ok in zip(state.components, lengths, fine):
+    for comp, ok in zip(state.components, fine):
         if ok:
             new_comps.append(comp)
             continue
-        pts, flags = comp.points, comp.on_s
+        pts, flags, lens = comp.points, comp.on_s, comp.segment_lengths()
         base_len = float(lens.sum())
         # merge pass, kept within the length-change budget; leftovers wait
         # for the next remesh call
@@ -543,25 +520,27 @@ def remesh(state: CurveState, h_target, *, lengths=None):
                 trial_pts = np.delete(pts, drop, axis=0)
                 trial_flags = np.delete(flags, drop)
                 trial_pts[keep if keep < drop else keep - 1] = target
-                trial_lens = Component(trial_pts, comp.closed,
-                                       trial_flags).segment_lengths()
-                new_len = float(trial_lens.sum())
+                trial = Component(trial_pts, comp.closed, trial_flags)
+                new_len = trial.length()
                 delta = abs(new_len - base_len)
                 if spent + delta > budget:
                     break
                 spent += delta
                 base_len = new_len
-                pts, flags, lens = trial_pts, trial_flags, trial_lens
+                comp = trial
+                pts, flags, lens = trial.points, trial.on_s, \
+                    trial.segment_lengths()
                 changed = True
                 break
         # split pass: chord midpoints, exactly length neutral
         long = np.nonzero(lens > hi)[0]
         if len(long):
-            starts, ends = Component(pts, comp.closed, flags).segments()
-            pts = np.insert(pts, long + 1, 0.5 * (starts[long] + ends[long]),
-                            axis=0)
-            flags = np.insert(flags, long + 1, False)
-        new_comps.append(Component(pts, comp.closed, flags))
+            starts, ends = comp.segments()
+            comp = Component(
+                np.insert(pts, long + 1, 0.5 * (starts[long] + ends[long]),
+                          axis=0),
+                comp.closed, np.insert(flags, long + 1, False))
+        new_comps.append(comp)
     out = CurveState(new_comps, state.time, state.barrier)
     if abs(out.total_length() - total_before) > 1e-3 * max(total_before, 1e-12):
         raise StepTooLarge("remesh changed the length by more than 1e-3")
@@ -598,16 +577,6 @@ def _self_intersects(state: CurveState):
     return bool(np.any(hit & ~adjacent))
 
 
-def _carry_lengths(before: CurveState, after: CurveState, lengths):
-    """Segment lengths of ``after`` given ``lengths`` of ``before``: reused
-    for every component object the two share, computed for the rest."""
-    if after is before:
-        return lengths
-    known = {id(c): lens for c, lens in zip(before.components, lengths)}
-    return [known[id(c)] if id(c) in known else c.segment_lengths()
-            for c in after.components]
-
-
 def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
         pop_threshold=None, vanish_length=None, barrier=None,
         self_intersection_checks=50, config_echo=None):
@@ -617,51 +586,44 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
     ``vanish_length`` (default 10 h_target) deletes components shorter than
     the threshold, recording a Vanish event.
 
-    Segment lengths are computed once per step, after ``step``, and serve the
-    pop threshold, the remesh trigger, the vanish test and the next ``dt``;
-    only components that a pop or remesh replaced are measured again.
+    Components are values that measure their segment lengths once, so the
+    pop threshold, the remesh trigger, the vanish test and the next ``dt``
+    share one measurement per component; snapshots share components with
+    the running state instead of copying them.
     """
-    if barrier is not None:
-        initial = CurveState(initial.components, initial.time, barrier)
-    state = initial.copy()
+    state = CurveState(list(initial.components), initial.time,
+                       barrier if barrier is not None else initial.barrier)
     vanish_len = 10.0 * h_target if vanish_length is None else vanish_length
     t0 = state.time
     n_snap = int(round((t_end - t0) / snapshot_dt))
     snap_times = t0 + snapshot_dt * np.arange(n_snap + 1)
     events = []
-    snapshots = [state.copy()]
+    snapshots = [state]
     check_stride = max(1, n_snap // max(self_intersection_checks, 1))
     halted = False
-    lengths = state.segment_lengths()
 
     for k in range(1, n_snap + 1):
         t_next = snap_times[k]
         while state.time < t_next - 1e-14:
-            h = state.h_min(lengths)
+            h = state.h_min()
             dt = min(cfl * h * h, t_next - state.time)
-            state = step(state, dt, cfl=cfl, lengths=lengths)
-            lengths = state.segment_lengths()
-            popped, pop_events = detect_and_pop(state, pop_threshold,
-                                                lengths=lengths)
+            state = step(state, dt, cfl=cfl)
+            state, pop_events = detect_and_pop(state, pop_threshold)
             events.extend(pop_events)
-            lengths = _carry_lengths(state, popped, lengths)
-            state = remesh(popped, h_target, lengths=lengths)
-            lengths = _carry_lengths(popped, state, lengths)
+            state = remesh(state, h_target)
             # delete vanished components
-            kept, kept_lengths = [], []
-            for comp, lens in zip(state.components, lengths):
-                if float(lens.sum()) < vanish_len or len(comp.points) < 3:
+            kept = []
+            for comp in state.components:
+                if comp.length() < vanish_len or len(comp.points) < 3:
                     events.append(FlowEvent(state.time, "Vanish",
                                             comp.points.mean(axis=0)))
                 else:
                     kept.append(comp)
-                    kept_lengths.append(lens)
             state = CurveState(kept, state.time, state.barrier)
-            lengths = kept_lengths
             if not state.components:
                 break
         state = CurveState(state.components, t_next, state.barrier)
-        snapshots.append(state.copy())
+        snapshots.append(state)
         if not state.components:
             break
         if k % check_stride == 0 and _self_intersects(state):
@@ -701,16 +663,18 @@ def segment_curve(p0, p1, n=16, flag_start=False, flag_end=False):
     return CurveState([Component(pts, closed=False, on_s=flags)])
 
 
-def resample_uniform(pts, n, closed=False):
-    """Resample a polyline to n segments of equal chord-length parameter."""
-    pts = np.asarray(pts, dtype=float)
-    ring = np.vstack([pts, pts[:1]]) if closed else pts
-    seg = np.linalg.norm(np.diff(ring, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, s[-1], n + 1)
-    out = np.stack([np.interp(targets, s, ring[:, 0]),
-                    np.interp(targets, s, ring[:, 1])], axis=-1)
-    return out[:-1] if closed else out
+def resample_uniform(comp: Component, n):
+    """Points of the polyline resampled to n segments of equal chord-length
+    parameter (n points when closed, n + 1 when open)."""
+    starts, ends = comp.segments()
+    ring = np.vstack([starts[:1], ends])
+    s = np.concatenate([[0.0], np.cumsum(comp.segment_lengths())])
+    # one point per segment start plus, on an open chain, the last end (a
+    # closed ring's last segment ends at its first point)
+    n_out = n + len(comp.points) - len(starts)
+    targets = np.linspace(0.0, s[-1], n + 1)[:n_out]
+    return np.stack([np.interp(targets, s, ring[:, 0]),
+                     np.interp(targets, s, ring[:, 1])], axis=-1)
 
 
 def lasso_curve(barrier_radius=1.0, dip=0.04, lobe=0.5, opening=0.35,
@@ -735,7 +699,7 @@ def lasso_curve(barrier_radius=1.0, dip=0.04, lobe=0.5, opening=0.35,
     ang = 0.5 * np.pi - th
     dense = np.asarray(center) + r[:, None] * np.stack(
         [np.cos(ang), np.sin(ang)], axis=-1)
-    pts = resample_uniform(dense, n)
+    pts = resample_uniform(Component(dense), n)
     flags = np.zeros(n + 1, dtype=bool)
     flags[0] = flags[-1] = True
     return CurveState([Component(pts, closed=False, on_s=flags)])
@@ -743,12 +707,8 @@ def lasso_curve(barrier_radius=1.0, dip=0.04, lobe=0.5, opening=0.35,
 
 def static_history(state: CurveState, t0, t1, n_snapshots=9):
     """History of a motionless configuration (for density and mass checks)."""
-    times = np.linspace(t0, t1, n_snapshots)
-    snaps = []
-    for t in times:
-        s = state.copy()
-        s.time = float(t)
-        snaps.append(s)
+    snaps = [CurveState(list(state.components), float(t), state.barrier)
+             for t in np.linspace(t0, t1, n_snapshots)]
     return FlowHistory(snaps, [], {"static": True}, state.barrier)
 
 

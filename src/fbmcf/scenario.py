@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -103,16 +102,26 @@ def kernel_params_from_config(cfg, barrier, seed=0):
     return KernelParams.for_barrier(barrier, kappa=kappa, alpha=alpha, c1=c1)
 
 
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+def _write_atomic(path, writer):
+    """writer(tmp) into a ``.tmp-`` file beside path, then rename it onto
+    path: readers see the old file or the whole new one, and a writer that
+    raises leaves neither the temporary file nor path behind."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       ".tmp-" + os.path.basename(path))
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        writer(tmp)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _json_writer(obj):
+    """Writer of obj as sorted, indented JSON plus a final newline."""
+    def write(path):
+        with open(path, "w") as f:
+            f.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    return write
 
 
 def _sha256(path):
@@ -153,10 +162,8 @@ def run_scenario(config_path, out_dir=None, seed=None):
     written = []
 
     def emit(fname, writer):
-        path = os.path.join(art_dir, fname)
-        writer(path)
+        _write_atomic(os.path.join(art_dir, fname), writer)
         written.append(fname)
-        return path
 
     history = None
     if "flow" in pipeline or "density" in pipeline or "tangent" in pipeline:
@@ -177,11 +184,8 @@ def run_scenario(config_path, out_dir=None, seed=None):
         emit("history.jsonl", history.to_jsonl)
         emit("summary.csv", history.write_summary_csv)
         if history.events:
-            def write_events(path):
-                _atomic_write(path, json.dumps(
-                    [e.to_dict() for e in history.events], sort_keys=True,
-                    indent=1) + "\n")
-            emit("events.json", write_events)
+            emit("events.json",
+                 _json_writer([e.to_dict() for e in history.events]))
 
     if "density" in pipeline:
         from .density import monotonicity_report
@@ -194,8 +198,7 @@ def run_scenario(config_path, out_dir=None, seed=None):
         rep = monotonicity_report(history, barrier, center, params, radii)
         emit("density_profile.csv", rep.write_csv)
 
-        emit("density_report.json", lambda p: _atomic_write(
-            p, json.dumps(rep.to_dict(), sort_keys=True, indent=1) + "\n"))
+        emit("density_report.json", _json_writer(rep.to_dict()))
 
     if "tangent" in pipeline:
         from .tangent import extract_tangent_flow
@@ -207,18 +210,15 @@ def run_scenario(config_path, out_dir=None, seed=None):
         _, rep = extract_tangent_flow(history, center, lambdas,
                                       tol=tc.get("tol", 1e-3),
                                       mesh_h=cfg.get("flow", {}).get("h_target"))
-
-        def write_tangent(path):
-            _atomic_write(path, json.dumps({
-                "lambdas": rep.lambdas,
-                "hausdorff_gaps": rep.hausdorff_gaps,
-                "residuals": rep.residuals,
-                "converged": rep.converged,
-                "floor_hit": rep.floor_hit,
-                "limit_slice": [c.points.tolist()
-                                for c in rep.limit_slice.components],
-            }, sort_keys=True, indent=1) + "\n")
-        emit("tangent_report.json", write_tangent)
+        emit("tangent_report.json", _json_writer({
+            "lambdas": rep.lambdas,
+            "hausdorff_gaps": rep.hausdorff_gaps,
+            "residuals": rep.residuals,
+            "converged": rep.converged,
+            "floor_hit": rep.floor_hit,
+            "limit_slice": [c.points.tolist()
+                            for c in rep.limit_slice.components],
+        }))
 
     if "varifold_checks" in pipeline:
         from .varifold import (DiscreteVarifold, certify_free_boundary,
@@ -234,14 +234,11 @@ def run_scenario(config_path, out_dir=None, seed=None):
                                    seed=seed)
         rep = certify_free_boundary(V, barrier, fields,
                                     tol=vc.get("tol"))
-
-        def write_varifold(path):
-            _atomic_write(path, json.dumps({
-                "residual": rep.residual,
-                "fitted_H": rep.fitted_curvature.tolist(),
-                "is_free_boundary": rep.is_free_boundary,
-            }, sort_keys=True, indent=1) + "\n")
-        emit("varifold_report.json", write_varifold)
+        emit("varifold_report.json", _json_writer({
+            "residual": rep.residual,
+            "fitted_H": rep.fitted_curvature.tolist(),
+            "is_free_boundary": rep.is_free_boundary,
+        }))
 
     if "kernel_checks" in pipeline:
         params = kernel_params_from_config(cfg.get("kernels"), barrier, seed)
@@ -268,6 +265,6 @@ def run_scenario(config_path, out_dir=None, seed=None):
         "seed": seed,
         "files": {f: _sha256(os.path.join(art_dir, f)) for f in sorted(written)},
     }
-    _atomic_write(os.path.join(art_dir, "manifest.json"),
-                  json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    _write_atomic(os.path.join(art_dir, "manifest.json"),
+                  _json_writer(manifest))
     return art_dir

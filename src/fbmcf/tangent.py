@@ -113,7 +113,7 @@ def rescale(history: FlowHistory, X0, lam) -> RescaledHistory:
         else None
     snaps = []
     for s in history.snapshots:
-        comps = [Component((c.points - x0) / lam, c.closed, c.on_s.copy())
+        comps = [Component((c.points - x0) / lam, c.closed, c.on_s)
                  for c in s.components]
         snaps.append(CurveState(comps, (s.time - t0) / lam ** 2, barrier))
     hist = FlowHistory(snaps, [], dict(history.config), barrier)
@@ -165,7 +165,7 @@ def reflect_flow(rescaled, P: Line) -> FlowHistory:
     for s in hist.snapshots:
         comps = []
         for c in s.components:
-            comps.append(Component(c.points.copy(), c.closed,
+            comps.append(Component(c.points, c.closed,
                                    np.zeros(len(c.points), bool)))
             comps.append(Component(np.atleast_2d(P.reflect_point(c.points)),
                                    c.closed, np.zeros(len(c.points), bool)))

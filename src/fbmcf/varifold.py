@@ -44,22 +44,35 @@ def segment_quadrature(starts, ends, order):
             np.linalg.norm(d, axis=1), weights)
 
 
-@dataclass
+def _read_only_copy(a, dtype):
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class Component:
     """One polyline: positions, closed flag, per-vertex barrier flags and an
-    integer multiplicity.  Closed polylines wrap around."""
+    integer multiplicity.  Closed polylines wrap around.
+
+    A value: ``points`` and ``on_s`` are read-only copies of what the
+    constructor was given, so a component can be shared between states and
+    its segment lengths are measured once.
+    """
 
     points: np.ndarray
     closed: bool = False
     on_s: np.ndarray = None  # type: ignore[assignment]
     multiplicity: int = 1
+    _lengths: np.ndarray = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.on_s is None:
-            self.on_s = np.zeros(len(self.points), dtype=bool)
-        else:
-            self.on_s = np.asarray(self.on_s, dtype=bool)
+        points = _read_only_copy(self.points, float)
+        on_s = np.zeros(len(points), dtype=bool) if self.on_s is None \
+            else self.on_s
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "on_s", _read_only_copy(on_s, bool))
 
     def segments(self):
         """(starts, ends) of every segment."""
@@ -68,15 +81,16 @@ class Component:
         return self.points[:-1], self.points[1:]
 
     def segment_lengths(self):
-        starts, ends = self.segments()
-        return np.linalg.norm(ends - starts, axis=1)
+        """Length of every segment (read-only, computed on first use)."""
+        if self._lengths is None:
+            starts, ends = self.segments()
+            lengths = np.linalg.norm(ends - starts, axis=1)
+            lengths.flags.writeable = False
+            object.__setattr__(self, "_lengths", lengths)
+        return self._lengths
 
     def length(self):
         return float(self.segment_lengths().sum())
-
-    def copy(self):
-        return Component(self.points.copy(), self.closed, self.on_s.copy(),
-                         self.multiplicity)
 
 
 class DiscreteVarifold:
@@ -480,8 +494,7 @@ def vanishing_factor_field(S: Barrier, q: Poly2, direction, label="vanish"):
 
     def jacobian(pts):
         g = np.atleast_1d(S.omega_signed(pts))
-        feet = np.atleast_2d(S.project(pts))
-        grad_g = -np.atleast_2d(S.normal(feet))
+        grad_g = -np.atleast_2d(S.normal(pts))
         total = g[:, None] * q.grad(pts) + q(pts)[:, None] * grad_g
         return w[None, :, None] * total[:, None, :]
 

@@ -332,6 +332,21 @@ class TestNormals:
         np.testing.assert_allclose(inside.normal(np.array([1.0, 0.0])), [1.0, 0.0])
         np.testing.assert_allclose(outside.normal(np.array([1.0, 0.0])), [-1.0, 0.0])
 
+    def test_ellipse_omega_signed_sign(self):
+        """Signed depth agrees with x^2/a^2 + y^2/b^2 < 1 and has the
+        distance as its magnitude (one foot solve serves both factors)."""
+        S = ellipse_parametric(2.0, 1.0, 256)
+        pts = np.random.default_rng(5).uniform([-3.0, -2.0], [3.0, 2.0],
+                                               size=(300, 2))
+        q = (pts[:, 0] / 2.0) ** 2 + pts[:, 1] ** 2
+        pts = pts[np.abs(q - 1.0) > 0.05][:100]
+        inside = (pts[:, 0] / 2.0) ** 2 + pts[:, 1] ** 2 < 1.0
+        depth = S.omega_signed(pts)
+        assert inside.any() and not inside.all()
+        np.testing.assert_array_equal(depth > 0, inside)
+        np.testing.assert_allclose(np.abs(depth), S.distance(pts), rtol=0,
+                                   atol=1e-10)
+
 
 class TestBatchInvariance:
     """A query on one point returns the bits of its row in a batched call."""

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from fbmcf.cli import main
+from fbmcf.flow import FlowHistory
+from fbmcf.scenario import _write_atomic, run_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fbmcf",
                             "scenarios")
@@ -118,6 +120,41 @@ class TestAuxPipelines:
         rep = json.loads((art / "varifold_report.json").read_text())
         assert rep["is_free_boundary"]
         assert "residual" in rep and "fitted_H" in rep
+
+
+def _partial_then_raise(path):
+    with open(path, "w") as f:
+        f.write("partial")
+    raise RuntimeError("writer failed")
+
+
+class TestAtomicWrites:
+    def test_raising_writer_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            _write_atomic(str(tmp_path / "a.csv"), _partial_then_raise)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_raising_writer_keeps_old_file(self, tmp_path):
+        target = tmp_path / "a.csv"
+        target.write_text("old")
+        with pytest.raises(RuntimeError):
+            _write_atomic(str(target), _partial_then_raise)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        assert target.read_text() == "old"
+
+    def test_scenario_artifact_writer_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(FlowHistory, "write_summary_csv",
+                            lambda self, path: _partial_then_raise(path))
+        cfg = {"name": "tiny", "seed": 0, "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": 1.0, "n": 32},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005}}
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps(cfg))
+        with pytest.raises(RuntimeError):
+            run_scenario(str(p), str(tmp_path / "out"))
+        # written before the failure: history; after it: nothing
+        assert [f.name for f in (tmp_path / "out" / "tiny").iterdir()] \
+            == ["history.jsonl"]
 
 
 class TestVerify:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from fbmcf.flow import (
     circle_curve, detect_and_pop, graph_estimate_check, half_circle_curve,
     mass_bound_check, orthogonality_residual, remesh, run,
     segment_curve, static_history, step, vertex_velocity,
-    _gauss_seidel_orthogonality, _tangent_estimate,
+    _boundary_ends, _gauss_seidel_orthogonality, _tangent_estimate,
 )
 
 LINE = Line(normal=(0.0, -1.0), offset=0.0)  # Omega = upper half plane
@@ -82,14 +84,43 @@ class TestStep:
         mid = half_circle_history.snapshots[len(half_circle_history.snapshots) // 2]
         assert orthogonality_residual(mid) < 1e-3
 
-    def test_known_lengths_change_nothing(self):
-        state = CurveState(half_circle_curve(radius=1.0, n=32).components, 0.0,
-                           LINE)
-        dt = 0.1 * state.h_min() ** 2
-        a = step(state, dt)
-        b = step(state, dt, lengths=state.segment_lengths())
-        np.testing.assert_array_equal(a.components[0].points,
-                                      b.components[0].points)
+    def test_corner_step_makes_six_line_queries(self):
+        """Mirror, normal, projection, Gauss-Seidel normal and pop depth:
+        reflect_point's own projection included, six queries per step."""
+
+        class CountingLine(Line):
+            calls = 0
+
+            def project(self, x):
+                self.calls += 1
+                return super().project(x)
+
+            def normal(self, x):
+                self.calls += 1
+                return super().normal(x)
+
+            def omega_signed(self, x):
+                self.calls += 1
+                return super().omega_signed(x)
+
+            def distance(self, x):
+                self.calls += 1
+                return super().distance(x)
+
+            def reflect_point(self, x):
+                self.calls += 1
+                return super().reflect_point(x)
+
+        S = CountingLine(normal=(0.0, -1.0), offset=0.0)
+        state = CurveState(half_circle_curve(radius=1.0, n=128).components,
+                           0.0, S)
+        h = np.pi / 128
+        for _ in range(3):  # one iteration of run's step loop each
+            S.calls = 0
+            state = step(state, 0.4 * state.h_min() ** 2)
+            state, _ = detect_and_pop(state)
+            state = remesh(state, h)
+            assert S.calls <= 6
 
 
 def _rot(v, angle):
@@ -174,11 +205,14 @@ class TestBoundaryKernel:
     def test_gauss_seidel_pass(self, kind, alphas, bends, seg):
         S, feet = CONTACT_BARRIERS[kind]
         comp = _contact_chain(S, feet, alphas, bends, seg)
-        before = comp.points.copy()
+        before = comp.points
         start = [_end_residual(comp, S, j) for j in (0, 6)]
         assert max(start) < 0.3
-        _gauss_seidel_orthogonality(comp, S)
-        after = comp.points
+        after = before.copy()
+        ends = _boundary_ends(comp)
+        targets = (-S.normal(after[[j for j, _, _ in ends]])).tolist()
+        _gauss_seidel_orthogonality(after, ends, targets)
+        comp = Component(after, False, comp.on_s)
         # only the two neighbors of the boundary vertices move
         np.testing.assert_array_equal(after[[0, 2, 3, 4, 6]],
                                       before[[0, 2, 3, 4, 6]])
@@ -191,6 +225,52 @@ class TestBoundaryKernel:
                 np.testing.assert_array_equal(after[nb], before[nb])
             else:
                 assert _end_residual(comp, S, j) < 1e-9
+
+
+def _fresh_lengths(comp):
+    starts, ends = comp.segments()
+    return np.linalg.norm(ends - starts, axis=1)
+
+
+class TestComponentValue:
+    def test_points_and_flags_are_read_only(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        flags = np.array([True, False, False])
+        comp = Component(pts, False, flags)
+        with pytest.raises(ValueError):
+            comp.points[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            comp.on_s[1] = True
+        with pytest.raises(ValueError):
+            comp.segment_lengths()[0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            comp.points = pts
+        # the constructor copied its inputs
+        pts[0, 0], flags[1] = 5.0, True
+        assert comp.points[0, 0] == 0.0 and not comp.on_s[1]
+        np.testing.assert_array_equal(comp.segment_lengths(), [1.0, 1.0])
+
+    def test_lengths_fresh_after_pop(self):
+        Sc = Circle((0.0, 0.0), 1.0, omega_side="outside")
+        th = np.linspace(-0.5, 0.5, 41)
+        pts = np.stack([np.sin(th), 1.003 - 0.3 * th ** 2], axis=-1)
+        st = CurveState([Component(pts)], 0.0, Sc)
+        st.components[0].segment_lengths()  # cache before the pop
+        st2, events = detect_and_pop(st, pop_threshold=0.01)
+        assert events and len(st2.components) == 2
+        for c in st2.components:
+            np.testing.assert_array_equal(c.segment_lengths(),
+                                          _fresh_lengths(c))
+
+    @pytest.mark.parametrize("scale", [0.5, 2.5], ids=["split", "merge"])
+    def test_lengths_fresh_after_remesh(self, scale):
+        st = half_circle_curve(radius=1.0, n=32)
+        h = st.components[0].segment_lengths().mean()
+        st2 = remesh(st, scale * h)
+        assert len(st2.components[0].points) != 33
+        for c in st2.components:
+            np.testing.assert_array_equal(c.segment_lengths(),
+                                          _fresh_lengths(c))
 
 
 class TestRunLaws:
