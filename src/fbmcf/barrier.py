@@ -8,8 +8,8 @@ circles and Newton-based for generic parametric curves.
 
 Two quantitative scales are attached to every barrier point:
 
-* ``regularity_scale(y, k, alpha)`` -- the largest radius at which S is a
-  graph over its tangent line with scale-invariant C^{k,alpha} bounds <= 1;
+* ``regularity_scale(y, k)`` -- the largest radius at which S is a graph
+  over its tangent line with scale-invariant C^k bounds <= 1;
 * ``reflection_regularity_scale(y)`` -- the largest radius at which the
   tangent-straightening map Phi and its inverse stay quantitatively close to
   the identity (with an empirically measured constant).
@@ -155,11 +155,10 @@ class Barrier:
         d = np.linalg.norm(rel, axis=-1, keepdims=True)
         return _unpack(rel / np.maximum(d, 1e-300), single)
 
-    def distance_hessian(self, x, h=None):
+    def distance_hessian(self, x):
         """Hessian of the distance, by central differences of the gradient."""
         pts, single = _as_points(x)
-        if h is None:
-            h = 1e-6 * max(1.0, float(np.abs(pts).max()))
+        h = 1e-6 * max(1.0, float(np.abs(pts).max()))
         out = np.empty((len(pts), 2, 2))
         for k, ek in enumerate(np.eye(2)):
             gp = np.atleast_2d(self.distance_gradient(pts + h * ek))
@@ -195,13 +194,13 @@ class Barrier:
         """Tangent-straightening map Phi at a point y on S."""
         return InverseProjection(self.local_chart(y))
 
-    def regularity_scale(self, y, k, alpha=0.0, resolution=1e-3):
-        """Largest r at which S is a graph over T_y S with C^{k,alpha} bounds <= 1.
+    def regularity_scale(self, y, k):
+        """Largest r at which S is a graph over T_y S with C^k bounds <= 1.
 
         The chart plane is pinned to the tangent line at y, so the result is
         a (possibly strict) lower bound for the optimal-plane scale.  The
-        search is a bisection over sampled graph-fit certificates with the
-        given relative resolution.
+        search is a bisection over sampled graph-fit certificates to a
+        relative resolution of 1e-3.
         """
         if k > 3:
             raise ChartFailure("graph certificates are implemented for k <= 3")
@@ -211,11 +210,11 @@ class Barrier:
         samples = self.boundary_samples(512)
 
         def ok(r):
-            return self._graph_certificate(chart, samples, r, k, alpha)
+            return self._graph_certificate(chart, samples, r, k)
 
-        return _bisect_scale(ok, hi=self.scale_cap, resolution=resolution)
+        return _bisect_scale(ok, hi=self.scale_cap)
 
-    def reflection_regularity_scale(self, y, resolution=1e-3):
+    def reflection_regularity_scale(self, y):
         """Largest radius (<= the C^3 scale) with quantified straightening bounds.
 
         The closeness constant is measured on the C^3-scale box and the
@@ -224,14 +223,14 @@ class Barrier:
         """
         if self.is_flat():
             return self.scale_cap
-        rho = self.regularity_scale(y, 3, resolution=resolution)
+        rho = self.regularity_scale(y, 3)
         phi = self.inverse_projection(y)
         c0 = 10.0 * max(phi.measured_constant(rho), 1e-12)
 
         def ok(r):
             return phi.certificate(r, c0) and r <= rho * (1 + 1e-12)
 
-        return _bisect_scale(ok, hi=rho, resolution=resolution)
+        return _bisect_scale(ok, hi=rho)
 
     def global_reflection_scale(self, n_samples=16):
         """inf over sampled barrier points of the reflection regularity scale."""
@@ -244,7 +243,7 @@ class Barrier:
         return False
 
     # certificate shared by all barriers
-    def _graph_certificate(self, chart, samples, r, k, alpha):
+    def _graph_certificate(self, chart, samples, r, k):
         if r > 0.999 * chart.halfwidth:
             return False
         xi = np.linspace(-r, r, 65)
@@ -266,13 +265,6 @@ class Barrier:
             di = d[inside] if np.any(inside) else d[:0]
             if di.size:
                 total += r ** (i - 1) * np.max(np.abs(di))
-        if alpha > 0.0 and np.any(inside):
-            dk = derivs[-1][inside]
-            xii = xi[inside]
-            dx = np.abs(xii[:, None] - xii[None, :])
-            quot = np.abs(dk[:, None] - dk[None, :]) / np.maximum(dx, 1e-300) ** alpha
-            np.fill_diagonal(quot, 0.0)
-            total += r ** (k + alpha - 1) * quot.max()
         if total > 1.0:
             return False
         # every barrier sample inside the box must lie on the chart graph
@@ -289,8 +281,9 @@ class Barrier:
         return True
 
 
-def _bisect_scale(ok, hi, resolution):
-    """Largest r <= hi passing ``ok``, found by bracketing plus bisection."""
+def _bisect_scale(ok, hi):
+    """Largest r <= hi passing ``ok``, found by bracketing plus bisection
+    to a relative resolution of 1e-3."""
     r = hi
     for _ in range(60):
         if ok(r):
@@ -301,7 +294,7 @@ def _bisect_scale(ok, hi, resolution):
     lo, up = r, min(2.0 * r, hi)
     if up <= lo * (1 + 1e-12):
         return lo
-    while not ok(up) and (up - lo) > resolution * lo:
+    while not ok(up) and (up - lo) > 1e-3 * lo:
         mid = 0.5 * (lo + up)
         if ok(mid):
             lo = mid
@@ -346,7 +339,7 @@ class Line(Barrier):
         pts, single = _as_points(x)
         return _unpack(self.offset - self._height(pts), single)
 
-    def distance_hessian(self, x, h=None):
+    def distance_hessian(self, x):
         pts, single = _as_points(x)
         return _unpack(np.zeros((len(pts), 2, 2)), single)
 
@@ -409,7 +402,7 @@ class Circle(Barrier):
         s = self.radius - rr if self.omega_side == "inside" else rr - self.radius
         return _unpack(s, single)
 
-    def distance_hessian(self, x, h=None):
+    def distance_hessian(self, x):
         pts, single = _as_points(x)
         rel, rr = self._radial(pts)
         rhat = rel / rr[:, None]
@@ -498,12 +491,12 @@ class ParametricBarrier(Barrier):
         self.reach = min(reach_curv, 0.5 * self._min_self_distance())
 
     @classmethod
-    def from_function(cls, f, df, ddf, n_samples=256, omega_side="inside"):
+    def from_function(cls, f, df, ddf, n_samples=256):
         th = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
         pts = np.asarray([f(t) for t in th], dtype=float)
         d1 = np.asarray([df(t) for t in th], dtype=float)
         d2 = np.asarray([ddf(t) for t in th], dtype=float)
-        return cls(pts, d1, d2, funcs=(f, df, ddf), omega_side=omega_side)
+        return cls(pts, d1, d2, funcs=(f, df, ddf))
 
     def _min_self_distance(self):
         """Narrowest bottleneck: pairs far apart along the curve but close in space."""
@@ -688,14 +681,14 @@ class InverseProjection:
         d_s = (self.jacobian(xi, s + h) - self.jacobian(xi, s - h)) / (2 * h)
         return np.stack([d_xi, d_s], axis=-1)  # [..., i, j, k] = d_k (DPhi)_{ij}
 
-    def invert(self, z, tol=1e-12, maxiter=60):
-        """Newton inversion of Phi at a local-coordinate target z."""
+    def invert(self, z):
+        """Newton inversion of Phi at a local-coordinate target z, to 1e-12."""
         z = np.asarray(z, dtype=float)
         q = z.copy()
-        for _ in range(maxiter):
+        for _ in range(60):
             val = self.evaluate(q[..., 0], q[..., 1])
             res = val - z
-            if np.max(np.abs(res)) < tol:
+            if np.max(np.abs(res)) < 1e-12:
                 return q
             jac = self.jacobian(q[..., 0], q[..., 1])
             try:
@@ -705,10 +698,11 @@ class InverseProjection:
             q = q - step
         raise ChartFailure("Newton inversion of the straightening map stalled")
 
-    def measured_constant(self, rho, n_grid=17):
-        """Empirical constant c with |Phi-Id| <= c|z|^2/rho etc. on the rho-box."""
-        xi = np.linspace(-rho, rho, n_grid)
-        s = np.linspace(-rho, rho, n_grid)
+    def measured_constant(self, rho):
+        """Empirical constant c with |Phi-Id| <= c|z|^2/rho etc. on a 17 x 17
+        grid over the rho-box."""
+        xi = np.linspace(-rho, rho, 17)
+        s = np.linspace(-rho, rho, 17)
         XI, S = np.meshgrid(xi, s, indexing="ij")
         Z = np.stack([XI, S], axis=-1)
         r = np.linalg.norm(Z, axis=-1)
@@ -725,10 +719,11 @@ class InverseProjection:
         c = max(c, np.max(dev2) * rho)
         return float(c)
 
-    def certificate(self, r, c0, n_grid=13):
-        """Conditions on Phi (box) and Phi^{-1} (ball) at scale r with constant c0."""
-        xi = np.linspace(-r, r, n_grid)
-        s = np.linspace(-r, r, n_grid)
+    def certificate(self, r, c0):
+        """Conditions on Phi (13 x 13 box grid) and Phi^{-1} (ball) at scale r
+        with constant c0."""
+        xi = np.linspace(-r, r, 13)
+        s = np.linspace(-r, r, 13)
         XI, S = np.meshgrid(xi, s, indexing="ij")
         Z = np.stack([XI, S], axis=-1)
         rr = np.linalg.norm(Z, axis=-1)
@@ -767,8 +762,9 @@ class InverseProjection:
         return True
 
 
-def measured_c1(S: Barrier, n_base=8, n_probe=24, seed=0):
-    """Empirical constant in |y~ - refl(y)| <= c1 |y - zeta(x)|^2 / r_S.
+def measured_c1(S: Barrier):
+    """Empirical constant in |y~ - refl(y)| <= c1 |y - zeta(x)|^2 / r_S,
+    probed at 24 seeded points around each of 8 barrier samples.
 
     Flat barriers reflect exactly, so the measured value is floored at 2.0,
     which also keeps the admissible cutoff radius kappa <= r_S / c1 safely
@@ -777,15 +773,15 @@ def measured_c1(S: Barrier, n_base=8, n_probe=24, seed=0):
     floor = 2.0
     if S.is_flat():
         return floor
-    rng = np.random.default_rng(seed)
-    bases = S.boundary_samples(n_base)
+    rng = np.random.default_rng(0)
+    bases = S.boundary_samples(8)
     worst = 0.0
     for b in bases:
         r_s = S.reflection_regularity_scale(b)
         refl = S.affine_reflection(b)
         t = S.tangent(b)
         n = S.normal(b)
-        for _ in range(n_probe):
+        for _ in range(24):
             xi = rng.uniform(-0.5, 0.5) * r_s
             eta = rng.uniform(-0.5, 0.5) * r_s
             y = b + xi * t + eta * n

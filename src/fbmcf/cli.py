@@ -34,8 +34,9 @@ def _cmd_run(args):
 
 def _cmd_verify(args):
     from .acceptance import run_all
+    from .scenario import env_seed
 
-    seed = int(os.environ.get("FBMCF_SEED", args.seed))
+    seed = env_seed(args.seed)
     lines = []
 
     def printer(line):
@@ -65,27 +66,30 @@ def _cmd_verify(args):
 def _cmd_density(args):
     from .density import monotonicity_report
     from .flow import FlowHistory
-    from .kernels import KernelParams, measured_c1
+    from .kernels import KernelParams
     from .scenario import barrier_from_config
 
     try:
         x, y, t = (float(v) for v in args.center.split(","))
     except ValueError:
-        print("error: --center expects x,y,t", file=sys.stderr)
-        return 2
+        raise ConfigError("--center expects x,y,t") from None
+    if not args.kappa > 0:
+        raise ConfigError(f"--kappa must be positive, got {args.kappa}")
+    try:
+        radii = [float(r) for r in args.radii.split(",")] if args.radii \
+            else [0.4, 0.2, 0.1, 0.05]
+    except ValueError:
+        raise ConfigError("--radii expects comma separated numbers, got "
+                          f"{args.radii!r}") from None
     history = FlowHistory.from_jsonl(args.history)
     barrier = barrier_from_config(history.config.get("barrier"))
     if barrier is None:
-        print("error: history carries no barrier; reflected densities "
-              "need one", file=sys.stderr)
-        return 2
+        raise ConfigError("history carries no barrier; reflected densities "
+                          "need one")
     history.barrier = barrier
     for s in history.snapshots:
         s.barrier = barrier
-    params = KernelParams.for_barrier(barrier, kappa=args.kappa,
-                                      c1=measured_c1(barrier))
-    radii = [float(r) for r in args.radii.split(",")] if args.radii \
-        else [0.4, 0.2, 0.1, 0.05]
+    params = KernelParams.for_barrier(barrier, kappa=args.kappa)
     rep = monotonicity_report(history, barrier, (x, y, t), params, radii)
     print(json.dumps(rep.to_dict(), sort_keys=True, indent=1))
     if args.out:

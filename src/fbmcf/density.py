@@ -45,21 +45,11 @@ def gaussian_density(history: FlowHistory, X0, r):
         raise InadmissibleRadius("radius must be positive")
     state = history.slice_at(t0 - r * r)
     return integrate_slice(
-        state, lambda p: heat_kernel(p - x0, -r * r, n=1))
-
-
-def _check_kappa(S, params, x0, domain_radius=None):
-    bound = S.global_reflection_scale() / params.c1
-    if domain_radius is not None:
-        bound = min(bound, domain_radius - np.linalg.norm(np.asarray(x0)))
-    if params.kappa > bound * (1 + 1e-12):
-        raise KappaTooLarge(
-            f"kappa={params.kappa:.6g} exceeds the admissible bound {bound:.6g}")
+        state, lambda p: heat_kernel(p - x0, -r * r))
 
 
 def reflected_density(history: FlowHistory, S: Barrier, X0, r,
-                      params: KernelParams, domain_radius=None,
-                      check_branch_agreement=True):
+                      params: KernelParams):
     """Truncated/reflected Gaussian density at scale r.
 
     Centers within kappa/10 of the barrier integrate the reflected truncated
@@ -69,7 +59,10 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
     """
     x0 = np.asarray(X0[:2], dtype=float)
     t0 = float(X0[2])
-    _check_kappa(S, params, x0, domain_radius)
+    bound = S.global_reflection_scale() / params.c1
+    if params.kappa > bound * (1 + 1e-12):
+        raise KappaTooLarge(
+            f"kappa={params.kappa:.6g} exceeds the admissible bound {bound:.6g}")
     t_start = history.times[0]
     if r <= 0 or r * r > min(params.tau0, t0 - t_start) * (1 + 1e-9):
         raise InadmissibleRadius(
@@ -83,9 +76,9 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
 
     def interior(p):
         rel = p - x0
-        return cutoff(rel, -r * r, params) * heat_kernel(rel, -r * r, n=1)
+        return cutoff(rel, -r * r, params) * heat_kernel(rel, -r * r)
 
-    if check_branch_agreement and abs(d0 - params.kappa / 10.0) <= 1e-6 * params.kappa:
+    if abs(d0 - params.kappa / 10.0) <= 1e-6 * params.kappa:
         a = integrate_slice(state, near)
         b = integrate_slice(state, interior)
         if abs(a - b) > 1e-4 * max(1.0, abs(a)):
@@ -139,10 +132,10 @@ def _mass_bound(history: FlowHistory, x0, t0, params):
 
 
 def monotonicity_report(history: FlowHistory, S: Barrier, X0,
-                        params: KernelParams, radius_grid,
-                        slack=1e-9, a_cap=2.0 ** 20) -> DensityReport:
-    """Fit the smallest dyadic constant A making r -> e^(A sqrt r) Theta(r)
-    + A M r^2 nondecreasing over the (decreasing) radius grid."""
+                        params: KernelParams, radius_grid) -> DensityReport:
+    """Fit the smallest dyadic constant A <= 2^20 making r -> e^(A sqrt r)
+    Theta(r) + A M r^2 nondecreasing, to 1e-9 of the largest Theta, over the
+    (decreasing) radius grid."""
     radii = np.sort(np.asarray(radius_grid, dtype=float))
     x0 = np.asarray(X0[:2], dtype=float)
     t0 = float(X0[2])
@@ -153,14 +146,14 @@ def monotonicity_report(history: FlowHistory, S: Barrier, X0,
 
     def nondecreasing(A):
         q = np.exp(A * np.sqrt(radii)) * thetas + A * M * radii ** 2
-        return bool(np.all(np.diff(q) >= -slack * scale))
+        return bool(np.all(np.diff(q) >= -1e-9 * scale))
 
     fitted = None
     if nondecreasing(0.0):
         fitted = 0.0
     else:
         A = 2.0 ** -10
-        while A <= a_cap:
+        while A <= 2.0 ** 20:
             if nondecreasing(A):
                 fitted = A
                 break
@@ -174,14 +167,14 @@ def monotonicity_report(history: FlowHistory, S: Barrier, X0,
                          theta_at_point=theta0, theta_error=err)
 
 
-def _extrapolate_sqrt(radii, thetas, n_use=4):
+def _extrapolate_sqrt(radii, thetas):
     """Neville extrapolation to r = 0 in the variable q = sqrt(r).
 
-    Uses the n_use smallest radii; the truncation bias of the reflected
+    Uses the four smallest radii; the truncation bias of the reflected
     kernel expands in sqrt(r/kappa), so polynomial elimination in q removes
     it order by order.  The error estimate is the last elimination update.
     """
-    order = np.argsort(radii)[:n_use]
+    order = np.argsort(radii)[:4]
     q = np.sqrt(np.asarray(radii, dtype=float)[order])
     y = np.asarray(thetas, dtype=float)[order].copy()
     idx = np.argsort(q)[::-1]  # largest q first, eliminate toward q = 0
@@ -201,9 +194,9 @@ def _extrapolate_sqrt(radii, thetas, n_use=4):
     return best, abs(best - prev) + 1e-6 * abs(best)
 
 
-def density_at_point(history: FlowHistory, S, X0, params=None, radii=None,
-                     n_use=4):
-    """Pointwise density by sqrt(r)-extrapolation over the smallest radii.
+def density_at_point(history: FlowHistory, S, X0, params=None, radii=None):
+    """Pointwise density by sqrt(r)-extrapolation over the four smallest
+    admissible radii (by default four halvings down from 0.75 sqrt(tau_cap)).
 
     With S None the plain Gaussian density is extrapolated; else the
     reflected/truncated one.  Returns (theta, error_estimate).
@@ -216,7 +209,7 @@ def density_at_point(history: FlowHistory, S, X0, params=None, radii=None,
         if params is not None:
             tau_cap = min(tau_cap, params.tau0)
         r0 = 0.75 * np.sqrt(tau_cap)
-        radii = r0 * 0.5 ** np.arange(n_use)
+        radii = r0 * 0.5 ** np.arange(4)
     radii = np.asarray(radii, dtype=float)
     thetas = []
     used = []
@@ -232,8 +225,7 @@ def density_at_point(history: FlowHistory, S, X0, params=None, radii=None,
         used.append(r)
     if len(used) < 2:
         raise InadmissibleRadius("fewer than two admissible radii")
-    return _extrapolate_sqrt(np.asarray(used), np.asarray(thetas),
-                             n_use=min(n_use, len(used)))
+    return _extrapolate_sqrt(np.asarray(used), np.asarray(thetas))
 
 
 def classify_regular(history: FlowHistory, S, X, params=None, eta=0.05,

@@ -50,10 +50,6 @@ class InadmissibleTestFunction(FbmcfError):
     """Test function gradient is not tangent to the barrier on the barrier."""
 
 
-class WindowViolation(FbmcfError):
-    """A ball required by a mass bound sticks out of the computational window."""
-
-
 class GraphFailure(FbmcfError):
     """Local graph fit over the initial tangent line failed."""
 
@@ -69,7 +65,7 @@ class InadmissibleRadius(FbmcfError):
 
 
 class KappaTooLarge(FbmcfError):
-    """Cutoff radius exceeds the admissible bound min(r_S/c1, d(x0, boundary of U))."""
+    """Cutoff radius exceeds the admissible bound r_S/c1."""
 
 
 class NoFiniteA(FbmcfError):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .barrier import Barrier
 from .errors import (GraphFailure, InadmissibleTestFunction, OutOfHistory,
-                     StepTooLarge, WindowViolation)
+                     StepTooLarge)
 from .varifold import Component, DiscreteVarifold
 
 
@@ -446,7 +446,7 @@ def _split_component(comp: Component, cuts, S: Barrier):
     return pieces
 
 
-def _local_curvature_pair(pts, flags, i, j, closed):
+def _local_curvature_pair(pts, i, j, closed):
     """Average turning-based curvature vector at the two merge vertices."""
     m = len(pts)
 
@@ -515,7 +515,7 @@ def remesh(state: CurveState, h_target):
                     keep, drop = i, j
                     mid = 0.5 * (pts[i] + pts[j])
                     chord = np.linalg.norm(pts[j] - pts[i])
-                    kap = _local_curvature_pair(pts, flags, i, j, comp.closed)
+                    kap = _local_curvature_pair(pts, i, j, comp.closed)
                     target = mid + kap * (chord ** 2 / 8.0)
                 trial_pts = np.delete(pts, drop, axis=0)
                 trial_flags = np.delete(flags, drop)
@@ -655,11 +655,12 @@ def half_circle_curve(radius=1.0, n=256, center=(0.0, 0.0)):
     return CurveState([Component(pts, closed=False, on_s=flags)])
 
 
-def segment_curve(p0, p1, n=16, flag_start=False, flag_end=False):
+def segment_curve(p0, p1, n=16, flag_start=False):
+    """Straight open chain from p0 to p1; only its start may sit on S."""
     s = np.linspace(0.0, 1.0, n + 1)[:, None]
     pts = np.asarray(p0) + s * (np.asarray(p1) - np.asarray(p0))
     flags = np.zeros(n + 1, dtype=bool)
-    flags[0], flags[-1] = flag_start, flag_end
+    flags[0] = flag_start
     return CurveState([Component(pts, closed=False, on_s=flags)])
 
 
@@ -677,28 +678,27 @@ def resample_uniform(comp: Component, n):
                      np.interp(targets, s, ring[:, 1])], axis=-1)
 
 
-def lasso_curve(barrier_radius=1.0, dip=0.04, lobe=0.5, opening=0.35,
-                liftoff_power=0.25, n=384, center=(0.0, 0.0)):
-    """Open curve wrapped around a circular barrier with a waist dipping
-    toward the barrier top: the standard popping scenario ("peanut").
+def lasso_curve(barrier_radius=1.0, dip=0.04, lobe=0.5, opening=0.35, n=384):
+    """Open curve wrapped around a circular barrier centered at the origin,
+    with a waist dipping toward the barrier top: the standard popping
+    scenario ("peanut").
 
     Endpoints sit on the barrier near the bottom opening and lift off
-    steeply (exponent ``liftoff_power``) so no vertex starts inside the pop
-    band; two lobes bulge out symmetrically; the waist at the top starts
-    ``dip`` above the barrier and is carried onto it by its own curvature,
-    producing a single tangential contact.
+    steeply (as the 1/4 power of the normalized angle from the end) so no
+    vertex starts inside the pop band; two lobes bulge out symmetrically;
+    the waist at the top starts ``dip`` above the barrier and is carried
+    onto it by its own curvature, producing a single tangential contact.
     """
     th_end = np.pi - opening  # polar angle from the top; endpoints near bottom
     th = np.linspace(-th_end, th_end, 4 * n + 1)
     u = (th_end - np.abs(th)) / th_end
     bulge = np.sin(np.pi * np.abs(th) / th_end)
-    g = (dip + lobe * bulge ** 2) * u ** liftoff_power
+    g = (dip + lobe * bulge ** 2) * u ** 0.25
     g[0] = g[-1] = 0.0
     r = barrier_radius + g
     # angle measured from the top of the barrier circle
     ang = 0.5 * np.pi - th
-    dense = np.asarray(center) + r[:, None] * np.stack(
-        [np.cos(ang), np.sin(ang)], axis=-1)
+    dense = r[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     pts = resample_uniform(Component(dense), n)
     flags = np.zeros(n + 1, dtype=bool)
     flags[0] = flags[-1] = True
@@ -717,9 +717,8 @@ def static_history(state: CurveState, t0, t1, n_snapshots=9):
 class SpacetimeTestFunction:
     """phi(x, t) >= 0 with exact spatial gradient and time derivative."""
 
-    def __init__(self, value, grad, dt, label=""):
+    def __init__(self, value, grad, dt):
         self._value, self._grad, self._dt = value, grad, dt
-        self.label = label
 
     def value(self, pts, t):
         return self._value(np.atleast_2d(np.asarray(pts, dtype=float)), t)
@@ -734,14 +733,15 @@ class SpacetimeTestFunction:
     def constant(cls, c=1.0):
         return cls(lambda p, t: np.full(len(p), c),
                    lambda p, t: np.zeros_like(p),
-                   lambda p, t: np.zeros(len(p)),
-                   label=f"const({c})")
+                   lambda p, t: np.zeros(len(p)))
 
-    def check_admissible(self, barrier, times, tol=1e-8, n_samples=400):
-        """Nonnegative, with spatial gradient tangent to the barrier on it."""
+    def check_admissible(self, barrier, times):
+        """Nonnegative, with spatial gradient tangent to the barrier on it,
+        both to 1e-8 at 400 barrier samples."""
         if barrier is None:
             return
-        pts = barrier.boundary_samples(n_samples)
+        tol = 1e-8
+        pts = barrier.boundary_samples(400)
         normals = np.atleast_2d(barrier.normal(pts))
         for t in times:
             if np.any(self.value(pts, t) < -tol):
@@ -774,14 +774,14 @@ class DissipationReport:
 
 
 def dissipation_inequality_check(history: FlowHistory, phi: SpacetimeTestFunction,
-                            a, b, C=100.0):
+                            a, b):
     """Integral mass inequality between times a and b.
 
     LHS is the test-function mass drop; RHS accumulates the curvature
     dissipation, the curvature-gradient pairing, and the explicit time
     derivative, by trapezoid over the stored snapshots.  Returns a report
     with gap = RHS - LHS, which must exceed -C (dt + h^2)(b - a) for the
-    discretization constant C.
+    discretization constant C = 100.
 
     Pop and Vanish events inside (a, b) are instantaneous mass drops: the
     interval is split at each event (with a one-cadence margin, since the
@@ -791,6 +791,7 @@ def dissipation_inequality_check(history: FlowHistory, phi: SpacetimeTestFunctio
     increase beyond tolerance.
     """
     from .density import integrate_slice
+    C = 100.0
     times = history.times
     sel = (times >= a - 1e-12) & (times <= b + 1e-12)
     snap_times = times[sel]
@@ -907,17 +908,16 @@ class MassBoundReport:
     support_c: float
 
 
-def mass_bound_check(history: FlowHistory, z, r, kappa, window_radius=None,
-                     c_grid=None):
+def mass_bound_check(history: FlowHistory, z, r, kappa):
     """Forward mass bound mu(t)(B_r(z)) <= c^(1+t/kappa^2) mu(0)(B_{R(t)}(z))
-    with R(t) = r + kappa + c t / kappa, reporting the smallest admissible c.
+    with R(t) = r + kappa + c t / kappa, reporting the smallest admissible c
+    on the grid 1, 1.1, ..., 8.
 
     Also reports the smallest support constant with
     max |x - z| on spt mu(t) <= R_0 + kappa + c t / kappa.
     """
     z = np.asarray(z, dtype=float)
-    if c_grid is None:
-        c_grid = np.concatenate([[1.0], np.arange(1.1, 8.01, 0.1)])
+    c_grid = np.concatenate([[1.0], np.arange(1.1, 8.01, 0.1)])
     t0 = history.times[0]
     mu0 = history.snapshots[0]
     found = None
@@ -926,8 +926,6 @@ def mass_bound_check(history: FlowHistory, z, r, kappa, window_radius=None,
         for s in history.snapshots:
             t = s.time - t0
             R = r + kappa + c * t / kappa
-            if window_radius is not None and np.linalg.norm(z) + R > window_radius:
-                raise WindowViolation("comparison ball leaves the window")
             lhs = state_ball_mass(s, z, r)
             rhs = c ** (1.0 + t / kappa ** 2) * state_ball_mass(mu0, z, R)
             if lhs > rhs + 1e-12:
@@ -958,11 +956,12 @@ class GraphEstimateReport:
     table: list  # (t, |u|/sqrt(t), |Du|, |D2u| sqrt(t), |du/dt| sqrt(t))
 
 
-def graph_estimate_check(history: FlowHistory, x, window, fit_width=None):
+def graph_estimate_check(history: FlowHistory, x, window):
     """Local graph norms over the initial tangent line near a point x.
 
-    For each snapshot time t in ``window`` the nearby vertices are expressed
-    over the tangent line of the initial curve at x and fit by a parabola;
+    For each snapshot time t in ``window`` the vertices within eight median
+    segment lengths of x along the tangent line of the initial curve at x
+    are expressed over that line and fit by a parabola;
     the scale-weighted combination |u|/sqrt(t) + |Du| + |D2u| sqrt(t) +
     |du/dt| sqrt(t) should stay bounded as t -> 0 for smooth initial data.
     """
@@ -984,8 +983,7 @@ def graph_estimate_check(history: FlowHistory, x, window, fit_width=None):
     tangent = comp.points[i_next] - comp.points[i_prev]
     tangent = tangent / np.linalg.norm(tangent)
     normal = np.array([-tangent[1], tangent[0]])
-    if fit_width is None:
-        fit_width = 8.0 * np.median(comp.segment_lengths())
+    fit_width = 8.0 * np.median(comp.segment_lengths())
 
     table = []
     prev = None

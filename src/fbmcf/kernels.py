@@ -34,13 +34,12 @@ def beta0_squared(alpha):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Cutoff and monotonicity parameters (flow dimension n, cutoff radius kappa).
+    """Cutoff and monotonicity parameters (cutoff radius kappa) of a curve flow.
 
     ``beta0_sq`` and the default monotonicity horizon ``tau0`` are derived
     from ``alpha``; ``tau0`` may be shrunk but never exceeds beta0^2 kappa^2.
     """
 
-    n: int = 1
     kappa: float = 1.0
     alpha: float = 8.0
     tau0: float = field(default=None)  # type: ignore[assignment]
@@ -61,7 +60,7 @@ class KernelParams:
         return beta0_squared(self.alpha)
 
     @classmethod
-    def for_barrier(cls, S: Barrier, kappa=None, alpha=8.0, n=1, c1=None):
+    def for_barrier(cls, S: Barrier, kappa=None, alpha=8.0, c1=None):
         """Construct parameters validated against the barrier's admissible bound."""
         c1 = measured_c1(S) if c1 is None else c1
         r_s = S.global_reflection_scale()
@@ -72,7 +71,7 @@ class KernelParams:
             raise KappaTooLarge(
                 f"kappa={kappa:.6g} exceeds the admissible bound r_S/c1="
                 f"{bound:.6g} required for the monotone Gaussian quantity")
-        return cls(n=n, kappa=float(kappa), alpha=float(alpha), c1=float(c1))
+        return cls(kappa=float(kappa), alpha=float(alpha), c1=float(c1))
 
 
 def _tau(t):
@@ -83,14 +82,15 @@ def _tau(t):
     return tau
 
 
-def heat_kernel(x, t, n=1):
-    """Backward Gaussian rho(x, t) = (4 pi tau)^(-n/2) exp(-|x|^2 / 4 tau)."""
+def heat_kernel(x, t):
+    """Backward Gaussian rho(x, t) = (4 pi tau)^(-1/2) exp(-|x|^2 / 4 tau) of
+    a curve (flow dimension one)."""
     tau = _tau(t)
     x = np.asarray(x, dtype=float)
     sq = np.sum(np.atleast_2d(x) ** 2, axis=-1)
     if x.ndim == 1:
         sq = sq[0]
-    return (4.0 * np.pi * tau) ** (-n / 2.0) * np.exp(-sq / (4.0 * tau))
+    return (4.0 * np.pi * tau) ** -0.5 * np.exp(-sq / (4.0 * tau))
 
 
 def cutoff_argument(x, t, params: KernelParams):
@@ -137,7 +137,7 @@ def reflected_truncated_kernel(S: Barrier, X0, x, t, params: KernelParams):
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     dt = np.asarray(t, dtype=float) - t0
     rel = pts - x0
-    direct = cutoff(rel, dt, params) * heat_kernel(rel, dt, params.n)
+    direct = cutoff(rel, dt, params) * heat_kernel(rel, dt)
     feet = np.atleast_2d(S.project(pts))
     d = np.linalg.norm(pts - feet, axis=-1)
     ok = d < S.reach * (1.0 - 1e-12)
@@ -145,7 +145,7 @@ def reflected_truncated_kernel(S: Barrier, X0, x, t, params: KernelParams):
     if np.any(ok):
         mirror_rel = 2.0 * feet[ok] - pts[ok] - x0
         reflected[ok] = np.atleast_1d(
-            cutoff(mirror_rel, dt, params) * heat_kernel(mirror_rel, dt, params.n))
+            cutoff(mirror_rel, dt, params) * heat_kernel(mirror_rel, dt))
     out = np.atleast_1d(direct) + reflected
     return out[0] if np.asarray(x).ndim == 1 else out
 
@@ -193,7 +193,7 @@ class HeatOperatorSample:
 
 
 def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_000,
-                               seed=0, seam_halfwidth=0.15):
+                               seed=0):
     """Sampled subsolution inequality for phi and phi~ in the three admissible cases.
 
     Case A: the kernel center lies in the closed admissible side within
@@ -202,7 +202,7 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
     Case C: the center lies on a tangent line of the barrier at a point y,
     with |x - y| <= min(|y|/10, r_S/c1).
 
-    Samples whose cutoff argument lands within ``seam_halfwidth`` of the C^3
+    Samples whose cutoff argument lands within 0.15 of the C^3
     support seam s = 1 are redrawn: the finite-difference stencil cannot
     straddle the seam, and the operator vanishes identically beyond it.
 
@@ -229,7 +229,7 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
 
             if case in ("A", "B"):
                 # x near the kernel center: parametrize by the cutoff argument
-                s_arg = rng.uniform(-3.0, 1.0 - seam_halfwidth, m)
+                s_arg = rng.uniform(-3.0, 1.0 - 0.15, m)
                 radius_sq = params.alpha * tau + s_arg * kappa ** 0.5 * tau ** 0.75
                 keep = radius_sq > 0
                 tau, radius_sq = tau[keep], radius_sq[keep]
@@ -263,11 +263,11 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
             ok &= reach_ok(x_world)
             # both cutoff arguments must avoid the C^3 support seam
             s_direct = cutoff_argument(x_world - centers, -tau, params)
-            ok &= np.abs(np.atleast_1d(s_direct) - 1.0) > seam_halfwidth
+            ok &= np.abs(np.atleast_1d(s_direct) - 1.0) > 0.15
             feet_w = np.atleast_2d(S.project(x_world))
             mirror_rel = 2.0 * feet_w - x_world - centers
             s_mirror = cutoff_argument(mirror_rel, -tau, params)
-            ok &= np.abs(np.atleast_1d(s_mirror) - 1.0) > seam_halfwidth
+            ok &= np.abs(np.atleast_1d(s_mirror) - 1.0) > 0.15
 
             idx = np.nonzero(ok)[0][: n_samples - collected]
             if len(idx) == 0:
@@ -328,28 +328,27 @@ def calibrate_alpha(draft: KernelParams, S: Barrier, sample_budget=2000, seed=0)
 
     The check evaluates the sufficient bracket from the subsolution estimate,
 
-        -3 q^2 / (4 tau) - alpha/4 + 2 n + c_meas * |q| / r_S  <=  0,
+        -3 q^2 / (4 tau) - alpha/4 + 2 + c_meas * |q| / r_S  <=  0,
 
     over seeded admissible samples (q the kernel-frame position of x or its
     mirror), with the curvature constant c_meas measured from the barrier's
     mirror Hessian.  Flat barriers have c_meas = 0, so the smallest passing
-    value is the dyadic ceiling of 8 n.
+    value is the dyadic ceiling of 8.
     """
     rng = np.random.default_rng(seed)
-    n = draft.n
     kappa = draft.kappa
     r_s = S.global_reflection_scale()
     c_meas = _measured_curvature_constant(S, kappa, rng) if not S.is_flat() else 0.0
 
     alpha = 0.5
     while alpha <= ALPHA_GRID_MAX:
-        params = KernelParams(n=n, kappa=kappa, alpha=alpha, c1=draft.c1)
+        params = KernelParams(kappa=kappa, alpha=alpha, c1=draft.c1)
         tau_max = params.beta0_sq * kappa ** 2
         tau = tau_max * 10.0 ** rng.uniform(-2, 0, sample_budget)
         q = np.sqrt(tau)[:, None] * rng.uniform(0.0, 6.0, (sample_budget, 1)) \
             * _unit_dirs(rng, sample_budget)
         qq = np.linalg.norm(q, axis=-1)
-        bracket = (-3.0 * qq ** 2 / (4.0 * tau) - alpha / 4.0 + 2.0 * n
+        bracket = (-3.0 * qq ** 2 / (4.0 * tau) - alpha / 4.0 + 2.0
                    + c_meas * qq / r_s)
         if np.max(bracket) <= 0.0:
             return alpha
@@ -362,13 +361,14 @@ def _unit_dirs(rng, m):
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
-def _measured_curvature_constant(S: Barrier, kappa, rng, n_probe=200):
-    """Empirical c with |tr_L D^2 |x~|^2 - 2n| <= c (d + |x~|)/r_S, n = 1."""
+def _measured_curvature_constant(S: Barrier, kappa, rng):
+    """Empirical c with |tr_L D^2 |x~|^2 - 2| <= c (d + |x~|)/r_S over 200
+    seeded probes."""
     r_s = S.global_reflection_scale()
     boundary = S.boundary_samples(64)
     worst = 0.0
     h = 1e-5 * kappa
-    for _ in range(n_probe):
+    for _ in range(200):
         anchor = boundary[rng.integers(len(boundary))]
         nvec = S.normal(anchor)
         x = anchor - rng.uniform(-0.4, 0.4) * r_s * nvec \

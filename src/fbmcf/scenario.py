@@ -79,6 +79,9 @@ def initial_curve_from_config(cfg):
         if kind == "polyline":
             pts = np.asarray(cfg["points"], dtype=float)
             flags = np.asarray(cfg.get("flags", np.zeros(len(pts))), dtype=bool)
+            if flags.shape != (len(pts),):
+                raise ConfigError(f"polyline has {len(pts)} points but "
+                                  f"{flags.size} flags")
             return CurveState([flow_mod.Component(
                 pts, cfg.get("closed", False), flags)])
     except (KeyError, TypeError, ValueError) as exc:
@@ -90,7 +93,7 @@ def kernel_params_from_config(cfg, barrier, seed=0):
     cfg = dict(cfg or {})
     if barrier is None:
         raise ConfigError("kernel checks need a barrier")
-    c1 = cfg.get("c1", measured_c1(barrier))
+    c1 = cfg["c1"] if "c1" in cfg else measured_c1(barrier)
     alpha = cfg.get("alpha")
     kappa = cfg.get("kappa")
     draft = KernelParams.for_barrier(barrier, kappa=kappa,
@@ -132,6 +135,15 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def env_seed(default):
+    """The integer seed FBMCF_SEED when it is set, else ``default``."""
+    value = os.environ.get("FBMCF_SEED", default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"seed must be an integer, got {value!r}") from None
+
+
 def load_config(path):
     try:
         with open(path) as f:
@@ -152,7 +164,7 @@ def run_scenario(config_path, out_dir=None, seed=None):
     cfg = load_config(config_path)
     name = cfg["name"]
     if seed is None:
-        seed = int(os.environ.get("FBMCF_SEED", cfg.get("seed", 0)))
+        seed = env_seed(cfg.get("seed", 0))
     out_root = out_dir or cfg.get("out", "out")
     art_dir = os.path.join(out_root, name)
     os.makedirs(art_dir, exist_ok=True)

@@ -10,7 +10,7 @@ floor that caps how far the sequence can descend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,19 +51,18 @@ def hausdorff_distance(a, b):
     return max(directed(ca, cb), directed(cb, ca))
 
 
-def clip_chains(state: CurveState, normal, offset, keep="nonpositive"):
-    """Restrict a slice to the half plane normal . x <= offset (or >=).
+def clip_chains(state: CurveState, normal, offset):
+    """Restrict a slice to the half plane normal . x <= offset.
 
     Segments crossing the boundary line are cut at the exact crossing, so
     the result is again a list of open Components.
     """
     nu = np.asarray(normal, dtype=float)
-    sign = 1.0 if keep == "nonpositive" else -1.0
     chains = []
     for comp in state.components:
         starts, ends = comp.segments()
-        level_a = sign * (starts @ nu - offset)
-        level_b = sign * (ends @ nu - offset)
+        level_a = starts @ nu - offset
+        level_b = ends @ nu - offset
         current = []
         for a, b, la, lb in zip(starts, ends, level_a, level_b):
             if la <= 0:
@@ -82,25 +81,9 @@ def clip_chains(state: CurveState, normal, offset, keep="nonpositive"):
     return chains
 
 
-@dataclass
-class RescaledHistory:
-    """Materialized parabolic rescaling D_{1/lam}(M - X0)."""
-
-    base: FlowHistory
-    center: np.ndarray
-    lam: float
-    history: FlowHistory = field(default=None)  # type: ignore[assignment]
-
-    def slice_at(self, t):
-        return self.history.slice_at(t)
-
-    @property
-    def barrier(self):
-        return self.history.barrier
-
-
-def rescale(history: FlowHistory, X0, lam) -> RescaledHistory:
-    """Parabolic rescaling about the spacetime point X0 = (x0, t0).
+def rescale(history: FlowHistory, X0, lam) -> FlowHistory:
+    """Materialized parabolic rescaling D_{1/lam}(M - X0) about the spacetime
+    point X0 = (x0, t0).
 
     Masses rescale by 1/lam (lengths divide by lam) and the barrier maps to
     (S - x0)/lam.
@@ -116,9 +99,7 @@ def rescale(history: FlowHistory, X0, lam) -> RescaledHistory:
         comps = [Component((c.points - x0) / lam, c.closed, c.on_s)
                  for c in s.components]
         snaps.append(CurveState(comps, (s.time - t0) / lam ** 2, barrier))
-    hist = FlowHistory(snaps, [], dict(history.config), barrier)
-    return RescaledHistory(base=history, center=np.concatenate([x0, [t0]]),
-                           lam=lam, history=hist)
+    return FlowHistory(snaps, [], dict(history.config), barrier)
 
 
 @dataclass
@@ -158,9 +139,8 @@ def extract_tangent_flow(history: FlowHistory, X0, lambdas, tol=1e-3,
         converged=converged, floor_hit=floor_hit, limit_slice=slices[-1])
 
 
-def reflect_flow(rescaled, P: Line) -> FlowHistory:
+def reflect_flow(hist: FlowHistory, P: Line) -> FlowHistory:
     """Double every snapshot across the line P and clear boundary flags."""
-    hist = rescaled.history if isinstance(rescaled, RescaledHistory) else rescaled
     snaps = []
     for s in hist.snapshots:
         comps = []
@@ -173,25 +153,24 @@ def reflect_flow(rescaled, P: Line) -> FlowHistory:
     return FlowHistory(snaps, [], dict(hist.config), None)
 
 
-def self_shrinker_residual(history, t_lo=-1.0, t_hi=-0.25, n_check=7):
+def self_shrinker_residual(hist: FlowHistory):
     """Deviation from exact self-similarity M(t) = sqrt(-t) M(-1).
 
-    Maximum over sampled t of the (windowed) Hausdorff distance between the
-    slice and the rescaled reference slice, normalized by the reference
-    diameter.  The comparison window shrinks with the smallest scale factor
-    so that slices truncated by a finite computational window (a static
-    line, say) are compared only where both sides carry data.
+    Maximum over six times t in (-1, -1/4] of the (windowed) Hausdorff
+    distance between the slice and the rescaled reference slice at t = -1,
+    normalized by the reference diameter.  The comparison window shrinks
+    with the smallest scale factor, 1/2, so that slices truncated by a
+    finite computational window (a static line, say) are compared only
+    where both sides carry data.
     """
-    hist = history.history if isinstance(history, RescaledHistory) else history
-    ref = hist.slice_at(t_lo)
+    ref = hist.slice_at(-1.0)
     pts = ref.all_points()
     if len(pts) == 0:
         return np.inf
     centroid = pts.mean(axis=0)
     diam = float(np.linalg.norm(pts - centroid, axis=1).max()) * 2.0
     diam = max(diam, 1e-12)
-    min_scale = np.sqrt(-t_hi) / np.sqrt(-t_lo)
-    window = 0.45 * diam * min_scale
+    window = 0.45 * diam * 0.5
 
     def windowed(src, dst):
         worst = 0.0
@@ -206,8 +185,8 @@ def self_shrinker_residual(history, t_lo=-1.0, t_hi=-0.25, n_check=7):
         return worst
 
     worst = 0.0
-    for t in np.linspace(t_lo, t_hi, n_check)[1:]:
-        scale = np.sqrt(-t) / np.sqrt(-t_lo)
+    for t in np.linspace(-1.0, -0.25, 7)[1:]:
+        scale = np.sqrt(-t)
         scaled_ref = [Component(c.points * scale, c.closed)
                       for c in ref.components]
         comps = hist.slice_at(t).components

@@ -182,15 +182,15 @@ class FreeBoundaryReport:
     field_count: int
 
 
-def first_variation(V: DiscreteVarifold, X, order=8, refine_tol=1e-10):
+def first_variation(V: DiscreteVarifold, X, order=8):
     """delta V(X) = int div_V X dmu by per-segment Gauss-Legendre quadrature.
 
     The order is doubled once and the refinement accepted when two successive
-    evaluations agree to ``refine_tol`` relative to the mass.
+    evaluations agree to 1e-10 relative to the mass.
     """
     val = _first_variation_at_order(V, X, order)
     val2 = _first_variation_at_order(V, X, 2 * order)
-    if abs(val2 - val) > refine_tol * (1.0 + V.total_mass):
+    if abs(val2 - val) > 1e-10 * (1.0 + V.total_mass):
         val3 = _first_variation_at_order(V, X, 4 * order)
         return val3
     return val2
@@ -206,8 +206,7 @@ def _first_variation_at_order(V, X, order):
     return float(np.sum(mult * integrals))
 
 
-def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None,
-                          order=8, rcond=1e-3):
+def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None):
     """Least-squares recovery of a per-segment tangential curvature vector.
 
     Solves delta V(X_f) = - sum_j mult_j  H_j . int_{seg_j} X_f dl  for the
@@ -216,13 +215,15 @@ def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None,
     the fit can explain: conormal atoms that are not barrier-normal leave a
     residual no segment-constant field can absorb.
 
-    Singular directions the family senses at below ``rcond`` of the leading
-    scale are excluded from the fit (they carry no information and would
+    Order-8 Gauss-Legendre quadrature evaluates every field.  Singular
+    directions the family senses at below 1e-3 of the leading scale are
+    excluded from the fit (they carry no information and would
     otherwise amplify quadrature noise into the recovered curvature).
     """
     if tol is None:
         tol = 1e-6 * V.total_mass
     starts, ends, mult = V.segments()
+    order = 8
     pts, L, weights = segment_quadrature(starts, ends, order)
     nseg = len(L)
     pts = pts.reshape(-1, 2)
@@ -241,7 +242,7 @@ def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None,
     if rank < min(len(fields), 2 * nseg) // 4 + 1:
         raise IllConditionedFit("tangential test family is degenerate")
 
-    h, *_ = np.linalg.lstsq(A, b, rcond=rcond)
+    h, *_ = np.linalg.lstsq(A, b, rcond=1e-3)
     res = np.abs(A @ h - b) / (1.0 + norms)
     return FreeBoundaryReport(
         is_free_boundary=bool(res.max() < tol),
@@ -343,9 +344,10 @@ def boundary_monotonicity_check(V: DiscreteVarifold, S: Barrier, h: ScalarField,
     return abs(lhs - rhs)
 
 
-def _split_segment_by_tube(S, p0, p1, radii, n_scan=64):
-    """Split [p0, p1] at distance-level crossings of the given radii."""
-    ts = np.linspace(0.0, 1.0, n_scan + 1)
+def _split_segment_by_tube(S, p0, p1, radii):
+    """Split [p0, p1] at distance-level crossings of the given radii, located
+    on a 64-interval scan and refined by bisection."""
+    ts = np.linspace(0.0, 1.0, 65)
     pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
     d = np.atleast_1d(S.distance(pts))
     L = np.linalg.norm(p1 - p0)
@@ -399,10 +401,9 @@ def _segment_tube_integrals(S, h, q0, q1, order):
 class TestField:
     """C^1 vector field with an exact Jacobian, vectorized over points."""
 
-    def __init__(self, value, jacobian, label=""):
+    def __init__(self, value, jacobian):
         self._value = value
         self._jacobian = jacobian
-        self.label = label
 
     def value(self, pts):
         return self._value(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -445,7 +446,7 @@ class Poly2:
         return np.stack([gx, gy], axis=-1)
 
 
-def polynomial_field(cx, cy, label="poly"):
+def polynomial_field(cx, cy):
     px, py = Poly2(cx), Poly2(cy)
 
     def value(pts):
@@ -458,10 +459,10 @@ def polynomial_field(cx, cy, label="poly"):
         j[:, 1, :] = gy
         return j
 
-    return TestField(value, jacobian, label)
+    return TestField(value, jacobian)
 
 
-def rotational_field(p: Poly2, center=(0.0, 0.0), label="rot"):
+def rotational_field(p: Poly2, center=(0.0, 0.0)):
     """p(x) * rot90(x - center): tangent to every circle about the center."""
     c = np.asarray(center, dtype=float)
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -477,10 +478,10 @@ def rotational_field(p: Poly2, center=(0.0, 0.0), label="rot"):
         g = p.grad(pts)
         return rot[:, :, None] * g[:, None, :] + p(pts)[:, None, None] * R
 
-    return TestField(value, jacobian, label)
+    return TestField(value, jacobian)
 
 
-def vanishing_factor_field(S: Barrier, q: Poly2, direction, label="vanish"):
+def vanishing_factor_field(S: Barrier, q: Poly2, direction):
     """q(x) * omega_signed(x) * w: vanishes on S, so trivially tangential.
 
     The gradient of the signed depth is -nu_S(zeta(x)) (exact within the
@@ -498,10 +499,10 @@ def vanishing_factor_field(S: Barrier, q: Poly2, direction, label="vanish"):
         total = g[:, None] * q.grad(pts) + q(pts)[:, None] * grad_g
         return w[None, :, None] * total[:, None, :]
 
-    return TestField(value, jacobian, label)
+    return TestField(value, jacobian)
 
 
-def line_tangential_field(P: Line, a: Poly2, b: Poly2, label="linefield"):
+def line_tangential_field(P: Line, a: Poly2, b: Poly2):
     """a(x) t + b(x) (nu.x - offset) nu: tangent to the line P on P."""
     nu = P.nu
     t = np.array([-nu[1], nu[0]])
@@ -518,11 +519,11 @@ def line_tangential_field(P: Line, a: Poly2, b: Poly2, label="linefield"):
         term = lvl(pts)[:, None] * gb + b(pts)[:, None] * nu
         return t[None, :, None] * ga[:, None, :] + nu[None, :, None] * term[:, None, :]
 
-    return TestField(value, jacobian, label)
+    return TestField(value, jacobian)
 
 
-def bump_window(center, width, power=3):
-    """Smooth rational bell (1 + |x-c|^2/w^2)^(-power) with exact gradient.
+def bump_window(center, width):
+    """Smooth rational bell (1 + |x-c|^2/w^2)^(-3) with exact gradient.
 
     Smooth everywhere (no support kink), so per-segment Gauss-Legendre
     quadrature of windowed fields converges spectrally.
@@ -532,17 +533,17 @@ def bump_window(center, width, power=3):
 
     def val(pts):
         r2 = np.sum((pts - c) ** 2, axis=-1)
-        return (1.0 + r2 / w2) ** (-power)
+        return (1.0 + r2 / w2) ** -3
 
     def grad(pts):
         rel = pts - c
         r2 = np.sum(rel ** 2, axis=-1)
-        return (-2.0 * power / w2) * ((1.0 + r2 / w2) ** (-power - 1.0))[:, None] * rel
+        return (-6.0 / w2) * ((1.0 + r2 / w2) ** -4.0)[:, None] * rel
 
     return val, grad
 
 
-def windowed_field(X: TestField, center, width, label=None):
+def windowed_field(X: TestField, center, width):
     """X multiplied by a compactly supported C^1 bump."""
     bval, bgrad = bump_window(center, width)
 
@@ -553,24 +554,22 @@ def windowed_field(X: TestField, center, width, label=None):
         return (bval(pts)[:, None, None] * X.jacobian(pts)
                 + X.value(pts)[:, :, None] * bgrad(pts)[:, None, :])
 
-    return TestField(value, jacobian, label or (X.label + "*bump"))
+    return TestField(value, jacobian)
 
 
-def tangential_family(S: Barrier, n_fields=40, seed=0, max_degree=3,
-                      window=None, region_center=(0.0, 0.0), region_radius=3.0,
+def tangential_family(S: Barrier, n_fields=40, seed=0, window=None,
                       localized_fraction=0.7):
     """A family of fields tangent to S with exact Jacobians.
 
-    Lines get tangential/normal-split polynomial fields; circles get
-    rotational fields plus fields vanishing on S; other barriers get the
-    vanishing-factor family only.  Global polynomials alone span a
+    Lines get tangential/normal-split polynomial fields of degree at most 3;
+    circles get rotational fields plus fields vanishing on S; other barriers
+    get the vanishing-factor family only.  Global polynomials alone span a
     low-dimensional space, so most fields are localized with randomly
-    placed C^1 bump windows inside the region of interest; ``window =
+    placed C^1 bump windows inside the square |x|, |y| <= 3; ``window =
     (center, width)`` instead pins one window for every field.
     """
     rng = np.random.default_rng(seed)
     fields = []
-    rc = np.asarray(region_center, dtype=float)
 
     def rand_poly(deg):
         c = rng.uniform(-1.0, 1.0, (deg + 1, deg + 1))
@@ -578,7 +577,7 @@ def tangential_family(S: Barrier, n_fields=40, seed=0, max_degree=3,
         return Poly2(np.where(mask, c, 0.0))
 
     while len(fields) < n_fields:
-        deg = int(rng.integers(0, max_degree + 1))
+        deg = int(rng.integers(0, 4))
         if isinstance(S, Line):
             X = line_tangential_field(S, rand_poly(deg), rand_poly(max(deg - 1, 0)))
         elif hasattr(S, "center") and hasattr(S, "radius"):
@@ -595,8 +594,8 @@ def tangential_family(S: Barrier, n_fields=40, seed=0, max_degree=3,
         if window is not None:
             X = windowed_field(X, *window)
         elif rng.uniform() < localized_fraction:
-            c = rc + rng.uniform(-1.0, 1.0, 2) * region_radius
-            w = region_radius * rng.uniform(0.2, 0.9)
+            c = rng.uniform(-1.0, 1.0, 2) * 3.0
+            w = 3.0 * rng.uniform(0.2, 0.9)
             X = windowed_field(X, c, w)
         fields.append(X)
     return fields
@@ -613,10 +612,10 @@ def transformed_field(X: TestField, rotation, shift):
     def jacobian(pts):
         return np.einsum("ab,qbc,dc->qad", R, X.jacobian((pts - b) @ R), R)
 
-    return TestField(value, jacobian, X.label + "|moved")
+    return TestField(value, jacobian)
 
 
-def check_tangential(X: TestField, S: Barrier, n_samples=1000, tol=1e-10):
+def check_tangential(X: TestField, S: Barrier, n_samples=1000):
     """max |X . nu_S| over barrier samples (should be ~0 for tangential fields)."""
     pts = S.boundary_samples(n_samples)
     vals = X.value(pts)

@@ -80,6 +80,42 @@ class TestRun:
             (tmp_path / "circle_shrinker" / "manifest.json").read_text())
         assert manifest["seed"] == 7
 
+    def test_non_integer_env_seed_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FBMCF_SEED", "abc")
+        assert main(["run", scenario_path("circle_shrinker.json"),
+                     "--out", str(tmp_path)]) == 2
+
+    def test_polyline_flags_shorter_than_points_exits_2(self, tmp_path, capsys):
+        cfg = {"name": "short_flags",
+               "barrier": {"kind": "line", "normal": [0.0, -1.0]},
+               "initial_curve": {"kind": "polyline",
+                                 "points": [[-1.0, 0.0], [-0.5, 0.5],
+                                            [0.5, 0.5], [1.0, 0.0]],
+                                 "flags": [1, 0, 0]},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005}}
+        p = tmp_path / "short_flags.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "4 points but 3 flags" in capsys.readouterr().err
+
+    def test_parallel_jobs_match_serial_run(self, tmp_path):
+        paths = []
+        for name, radius in (("tiny_a", 1.0), ("tiny_b", 0.8)):
+            cfg = {"name": name, "seed": 0, "barrier": None,
+                   "initial_curve": {"kind": "circle", "radius": radius,
+                                     "n": 32},
+                   "flow": {"t_end": 0.01, "snapshot_dt": 0.005}}
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(cfg))
+            paths.append(str(p))
+        manifests = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", *paths, "--out", str(out), "--jobs", jobs]) == 0
+            manifests[jobs] = [(out / n / "manifest.json").read_bytes()
+                               for n in ("tiny_a", "tiny_b")]
+        assert manifests["1"] == manifests["2"]
+
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
         for sub in ("a", "b"):
@@ -169,6 +205,10 @@ class TestVerify:
     def test_unknown_filter_exits_2(self):
         assert main(["verify", "--filter", "nonsense"]) == 2
 
+    def test_non_integer_env_seed_exits_2(self, monkeypatch):
+        monkeypatch.setenv("FBMCF_SEED", "abc")
+        assert main(["verify", "--filter", "6"]) == 2
+
     def test_repeated_filtered_verify_byte_identical(self, tmp_path):
         texts = []
         for sub in ("a", "b"):
@@ -195,3 +235,13 @@ class TestDensityCommand:
         hist = half_circle_artifacts / "history.jsonl"
         assert main(["density", str(hist), "--center", "zzz",
                      "--kappa", "1e6"]) == 2
+
+    def test_nonpositive_kappa_exits_2(self, half_circle_artifacts):
+        hist = half_circle_artifacts / "history.jsonl"
+        assert main(["density", str(hist), "--center", "0.3,0,0.45",
+                     "--kappa", "-1"]) == 2
+
+    def test_non_numeric_radius_exits_2(self, half_circle_artifacts):
+        hist = half_circle_artifacts / "history.jsonl"
+        assert main(["density", str(hist), "--center", "0.3,0,0.45",
+                     "--kappa", "1e6", "--radii", "0.1,abc"]) == 2

@@ -103,7 +103,7 @@ class TestReflectedDensity:
         resc = rescale(corner_history, X0, lam)
         p_scaled = KernelParams(kappa=BIG_KAPPA.kappa / lam, alpha=8.0, c1=2.0)
         for R in (0.05, 0.12):
-            lhs = reflected_density(resc.history, resc.barrier,
+            lhs = reflected_density(resc, resc.barrier,
                                     (0.0, 0.0, 0.0), R, p_scaled)
             rhs = lam * reflected_density(corner_history, DENSITY_LINE, X0,
                                           lam * R, BIG_KAPPA) / lam

@@ -16,10 +16,10 @@ LINE = Line(normal=(0.0, -1.0), offset=0.0)  # Omega = upper half plane
 class TestHeatKernel:
     def test_normalization_at_origin(self):
         tau = 1.0 / (4.0 * np.pi)
-        assert heat_kernel(np.zeros(2), -tau, n=1) == pytest.approx(1.0)
+        assert heat_kernel(np.zeros(2), -tau) == pytest.approx(1.0)
 
     def test_closed_form_value(self):
-        val = heat_kernel(np.array([2.0, 0.0]), -1.0, n=1)
+        val = heat_kernel(np.array([2.0, 0.0]), -1.0)
         assert val == pytest.approx((4.0 * np.pi) ** -0.5 * np.exp(-1.0))
 
     @settings(max_examples=50, derandomize=True)
@@ -27,8 +27,8 @@ class TestHeatKernel:
            st.floats(0.3, 3.0))
     def test_parabolic_homogeneity(self, x1, x2, tau, lam):
         x = np.array([x1, x2])
-        lhs = heat_kernel(lam * x, -lam ** 2 * tau, n=1)
-        rhs = lam ** -1 * heat_kernel(x, -tau, n=1)
+        lhs = heat_kernel(lam * x, -lam ** 2 * tau)
+        rhs = lam ** -1 * heat_kernel(x, -tau)
         assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-12)
 
     def test_positive_time_rejected(self):
@@ -118,7 +118,7 @@ class TestReflectedTruncatedKernel:
             x = x0[:2] + rng.uniform(-1, 1, 2) * p.kappa / 10.0
             f = reflected_truncated_kernel(LINE, x0, x, -tau, p)
             direct = float(cutoff(x - x0[:2], -tau, p)
-                           * heat_kernel(x - x0[:2], -tau, 1))
+                           * heat_kernel(x - x0[:2], -tau))
             assert f == pytest.approx(direct, abs=1e-300)
 
     def test_total_integral_over_line(self):
@@ -170,12 +170,11 @@ class TestHeatOperator:
             e = rng.standard_normal(2)
             dirs.append(e / np.linalg.norm(e))
         xs, taus, dirs = np.array(xs), np.array(taus), np.array(dirs)
-        rho = heat_kernel(xs, -taus, 1)
+        rho = heat_kernel(xs, -taus)
         xe = np.sum(xs * dirs, axis=1)
         exact = rho * (1.0 / taus - (np.sum(xs * xs, axis=1) + xe ** 2)
                        / (4.0 * taus ** 2))
-        approx = heat_operator(lambda x, t: heat_kernel(x, t, 1), xs, -taus,
-                               dirs, kappa=1.0)
+        approx = heat_operator(heat_kernel, xs, -taus, dirs, kappa=1.0)
         assert approx == pytest.approx(exact, abs=1e-6)
 
     def test_cutoff_subsolution_flat(self):

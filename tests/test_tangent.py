@@ -33,7 +33,7 @@ class TestRescale:
     def test_identity(self, circle_extinction_history):
         r = rescale(circle_extinction_history, (0.0, 0.0, 0.0), 1.0)
         s0 = circle_extinction_history.snapshots[0]
-        s1 = r.history.snapshots[0]
+        s1 = r.snapshots[0]
         np.testing.assert_allclose(s1.all_points(), s0.all_points())
         assert s1.time == s0.time
 
@@ -41,7 +41,7 @@ class TestRescale:
         st = circle_curve(radius=2.5, n=64)
         hist = static_history(st, -1.0, 0.0, 3)
         r = rescale(hist, (0.0, 0.0, 0.0), 2.5)
-        radii = np.linalg.norm(r.history.snapshots[-1].all_points(), axis=1)
+        radii = np.linalg.norm(r.snapshots[-1].all_points(), axis=1)
         np.testing.assert_allclose(radii, 1.0, atol=1e-12)
 
     def test_measure_scaling_on_balls(self, circle_extinction_history):
@@ -60,17 +60,17 @@ class TestRescale:
 
     def test_composition_multiplies(self, circle_extinction_history):
         a = rescale(circle_extinction_history, (0.0, 0.0, 0.5), 0.5)
-        b = rescale(a.history, (0.0, 0.0, 0.0), 0.4)
+        b = rescale(a, (0.0, 0.0, 0.0), 0.4)
         c = rescale(circle_extinction_history, (0.0, 0.0, 0.5), 0.2)
-        assert hausdorff_distance(b.history.slice_at(-1.0),
-                                  c.history.slice_at(-1.0)) <= 1e-10
+        assert hausdorff_distance(b.slice_at(-1.0),
+                                  c.slice_at(-1.0)) <= 1e-10
 
     def test_density_invariant_at_center(self, circle_extinction_history):
         lam = 0.5
         r = rescale(circle_extinction_history, (0.0, 0.0, 0.5), lam)
         th_orig = gaussian_density(circle_extinction_history,
                                    (0.0, 0.0, 0.5), lam * 0.6)
-        th_resc = gaussian_density(r.history, (0.0, 0.0, 0.0), 0.6)
+        th_resc = gaussian_density(r, (0.0, 0.0, 0.0), 0.6)
         assert th_resc == pytest.approx(th_orig, rel=1e-10)
 
 
