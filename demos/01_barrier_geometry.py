@@ -1,8 +1,9 @@
 """Barrier geometry: distance, nearest point, reflection, regularity scales.
 
 Walks through the closed-form queries on a line and a circle, the Newton
-projection on a parametric ellipse, and shows how the reflection regularity
-scale tracks curvature (and caps out for flat barriers).
+projection on a parametric ellipse (whose callables map an array of
+parameters to shape (2,) + theta.shape), and shows how the reflection
+regularity scale tracks curvature (and caps out for flat barriers).
 """
 
 import numpy as np

@@ -454,8 +454,11 @@ class ParametricBarrier(Barrier):
     The table stores ``gamma(theta)`` with first and second derivatives on a
     uniform closed parameter grid.  Projection runs Newton iteration on the
     squared distance, multistarted from the eight nearest table samples; when
-    analytic callables are supplied they are used for the Newton evaluations,
-    otherwise a periodic cubic spline through the table is used.
+    analytic callables ``funcs = (f, df, ddf)`` are supplied they are used for
+    the Newton evaluations, otherwise a periodic cubic spline through the
+    table is used.  The callables act on whole arrays: given parameters
+    ``theta`` of any shape they return ``gamma``, ``gamma'`` and ``gamma''``
+    with shape ``(2,) + theta.shape``, x components first.
 
     The reach is estimated as ``min(1/max curvature, min self-distance / 2)``.
     """
@@ -474,13 +477,13 @@ class ParametricBarrier(Barrier):
         else:
             th_closed = np.concatenate([self.theta, [2.0 * np.pi]])
             pts_closed = np.vstack([self.points, self.points[:1]])
-            spl = CubicSpline(th_closed, pts_closed, bc_type="periodic")
+            spl = CubicSpline(th_closed, pts_closed.T, axis=1, bc_type="periodic")
             self._f = spl
             self._df = spl.derivative(1)
             self._ddf = spl.derivative(2)
-        self.d1 = np.asarray([self._df(t) for t in self.theta]) if d1 is None \
+        self.d1 = np.asarray(self._df(self.theta), dtype=float).T if d1 is None \
             else np.asarray(d1, dtype=float)
-        self.d2 = np.asarray([self._ddf(t) for t in self.theta]) if d2 is None \
+        self.d2 = np.asarray(self._ddf(self.theta), dtype=float).T if d2 is None \
             else np.asarray(d2, dtype=float)
 
         speed = np.linalg.norm(self.d1, axis=1)
@@ -493,10 +496,9 @@ class ParametricBarrier(Barrier):
     @classmethod
     def from_function(cls, f, df, ddf, n_samples=256):
         th = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-        pts = np.asarray([f(t) for t in th], dtype=float)
-        d1 = np.asarray([df(t) for t in th], dtype=float)
-        d2 = np.asarray([ddf(t) for t in th], dtype=float)
-        return cls(pts, d1, d2, funcs=(f, df, ddf))
+        return cls(np.asarray(f(th), dtype=float).T,
+                   np.asarray(df(th), dtype=float).T,
+                   np.asarray(ddf(th), dtype=float).T, funcs=(f, df, ddf))
 
     def _min_self_distance(self):
         """Narrowest bottleneck: pairs far apart along the curve but close in space."""
@@ -512,114 +514,98 @@ class ParametricBarrier(Barrier):
         mask = (sep > 0) & (arc > 3.0 * np.maximum(d, 1e-300))
         return d[mask].min() if np.any(mask) else np.inf
 
-    def _foot_parameter(self, x):
-        """Parameter of the foot of one point x: Newton on the squared
-        distance, multistarted from the eight nearest table samples."""
-        x = np.asarray(x, dtype=float)
-        d2_samples = np.linalg.norm(self.points - x, axis=1)
-        starts = self.theta[np.argsort(d2_samples)[:8]]
-        best_theta, best_d2 = None, np.inf
-        for th0 in starts:
-            th = float(th0)
-            for _ in range(60):
-                g = np.asarray(self._f(th), dtype=float)
-                dg = np.asarray(self._df(th), dtype=float)
-                ddg = np.asarray(self._ddf(th), dtype=float)
-                rel = g - x
-                grad = rel @ dg
-                hess = dg @ dg + rel @ ddg
-                if hess <= 0:
-                    step = -grad / max(dg @ dg, 1e-300)
-                else:
-                    step = -grad / hess
-                step = np.clip(step, -0.5, 0.5)
-                th += step
-                if abs(step) < 1e-14:
-                    break
-            g = np.asarray(self._f(th), dtype=float)
-            dd = float(np.sum((g - x) ** 2))
-            if dd < best_d2:
-                best_d2, best_theta = dd, th % (2.0 * np.pi)
-        return best_theta
+    def _foot_parameter(self, pts):
+        """Foot parameters and feet of points (N, 2): Newton on the squared
+        distance from the eight nearest table samples of each point, all
+        starts in lockstep; a start stops once its step is below 1e-14, and
+        the closest of a point's eight results wins."""
+        d2 = np.sum((self.points[None, :, :] - pts[:, None, :]) ** 2, axis=-1)
+        th = self.theta[np.argsort(d2, axis=1)[:, :8]].ravel()
+        x = np.repeat(pts, 8, axis=0).T
+        active = np.arange(len(th))
+        for _ in range(60):
+            if not len(active):
+                break
+            a = th[active]
+            g, dg, ddg = self._f(a), self._df(a), self._ddf(a)
+            rel = g - x[:, active]
+            grad = _dot2(rel, dg)
+            speed2 = _dot2(dg, dg)
+            hess = speed2 + _dot2(rel, ddg)
+            step = -grad / np.where(hess <= 0, np.maximum(speed2, 1e-300), hess)
+            step = np.clip(step, -0.5, 0.5)
+            th[active] = a + step
+            active = active[np.abs(step) >= 1e-14]
+        g = np.asarray(self._f(th), dtype=float)
+        best = np.argmin(np.sum((g - x) ** 2, axis=0).reshape(-1, 8), axis=1)
+        best += 8 * np.arange(len(pts))
+        return th[best] % (2.0 * np.pi), g[:, best].T
 
     def _normal_at(self, th):
-        """nu_S at parameter th."""
+        """nu_S at parameters th, shaped th.shape + (2,)."""
         dg = np.asarray(self._df(th), dtype=float)
-        t = dg / np.linalg.norm(dg)
+        t = dg / np.sqrt(_dot2(dg, dg))
         # outward of a counterclockwise curve is (t_y, -t_x)
-        nrm = np.array([t[1], -t[0]]) * self._orientation
-        return nrm if self.omega_side == "inside" else -nrm
+        sign = self._orientation if self.omega_side == "inside" \
+            else -self._orientation
+        return sign * np.stack([t[1], -t[0]], axis=-1)
 
     def project(self, x):
         pts, single = _as_points(x)
-        out = np.empty_like(pts)
-        for i, p in enumerate(pts):
-            out[i] = self._f(self._foot_parameter(p))
-        return _unpack(out, single)
+        return _unpack(self._foot_parameter(pts)[1], single)
 
     def normal(self, x):
         pts, single = _as_points(x)
-        out = np.empty_like(pts)
-        for i, p in enumerate(pts):
-            out[i] = self._normal_at(self._foot_parameter(p))
-        return _unpack(out, single)
+        return _unpack(self._normal_at(self._foot_parameter(pts)[0]), single)
 
     def omega_signed(self, x):
         pts, single = _as_points(x)
-        out = np.empty(len(pts))
-        for i, p in enumerate(pts):
-            th = self._foot_parameter(p)
-            foot = np.asarray(self._f(th), dtype=float)
-            out[i] = (foot - p) @ self._normal_at(th)
-        return _unpack(out, single)
+        th, feet = self._foot_parameter(pts)
+        return _unpack(_dot2((feet - pts).T, self._normal_at(th).T), single)
 
     def local_chart(self, y):
-        th0 = self._foot_parameter(np.asarray(np.atleast_2d(y)[0], dtype=float))
-        base = np.asarray(self._f(th0), dtype=float)
+        (th0,), (base,) = self._foot_parameter(
+            np.asarray(np.atleast_2d(y)[:1], dtype=float))
         n = self._normal_at(th0)
         t = np.array([-n[1], n[0]])
 
         def theta_for(xi):
-            """Parameter with tangential coordinate xi, by Newton from th0."""
-            th = th0
+            """Parameters with tangential coordinates xi, by a masked Newton
+            iteration from th0 run on all of them at once."""
+            target = np.asarray(xi, dtype=float)
+            flat = target.ravel()
+            th = np.full(flat.size, th0)
+            active = np.arange(flat.size)
             for _ in range(60):
-                g = np.asarray(self._f(th), dtype=float)
-                dg = np.asarray(self._df(th), dtype=float)
-                val = (g - base) @ t - xi
-                der = dg @ t
-                if abs(der) < 1e-14:
+                if not len(active):
+                    break
+                a = th[active]
+                g, dg = self._f(a), self._df(a)
+                val = _dot2(g - base[:, None], t) - flat[active]
+                der = _dot2(dg, t)
+                if np.any(np.abs(der) < 1e-14):
                     raise ChartFailure("tangential coordinate fold-over")
                 step = -val / der
-                th += np.clip(step, -0.5, 0.5)
-                if abs(step) < 1e-14:
-                    return th
-            raise ChartFailure("chart parameter iteration did not converge")
+                th[active] = a + np.clip(step, -0.5, 0.5)
+                active = active[np.abs(step) >= 1e-14]
+            if len(active):
+                raise ChartFailure("chart parameter iteration did not converge")
+            return th.reshape(target.shape)
 
-        def _pointwise(fn):
-            def wrapped(xi):
-                xi_arr = np.asarray(xi, dtype=float)
-                flat = np.atleast_1d(xi_arr).ravel()
-                vals = np.array([fn(float(x1)) for x1 in flat])
-                return vals.reshape(xi_arr.shape) if xi_arr.ndim else float(vals[0])
-            return wrapped
+        def u(xi):
+            g = np.asarray(self._f(theta_for(xi)), dtype=float)
+            return _dot2((g.T - base).T, n)
 
-        @_pointwise
-        def u(x1):
-            th = theta_for(x1)
-            return (np.asarray(self._f(th), dtype=float) - base) @ n
+        def du(xi):
+            dg = np.asarray(self._df(theta_for(xi)), dtype=float)
+            return _dot2(dg, n) / _dot2(dg, t)
 
-        @_pointwise
-        def du(x1):
-            dg = np.asarray(self._df(theta_for(x1)), dtype=float)
-            return (dg @ n) / (dg @ t)
-
-        @_pointwise
-        def d2u(x1):
-            th = theta_for(x1)
+        def d2u(xi):
+            th = theta_for(xi)
             dg = np.asarray(self._df(th), dtype=float)
             ddg = np.asarray(self._ddf(th), dtype=float)
-            xp, ep = dg @ t, dg @ n
-            xpp, epp = ddg @ t, ddg @ n
+            xp, ep = _dot2(dg, t), _dot2(dg, n)
+            xpp, epp = _dot2(ddg, t), _dot2(ddg, n)
             return (epp * xp - ep * xpp) / xp ** 3
 
         # halfwidth: where the tangential speed dg.t stays bounded away from 0
@@ -628,17 +614,23 @@ class ParametricBarrier(Barrier):
 
     def boundary_samples(self, n):
         th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return np.asarray([self._f(t) for t in th], dtype=float)
+        return np.asarray(self._f(th), dtype=float).T
 
     def transformed(self, center, scale):
         center = np.asarray(center, dtype=float)
         f, df, ddf = self._f, self._df, self._ddf
-        funcs = (lambda t: (np.asarray(f(t)) - center) / scale,
+        funcs = (lambda t: (np.asarray(f(t)).T - center).T / scale,
                  lambda t: np.asarray(df(t)) / scale,
                  lambda t: np.asarray(ddf(t)) / scale)
         return ParametricBarrier((self.points - center) / scale,
                                  self.d1 / scale, self.d2 / scale,
                                  funcs=funcs, omega_side=self.omega_side)
+
+
+def _dot2(a, b):
+    """a . b over a leading axis of length 2 (elementwise, so each entry's
+    bits do not depend on how many share the call)."""
+    return a[0] * b[0] + a[1] * b[1]
 
 
 class InverseProjection:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -81,7 +82,12 @@ def _cmd_density(args):
     except ValueError:
         raise ConfigError("--radii expects comma separated numbers, got "
                           f"{args.radii!r}") from None
-    history = FlowHistory.from_jsonl(args.history)
+    if not all(0 < r < math.inf for r in radii):
+        raise ConfigError(f"--radii must be positive and finite, got {radii}")
+    try:
+        history = FlowHistory.from_jsonl(args.history)
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        raise ConfigError(f"cannot read history {args.history}: {exc}") from exc
     barrier = barrier_from_config(history.config.get("barrier"))
     if barrier is None:
         raise ConfigError("history carries no barrier; reflected densities "

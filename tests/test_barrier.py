@@ -20,6 +20,26 @@ def ellipse_parametric(a=2.0, b=1.0, n=256):
     return ParametricBarrier.from_function(f, df, ddf, n_samples=n)
 
 
+def ellipse_point(angle, depth, a=2.0, b=1.0):
+    """gamma(angle) moved by depth along the ellipse's outward normal."""
+    nrm = np.array([b * np.cos(angle), a * np.sin(angle)])
+    return np.array([a * np.cos(angle), b * np.sin(angle)]) \
+        + depth * nrm / np.linalg.norm(nrm)
+
+
+def spline_parametric(n=256):
+    """Periodic-spline barrier through n samples of the unit circle."""
+    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return ParametricBarrier(np.stack([np.cos(th), np.sin(th)], axis=-1))
+
+
+def near_unit_circle(n, seed, spread=0.3):
+    rng = np.random.default_rng(seed)
+    ang = rng.uniform(0.0, 2.0 * np.pi, n)
+    rho = 1.0 + rng.uniform(-spread, spread, n)
+    return rho[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+
 def sweep_distance(f, x, n=2_000_001):
     """Independent oracle: dense parameter sweep of |gamma(t) - x|."""
     t = np.linspace(0.0, 2.0 * np.pi, n)
@@ -353,14 +373,89 @@ class TestBatchInvariance:
 
     @pytest.mark.parametrize("S", [Line(normal=(3.0, 4.0), offset=1.0),
                                    Line(normal=(-0.6, 1.7), offset=-0.3),
-                                   Circle((0.3, -0.2), 1.3)],
-                             ids=["line", "line-skew", "circle"])
+                                   Circle((0.3, -0.2), 1.3),
+                                   ellipse_parametric(2.0, 1.0, 256),
+                                   spline_parametric(256)],
+                             ids=["line", "line-skew", "circle", "ellipse",
+                                  "spline"])
     def test_single_equals_batch_row(self, S):
-        # within half a unit of S, inside the circle's reach
+        # within half a unit of S, and inside the reach of curved barriers
+        half = min(0.5, 0.4 * S.reach)
         pts = S.boundary_samples(1000) \
-            + np.random.default_rng(3).uniform(-0.5, 0.5, size=(1000, 2))
+            + np.random.default_rng(3).uniform(-half, half, size=(1000, 2))
         for query in (S.project, S.normal, S.omega_signed, S.reflect_point,
                       S.distance):
             batch = query(pts)
             for x, row in zip(pts, batch):
                 assert np.array_equal(query(x), row), query.__name__
+
+
+class TestParametric:
+    ELLIPSE = ellipse_parametric(2.0, 1.0, 256)  # reach b^2/a = 0.5
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.floats(0, 2 * np.pi), st.floats(-0.2, 0.2))
+    def test_ellipse_reflection_involution(self, angle, depth):
+        x = ellipse_point(angle, depth)
+        back = self.ELLIPSE.reflect_point(self.ELLIPSE.reflect_point(x))
+        assert np.linalg.norm(back - x) <= 1e-10 * (1.0 + np.linalg.norm(x))
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.floats(0, 2 * np.pi), st.floats(-0.4, 1.0))
+    def test_ellipse_projection_idempotent(self, angle, depth):
+        foot = self.ELLIPSE.project(ellipse_point(angle, depth))
+        assert np.linalg.norm(self.ELLIPSE.project(foot) - foot) <= 1e-12
+
+    @pytest.mark.parametrize("n_points", [1, 500])
+    def test_project_calls_callables_in_lockstep(self, n_points):
+        """All points and starts share each Newton iteration: 3 callable
+        calls per iteration, at most 60 iterations, one final evaluation."""
+        calls = []
+
+        def counted(fn):
+            def wrapped(t):
+                calls.append(1)
+                return fn(t)
+            return wrapped
+
+        a, b = 2.0, 1.0
+        S = ParametricBarrier.from_function(
+            counted(lambda t: np.array([a * np.cos(t), b * np.sin(t)])),
+            counted(lambda t: np.array([-a * np.sin(t), b * np.cos(t)])),
+            counted(lambda t: np.array([-a * np.cos(t), -b * np.sin(t)])))
+        pts = np.stack([ellipse_point(t, d) for t, d in zip(
+            np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False),
+            np.linspace(-0.3, 0.8, n_points))])
+        calls.clear()
+        feet = S.project(pts)
+        assert len(calls) <= 3 * 60 + 1
+        assert feet.shape == (n_points, 2)
+
+    def test_spline_matches_circle(self):
+        S, C = spline_parametric(256), Circle((0.0, 0.0), 1.0)
+        x = near_unit_circle(500, seed=4)
+        np.testing.assert_allclose(S.project(x), C.project(x), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("S", [ellipse_parametric(2.0, 1.0, 256),
+                                   spline_parametric(256)],
+                             ids=["ellipse", "spline"])
+    def test_transformed_commutes_with_project(self, S):
+        c, s = np.array([0.3, -0.2]), 0.7
+        x = near_unit_circle(200, seed=6)
+        np.testing.assert_allclose(S.transformed(c, s).project((x - c) / s),
+                                   (S.project(x) - c) / s, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("S, tol", [(unit_circle_parametric(64), 1e-8),
+                                        (spline_parametric(256), 1e-6)],
+                             ids=["analytic", "spline"])
+    def test_chart_matches_circle_chart(self, S, tol):
+        C = Circle((0.0, 0.0), 1.0)
+        xi = np.linspace(-0.5, 0.5, 41).reshape(41, 1) * [1.0, -0.6]
+        for ang in (0.0, 1.0, 2.5, 4.0):
+            y = np.array([np.cos(ang), np.sin(ang)])
+            chart, exact = S.local_chart(y), C.local_chart(y)
+            got = chart.u(xi)
+            assert got.shape == xi.shape
+            np.testing.assert_allclose(got, exact.u(xi), rtol=0, atol=tol)
+            np.testing.assert_allclose(chart.du(xi), exact.du(xi), rtol=0,
+                                       atol=10 * tol)

@@ -245,3 +245,25 @@ class TestDensityCommand:
         hist = half_circle_artifacts / "history.jsonl"
         assert main(["density", str(hist), "--center", "0.3,0,0.45",
                      "--kappa", "1e6", "--radii", "0.1,abc"]) == 2
+
+    @pytest.mark.parametrize("radii", ["0,0.1", "nan,0.1", "0.1,inf"])
+    def test_nonpositive_or_nonfinite_radius_exits_2(self, half_circle_artifacts,
+                                                     radii, capsys):
+        hist = half_circle_artifacts / "history.jsonl"
+        assert main(["density", str(hist), "--center", "0.3,0,0.45",
+                     "--kappa", "1e6", "--radii", radii]) == 2
+        assert "--radii" in capsys.readouterr().err
+
+    def test_missing_history_exits_2(self, tmp_path, capsys):
+        assert main(["density", str(tmp_path / "nonexistent.jsonl"),
+                     "--center", "0.3,0,0.45", "--kappa", "1e6"]) == 2
+        assert "cannot read history" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["{not json", '{"t": 0.1}'],
+                             ids=["not-json", "no-components"])
+    def test_malformed_history_exits_2(self, tmp_path, line, capsys):
+        hist = tmp_path / "history.jsonl"
+        hist.write_text(line + "\n")
+        assert main(["density", str(hist), "--center", "0.3,0,0.45",
+                     "--kappa", "1e6"]) == 2
+        assert "cannot read history" in capsys.readouterr().err

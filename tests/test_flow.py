@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbmcf.barrier import Circle, Line
+from fbmcf.barrier import Circle, Line, ParametricBarrier
 from fbmcf.errors import InadmissibleTestFunction, StepTooLarge
 from fbmcf.flow import (
     Component, CurveState, SpacetimeTestFunction, dissipation_inequality_check,
     circle_curve, detect_and_pop, graph_estimate_check, half_circle_curve,
-    mass_bound_check, orthogonality_residual, remesh, run,
+    lasso_curve, mass_bound_check, orthogonality_residual, remesh, run,
     segment_curve, static_history, step, vertex_velocity,
     _boundary_ends, _gauss_seidel_orthogonality, _tangent_estimate,
 )
@@ -375,6 +375,27 @@ class TestPop:
         assert len(boundary_pts) == 4
         assert np.abs(np.atleast_1d(Sc.distance(boundary_pts))).max() <= 1e-8
         assert orthogonality_residual(s) < 1e-2
+
+    def test_lasso_pops_against_parametric_circle(self):
+        """The lasso against the unit circle given as a ParametricBarrier
+        from analytic callables: one pop, two arcs, feet on S."""
+        f = lambda t: np.array([np.cos(t), np.sin(t)])
+        df = lambda t: np.array([-np.sin(t), np.cos(t)])
+        ddf = lambda t: np.array([-np.cos(t), -np.sin(t)])
+        th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        S = ParametricBarrier(f(th).T, df(th).T, ddf(th).T, funcs=(f, df, ddf),
+                              omega_side="outside")
+        st = lasso_curve(barrier_radius=1.0, n=96)
+        hist = run(st, t_end=0.18, h_target=st.total_length() / 96,
+                   snapshot_dt=0.002, barrier=S)
+        assert [e.kind for e in hist.events] == ["Pop"]
+        post = [s for s in hist.snapshots if s.time > hist.events[0].time]
+        assert post and all(len(s.components) == 2 for s in post)
+        last = post[-1]
+        assert last.time == pytest.approx(0.18)
+        boundary_pts = np.vstack([c.points[c.on_s] for c in last.components])
+        assert len(boundary_pts) == 4
+        assert np.abs(S.distance(boundary_pts)).max() <= 1e-8
 
     def test_pop_mass_budget(self):
         """The pop itself changes the length by at most twice the threshold."""
