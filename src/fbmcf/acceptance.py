@@ -18,14 +18,16 @@ from .density import (density_at_point, gaussian_density, monotonicity_report,
                       reflected_density)
 from .flow import (SpacetimeTestFunction, dissipation_inequality_check,
                    circle_curve, half_circle_curve, lasso_curve,
-                   orthogonality_residual, run)
+                   orthogonality_residual, run, segment_curve, static_history)
 from .kernels import (KernelParams, calibrate_alpha, sample_heat_operator_cases,
                       support_probe)
 from .regularize import (i_epsilon, slab_mass, solve_translator_profile,
                          translate_slices)
 from .tangent import (clip_chains, extract_tangent_flow, hausdorff_distance,
                       reflect_flow, rescale, self_shrinker_residual)
-from .varifold import DiscreteVarifold, first_variation, tangential_family
+from .varifold import (DiscreteVarifold, ScalarField,
+                       boundary_monotonicity_check, first_variation,
+                       tangential_family)
 
 SHRINKER_DENSITY = float(np.sqrt(2.0 * np.pi / np.e))
 DENSITY_LINE = Line(normal=(0.0, -1.0), offset=0.0, scale_cap=1e8)
@@ -50,11 +52,9 @@ class CriterionResult:
 
 def _worst(parts):
     """Combine (name, measured, bound) parts into one normalized row value."""
-    ratios = [(m / b if b > 0 else np.inf, name, m, b) for name, m, b in parts]
-    worst = max(ratios, key=lambda t: t[0])
-    detail = "; ".join("%s=%.3g/%.3g" % (name, m, b) for _, name, m, b in
-                       [(r, n, m, b) for r, n, m, b in ratios])
-    return worst[0], detail
+    worst = max(m / b if b > 0 else np.inf for _, m, b in parts)
+    detail = "; ".join("%s=%.3g/%.3g" % part for part in parts)
+    return worst, detail
 
 
 class ArtifactCache:
@@ -145,7 +145,6 @@ def criterion_2(cache: ArtifactCache):
 
 
 def criterion_3(cache: ArtifactCache):
-    from .flow import segment_curve, static_history
     line_hist = static_history(
         segment_curve((-12.0, 0.0), (12.0, 0.0), n=1200), -1.0, 0.1, 12)
     th_line = gaussian_density(line_hist, (0.0, 0.0, 0.0), 0.25)
@@ -222,7 +221,6 @@ def criterion_6(cache: ArtifactCache):
 
 
 def criterion_7(cache: ArtifactCache):
-    from .varifold import ScalarField, boundary_monotonicity_check
     S = Circle((0.0, 0.0), 1.0)
     V = DiscreteVarifold.from_polyline([[1.0, 0.0], [2.0, 0.0]])
     res_radial = boundary_monotonicity_check(V, S, ScalarField.one(), 0.5, 0.2)
@@ -253,7 +251,7 @@ def criterion_8(cache: ArtifactCache):
     post = [s for s in hist.snapshots if s.time > pops[0].time and s.components]
     s = post[0]
     bdry = np.vstack([c.points[c.on_s] for c in s.components])
-    on_s_dev = float(np.abs(np.atleast_1d(S.distance(bdry))).max())
+    on_s_dev = float(np.abs(S.distance(bdry)).max())
     orth = orthogonality_residual(s)
     phi = SpacetimeTestFunction.constant(1.0)
     rep = dissipation_inequality_check(hist, phi, pops[0].time - 0.02,

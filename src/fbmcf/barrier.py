@@ -28,18 +28,6 @@ from .errors import BeyondReach, ChartFailure
 FLAT_SCALE_CAP = 1e6
 
 
-def _as_points(x):
-    """Return (points, was_single) with points shaped (N, 2)."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 1:
-        return a[None, :], True
-    return a, False
-
-
-def _unpack(values, single):
-    return values[0] if single else values
-
-
 @dataclass(frozen=True)
 class ReflectionData:
     """One reflection query: base point, foot, mirror image and local scale."""
@@ -81,7 +69,12 @@ class LocalChart:
 
 
 class Barrier:
-    """Common query interface; subclasses provide ``project`` and ``normal``."""
+    """Common query interface; subclasses provide ``project`` and ``normal``.
+
+    Every point query takes one point ``(2,)`` or an array ``(..., 2)`` and
+    runs the same elementwise arithmetic on either, so a point's result has
+    the same bits whichever batch it is queried in.
+    """
 
     reach: float = np.inf
     scale_cap: float = FLAT_SCALE_CAP
@@ -114,15 +107,12 @@ class Barrier:
     # -- shared queries ----------------------------------------------------
 
     def distance(self, x):
-        pts, single = _as_points(x)
-        feet = np.atleast_2d(self.project(pts))
-        d = np.linalg.norm(pts - feet, axis=-1)
-        return _unpack(d, single)
+        x = np.asarray(x, dtype=float)
+        return np.linalg.norm(x - self.project(x), axis=-1)
 
     def tangent(self, y):
-        n, single = _as_points(self.normal(y))
-        t = np.stack([-n[:, 1], n[:, 0]], axis=-1)
-        return _unpack(t, single)
+        n = self.normal(y)
+        return np.stack([-n[..., 1], n[..., 0]], axis=-1)
 
     def _check_reach(self, pts, feet):
         d = np.linalg.norm(pts - feet, axis=-1)
@@ -133,39 +123,37 @@ class Barrier:
 
     def reflect_point(self, x):
         """Mirror image x~ = 2 zeta(x) - x across the barrier."""
-        pts, single = _as_points(x)
-        feet = np.atleast_2d(self.project(pts))
-        self._check_reach(pts, feet)
-        return _unpack(2.0 * feet - pts, single)
+        x = np.asarray(x, dtype=float)
+        feet = self.project(x)
+        self._check_reach(x, feet)
+        return 2.0 * feet - x
 
     def reflect_vector(self, x, v):
         """Linear reflection of v across the tangent line at zeta(x)."""
-        pts, single = _as_points(x)
-        vecs, _ = _as_points(v)
-        self._check_reach(pts, np.atleast_2d(self.project(pts)))
-        n = np.atleast_2d(self.normal(pts))
-        out = vecs - 2.0 * np.sum(vecs * n, axis=-1, keepdims=True) * n
-        return _unpack(out, single)
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        self._check_reach(x, self.project(x))
+        n = self.normal(x)
+        return v - 2.0 * np.sum(v * n, axis=-1, keepdims=True) * n
 
     def distance_gradient(self, x):
         """Gradient of the (unsigned) distance: (x - zeta(x)) / d(x)."""
-        pts, single = _as_points(x)
-        feet = np.atleast_2d(self.project(pts))
-        rel = pts - feet
+        x = np.asarray(x, dtype=float)
+        rel = x - self.project(x)
         d = np.linalg.norm(rel, axis=-1, keepdims=True)
-        return _unpack(rel / np.maximum(d, 1e-300), single)
+        return rel / np.maximum(d, 1e-300)
 
     def distance_hessian(self, x):
-        """Hessian of the distance, by central differences of the gradient."""
-        pts, single = _as_points(x)
-        h = 1e-6 * max(1.0, float(np.abs(pts).max()))
-        out = np.empty((len(pts), 2, 2))
+        """Hessian of the distance, by central differences of the gradient
+        with the step 1e-6 max(1, |x|_inf) taken point by point."""
+        x = np.asarray(x, dtype=float)
+        h = 1e-6 * np.maximum(1.0, np.abs(x).max(axis=-1))[..., None]
+        out = np.empty(x.shape + (2,))
         for k, ek in enumerate(np.eye(2)):
-            gp = np.atleast_2d(self.distance_gradient(pts + h * ek))
-            gm = np.atleast_2d(self.distance_gradient(pts - h * ek))
-            out[:, :, k] = (gp - gm) / (2.0 * h)
-        out = 0.5 * (out + np.swapaxes(out, 1, 2))
-        return _unpack(out, single)
+            gp = self.distance_gradient(x + h * ek)
+            gm = self.distance_gradient(x - h * ek)
+            out[..., k] = (gp - gm) / (2.0 * h)
+        return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     def reflection_data(self, x) -> ReflectionData:
         x = np.asarray(x, dtype=float)
@@ -182,9 +170,10 @@ class Barrier:
         n = self.normal(foot)
 
         def refl(y):
-            pts, single = _as_points(y)
-            out = pts - 2.0 * np.outer((pts - foot) @ n, n)
-            return _unpack(out, single)
+            y = np.asarray(y, dtype=float)
+            # vecdot takes one dot per point, so no point's bits depend on
+            # the batch (a matrix product would)
+            return y - 2.0 * np.vecdot(y - foot, n)[..., None] * n
 
         return refl
 
@@ -320,31 +309,25 @@ class Line(Barrier):
         return True
 
     def _height(self, pts):
-        """nu . x row by row, elementwise so a row's bits do not depend on
-        how many rows share the call (a BLAS product would)."""
-        return pts[:, 0] * self.nu[0] + pts[:, 1] * self.nu[1]
+        """nu . x point by point, elementwise so a point's bits do not depend
+        on how many points share the call (a BLAS product would)."""
+        return pts[..., 0] * self.nu[0] + pts[..., 1] * self.nu[1]
 
     def project(self, x):
-        pts, single = _as_points(x)
-        s = self._height(pts) - self.offset
-        return _unpack(pts - s[:, None] * self.nu, single)
+        x = np.asarray(x, dtype=float)
+        s = self._height(x) - self.offset
+        return x - s[..., None] * self.nu
 
     def normal(self, x):
-        pts, single = _as_points(x)
-        out = np.empty_like(pts)
-        out[:] = self.nu
-        return _unpack(out, single)
+        return np.broadcast_to(self.nu, np.shape(x)).copy()
 
     def omega_signed(self, x):
-        pts, single = _as_points(x)
-        return _unpack(self.offset - self._height(pts), single)
+        return self.offset - self._height(np.asarray(x, dtype=float))
 
     def distance_hessian(self, x):
-        pts, single = _as_points(x)
-        return _unpack(np.zeros((len(pts), 2, 2)), single)
+        return np.zeros(np.shape(x) + (2,))
 
     def local_chart(self, y):
-        y = np.asarray(np.atleast_2d(y)[0], dtype=float)
         base = self.project(y)
         t = np.array([-self.nu[1], self.nu[0]])
         zeros = lambda xi: np.zeros_like(np.asarray(xi, dtype=float))
@@ -376,43 +359,36 @@ class Circle(Barrier):
         self.omega_side = omega_side
         self.reach = float(radius)
 
-    def _radial(self, pts):
-        rel = pts - self.center
+    def _radial(self, x):
+        rel = np.asarray(x, dtype=float) - self.center
         rr = np.linalg.norm(rel, axis=-1)
         if np.any(rr < 1e-14 * self.radius):
             raise BeyondReach("projection from the circle center is not unique")
         return rel, rr
 
     def project(self, x):
-        pts, single = _as_points(x)
-        rel, rr = self._radial(pts)
-        return _unpack(self.center + rel * (self.radius / rr)[:, None], single)
+        rel, rr = self._radial(x)
+        return self.center + rel * (self.radius / rr)[..., None]
 
     def normal(self, x):
-        pts, single = _as_points(x)
-        rel, rr = self._radial(pts)
-        out = rel / rr[:, None]
+        rel, rr = self._radial(x)
+        out = rel / rr[..., None]
         if self.omega_side == "outside":
             out = -out
-        return _unpack(out, single)
+        return out
 
     def omega_signed(self, x):
-        pts, single = _as_points(x)
-        rr = np.linalg.norm(pts - self.center, axis=-1)
-        s = self.radius - rr if self.omega_side == "inside" else rr - self.radius
-        return _unpack(s, single)
+        rr = np.linalg.norm(np.asarray(x, dtype=float) - self.center, axis=-1)
+        return self.radius - rr if self.omega_side == "inside" else rr - self.radius
 
     def distance_hessian(self, x):
-        pts, single = _as_points(x)
-        rel, rr = self._radial(pts)
-        rhat = rel / rr[:, None]
-        proj = np.eye(2)[None, :, :] - rhat[:, :, None] * rhat[:, None, :]
+        rel, rr = self._radial(x)
+        rhat = rel / rr[..., None]
+        proj = np.eye(2) - rhat[..., :, None] * rhat[..., None, :]
         sign = np.where(rr >= self.radius, 1.0, -1.0)
-        out = sign[:, None, None] * proj / rr[:, None, None]
-        return _unpack(out, single)
+        return sign[..., None, None] * proj / rr[..., None, None]
 
     def local_chart(self, y):
-        y = np.asarray(np.atleast_2d(y)[0], dtype=float)
         base = self.project(y)
         n = self.normal(base)
         t = np.array([-n[1], n[0]])
@@ -515,10 +491,12 @@ class ParametricBarrier(Barrier):
         return d[mask].min() if np.any(mask) else np.inf
 
     def _foot_parameter(self, pts):
-        """Foot parameters and feet of points (N, 2): Newton on the squared
-        distance from the eight nearest table samples of each point, all
-        starts in lockstep; a start stops once its step is below 1e-14, and
-        the closest of a point's eight results wins."""
+        """Foot parameters (...) and feet (..., 2) of points (..., 2): Newton
+        on the squared distance from the eight nearest table samples of each
+        point, all starts in lockstep; a start stops once its step is below
+        1e-14, and the closest of a point's eight results wins."""
+        shape = np.shape(pts)[:-1]
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         d2 = np.sum((self.points[None, :, :] - pts[:, None, :]) ** 2, axis=-1)
         th = self.theta[np.argsort(d2, axis=1)[:, :8]].ravel()
         x = np.repeat(pts, 8, axis=0).T
@@ -539,7 +517,8 @@ class ParametricBarrier(Barrier):
         g = np.asarray(self._f(th), dtype=float)
         best = np.argmin(np.sum((g - x) ** 2, axis=0).reshape(-1, 8), axis=1)
         best += 8 * np.arange(len(pts))
-        return th[best] % (2.0 * np.pi), g[:, best].T
+        return ((th[best] % (2.0 * np.pi)).reshape(shape),
+                g[:, best].T.reshape(shape + (2,)))
 
     def _normal_at(self, th):
         """nu_S at parameters th, shaped th.shape + (2,)."""
@@ -551,21 +530,18 @@ class ParametricBarrier(Barrier):
         return sign * np.stack([t[1], -t[0]], axis=-1)
 
     def project(self, x):
-        pts, single = _as_points(x)
-        return _unpack(self._foot_parameter(pts)[1], single)
+        return self._foot_parameter(x)[1]
 
     def normal(self, x):
-        pts, single = _as_points(x)
-        return _unpack(self._normal_at(self._foot_parameter(pts)[0]), single)
+        return self._normal_at(self._foot_parameter(x)[0])
 
     def omega_signed(self, x):
-        pts, single = _as_points(x)
-        th, feet = self._foot_parameter(pts)
-        return _unpack(_dot2((feet - pts).T, self._normal_at(th).T), single)
+        th, feet = self._foot_parameter(x)
+        rel, n = feet - x, self._normal_at(th)
+        return rel[..., 0] * n[..., 0] + rel[..., 1] * n[..., 1]
 
     def local_chart(self, y):
-        (th0,), (base,) = self._foot_parameter(
-            np.asarray(np.atleast_2d(y)[:1], dtype=float))
+        th0, base = self._foot_parameter(y)
         n = self._normal_at(th0)
         t = np.array([-n[1], n[0]])
 

@@ -20,21 +20,9 @@ import numpy as np
 
 from .barrier import Barrier
 from .errors import InadmissibleRadius, KappaTooLarge, NoFiniteA, OutOfHistory
-from .flow import CurveState, FlowHistory
+from .flow import FlowHistory, state_ball_mass
 from .kernels import KernelParams, cutoff, heat_kernel, reflected_truncated_kernel
-from .varifold import segment_quadrature
-
-
-def integrate_slice(state: CurveState, fn, order=8):
-    """int fn dmu over a slice, ``order``-point Gauss-Legendre per segment."""
-    total = 0.0
-    for comp in state.components:
-        if len(comp.points) < 2:
-            continue
-        pts, L, weights = segment_quadrature(*comp.segments(), order)
-        vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(len(L), order)
-        total += float(np.sum(0.5 * L * (vals @ weights)))
-    return total
+from .varifold import integrate_slice
 
 
 def gaussian_density(history: FlowHistory, X0, r):
@@ -125,7 +113,6 @@ class DensityReport:
 
 
 def _mass_bound(history: FlowHistory, x0, t0, params):
-    from .flow import state_ball_mass
     t_ref = max(t0 - params.tau0, history.times[0])
     state = history.slice_at(t_ref)
     return state_ball_mass(state, x0, params.kappa / 2.0)

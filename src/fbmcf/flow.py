@@ -27,13 +27,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .barrier import Barrier
 from .errors import (GraphFailure, InadmissibleTestFunction, OutOfHistory,
                      StepTooLarge)
-from .varifold import Component, DiscreteVarifold
+from .varifold import Component, DiscreteVarifold, integrate_slice
 
 
 @dataclass
@@ -60,7 +61,7 @@ class CurveState:
     def min_barrier_distance(self):
         if self.barrier is None or not self.components:
             return np.inf
-        return float(np.min(np.atleast_1d(self.barrier.distance(self.all_points()))))
+        return float(np.min(self.barrier.distance(self.all_points())))
 
 
 @dataclass
@@ -345,7 +346,7 @@ def step(state: CurveState, dt, cfl=0.4):
         pts = comp.points + dt * vertex_velocity(comp, S)
         if S is not None and np.any(comp.on_s):
             flagged = np.nonzero(comp.on_s)[0]
-            pts[flagged] = np.atleast_2d(S.project(pts[flagged]))
+            pts[flagged] = S.project(pts[flagged])
             ends = _boundary_ends(comp) if len(pts) > 2 else []
             if ends:
                 targets = (-S.normal(pts[[j for j, _, _ in ends]])).tolist()
@@ -375,14 +376,14 @@ def detect_and_pop(state: CurveState, pop_threshold=None):
     for comp in state.components:
         pts = comp.points
         interior = ~comp.on_s
-        depth = np.atleast_1d(S.omega_signed(pts))
+        depth = S.omega_signed(pts)
         d = np.abs(depth)  # one-sided flows: |omega depth| = barrier distance
         near = interior & ((d < thresh) | (depth < 0.0))
         if not np.any(near):
             out.append(comp)
             continue
         vel = vertex_velocity(comp, S)
-        feet = np.atleast_2d(S.project(pts))
+        feet = S.project(pts)
         toward = np.sum(vel * (feet - pts), axis=1) > 0.0
         trigger = interior & (((d < thresh) & toward) | (depth < 0.0))
         idx = np.nonzero(trigger)[0]
@@ -415,7 +416,7 @@ def _coalesce_adjacent(idx, d, m, closed):
 def _split_component(comp: Component, cuts, S: Barrier):
     """Split at the cut vertices; each cut vertex becomes two boundary vertices."""
     pts, flags = comp.points, comp.on_s
-    feet = {int(i): np.asarray(S.project(pts[i]), dtype=float) for i in cuts}
+    feet = dict(zip((int(i) for i in cuts), S.project(pts[cuts])))
     pieces = []
     cuts = sorted(int(i) for i in cuts)
     if comp.closed:
@@ -714,20 +715,15 @@ def static_history(state: CurveState, t0, t1, n_snapshots=9):
 
 # -- integral checks ------------------------------------------------------------
 
+@dataclass(frozen=True)
 class SpacetimeTestFunction:
-    """phi(x, t) >= 0 with exact spatial gradient and time derivative."""
+    """phi(x, t) >= 0 with exact spatial gradient and time derivative:
+    ``value(pts, t)`` and ``dt(pts, t)`` map points (N, 2) to (N,) and
+    ``grad(pts, t)`` maps them to (N, 2)."""
 
-    def __init__(self, value, grad, dt):
-        self._value, self._grad, self._dt = value, grad, dt
-
-    def value(self, pts, t):
-        return self._value(np.atleast_2d(np.asarray(pts, dtype=float)), t)
-
-    def grad(self, pts, t):
-        return self._grad(np.atleast_2d(np.asarray(pts, dtype=float)), t)
-
-    def dt(self, pts, t):
-        return self._dt(np.atleast_2d(np.asarray(pts, dtype=float)), t)
+    value: Callable[[np.ndarray, float], np.ndarray]
+    grad: Callable[[np.ndarray, float], np.ndarray]
+    dt: Callable[[np.ndarray, float], np.ndarray]
 
     @classmethod
     def constant(cls, c=1.0):
@@ -742,7 +738,7 @@ class SpacetimeTestFunction:
             return
         tol = 1e-8
         pts = barrier.boundary_samples(400)
-        normals = np.atleast_2d(barrier.normal(pts))
+        normals = barrier.normal(pts)
         for t in times:
             if np.any(self.value(pts, t) < -tol):
                 raise InadmissibleTestFunction("test function is negative")
@@ -790,7 +786,6 @@ def dissipation_inequality_check(history: FlowHistory, phi: SpacetimeTestFunctio
     above, and each jump piece passes when the weighted mass does not
     increase beyond tolerance.
     """
-    from .density import integrate_slice
     C = 100.0
     times = history.times
     sel = (times >= a - 1e-12) & (times <= b + 1e-12)
@@ -869,7 +864,6 @@ def _effective_velocities(state: CurveState):
 
 
 def _dissipation_integral(history, phi, a, b):
-    from .density import integrate_slice
     times = history.times
     sel = (times >= a - 1e-12) & (times <= b + 1e-12)
     snap_times = times[sel]

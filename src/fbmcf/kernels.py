@@ -75,6 +75,9 @@ class KernelParams:
 
 
 def _tau(t):
+    """tau = -t > 0.  Powers of tau go through ``np.power``: its ufunc loop
+    gives one point the bits of an array entry, while ``**`` on a numpy
+    scalar takes another path."""
     t = np.asarray(t, dtype=float)
     tau = -t
     if np.any(tau <= 0):
@@ -84,30 +87,32 @@ def _tau(t):
 
 def heat_kernel(x, t):
     """Backward Gaussian rho(x, t) = (4 pi tau)^(-1/2) exp(-|x|^2 / 4 tau) of
-    a curve (flow dimension one)."""
+    a curve (flow dimension one), at a point (2,) or points (..., 2)."""
     tau = _tau(t)
-    x = np.asarray(x, dtype=float)
-    sq = np.sum(np.atleast_2d(x) ** 2, axis=-1)
-    if x.ndim == 1:
-        sq = sq[0]
-    return (4.0 * np.pi * tau) ** -0.5 * np.exp(-sq / (4.0 * tau))
+    sq = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+    return np.power(4.0 * np.pi * tau, -0.5) * np.exp(-sq / (4.0 * tau))
 
 
 def cutoff_argument(x, t, params: KernelParams):
     """The scale-free argument s with phi = (1 - s)_+^4."""
     tau = _tau(t)
-    x = np.asarray(x, dtype=float)
-    sq = np.sum(np.atleast_2d(x) ** 2, axis=-1)
-    if x.ndim == 1:
-        sq = sq[0]
+    sq = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
     k = params.kappa
-    return k ** (-0.5) * tau ** (-0.75) * (sq - params.alpha * tau)
+    return k ** (-0.5) * np.power(tau, -0.75) * (sq - params.alpha * tau)
 
 
 def cutoff(x, t, params: KernelParams):
     """Mass cutoff phi at radius kappa; C^3 across its support edge."""
     s = cutoff_argument(x, t, params)
-    return np.clip(1.0 - s, 0.0, None) ** 4
+    return np.power(np.clip(1.0 - s, 0.0, None), 4)
+
+
+def _tube_mirror(S: Barrier, x):
+    """Mirror images 2 zeta(x) - x, and whether each x lies in the reach tube."""
+    x = np.asarray(x, dtype=float)
+    feet = S.project(x)
+    inside = np.linalg.norm(x - feet, axis=-1) < S.reach * (1.0 - 1e-12)
+    return 2.0 * feet - x, inside
 
 
 def reflected_cutoff(S: Barrier, x, t, params: KernelParams):
@@ -116,15 +121,8 @@ def reflected_cutoff(S: Barrier, x, t, params: KernelParams):
     Outside the reach tube the reflected support cannot contain the mirror
     image for admissible (kappa, tau), so the zero extension is exact there.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    feet = np.atleast_2d(S.project(pts))
-    d = np.linalg.norm(pts - feet, axis=-1)
-    ok = d < S.reach * (1.0 - 1e-12)
-    out = np.zeros(len(pts))
-    if np.any(ok):
-        mirror = 2.0 * feet[ok] - pts[ok]
-        out[ok] = np.atleast_1d(cutoff(mirror, t, params))
-    return out[0] if np.asarray(x).ndim == 1 else out
+    mirror, inside = _tube_mirror(S, x)
+    return np.where(inside, cutoff(mirror, t, params), 0.0)
 
 
 def reflected_truncated_kernel(S: Barrier, X0, x, t, params: KernelParams):
@@ -134,20 +132,13 @@ def reflected_truncated_kernel(S: Barrier, X0, x, t, params: KernelParams):
     """
     x0 = np.asarray(X0[:2], dtype=float)
     t0 = float(X0[2]) if len(X0) > 2 else 0.0
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
     dt = np.asarray(t, dtype=float) - t0
-    rel = pts - x0
-    direct = cutoff(rel, dt, params) * heat_kernel(rel, dt)
-    feet = np.atleast_2d(S.project(pts))
-    d = np.linalg.norm(pts - feet, axis=-1)
-    ok = d < S.reach * (1.0 - 1e-12)
-    reflected = np.zeros(len(pts))
-    if np.any(ok):
-        mirror_rel = 2.0 * feet[ok] - pts[ok] - x0
-        reflected[ok] = np.atleast_1d(
-            cutoff(mirror_rel, dt, params) * heat_kernel(mirror_rel, dt))
-    out = np.atleast_1d(direct) + reflected
-    return out[0] if np.asarray(x).ndim == 1 else out
+    rel = np.asarray(x, dtype=float) - x0
+    mirror, inside = _tube_mirror(S, x)
+    mirror_rel = mirror - x0
+    return cutoff(rel, dt, params) * heat_kernel(rel, dt) + np.where(
+        inside, cutoff(mirror_rel, dt, params) * heat_kernel(mirror_rel, dt),
+        0.0)
 
 
 def heat_operator(fn, xs, ts, dirs, kappa=1.0):
@@ -214,8 +205,8 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
     tau_max = params.beta0_sq * kappa ** 2
     out = []
     boundary = S.boundary_samples(256)
-    reach_ok = (lambda pts: np.atleast_1d(S.distance(pts)) < S.reach * 0.98) \
-        if np.isfinite(S.reach) else (lambda pts: np.ones(len(np.atleast_2d(pts)), bool))
+    reach_ok = (lambda pts: S.distance(pts) < S.reach * 0.98) \
+        if np.isfinite(S.reach) else (lambda pts: np.ones(len(pts), bool))
 
     for case in ("A", "B", "C"):
         collected = 0
@@ -225,7 +216,7 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
             m = min(4096, 2 * (n_samples - collected) + 256)
             tau = tau_max * 10.0 ** rng.uniform(-2.0, 0.0, m)
             anchors = boundary[rng.integers(len(boundary), size=m)]
-            normals = np.atleast_2d(S.normal(anchors))
+            normals = S.normal(anchors)
 
             if case in ("A", "B"):
                 # x near the kernel center: parametrize by the cutoff argument
@@ -244,7 +235,7 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
                 else:
                     centers = anchors
                 x_world = centers + probe
-                ok = (np.atleast_1d(S.omega_signed(x_world)) >= 0) if case == "A" \
+                ok = (S.omega_signed(x_world) >= 0) if case == "A" \
                     else np.ones(m, dtype=bool)
             else:
                 # center on the tangent line at the anchor; x within |y|/10 of y
@@ -263,11 +254,10 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
             ok &= reach_ok(x_world)
             # both cutoff arguments must avoid the C^3 support seam
             s_direct = cutoff_argument(x_world - centers, -tau, params)
-            ok &= np.abs(np.atleast_1d(s_direct) - 1.0) > 0.15
-            feet_w = np.atleast_2d(S.project(x_world))
-            mirror_rel = 2.0 * feet_w - x_world - centers
+            ok &= np.abs(s_direct - 1.0) > 0.15
+            mirror_rel = 2.0 * S.project(x_world) - x_world - centers
             s_mirror = cutoff_argument(mirror_rel, -tau, params)
-            ok &= np.abs(np.atleast_1d(s_mirror) - 1.0) > 0.15
+            ok &= np.abs(s_mirror - 1.0) > 0.15
 
             idx = np.nonzero(ok)[0][: n_samples - collected]
             if len(idx) == 0:
@@ -279,7 +269,7 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
                 return cutoff(p - np.tile(c, (len(p) // len(c), 1)), t, params)
 
             def phi_reflected(p, t):
-                return phi(2.0 * np.atleast_2d(S.project(p)) - p, t)
+                return phi(2.0 * S.project(p) - p, t)
 
             for fn in (phi, phi_reflected):
                 vals = heat_operator(fn, x_world[idx], -tau[idx], dirs, kappa)

@@ -20,7 +20,6 @@ from .flow import Component, CurveState, FlowHistory
 
 def point_to_chain_distance(pts, comp: Component):
     """Distance from each point to a polyline (exact point-segment)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     starts, ends = comp.segments()
     d = ends - starts
     L2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
@@ -31,6 +30,25 @@ def point_to_chain_distance(pts, comp: Component):
     return dist.min(axis=1)
 
 
+def _directed_distance(src, dst, window):
+    """Largest distance from a vertex of the polylines ``src`` to the union
+    of ``dst``; with ``window = (center, radius)`` only the vertices within
+    radius of center count."""
+    worst = 0.0
+    for c in src:
+        pts = c.points
+        if window is not None:
+            center, radius = window
+            pts = pts[np.linalg.norm(pts - center, axis=1) <= radius]
+            if len(pts) == 0:
+                continue
+        dmin = np.full(len(pts), np.inf)
+        for q in dst:
+            dmin = np.minimum(dmin, point_to_chain_distance(pts, q))
+        worst = max(worst, float(dmin.max()))
+    return worst
+
+
 def hausdorff_distance(a, b):
     """Symmetric Hausdorff distance between unions of polylines, each given
     as a CurveState or a list of Components."""
@@ -38,17 +56,8 @@ def hausdorff_distance(a, b):
     cb = b.components if isinstance(b, CurveState) else b
     if not ca or not cb:
         return np.inf
-
-    def directed(src, dst):
-        worst = 0.0
-        for c in src:
-            dmin = np.full(len(c.points), np.inf)
-            for q in dst:
-                dmin = np.minimum(dmin, point_to_chain_distance(c.points, q))
-            worst = max(worst, float(dmin.max()))
-        return worst
-
-    return max(directed(ca, cb), directed(cb, ca))
+    return max(_directed_distance(ca, cb, None),
+               _directed_distance(cb, ca, None))
 
 
 def clip_chains(state: CurveState, normal, offset):
@@ -147,8 +156,8 @@ def reflect_flow(hist: FlowHistory, P: Line) -> FlowHistory:
         for c in s.components:
             comps.append(Component(c.points, c.closed,
                                    np.zeros(len(c.points), bool)))
-            comps.append(Component(np.atleast_2d(P.reflect_point(c.points)),
-                                   c.closed, np.zeros(len(c.points), bool)))
+            comps.append(Component(P.reflect_point(c.points), c.closed,
+                                   np.zeros(len(c.points), bool)))
         snaps.append(CurveState(comps, s.time, None))
     return FlowHistory(snaps, [], dict(hist.config), None)
 
@@ -170,19 +179,7 @@ def self_shrinker_residual(hist: FlowHistory):
     centroid = pts.mean(axis=0)
     diam = float(np.linalg.norm(pts - centroid, axis=1).max()) * 2.0
     diam = max(diam, 1e-12)
-    window = 0.45 * diam * 0.5
-
-    def windowed(src, dst):
-        worst = 0.0
-        for c in src:
-            sel = c.points[np.linalg.norm(c.points - centroid, axis=1) <= window]
-            if len(sel) == 0:
-                continue
-            dmin = np.full(len(sel), np.inf)
-            for q in dst:
-                dmin = np.minimum(dmin, point_to_chain_distance(sel, q))
-            worst = max(worst, float(dmin.max()))
-        return worst
+    window = (centroid, 0.45 * diam * 0.5)
 
     worst = 0.0
     for t in np.linspace(-1.0, -0.25, 7)[1:]:
@@ -190,6 +187,7 @@ def self_shrinker_residual(hist: FlowHistory):
         scaled_ref = [Component(c.points * scale, c.closed)
                       for c in ref.components]
         comps = hist.slice_at(t).components
-        d = max(windowed(comps, scaled_ref), windowed(scaled_ref, comps))
+        d = max(_directed_distance(comps, scaled_ref, window),
+                _directed_distance(scaled_ref, comps, window))
         worst = max(worst, d / diam)
     return float(worst)

@@ -19,6 +19,7 @@ against, which makes that identity exact for polylines up to quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -42,6 +43,19 @@ def segment_quadrature(starts, ends, order):
     s = 0.5 * (nodes + 1.0)
     return (starts[:, None, :] + s[None, :, None] * d[:, None, :],
             np.linalg.norm(d, axis=1), weights)
+
+
+def integrate_slice(state, fn, order=8):
+    """int fn dmu over a flow slice (a ``CurveState``), ``order``-point
+    Gauss-Legendre per segment."""
+    total = 0.0
+    for comp in state.components:
+        if len(comp.points) < 2:
+            continue
+        pts, L, weights = segment_quadrature(*comp.segments(), order)
+        vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(len(L), order)
+        total += float(np.sum(0.5 * L * (vals @ weights)))
+    return total
 
 
 def _read_only_copy(a, dtype):
@@ -256,26 +270,20 @@ def reflect_varifold(V: DiscreteVarifold, P: Line):
     """V + (mirror of V across the line P); multiplicities unchanged."""
     chains = list(V.chains)
     for c in V.chains:
-        mirrored = P.reflect_point(c.points)
-        chains.append(Component(np.atleast_2d(mirrored), c.closed,
+        chains.append(Component(P.reflect_point(c.points), c.closed,
                                 multiplicity=c.multiplicity))
     return DiscreteVarifold(chains)
 
 
 # -- scalar fields and the boundary monotonicity identity ----------------------
 
+@dataclass(frozen=True)
 class ScalarField:
-    """Scalar test function with an exact gradient."""
+    """Scalar test function with an exact gradient: ``value`` maps points
+    (N, 2) to (N,) and ``grad`` maps them to (N, 2)."""
 
-    def __init__(self, value, grad):
-        self._value = value
-        self._grad = grad
-
-    def value(self, pts):
-        return self._value(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-    def grad(self, pts):
-        return self._grad(np.atleast_2d(np.asarray(pts, dtype=float)))
+    value: Callable[[np.ndarray], np.ndarray]
+    grad: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def one(cls):
@@ -310,14 +318,23 @@ def boundary_monotonicity_check(V: DiscreteVarifold, S: Barrier, h: ScalarField,
                 nu_smooth += m * a_nu
         return main, nu_smooth
 
-    def atomic_nu(rho):
+    def atom_pairings(lo, hi):
+        """h, d and v . D d at the atoms with lo < d < hi, in atom order."""
         pos, vec = V.atoms()
-        dd = np.atleast_1d(S.distance(pos))
+        dd = S.distance(pos)
+        sel = (lo < dd) & (dd < hi)
+        if not np.any(sel):
+            return np.zeros((3, 0))
+        p, d = pos[sel], dd[sel]
+        grad_d = (p - S.project(p)) / d[:, None]
+        # vecdot takes one dot per atom, so no atom's bits depend on another
+        return h.value(p), d, np.vecdot(vec[sel], grad_d)
+
+    def atomic_nu(rho):
+        hv, d, dot = atom_pairings(0.0, rho)
         total = 0.0
-        for p, v, dv in zip(pos, vec, dd):
-            if dv < rho and dv > 0:
-                grad_d = (p - S.project(p)) / dv
-                total += float(h.value(p)[0]) * dv * float(v @ grad_d)
+        for term in hv * d * dot:  # in atom order; np.sum would pair terms
+            total += term
         return total
 
     main_s, nu_s = tube_terms(sigma)
@@ -334,13 +351,9 @@ def boundary_monotonicity_check(V: DiscreteVarifold, S: Barrier, h: ScalarField,
             if not (tau < mid_d < sigma):
                 continue
             rhs += m * _segment_tube_integrals(S, h, q0, q1, order)[2]
-    pos, vec = V.atoms()
-    dd = np.atleast_1d(S.distance(pos))
-    for p, v, dv in zip(pos, vec, dd):
-        if tau < dv < sigma:
-            grad_d = (p - S.project(p)) / dv
-            rhs += float(h.value(p)[0]) * float(v @ grad_d)
-
+    hv, _, dot = atom_pairings(tau, sigma)
+    for term in hv * dot:
+        rhs += term
     return abs(lhs - rhs)
 
 
@@ -349,7 +362,7 @@ def _split_segment_by_tube(S, p0, p1, radii):
     on a 64-interval scan and refined by bisection."""
     ts = np.linspace(0.0, 1.0, 65)
     pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
-    d = np.atleast_1d(S.distance(pts))
+    d = S.distance(pts)
     L = np.linalg.norm(p1 - p0)
     cuts = [0.0, 1.0]
     for rho in radii:
@@ -382,9 +395,8 @@ def _segment_tube_integrals(S, h, q0, q1, order):
     pts, L, weights = segment_quadrature(q0[None, :], q1[None, :], order)
     pts, L = pts[0], L[0]
     e = (q1 - q0) / L
-    d = np.atleast_1d(S.distance(pts))
-    feet = np.atleast_2d(S.project(pts))
-    grad_d = (pts - feet) / np.maximum(d, 1e-300)[:, None]
+    d = S.distance(pts)
+    grad_d = (pts - S.project(pts)) / np.maximum(d, 1e-300)[:, None]
     hess = S.distance_hessian(pts)
     hv = h.value(pts)
     hg = h.grad(pts)
@@ -398,18 +410,13 @@ def _segment_tube_integrals(S, h, q0, q1, order):
 
 # -- test fields ----------------------------------------------------------------
 
+@dataclass(frozen=True)
 class TestField:
-    """C^1 vector field with an exact Jacobian, vectorized over points."""
+    """C^1 vector field with an exact Jacobian: ``value`` maps points (N, 2)
+    to (N, 2) and ``jacobian`` maps them to (N, 2, 2)."""
 
-    def __init__(self, value, jacobian):
-        self._value = value
-        self._jacobian = jacobian
-
-    def value(self, pts):
-        return self._value(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-    def jacobian(self, pts):
-        return self._jacobian(np.atleast_2d(np.asarray(pts, dtype=float)))
+    value: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]
 
     def c1_norm(self, pts):
         return float(np.abs(self.value(pts)).max()
@@ -490,12 +497,12 @@ def vanishing_factor_field(S: Barrier, q: Poly2, direction):
     w = np.asarray(direction, dtype=float)
 
     def value(pts):
-        g = np.atleast_1d(S.omega_signed(pts))
+        g = S.omega_signed(pts)
         return (q(pts) * g)[:, None] * w
 
     def jacobian(pts):
-        g = np.atleast_1d(S.omega_signed(pts))
-        grad_g = -np.atleast_2d(S.normal(pts))
+        g = S.omega_signed(pts)
+        grad_g = -S.normal(pts)
         total = g[:, None] * q.grad(pts) + q(pts)[:, None] * grad_g
         return w[None, :, None] * total[:, None, :]
 
@@ -619,5 +626,5 @@ def check_tangential(X: TestField, S: Barrier, n_samples=1000):
     """max |X . nu_S| over barrier samples (should be ~0 for tangential fields)."""
     pts = S.boundary_samples(n_samples)
     vals = X.value(pts)
-    normals = np.atleast_2d(S.normal(pts))
+    normals = S.normal(pts)
     return float(np.abs(np.sum(vals * normals, axis=-1)).max())

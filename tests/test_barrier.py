@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from fbmcf.barrier import Circle, Line, ParametricBarrier, measured_c1
 from fbmcf.errors import BeyondReach
+from fbmcf.kernels import (KernelParams, cutoff, heat_kernel, reflected_cutoff,
+                           reflected_truncated_kernel)
 
 
 def unit_circle_parametric(n=64):
@@ -388,6 +390,71 @@ class TestBatchInvariance:
             batch = query(pts)
             for x, row in zip(pts, batch):
                 assert np.array_equal(query(x), row), query.__name__
+
+    BARRIERS = [Line(normal=(-0.6, 1.7), offset=-0.3), Circle((0.3, -0.2), 1.3),
+                ellipse_parametric(2.0, 1.0, 256), spline_parametric(256)]
+    IDS = ["line", "circle", "ellipse", "spline"]
+    PARAMS = KernelParams(kappa=1.0)
+
+    @classmethod
+    def queries(cls, S):
+        """Every point query of S and the kernels, as functions of points
+        (..., 2) and times (...); rows of a batch get their own time."""
+        p = cls.PARAMS
+        foot = S.boundary_samples(7)[3]
+        refl = S.affine_reflection(foot)
+        X0 = np.append(foot, 0.02)
+        return {
+            "project": lambda x, t: S.project(x),
+            "normal": lambda x, t: S.normal(x),
+            "omega_signed": lambda x, t: S.omega_signed(x),
+            "distance": lambda x, t: S.distance(x),
+            "tangent": lambda x, t: S.tangent(x),
+            "reflect_point": lambda x, t: S.reflect_point(x),
+            "reflect_vector": lambda x, t: S.reflect_vector(x, x[..., ::-1]),
+            "distance_gradient": lambda x, t: S.distance_gradient(x),
+            "distance_hessian": lambda x, t: S.distance_hessian(x),
+            "affine_reflection": lambda x, t: refl(x),
+            "heat_kernel": lambda x, t: heat_kernel(x - foot, t),
+            "cutoff": lambda x, t: cutoff(x - foot, t, p),
+            "reflected_cutoff": lambda x, t: reflected_cutoff(S, x, t, p),
+            "reflected_truncated_kernel":
+                lambda x, t: reflected_truncated_kernel(S, X0, x, t, p),
+        }
+
+    @staticmethod
+    def sample(S, n, seed):
+        half = min(0.5, 0.4 * S.reach)
+        rng = np.random.default_rng(seed)
+        pts = S.boundary_samples(n) + rng.uniform(-half, half, size=(n, 2))
+        return pts, -rng.uniform(0.001, 0.01, n)
+
+    @pytest.mark.parametrize("S", BARRIERS, ids=IDS)
+    def test_every_query_single_equals_batch_row(self, S):
+        pts, ts = self.sample(S, 60, seed=5)
+        for name, query in self.queries(S).items():
+            batch = query(pts, ts)
+            assert batch.shape[0] == len(pts), name
+            for x, t, row in zip(pts, ts, batch):
+                assert np.array_equal(query(x, t), row), name
+
+    @pytest.mark.parametrize("S", BARRIERS, ids=IDS)
+    def test_grid_of_points_keeps_shape_and_bits(self, S):
+        pts, ts = self.sample(S, 60, seed=6)
+        for name, query in self.queries(S).items():
+            flat = query(pts, ts)
+            grid = query(pts.reshape(3, 20, 2), ts.reshape(3, 20))
+            assert grid.shape == (3, 20) + flat.shape[1:], name
+            assert np.array_equal(grid.reshape(flat.shape), flat), name
+
+    def test_fallback_hessian_step_is_per_point(self):
+        """The finite-difference Hessian of one point does not depend on the
+        other points of its call."""
+        S = ellipse_parametric(1.5, 1.0, 256)
+        y = np.array([1.4, 0.1])
+        alone = S.distance_hessian(y)
+        paired = S.distance_hessian(np.array([y, [3.0, 0.0]]))[0]
+        assert np.array_equal(alone, paired)
 
 
 class TestParametric:

@@ -94,8 +94,29 @@ class TestReflectedCutoff:
         # a point far outside the reach tube
         assert reflected_cutoff(S, np.array([5.0, 0.0]), -0.5 * p.beta0_sq * p.kappa ** 2, p) == 0.0
 
+    def test_times_per_point_with_a_point_out_of_reach(self):
+        S = Circle((0.0, 0.0), 1.0)
+        p = KernelParams(kappa=0.1)
+        x = np.array([[0.9, 0.0], [0.0, 0.95], [2.5, 0.0]])
+        t = np.array([-1e-4, -2e-4, -3e-4])
+        vals = reflected_cutoff(S, x, t, p)
+        assert vals[2] == 0.0
+        for xi, ti, v in zip(x, t, vals):
+            assert v == reflected_cutoff(S, xi, ti, p)
+
 
 class TestReflectedTruncatedKernel:
+    def test_times_per_point_with_a_point_out_of_reach(self):
+        S = Circle((0.0, 0.0), 1.0)
+        p = KernelParams(kappa=0.1)
+        X0 = np.array([0.9, 0.0, 0.0])
+        x = np.array([[0.9, 0.0], [0.0, 0.95], [2.5, 0.0]])
+        t = np.array([-1e-4, -2e-4, -3e-4])
+        vals = reflected_truncated_kernel(S, X0, x, t, p)
+        assert vals[0] > 0.0
+        for xi, ti, v in zip(x, t, vals):
+            assert v == reflected_truncated_kernel(S, X0, xi, ti, p)
+
     def test_flat_symmetry(self):
         p = KernelParams(kappa=1.0, alpha=8.0)
         x0 = np.array([0.0, 0.0, 0.0])  # spacetime center on the barrier
