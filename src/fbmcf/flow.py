@@ -77,16 +77,19 @@ class FlowEvent:
 
 @dataclass
 class FlowHistory:
-    """Time-ordered snapshots plus the events between them."""
+    """Time-ordered snapshots (a tuple) plus the events between them; the
+    read-only array ``times`` of snapshot times is built at construction."""
 
-    snapshots: list
+    snapshots: tuple
     events: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
     barrier: Barrier | None = None
 
-    @property
-    def times(self):
-        return np.array([s.time for s in self.snapshots])
+    def __post_init__(self):
+        self.snapshots = tuple(self.snapshots)
+        self.times = np.array([s.time for s in self.snapshots])
+        self.times.flags.writeable = False
+        self._dt_grid = np.diff(self.times).max() if len(self.times) > 1 else 0.0
 
     def slice_at(self, t):
         """State at time t: exact snapshot, vertexwise interpolation when the
@@ -94,19 +97,17 @@ class FlowHistory:
         times = self.times
         if len(times) == 0:
             raise OutOfHistory("empty history")
-        dt_grid = np.diff(times).max() if len(times) > 1 else 0.0
-        if t < times[0] - 1e-9 - dt_grid or t > times[-1] + 1e-9 + dt_grid:
+        if t < times[0] - 1e-9 - self._dt_grid \
+                or t > times[-1] + 1e-9 + self._dt_grid:
             raise OutOfHistory(f"time {t} outside stored range "
                                f"[{times[0]}, {times[-1]}]")
         i = int(np.argmin(np.abs(times - t)))
-        if abs(times[i] - t) < 1e-12:
+        if abs(times[i] - t) < 1e-12 or t < times[0] or t > times[-1]:
             return self.snapshots[i]
         lo = int(np.searchsorted(times, t) - 1)
         lo = max(0, min(lo, len(times) - 2))
         hi = lo + 1
         a, b = self.snapshots[lo], self.snapshots[hi]
-        if t < times[0] or t > times[-1]:
-            return self.snapshots[i]
         lam = (t - times[lo]) / (times[hi] - times[lo])
         if len(a.components) != len(b.components) or any(
                 ca.closed != cb.closed

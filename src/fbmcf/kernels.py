@@ -205,6 +205,7 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
     tau_max = params.beta0_sq * kappa ** 2
     out = []
     boundary = S.boundary_samples(256)
+    kappa_bound = S.global_reflection_scale() / params.c1
     reach_ok = (lambda pts: S.distance(pts) < S.reach * 0.98) \
         if np.isfinite(S.reach) else (lambda pts: np.ones(len(pts), bool))
 
@@ -243,8 +244,7 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
                 slide = kappa * 10.0 ** rng.uniform(-1.5, -0.3, m) * np.where(
                     rng.uniform(size=m) < 0.5, -1.0, 1.0)
                 centers = anchors + slide[:, None] * tang
-                lim = np.minimum(np.abs(slide) / 10.0,
-                                 S.global_reflection_scale() / params.c1)
+                lim = np.minimum(np.abs(slide) / 10.0, kappa_bound)
                 ang = rng.uniform(0.0, 2.0 * np.pi, m)
                 rad = lim * np.sqrt(rng.uniform(0.0, 1.0, m))
                 x_world = anchors + rad[:, None] * np.stack(
@@ -328,7 +328,7 @@ def calibrate_alpha(draft: KernelParams, S: Barrier, sample_budget=2000, seed=0)
     rng = np.random.default_rng(seed)
     kappa = draft.kappa
     r_s = S.global_reflection_scale()
-    c_meas = _measured_curvature_constant(S, kappa, rng) if not S.is_flat() else 0.0
+    c_meas = 0.0 if S.is_flat() else _measured_curvature_constant(S, kappa, r_s, rng)
 
     alpha = 0.5
     while alpha <= ALPHA_GRID_MAX:
@@ -351,10 +351,9 @@ def _unit_dirs(rng, m):
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
-def _measured_curvature_constant(S: Barrier, kappa, rng):
+def _measured_curvature_constant(S: Barrier, kappa, r_s, rng):
     """Empirical c with |tr_L D^2 |x~|^2 - 2| <= c (d + |x~|)/r_S over 200
-    seeded probes."""
-    r_s = S.global_reflection_scale()
+    seeded probes, r_s being S's global reflection scale."""
     boundary = S.boundary_samples(64)
     worst = 0.0
     h = 1e-5 * kappa

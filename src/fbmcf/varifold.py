@@ -297,115 +297,109 @@ def boundary_monotonicity_check(V: DiscreteVarifold, S: Barrier, h: ScalarField,
     For 0 < tau < sigma <= r_S the weighted tube masses at the two radii
     differ by a shell integral; both sides pair the atomic first variation of
     the polyline against the tube field, so for a genuinely free-boundary
-    polyline the residual is quadrature-level.  Segments are split where they
-    cross the tube boundaries.
+    polyline the residual is quadrature-level.  Every segment is split where
+    it crosses either tube boundary, and each piece goes by the distance of
+    its midpoint: it lies in tube(rho) when that distance is below rho and
+    in the shell when it is between tau and sigma.  Atoms go by their own
+    distance.  Sums run left to right in piece and atom order.
     """
     if not (0.0 < tau < sigma):
         raise ValueError("need 0 < tau < sigma")
-
-    def tube_terms(rho):
-        """(int_{B_rho(S)} h |D^T d|^2 dmu, nu(B_rho(S)) smooth part)."""
-        main = 0.0
-        nu_smooth = 0.0
-        starts, ends, mult = V.segments()
-        for p0, p1, m in zip(starts, ends, mult):
-            for q0, q1 in _split_segment_by_tube(S, p0, p1, (rho,)):
-                mid_d = S.distance(0.5 * (q0 + q1))
-                if mid_d >= rho:
-                    continue
-                a_main, a_nu, _ = _segment_tube_integrals(S, h, q0, q1, order)
-                main += m * a_main
-                nu_smooth += m * a_nu
-        return main, nu_smooth
-
-    def atom_pairings(lo, hi):
-        """h, d and v . D d at the atoms with lo < d < hi, in atom order."""
-        pos, vec = V.atoms()
-        dd = S.distance(pos)
-        sel = (lo < dd) & (dd < hi)
-        if not np.any(sel):
-            return np.zeros((3, 0))
-        p, d = pos[sel], dd[sel]
-        grad_d = (p - S.project(p)) / d[:, None]
-        # vecdot takes one dot per atom, so no atom's bits depend on another
-        return h.value(p), d, np.vecdot(vec[sel], grad_d)
-
-    def atomic_nu(rho):
-        hv, d, dot = atom_pairings(0.0, rho)
-        total = 0.0
-        for term in hv * d * dot:  # in atom order; np.sum would pair terms
-            total += term
-        return total
-
-    main_s, nu_s = tube_terms(sigma)
-    main_t, nu_t = tube_terms(tau)
-    lhs = (main_s + nu_s + atomic_nu(sigma)) / sigma \
-        - (main_t + nu_t + atomic_nu(tau)) / tau
-
-    # shell integral: same integrands without the d factor
-    rhs = 0.0
     starts, ends, mult = V.segments()
-    for p0, p1, m in zip(starts, ends, mult):
-        for q0, q1 in _split_segment_by_tube(S, p0, p1, (tau, sigma)):
-            mid_d = S.distance(0.5 * (q0 + q1))
-            if not (tau < mid_d < sigma):
-                continue
-            rhs += m * _segment_tube_integrals(S, h, q0, q1, order)[2]
-    hv, _, dot = atom_pairings(tau, sigma)
-    for term in hv * dot:
-        rhs += term
+    q0, q1, seg = _split_by_tube(S, starts, ends, (tau, sigma))
+    mid_d = S.distance(0.5 * (q0 + q1))
+    inside = mid_d < sigma
+    q0, q1, m, mid_d = q0[inside], q1[inside], mult[seg[inside]], mid_d[inside]
+    main, nu, shell = (m * f for f in _tube_integrals(S, h, q0, q1, order))
+
+    pos, vec = V.atoms()
+    rel = pos - S.project(pos)
+    d = np.linalg.norm(rel, axis=-1)
+    near = (0.0 < d) & (d < sigma)
+    pos, vec, rel, d = pos[near], vec[near], rel[near], d[near]
+    hv = h.value(pos)
+    # vecdot takes one dot per atom, so no atom's bits depend on another
+    dot = np.vecdot(vec, rel / d[:, None])
+
+    nu_atom = hv * d * dot
+    lhs = (_running_sum(main) + _running_sum(nu) + _running_sum(nu_atom)) / sigma \
+        - (_running_sum(main[mid_d < tau]) + _running_sum(nu[mid_d < tau])
+           + _running_sum(nu_atom[d < tau])) / tau
+    # shell integral: the same integrands without the d factor
+    rhs = _running_sum(np.concatenate([shell[tau < mid_d], (hv * dot)[tau < d]]))
     return abs(lhs - rhs)
 
 
-def _split_segment_by_tube(S, p0, p1, radii):
-    """Split [p0, p1] at distance-level crossings of the given radii, located
-    on a 64-interval scan and refined by bisection."""
+def _running_sum(terms):
+    """Left-to-right sum of a 1-D array (np.sum would pair terms)."""
+    return float(np.cumsum(np.append(0.0, terms))[-1])
+
+
+def _split_by_tube(S, starts, ends, radii):
+    """Split every segment [starts[k], ends[k]] at the distance-level
+    crossings of the given radii, located on a 64-interval scan and refined
+    by bisection, all brackets in lockstep.  A scan point within
+    1e-14 max(rho, length) of a level is a cut as it stands.
+
+    Returns (q0, q1, seg): piece endpoints, and each piece's segment index,
+    ordered by segment and then along it.
+    """
     ts = np.linspace(0.0, 1.0, 65)
-    pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
-    d = S.distance(pts)
-    L = np.linalg.norm(p1 - p0)
-    cuts = [0.0, 1.0]
-    for rho in radii:
-        g = d - rho
-        exact = np.nonzero(np.abs(g) <= 1e-14 * max(rho, L))[0]
-        cuts.extend(ts[exact])
-        sign_change = np.nonzero(g[:-1] * g[1:] < 0)[0]
-        for i in sign_change:
-            lo, hi = ts[i], ts[i + 1]
-            glo = g[i]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                val = S.distance(p0 + mid * (p1 - p0)) - rho
-                if val == 0.0:
-                    break
-                if glo * val < 0:
-                    hi = mid
-                else:
-                    lo, glo = mid, val
-            cuts.append(0.5 * (lo + hi))
-    cuts = np.unique(np.clip(cuts, 0.0, 1.0))
-    return [(p0 + a * (p1 - p0), p0 + b * (p1 - p0))
-            for a, b in zip(cuts[:-1], cuts[1:])]
+    radii = np.asarray(radii, dtype=float)
+    d_seg = ends - starts
+    L = np.linalg.norm(d_seg, axis=1)
+    scan = S.distance(starts[:, None, :] + ts[:, None] * d_seg[:, None, :])
+    g = scan[:, None, :] - radii[:, None]  # (segment, radius, scan point)
+    k_hit, _, i_hit = np.nonzero(np.abs(g) <= 1e-14 * np.maximum(
+        radii[:, None], L[:, None, None]))
+    k, r, i = np.nonzero(g[..., :-1] * g[..., 1:] < 0)
+    lo, hi, glo = ts[i], ts[i + 1], g[k, r, i]
+    active = np.arange(len(k))
+    for _ in range(60):
+        if not len(active):
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        val = S.distance(starts[k[active]] + mid[:, None] * d_seg[k[active]]) \
+            - radii[r[active]]
+        # a bracket whose midpoint hits the level exactly stops there
+        moving = val != 0.0
+        active, mid, val = active[moving], mid[moving], val[moving]
+        left = glo[active] * val < 0
+        hi[active[left]] = mid[left]
+        lo[active[~left]], glo[active[~left]] = mid[~left], val[~left]
+
+    n = len(starts)
+    # rows (segment, cut), sorted and deduplicated; a piece joins two
+    # consecutive cuts of one segment
+    cuts = np.unique(np.stack([
+        np.concatenate([np.arange(n), np.arange(n), k_hit, k]),
+        np.clip(np.concatenate([np.zeros(n), np.ones(n), ts[i_hit],
+                                0.5 * (lo + hi)]), 0.0, 1.0)], axis=1), axis=0)
+    seg, cut = cuts[:, 0].astype(int), cuts[:, 1]
+    piece = np.nonzero(seg[1:] == seg[:-1])[0]
+    seg = seg[piece]
+    return (starts[seg] + cut[piece, None] * d_seg[seg],
+            starts[seg] + cut[piece + 1, None] * d_seg[seg], seg)
 
 
-def _segment_tube_integrals(S, h, q0, q1, order):
-    """Integrals over [q0, q1] of h |D^T d|^2 (tube mass), of
+def _tube_integrals(S, h, q0, q1, order):
+    """Per-piece integrals over [q0, q1] of h |D^T d|^2 (tube mass), of
     d (D_e h <D d, e> + h tr_e D^2 d) (smooth part of nu) and of
     D_e h <D d, e> + h tr_e D^2 d (shell integrand), in that order."""
-    pts, L, weights = segment_quadrature(q0[None, :], q1[None, :], order)
-    pts, L = pts[0], L[0]
-    e = (q1 - q0) / L
-    d = S.distance(pts)
-    grad_d = (pts - S.project(pts)) / np.maximum(d, 1e-300)[:, None]
-    hess = S.distance_hessian(pts)
+    pts, L, weights = segment_quadrature(q0, q1, order)
+    pts = pts.reshape(-1, 2)
+    e = np.repeat((q1 - q0) / L[:, None], order, axis=0)
+    rel = pts - S.project(pts)
+    d = np.linalg.norm(rel, axis=-1)
+    dtd = np.vecdot(rel / np.maximum(d, 1e-300)[:, None], e)
+    tr_term = np.einsum("qa,qab,qb->q", e, S.distance_hessian(pts), e)
     hv = h.value(pts)
-    hg = h.grad(pts)
-    dtd = grad_d @ e
+    hge = np.vecdot(h.grad(pts), e)
     main = hv * dtd ** 2
-    tr_term = np.einsum("a,qab,b->q", e, hess, e)
-    nu = d * (hg @ e) * dtd + hv * d * tr_term
-    shell = (hg @ e) * dtd + hv * tr_term
-    return tuple(0.5 * L * float(weights @ f) for f in (main, nu, shell))
+    nu = d * hge * dtd + hv * d * tr_term
+    shell = hge * dtd + hv * tr_term
+    return tuple(0.5 * L * (f.reshape(len(L), order) @ weights)
+                 for f in (main, nu, shell))
 
 
 # -- test fields ----------------------------------------------------------------

@@ -570,6 +570,15 @@ class TestGraphEstimate:
         assert rep.sup_quantity <= 5.0
 
 
+class TestSliceAt:
+    def test_one_snapshot_history_returns_it_near_its_time(self):
+        hist = run(circle_curve(n=64), t_end=0.001, h_target=0.1,
+                   snapshot_dt=0.005)
+        assert len(hist.snapshots) == 1
+        for t in (5e-10, -5e-10):
+            assert hist.slice_at(t) is hist.snapshots[0]
+
+
 class TestSerialization:
     def test_jsonl_roundtrip(self, tmp_path, lasso_history):
         path = tmp_path / "hist.jsonl"

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from fbmcf.barrier import Circle, Line
+from fbmcf.barrier import Circle, Line, ParametricBarrier
 from fbmcf.varifold import (
     Component, DiscreteVarifold, ScalarField, boundary_monotonicity_check,
     certify_free_boundary, check_tangential, first_variation, polynomial_field,
     reflect_varifold, rotational_field, tangential_family, Poly2,
+    _split_by_tube,
 )
 
 LINE = Line(normal=(0.0, -1.0), offset=0.0)  # Omega = upper half plane
+ELLIPSE = ParametricBarrier.from_function(  # 1.5 x 1, reach 1/1.5
+    lambda t: np.array([1.5 * np.cos(t), np.sin(t)]),
+    lambda t: np.array([-1.5 * np.sin(t), np.cos(t)]),
+    lambda t: np.array([-1.5 * np.cos(t), -np.sin(t)]), n_samples=256)
+LINEAR_H = ScalarField(lambda p: 1.0 + 0.3 * p[:, 0],
+                       lambda p: np.tile([0.3, 0.0], (len(p), 1)))
 
 
 def kgon(k, radius=1.0, center=(0.0, 0.0)):
@@ -257,9 +264,69 @@ class TestBoundaryMonotonicity:
     def test_half_circle_identity_refines(self):
         S = LINE
         V = half_circle(512)
-        h = ScalarField(lambda p: 1.0 + 0.3 * p[:, 0],
-                        lambda p: np.tile([0.3, 0.0], (len(p), 1)))
-        res32 = boundary_monotonicity_check(V, S, h, 0.6, 0.3, order=32)
+        res32 = boundary_monotonicity_check(V, S, LINEAR_H, 0.6, 0.3, order=32)
         assert res32 <= 1e-4
-        res8 = boundary_monotonicity_check(V, S, h, 0.6, 0.3, order=4)
+        res8 = boundary_monotonicity_check(V, S, LINEAR_H, 0.6, 0.3, order=4)
         assert res32 <= res8 + 1e-12
+
+    def test_ellipse_arc_identity(self):
+        """An arc inside the ellipse that crosses both tube boundaries; the
+        ellipse has no closed-form Hessian, so this runs the
+        finite-difference one."""
+        th = np.linspace(-1.0, 1.0, 121)
+        arc = (1.0 - 0.18 * (th + 1.0))[:, None] * np.stack(
+            [1.45 * np.cos(th), 0.95 * np.sin(th)], axis=-1)
+        d = ELLIPSE.distance(arc)
+        assert d.min() < 0.1 and d.max() > 0.3
+        V = DiscreteVarifold.from_polyline(arc)
+        res = boundary_monotonicity_check(V, ELLIPSE, LINEAR_H, 0.3, 0.1)
+        assert res <= 1e-9
+
+
+def _split_segment_by_tube(S, p0, p1, radii):
+    """Reference for ``_split_by_tube``: one segment at a time, one bisection
+    at a time."""
+    ts = np.linspace(0.0, 1.0, 65)
+    pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
+    d = S.distance(pts)
+    L = np.linalg.norm(p1 - p0)
+    cuts = [0.0, 1.0]
+    for rho in radii:
+        g = d - rho
+        exact = np.nonzero(np.abs(g) <= 1e-14 * max(rho, L))[0]
+        cuts.extend(ts[exact])
+        sign_change = np.nonzero(g[:-1] * g[1:] < 0)[0]
+        for i in sign_change:
+            lo, hi = ts[i], ts[i + 1]
+            glo = g[i]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                val = S.distance(p0 + mid * (p1 - p0)) - rho
+                if val == 0.0:
+                    break
+                if glo * val < 0:
+                    hi = mid
+                else:
+                    lo, glo = mid, val
+            cuts.append(0.5 * (lo + hi))
+    cuts = np.unique(np.clip(cuts, 0.0, 1.0))
+    return [(p0 + a * (p1 - p0), p0 + b * (p1 - p0))
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+class TestSplitByTube:
+    @pytest.mark.parametrize("S", [LINE, Circle((0.0, 0.0), 1.0), ELLIPSE],
+                             ids=["line", "circle", "ellipse"])
+    def test_matches_per_segment_split(self, S):
+        rng = np.random.default_rng(3)
+        starts = rng.uniform(-1.2, 1.2, (40, 2))
+        ends = starts + rng.uniform(-0.6, 0.6, (40, 2))
+        radii = (0.1, 0.3)
+        q0, q1, seg = _split_by_tube(S, starts, ends, radii)
+        want = [(k, a, b) for k in range(len(starts))
+                for a, b in _split_segment_by_tube(S, starts[k], ends[k], radii)]
+        assert len(want) > len(starts)  # some segments are cut
+        assert len(seg) == len(want)
+        for (k, a, b), s, r0, r1 in zip(want, seg, q0, q1):
+            assert s == k
+            assert np.array_equal(r0, a) and np.array_equal(r1, b)
