@@ -19,7 +19,13 @@ size share one measurement.
 Interior vertices that reach the barrier moving inward trigger a "pop": the
 touching vertex is duplicated into two boundary vertices placed on the
 barrier and the curve splits there.  Popping, vanishing (short components
-are deleted), and detected self-crossings are recorded as events.
+are deleted), and detected self-crossings are recorded as events.  Every
+snapshot is checked for a proper crossing of two segments that share no
+vertex, in any component or between components; the last and first
+segments of a closed component are adjacent, the ends of an open chain
+are not.  The check files segments on a uniform grid, so its time and
+memory grow linearly with the number of segments while their lengths stay
+comparable, as remeshing keeps them.
 """
 
 from __future__ import annotations
@@ -194,17 +200,17 @@ def vertex_velocity(comp: Component, barrier: Barrier | None):
     """
     pts = comp.points
     m = len(pts)
-    vel = np.zeros_like(pts)
     if m < 2:
-        return vel
+        return np.zeros_like(pts)
     seg_starts, seg_ends = comp.segments()
     e = seg_ends - seg_starts
     L = comp.segment_lengths()
     if comp.closed:
         e_unit = e / L[:, None]
-        vel = 2.0 * (e_unit - np.roll(e_unit, 1, axis=0)) \
-            / (L + np.roll(L, 1))[:, None]
-        return vel
+        e_prev = np.concatenate([e_unit[-1:], e_unit[:-1]])
+        L_prev = np.concatenate([L[-1:], L[:-1]])
+        return 2.0 * (e_unit - e_prev) / (L + L_prev)[:, None]
+    vel = np.zeros_like(pts)
     if m > 2:
         e_unit = e / L[:, None]
         vel[1:-1] = 2.0 * (e_unit[1:] - e_unit[:-1]) / (L[1:] + L[:-1])[:, None]
@@ -550,43 +556,84 @@ def remesh(state: CurveState, h_target):
 
 
 def _self_intersects(state: CurveState):
-    """Any proper crossing between non-adjacent segments (all components)."""
-    segs = [c.segments() for c in state.components]
+    """Any proper crossing between non-adjacent segments (all components).
+
+    Segments are adjacent when they share a vertex: consecutive ones, and
+    the last and first of a closed component (an open chain's ends are not
+    adjacent).  Broad phase: a uniform grid whose cell is the longest
+    segment, every segment filed under its midpoint.  Two segments that
+    cross have midpoints less than one cell apart on each axis, so only
+    pairs from the same or neighbouring cells are candidates; they come
+    from one stable sort of the cell keys, without a loop over segments.
+    Narrow phase: the exact parametric test on the candidates, which gives
+    pair (i, j) the same bits as an all-pairs test.  Memory is O(M +
+    candidates).
+    """
+    comps = [c for c in state.components if len(c.segment_lengths())]
+    segs = [c.segments() for c in comps]
     n_seg = np.array([len(a) for a, _ in segs], dtype=int)
     M = int(n_seg.sum())
     if M < 3:
         return False
-    P0 = np.vstack([a for a, _ in segs])
-    d = np.vstack([b for _, b in segs]) - P0
+    cell = max(float(c.segment_lengths().max()) for c in comps)
+    if cell == 0.0:
+        return False
+    P0 = np.concatenate([a for a, _ in segs])
+    d = np.concatenate([b for _, b in segs]) - P0
 
-    def cross(a, b):
-        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    # cell coordinates, clipped so that a sparse grid cannot overflow int64
+    # (merged cells only add candidates); keys may wrap, which keeps
+    # neighbour keys exact and only adds candidates
+    mid = P0 + 0.5 * d
+    ij = np.minimum(np.floor((mid - mid.min(axis=0)) / cell), 2.0 ** 62)
+    ij = ij.astype(np.int64)
+    width = ij[:, 1].max() + 3
+    key = ij[:, 0] * width + ij[:, 1]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    # the cell itself and the half of its 8 neighbours ahead of it in key
+    # order: every unordered pair of neighbouring cells is visited once
+    offsets = np.array([0, 1, width - 1, width, width + 1])
+    query = (key[:, None] + offsets).ravel()
+    lo, hi = np.searchsorted(sorted_key, np.concatenate([query, query + 1])) \
+        .reshape(2, -1)
+    count = hi - lo
+    i = np.repeat(np.arange(M), count.reshape(M, -1).sum(axis=1))
+    first = np.repeat(lo - np.cumsum(count) + count, count)
+    j = order[first + np.arange(len(i))]
 
-    rel = P0[None, :, :] - P0[:, None, :]
-    denom = cross(d[:, None, :], d[None, :, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = cross(rel, d[None, :, :]) / denom
-        u = cross(rel, d[:, None, :]) / denom
+    # the segment after each one in its component, -1 after an open end
+    nxt = np.arange(1, M + 1)
+    last = np.cumsum(n_seg) - 1
+    nxt[last] = np.where([c.closed for c in comps], last - n_seg + 1, -1)
+    # a same-cell pair shows up as (i, j), (j, i) and (i, i); keep i < j
+    keep = ((i < j) | (key[i] != key[j])) & (nxt[i] != j) & (nxt[j] != i)
+    i, j = i[keep], j[keep]
+
+    x0, y0 = P0.T
+    dx, dy = d.T
+    dxi, dyi, dxj, dyj = dx[i], dy[i], dx[j], dy[j]
+    rx, ry = x0[j] - x0[i], y0[j] - y0[i]
+    denom = dxi * dyj - dyi * dxj
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = (rx * dyj - ry * dxj) / denom
+        u = (rx * dyi - ry * dxi) / denom
     eps = 1e-9
     hit = (np.abs(denom) > 1e-300) & (t > eps) & (t < 1 - eps) & \
           (u > eps) & (u < 1 - eps)
-    comp_id = np.repeat(np.arange(len(segs)), n_seg)
-    seg_id = np.concatenate([np.arange(n) for n in n_seg])
-    same_comp = comp_id[:, None] == comp_id[None, :]
-    gap = np.abs(seg_id[:, None] - seg_id[None, :])
-    ncomp_seg = np.repeat(n_seg, n_seg)
-    adjacent = same_comp & ((gap <= 1) | (gap >= ncomp_seg[:, None] - 1))
-    return bool(np.any(hit & ~adjacent))
+    return bool(np.any(hit))
 
 
 def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
         pop_threshold=None, vanish_length=None, barrier=None,
-        self_intersection_checks=50, config_echo=None):
+        config_echo=None):
     """Drive the flow: step, pop, remesh, snapshot on an exact cadence grid.
 
-    Stops at ``t_end``, on total extinction, or on a Collision event.
-    ``vanish_length`` (default 10 h_target) deletes components shorter than
-    the threshold, recording a Vanish event.
+    Stops at ``t_end``, on total extinction, or on a Collision event: every
+    snapshot is checked for a proper crossing of segments that share no
+    vertex (an open chain's ends are not adjacent).  ``vanish_length``
+    (default 10 h_target) deletes components shorter than the threshold,
+    recording a Vanish event.
 
     Components are values that measure their segment lengths once, so the
     pop threshold, the remesh trigger, the vanish test and the next ``dt``
@@ -601,7 +648,6 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
     snap_times = t0 + snapshot_dt * np.arange(n_snap + 1)
     events = []
     snapshots = [state]
-    check_stride = max(1, n_snap // max(self_intersection_checks, 1))
     halted = False
 
     for k in range(1, n_snap + 1):
@@ -628,7 +674,7 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
         snapshots.append(state)
         if not state.components:
             break
-        if k % check_stride == 0 and _self_intersects(state):
+        if _self_intersects(state):
             events.append(FlowEvent(state.time, "Collision",
                                     state.all_points().mean(axis=0)))
             halted = True

@@ -91,7 +91,8 @@ class Component:
     def segments(self):
         """(starts, ends) of every segment."""
         if self.closed:
-            return self.points, np.roll(self.points, -1, axis=0)
+            return self.points, np.concatenate([self.points[1:],
+                                                self.points[:1]])
         return self.points[:-1], self.points[1:]
 
     def segment_lengths(self):
@@ -339,7 +340,8 @@ def _split_by_tube(S, starts, ends, radii):
     """Split every segment [starts[k], ends[k]] at the distance-level
     crossings of the given radii, located on a 64-interval scan and refined
     by bisection, all brackets in lockstep.  A scan point within
-    1e-14 max(rho, length) of a level is a cut as it stands.
+    1e-14 max(rho, length) of a level is a cut as it stands.  A level
+    crossed twice between scan points is found by ``_dip_brackets``.
 
     Returns (q0, q1, seg): piece endpoints, and each piece's segment index,
     ordered by segment and then along it.
@@ -353,7 +355,9 @@ def _split_by_tube(S, starts, ends, radii):
     k_hit, _, i_hit = np.nonzero(np.abs(g) <= 1e-14 * np.maximum(
         radii[:, None], L[:, None, None]))
     k, r, i = np.nonzero(g[..., :-1] * g[..., 1:] < 0)
-    lo, hi, glo = ts[i], ts[i + 1], g[k, r, i]
+    brackets = zip((k, r, ts[i], ts[i + 1], g[k, r, i]),
+                   _dip_brackets(S, starts, d_seg, L, radii, ts, g))
+    k, r, lo, hi, glo = (np.concatenate(pair) for pair in brackets)
     active = np.arange(len(k))
     for _ in range(60):
         if not len(active):
@@ -380,6 +384,71 @@ def _split_by_tube(S, starts, ends, radii):
     seg = seg[piece]
     return (starts[seg] + cut[piece, None] * d_seg[seg],
             starts[seg] + cut[piece + 1, None] * d_seg[seg], seg)
+
+
+def _dip_brackets(S, starts, d_seg, L, radii, ts, g):
+    """Sign-change brackets that the scan g (segment, radius, scan point)
+    steps over, where the distance crosses a level and comes back between
+    two scan points.
+
+    Candidates are interior scan points where |g| has a local minimum, g
+    has the same sign at both neighbours, and |g| <= L/64: the distance is
+    1-Lipschitz, so |g| changes by at most L/64 per scan step.  A lockstep
+    golden-section search of at most 60 steps minimizes |g| over the two
+    scan intervals around each candidate.  A search stops when it finds a
+    point t across the level, or when the Lipschitz bound shows that its
+    interval has none.  Each t splits its two scan intervals into two
+    brackets.  Returns (k, r, lo, hi, glo), like the scan's own brackets.
+    """
+    side = np.sign(g[..., 1:-1])
+    f_prev = side * g[..., :-2]
+    f, f_next = side * g[..., 1:-1], side * g[..., 2:]
+    k, r, i = np.nonzero((side != 0) & (f_prev > 0) & (f_next > 0)
+                         & (f <= f_prev) & (f < f_next)
+                         & (f < L[:, None, None] * (ts[1] - ts[0])))
+    side, i = side[k, r, i], i + 1
+    if not len(k):
+        return k, r, ts[i], ts[i], ts[i]
+    a, b = ts[i - 1], ts[i + 1]
+
+    def f_at(idx, t):
+        return side[idx] * (S.distance(starts[k[idx]] + t[:, None]
+                                       * d_seg[k[idx]]) - radii[r[idx]])
+
+    inv_phi = 0.5 * (np.sqrt(5.0) - 1.0)
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    n = len(k)
+    fc, fd = np.split(f_at(np.tile(np.arange(n), 2),
+                           np.concatenate([c, d])), 2)
+    # a point across the level and its g, per bracket (NaN while none is found)
+    t_cross = np.where(fc < 0, c, np.where(fd < 0, d, np.nan))
+    g_cross = side * np.where(fc < 0, fc, fd)
+    active = np.nonzero(np.isnan(t_cross)
+                        & (np.maximum(fc, fd) <= L[k] * (b - a)))[0]
+    for _ in range(60):
+        if not len(active):
+            break
+        left = fc[active] < fd[active]
+        lft, rgt = active[left], active[~left]
+        b[lft], d[lft], fd[lft] = d[lft], c[lft], fc[lft]
+        a[rgt], c[rgt], fc[rgt] = c[rgt], d[rgt], fd[rgt]
+        c[lft] = b[lft] - inv_phi * (b[lft] - a[lft])
+        d[rgt] = a[rgt] + inv_phi * (b[rgt] - a[rgt])
+        t_new = np.where(left, c[active], d[active])
+        f_new = f_at(active, t_new)
+        fc[lft], fd[rgt] = f_new[left], f_new[~left]
+        across = f_new < 0
+        t_cross[active[across]] = t_new[across]
+        g_cross[active[across]] = side[active[across]] * f_new[across]
+        keep = ~across & (np.maximum(fc[active], fd[active])
+                          <= L[k[active]] * (b[active] - a[active]))
+        active = active[keep]
+
+    found = np.nonzero(~np.isnan(t_cross))[0]
+    k, r, i, t = k[found], r[found], i[found], t_cross[found]
+    return (np.tile(k, 2), np.tile(r, 2),
+            np.concatenate([ts[i - 1], t]), np.concatenate([t, ts[i + 1]]),
+            np.concatenate([g[k, r, i - 1], g_cross[found]]))
 
 
 def _tube_integrals(S, h, q0, q1, order):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from fbmcf.flow import (
     circle_curve, detect_and_pop, graph_estimate_check, half_circle_curve,
     lasso_curve, mass_bound_check, orthogonality_residual, remesh, run,
     segment_curve, static_history, step, vertex_velocity,
-    _boundary_ends, _gauss_seidel_orthogonality, _tangent_estimate,
+    _boundary_ends, _gauss_seidel_orthogonality, _self_intersects,
+    _tangent_estimate,
 )
 
 LINE = Line(normal=(0.0, -1.0), offset=0.0)  # Omega = upper half plane
@@ -422,14 +424,118 @@ class TestPop:
                    for c in st2.components)
 
 
+def _self_intersects_dense(state):
+    """Reference for ``_self_intersects``: every pair of segments at once, in
+    dense M x M arrays; only closed components wrap around."""
+    segs = [c.segments() for c in state.components]
+    n_seg = np.array([len(a) for a, _ in segs], dtype=int)
+    M = int(n_seg.sum())
+    if M < 3:
+        return False
+    P0 = np.vstack([a for a, _ in segs])
+    d = np.vstack([b for _, b in segs]) - P0
+
+    def cross(a, b):
+        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+    rel = P0[None, :, :] - P0[:, None, :]
+    denom = cross(d[:, None, :], d[None, :, :])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = cross(rel, d[None, :, :]) / denom
+        u = cross(rel, d[:, None, :]) / denom
+    eps = 1e-9
+    hit = (np.abs(denom) > 1e-300) & (t > eps) & (t < 1 - eps) & \
+          (u > eps) & (u < 1 - eps)
+    comp_id = np.repeat(np.arange(len(segs)), n_seg)
+    seg_id = np.concatenate([np.arange(n) for n in n_seg])
+    same_comp = comp_id[:, None] == comp_id[None, :]
+    gap = np.abs(seg_id[:, None] - seg_id[None, :])
+    ncomp_seg = np.repeat(n_seg, n_seg)
+    wraps = np.repeat([c.closed for c in state.components], n_seg)
+    adjacent = same_comp & ((gap <= 1) | (
+        wraps[:, None] & (gap >= ncomp_seg[:, None] - 1)))
+    return bool(np.any(hit & ~adjacent))
+
+
+@st.composite
+def _polyline(draw):
+    """Random points of one component: free floats, a half-integer lattice
+    (repeated points, exactly collinear overlaps), points on one lattice
+    line (collinear, folding back over itself), or a short-step walk,
+    spread over many grid cells unless one long jump widens them."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["free", "lattice", "line", "walk"]))
+    if kind == "free":
+        coord = st.floats(-2.0, 2.0)
+    else:
+        coord = st.integers(-4, 4).map(lambda v: 0.5 * v)
+    pts = np.array(draw(st.lists(st.tuples(coord, coord),
+                                 min_size=n, max_size=n)))
+    if kind == "line":
+        pts = pts[0] + (2.0 * pts[:, :1]) * (pts[-1] - pts[0])
+    elif kind == "walk":
+        pts = pts[0] + np.cumsum(0.05 * pts, axis=0)
+        if draw(st.booleans()):
+            pts[draw(st.integers(0, n - 1))] += (5.0, 3.0)
+    return Component(pts, closed=draw(st.booleans()))
+
+
+# a segment given by its midpoint and half its direction
+_segment = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                     st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)).map(
+    lambda m: Component([(m[0] - m[2], m[1] - m[3]),
+                         (m[0] + m[2], m[1] + m[3])]))
+
+
 class TestCollision:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.lists(_polyline(), min_size=1, max_size=2)
+           | st.lists(_segment, min_size=3, max_size=12))
+    def test_grid_test_equals_dense_test(self, comps):
+        """One- and two-component polylines, and loose segments, which
+        cross in every relation of their grid cells."""
+        state = CurveState(comps)
+        assert _self_intersects(state) == _self_intersects_dense(state)
+
+    @pytest.mark.parametrize("dx", [-1, 0, 1])
+    @pytest.mark.parametrize("dy", [-1, 0, 1])
+    def test_crossing_in_neighbouring_cells(self, dx, dy):
+        """Unit segments on a grid of unit cells anchored at the lowest
+        midpoint, (0, 0): a crossing pair whose midpoints lie in cell
+        (5, 5) and in its neighbour (5 + dx, 5 + dy) is found."""
+        anchor = Component([(-0.5, 0.0), (0.5, 0.0)])
+        m_a = np.array([5.5 + 0.45 * dx, 5.5 + 0.45 * dy])
+        m_b = m_a + 0.2 * np.array([dx, dy])
+        p = np.array([0.6, 0.8])
+        q = np.array([0.8, -0.6])
+        comps = [anchor, Component([m_a - 0.5 * p, m_a + 0.5 * p]),
+                 Component([m_b - 0.5 * q, m_b + 0.5 * q])]
+        assert _self_intersects(CurveState(comps))
+
+    def test_open_chain_ends_are_not_adjacent(self):
+        """The first and last segments of an open chain cross."""
+        pts = [(-1, 0), (1, 0), (1, 1), (0, 1.5), (-0.2, 1), (0, -1)]
+        assert _self_intersects(CurveState([Component(pts)]))
+        assert not _self_intersects(CurveState([Component(pts[:-1])]))
+
+    def test_memory_bound(self):
+        """2048 segments; all-pairs arrays would take about 240 MB."""
+        state = circle_curve(n=2048)
+        tracemalloc.start()
+        try:
+            assert not _self_intersects(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
     def test_self_crossing_halts_with_event(self):
         # bowtie: two lobes sharing a crossing
         th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         pts = np.stack([np.sin(2 * th), np.sin(th)], axis=-1) + [0.0, 3.0]
         st = CurveState([Component(pts, closed=True)])
         hist = run(st, t_end=0.05, h_target=st.total_length() / 64,
-                   snapshot_dt=0.002, self_intersection_checks=1000)
+                   snapshot_dt=0.002)
         kinds = [e.kind for e in hist.events]
         assert "Collision" in kinds
         assert hist.config["halted"]

@@ -282,6 +282,18 @@ class TestBoundaryMonotonicity:
         res = boundary_monotonicity_check(V, ELLIPSE, LINEAR_H, 0.3, 0.1)
         assert res <= 1e-9
 
+    @pytest.mark.parametrize("chord", [
+        [[-32.5, 1.25], [31.5, 1.25]],  # outside: dips below tau
+        [[-0.81, 0.49999], [0.79, 0.49999]],  # inside: bumps above sigma
+    ], ids=["dip", "bump"])
+    def test_level_crossed_twice_between_scan_points(self, chord):
+        """A chord whose distance to the unit circle crosses a level and
+        comes back between two scan points: both crossings are cuts."""
+        S = Circle((0.0, 0.0), 1.0)
+        V = DiscreteVarifold.from_polyline(chord)
+        res = boundary_monotonicity_check(V, S, ScalarField.one(), 0.5, 0.3)
+        assert res <= 1e-12
+
 
 def _split_segment_by_tube(S, p0, p1, radii):
     """Reference for ``_split_by_tube``: one segment at a time, one bisection
