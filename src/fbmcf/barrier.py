@@ -15,11 +15,17 @@ Two quantitative scales are attached to every barrier point:
   the identity (with an empirically measured constant).
 
 Flat barriers have infinite scales; they are reported as a configurable cap.
+
+Barriers are immutable values: the constructor stores array attributes as
+read-only copies, assigning an attribute afterwards raises, and
+``transformed`` returns a new barrier.  What depends on S alone -- the
+global reflection scale r_S and the reflection constant c1 of
+``measured_c1`` -- is therefore measured once per barrier and kept on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -74,10 +80,37 @@ class Barrier:
     Every point query takes one point ``(2,)`` or an array ``(..., 2)`` and
     runs the same elementwise arithmetic on either, so a point's result has
     the same bits whichever batch it is queried in.
+
+    A value: subclass constructors set attributes through ``_init`` and
+    nothing can be assigned afterwards, so scales measured from the barrier
+    stay valid and are kept on the instance (``_measured``).
     """
 
     reach: float = np.inf
     scale_cap: float = FLAT_SCALE_CAP
+
+    def _init(self, **attrs):
+        """Set attributes from a constructor; arrays become read-only copies."""
+        for name, value in attrs.items():
+            if isinstance(value, np.ndarray):
+                value = value.copy()
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(
+            f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(
+            f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def _measured(self, key, measure):
+        """measure(), run on the first call with this key and then kept."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = measure()
+        return memo[key]
 
     # -- subclass surface ------------------------------------------------
 
@@ -222,11 +255,13 @@ class Barrier:
         return _bisect_scale(ok, hi=rho)
 
     def global_reflection_scale(self, n_samples=16):
-        """inf over sampled barrier points of the reflection regularity scale."""
+        """inf over sampled barrier points of the reflection regularity scale,
+        measured once per ``n_samples``."""
         if self.is_flat():
             return self.scale_cap
-        pts = self.boundary_samples(n_samples)
-        return min(self.reflection_regularity_scale(p) for p in pts)
+        return self._measured(("r_S", n_samples), lambda: min(
+            self.reflection_regularity_scale(p)
+            for p in self.boundary_samples(n_samples)))
 
     def is_flat(self):
         return False
@@ -300,10 +335,8 @@ class Line(Barrier):
         norm = np.linalg.norm(n)
         if norm == 0.0:
             raise ValueError("line normal must be nonzero")
-        self.nu = n / norm
-        self.offset = float(offset) / norm
-        self.scale_cap = float(scale_cap)
-        self.reach = np.inf
+        self._init(nu=n / norm, offset=float(offset) / norm,
+                   scale_cap=float(scale_cap), reach=np.inf)
 
     def is_flat(self):
         return True
@@ -354,10 +387,8 @@ class Circle(Barrier):
             raise ValueError("circle radius must be positive")
         if omega_side not in ("inside", "outside"):
             raise ValueError("omega_side must be 'inside' or 'outside'")
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.omega_side = omega_side
-        self.reach = float(radius)
+        self._init(center=np.asarray(center, dtype=float), radius=float(radius),
+                   omega_side=omega_side, reach=float(radius))
 
     def _radial(self, x):
         rel = np.asarray(x, dtype=float) - self.center
@@ -442,32 +473,31 @@ class ParametricBarrier(Barrier):
     def __init__(self, points, d1=None, d2=None, funcs=None, omega_side="inside"):
         from scipy.interpolate import CubicSpline
 
-        self.points = np.asarray(points, dtype=float)
-        m = len(self.points)
+        points = np.asarray(points, dtype=float)
+        m = len(points)
         if m < 8:
             raise ValueError("parametric barrier needs at least 8 samples")
-        self.theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-        self.omega_side = omega_side
-        if funcs is not None:
-            self._f, self._df, self._ddf = funcs
-        else:
-            th_closed = np.concatenate([self.theta, [2.0 * np.pi]])
-            pts_closed = np.vstack([self.points, self.points[:1]])
+        theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+        if funcs is None:
+            th_closed = np.concatenate([theta, [2.0 * np.pi]])
+            pts_closed = np.vstack([points, points[:1]])
             spl = CubicSpline(th_closed, pts_closed.T, axis=1, bc_type="periodic")
-            self._f = spl
-            self._df = spl.derivative(1)
-            self._ddf = spl.derivative(2)
-        self.d1 = np.asarray(self._df(self.theta), dtype=float).T if d1 is None \
+            funcs = (spl, spl.derivative(1), spl.derivative(2))
+        f, df, ddf = funcs
+        d1 = np.asarray(df(theta), dtype=float).T if d1 is None \
             else np.asarray(d1, dtype=float)
-        self.d2 = np.asarray(self._ddf(self.theta), dtype=float).T if d2 is None \
+        d2 = np.asarray(ddf(theta), dtype=float).T if d2 is None \
             else np.asarray(d2, dtype=float)
 
-        speed = np.linalg.norm(self.d1, axis=1)
-        cross = self.d1[:, 0] * self.d2[:, 1] - self.d1[:, 1] * self.d2[:, 0]
+        speed = np.linalg.norm(d1, axis=1)
+        cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         kappa = np.abs(cross) / np.maximum(speed, 1e-300) ** 3
-        self._orientation = np.sign(np.sum(cross))  # >0 for counterclockwise
+        orientation = np.sign(np.sum(cross))  # >0 for counterclockwise
+        self._init(points=points, theta=theta, omega_side=omega_side,
+                   _f=f, _df=df, _ddf=ddf, d1=d1, d2=d2,
+                   _orientation=orientation)
         reach_curv = 1.0 / max(kappa.max(), 1e-300)
-        self.reach = min(reach_curv, 0.5 * self._min_self_distance())
+        self._init(reach=min(reach_curv, 0.5 * self._min_self_distance()))
 
     @classmethod
     def from_function(cls, f, df, ddf, n_samples=256):
@@ -732,7 +762,8 @@ class InverseProjection:
 
 def measured_c1(S: Barrier):
     """Empirical constant in |y~ - refl(y)| <= c1 |y - zeta(x)|^2 / r_S,
-    probed at 24 seeded points around each of 8 barrier samples.
+    probed at 24 seeded points around each of 8 barrier samples; measured
+    once per barrier.
 
     Flat barriers reflect exactly, so the measured value is floored at 2.0,
     which also keeps the admissible cutoff radius kappa <= r_S / c1 safely
@@ -741,22 +772,25 @@ def measured_c1(S: Barrier):
     floor = 2.0
     if S.is_flat():
         return floor
-    rng = np.random.default_rng(0)
-    bases = S.boundary_samples(8)
-    worst = 0.0
-    for b in bases:
-        r_s = S.reflection_regularity_scale(b)
-        refl = S.affine_reflection(b)
-        t = S.tangent(b)
-        n = S.normal(b)
-        for _ in range(24):
-            xi = rng.uniform(-0.5, 0.5) * r_s
-            eta = rng.uniform(-0.5, 0.5) * r_s
-            y = b + xi * t + eta * n
-            if S.distance(y) >= 0.9 * S.reach:
-                continue
-            dev = np.linalg.norm(S.reflect_point(y) - refl(y))
-            d2 = np.sum((y - b) ** 2)
-            if d2 > 1e-12 * r_s ** 2:
-                worst = max(worst, dev * r_s / d2)
-    return max(floor, 1.5 * worst)
+
+    def measure():
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for b in S.boundary_samples(8):
+            r_s = S.reflection_regularity_scale(b)
+            refl = S.affine_reflection(b)
+            t = S.tangent(b)
+            n = S.normal(b)
+            for _ in range(24):
+                xi = rng.uniform(-0.5, 0.5) * r_s
+                eta = rng.uniform(-0.5, 0.5) * r_s
+                y = b + xi * t + eta * n
+                if S.distance(y) >= 0.9 * S.reach:
+                    continue
+                dev = np.linalg.norm(S.reflect_point(y) - refl(y))
+                d2 = np.sum((y - b) ** 2)
+                if d2 > 1e-12 * r_s ** 2:
+                    worst = max(worst, dev * r_s / d2)
+        return max(floor, 1.5 * worst)
+
+    return S._measured("c1", measure)

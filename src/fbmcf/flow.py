@@ -202,8 +202,7 @@ def vertex_velocity(comp: Component, barrier: Barrier | None):
     m = len(pts)
     if m < 2:
         return np.zeros_like(pts)
-    seg_starts, seg_ends = comp.segments()
-    e = seg_ends - seg_starts
+    e = comp.segment_vectors()
     L = comp.segment_lengths()
     if comp.closed:
         e_unit = e / L[:, None]

@@ -293,24 +293,29 @@ def support_probe(S: Barrier, params: KernelParams, n_probes=1000, seed=0):
     rng = np.random.default_rng(seed)
     kappa = params.kappa
     tau_max = params.beta0_sq * kappa ** 2
-    worst = np.inf
     boundary = S.boundary_samples(128)
-    for _ in range(n_probes):
-        tau = tau_max * rng.uniform(0.05, 1.0)
-        anchor = boundary[rng.integers(len(boundary))]
-        n = S.normal(anchor)
-        center = anchor - rng.uniform(0.0, kappa / 10.0) * n
-        r = rng.uniform(0.0, kappa) * 1.2
-        ang = rng.uniform(0.0, 2.0 * np.pi)
-        x = center + r * np.array([np.cos(ang), np.sin(ang)])
-        phi = float(cutoff(x - center, -tau, params))
-        if phi > 0.0 and np.linalg.norm(x - center) > kappa / 20.0:
-            worst = min(worst, kappa / 20.0 - np.linalg.norm(x - center))
-        if S.distance(x) < S.reach * 0.98:
-            tot = phi + float(cutoff(S.reflect_point(x) - center, -tau, params))
-            if tot > 0.0 and np.linalg.norm(x - center) > kappa / 2.0:
-                worst = min(worst, kappa / 2.0 - np.linalg.norm(x - center))
-    return worst if np.isfinite(worst) else 1.0
+    # five scalars per probe, drawn probe by probe from one generator
+    draws = [(rng.uniform(0.05, 1.0), rng.integers(len(boundary)),
+              rng.uniform(0.0, kappa / 10.0), rng.uniform(0.0, kappa),
+              rng.uniform(0.0, 2.0 * np.pi)) for _ in range(n_probes)]
+    u_tau, idx, depth, u_r, ang = (np.array(col) for col in zip(*draws))
+    tau = tau_max * u_tau
+    anchor = boundary[idx]
+    center = anchor - depth[:, None] * S.normal(anchor)
+    x = center + (u_r * 1.2)[:, None] * np.stack([np.cos(ang), np.sin(ang)],
+                                                 axis=-1)
+    rel = x - center
+    # one dot per probe: the bits np.linalg.norm gives a single vector
+    dist = np.sqrt(np.vecdot(rel, rel))
+    phi = cutoff(rel, -tau, params)
+    tube = S.distance(x) < S.reach * 0.98
+    tot = phi[tube] + cutoff(S.reflect_point(x[tube]) - center[tube],
+                             -tau[tube], params)
+    d = dist[tube]
+    margins = np.concatenate([
+        kappa / 20.0 - dist[(phi > 0.0) & (dist > kappa / 20.0)],
+        kappa / 2.0 - d[(tot > 0.0) & (d > kappa / 2.0)]])
+    return margins.min() if len(margins) else 1.0
 
 
 def calibrate_alpha(draft: KernelParams, S: Barrier, sample_budget=2000, seed=0):

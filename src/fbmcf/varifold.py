@@ -71,13 +71,15 @@ class Component:
 
     A value: ``points`` and ``on_s`` are read-only copies of what the
     constructor was given, so a component can be shared between states and
-    its segment lengths are measured once.
+    its segment vectors and lengths are measured once.
     """
 
     points: np.ndarray
     closed: bool = False
     on_s: np.ndarray = None  # type: ignore[assignment]
     multiplicity: int = 1
+    _vectors: np.ndarray = field(default=None, init=False, repr=False,
+                                 compare=False)
     _lengths: np.ndarray = field(default=None, init=False, repr=False,
                                  compare=False)
 
@@ -95,11 +97,19 @@ class Component:
                                                 self.points[:1]])
         return self.points[:-1], self.points[1:]
 
+    def segment_vectors(self):
+        """end - start of every segment (read-only, computed on first use)."""
+        if self._vectors is None:
+            starts, ends = self.segments()
+            vectors = ends - starts
+            vectors.flags.writeable = False
+            object.__setattr__(self, "_vectors", vectors)
+        return self._vectors
+
     def segment_lengths(self):
         """Length of every segment (read-only, computed on first use)."""
         if self._lengths is None:
-            starts, ends = self.segments()
-            lengths = np.linalg.norm(ends - starts, axis=1)
+            lengths = np.linalg.norm(self.segment_vectors(), axis=1)
             lengths.flags.writeable = False
             object.__setattr__(self, "_lengths", lengths)
         return self._lengths

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +335,105 @@ class TestMeasuredC1:
     def test_circle_finite(self):
         c1 = measured_c1(Circle((0.0, 0.0), 1.0))
         assert 2.0 <= c1 < 50.0
+
+
+BARRIER_KINDS = [lambda: Line(normal=(3.0, 4.0), offset=1.0),
+                 lambda: Circle((0.3, -0.2), 1.3),
+                 lambda: ellipse_parametric(1.5, 1.0, 256)]
+KIND_IDS = ["line", "circle", "ellipse"]
+
+
+class TestFrozen:
+    """Barriers are values: nothing can be assigned after construction."""
+
+    @pytest.mark.parametrize("make", BARRIER_KINDS, ids=KIND_IDS)
+    def test_assignment_raises(self, make):
+        S = make()
+        with pytest.raises(FrozenInstanceError):
+            S.reach = 0.5
+        with pytest.raises(FrozenInstanceError):
+            S.extra = 1.0
+        with pytest.raises(FrozenInstanceError):
+            del S.reach
+
+    @pytest.mark.parametrize("make", BARRIER_KINDS, ids=KIND_IDS)
+    def test_array_attributes_read_only(self, make):
+        S = make()
+        arrays = [v for v in vars(S).values() if isinstance(v, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+
+    def test_arrays_are_copies(self):
+        center, points = np.array([0.3, -0.2]), near_unit_circle(32, seed=1)
+        C, P = Circle(center, 1.3), ParametricBarrier(points)
+        center[0], points[0, 0] = 9.0, 9.0
+        assert C.center[0] == 0.3 and P.points[0, 0] != 9.0
+        assert center.flags.writeable and points.flags.writeable
+
+
+class TestMeasuredOnce:
+    """r_S and c1 are measured on first use and kept on the barrier."""
+
+    @pytest.mark.parametrize("make, n", [(lambda: Circle((0.3, -0.2), 1.3), 16),
+                                         (lambda: ellipse_parametric(1.5, 1.0),
+                                          4)],
+                             ids=["circle", "ellipse"])
+    def test_kept_values_equal_fresh_values(self, make, n):
+        S = make()
+        c1, r_s = measured_c1(S), S.global_reflection_scale(n)
+        assert (measured_c1(S), S.global_reflection_scale(n)) == (c1, r_s)
+        fresh = make()
+        assert fresh.global_reflection_scale(n) == r_s
+        assert measured_c1(fresh) == c1
+        # the value an unkept measurement gives
+        assert r_s == min(S.reflection_regularity_scale(p)
+                          for p in S.boundary_samples(n))
+
+    @pytest.fixture
+    def scale_calls(self, monkeypatch):
+        """Calls of Circle.reflection_regularity_scale, one entry each."""
+        calls = []
+        scale = Circle.reflection_regularity_scale
+
+        def counting(self, y):
+            calls.append(1)
+            return scale(self, y)
+
+        monkeypatch.setattr(Circle, "reflection_regularity_scale", counting)
+        return calls
+
+    def test_second_call_measures_nothing(self, scale_calls):
+        S = Circle((0.0, 0.0), 1.0, omega_side="outside")
+        S.global_reflection_scale()
+        assert len(scale_calls) == 16
+        S.global_reflection_scale()
+        assert len(scale_calls) == 16
+        measured_c1(S)
+        assert len(scale_calls) == 24
+        measured_c1(S)
+        assert len(scale_calls) == 24
+
+    def test_sample_counts_kept_apart(self, scale_calls):
+        S = Circle((0.0, 0.0), 1.0)
+        r16 = S.global_reflection_scale(16)
+        r8 = S.global_reflection_scale(8)
+        assert len(scale_calls) == 24
+        assert (S.global_reflection_scale(8), S.global_reflection_scale(16)) \
+            == (r8, r16)
+        assert len(scale_calls) == 24
+        assert Circle((0.0, 0.0), 1.0).global_reflection_scale(8) == r8
+
+    def test_transformed_measures_its_own_scale(self):
+        S = Circle((0.2, 0.1), 1.0)
+        r_s = S.global_reflection_scale()
+        T = S.transformed((0.2, 0.1), 0.5)
+        assert T.global_reflection_scale() == pytest.approx(2.0 * r_s,
+                                                            rel=5e-3)
+        assert T.global_reflection_scale() == \
+            Circle((0.0, 0.0), 2.0).global_reflection_scale()
+        assert S.global_reflection_scale() == r_s
 
 
 class TestNormals:

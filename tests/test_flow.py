@@ -91,26 +91,26 @@ class TestStep:
         reflect_point's own projection included, six queries per step."""
 
         class CountingLine(Line):
-            calls = 0
+            calls = 0  # on the class: barrier instances are immutable
 
             def project(self, x):
-                self.calls += 1
+                CountingLine.calls += 1
                 return super().project(x)
 
             def normal(self, x):
-                self.calls += 1
+                CountingLine.calls += 1
                 return super().normal(x)
 
             def omega_signed(self, x):
-                self.calls += 1
+                CountingLine.calls += 1
                 return super().omega_signed(x)
 
             def distance(self, x):
-                self.calls += 1
+                CountingLine.calls += 1
                 return super().distance(x)
 
             def reflect_point(self, x):
-                self.calls += 1
+                CountingLine.calls += 1
                 return super().reflect_point(x)
 
         S = CountingLine(normal=(0.0, -1.0), offset=0.0)
@@ -118,11 +118,11 @@ class TestStep:
                            0.0, S)
         h = np.pi / 128
         for _ in range(3):  # one iteration of run's step loop each
-            S.calls = 0
+            CountingLine.calls = 0
             state = step(state, 0.4 * state.h_min() ** 2)
             state, _ = detect_and_pop(state)
             state = remesh(state, h)
-            assert S.calls <= 6
+            assert CountingLine.calls <= 6
 
 
 def _rot(v, angle):
@@ -245,12 +245,22 @@ class TestComponentValue:
             comp.on_s[1] = True
         with pytest.raises(ValueError):
             comp.segment_lengths()[0] = 5.0
+        with pytest.raises(ValueError):
+            comp.segment_vectors()[0, 0] = 5.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             comp.points = pts
         # the constructor copied its inputs
         pts[0, 0], flags[1] = 5.0, True
         assert comp.points[0, 0] == 0.0 and not comp.on_s[1]
         np.testing.assert_array_equal(comp.segment_lengths(), [1.0, 1.0])
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_segment_vectors_are_end_minus_start(self, closed):
+        comp = circle_curve(radius=1.0, n=16).components[0]
+        comp = Component(comp.points, closed)
+        starts, ends = comp.segments()
+        np.testing.assert_array_equal(comp.segment_vectors(), ends - starts)
+        assert comp.segment_vectors() is comp.segment_vectors()
 
     def test_lengths_fresh_after_pop(self):
         Sc = Circle((0.0, 0.0), 1.0, omega_side="outside")
@@ -485,6 +495,47 @@ _segment = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
                      st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)).map(
     lambda m: Component([(m[0] - m[2], m[1] - m[3]),
                          (m[0] + m[2], m[1] + m[3])]))
+
+
+class TestEllipseBarrierFlow:
+    """A flow against a non-circular barrier: an arc inside the 1.5 x 1
+    ellipse, both ends on S, bulging away from the minor axis."""
+
+    @pytest.fixture(scope="class")
+    def ellipse_history(self):
+        f = lambda t: np.array([1.5 * np.cos(t), np.sin(t)])
+        df = lambda t: np.array([-1.5 * np.sin(t), np.cos(t)])
+        ddf = lambda t: np.array([-1.5 * np.cos(t), -np.sin(t)])
+        S = ParametricBarrier.from_function(f, df, ddf, n_samples=256)
+        s = np.linspace(0.0, 1.0, 65)
+        # meets S at (0, -1) and (0, 1) along the minor axis, i.e. orthogonally
+        pts = np.stack([0.4 * np.sin(np.pi * s) ** 2, 2.0 * s - 1.0], axis=-1)
+        flags = np.zeros(len(s), dtype=bool)
+        flags[0] = flags[-1] = True
+        st = CurveState([Component(pts, False, flags)])
+        return S, run(st, t_end=0.1, h_target=st.total_length() / 64,
+                      snapshot_dt=0.01, barrier=S)
+
+    def test_runs_to_t_end_without_events(self, ellipse_history):
+        _, hist = ellipse_history
+        assert hist.events == []
+        assert len(hist.snapshots) == 11
+        assert hist.snapshots[-1].time == pytest.approx(0.1)
+        lengths = [s.total_length() for s in hist.snapshots]
+        assert all(b < a for a, b in zip(lengths, lengths[1:]))
+
+    def test_ends_stay_on_barrier_and_orthogonal(self, ellipse_history):
+        S, hist = ellipse_history
+        for snap in hist.snapshots:
+            (comp,) = snap.components
+            ends = comp.points[comp.on_s]
+            assert len(ends) == 2
+            assert np.abs(S.distance(ends)).max() <= 1e-8
+            assert orthogonality_residual(snap) < 1e-2
+            assert np.min(S.omega_signed(comp.points)) >= -1e-9
+        # the ends slid along the curved barrier, off the minor axis
+        (last,) = hist.snapshots[-1].components
+        assert np.all(last.points[last.on_s][:, 0] > 0.05)
 
 
 class TestCollision:

@@ -88,6 +88,25 @@ class TestReflectedCutoff:
         p = KernelParams.for_barrier(S)
         assert support_probe(S, p, n_probes=1000, seed=3) > 0.0
 
+    @pytest.mark.parametrize("S", [Circle((0.0, 0.0), 1.0),
+                                   Circle((0.2, -0.1), 1.3, omega_side="outside"),
+                                   Line(normal=(0.3, -1.0), offset=0.2)],
+                             ids=["inside", "outside", "line"])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_support_probe_equals_probe_loop(self, S, seed):
+        """The batched probe returns the bits of one probe at a time, also
+        where a too-long time horizon makes margins negative."""
+
+        class LongHorizon(KernelParams):
+            @property
+            def beta0_sq(self):
+                return 50.0 * beta0_squared(self.alpha)
+
+        for p in (KernelParams(kappa=0.2, alpha=8.0),
+                  LongHorizon(kappa=0.2, alpha=1.0)):
+            got = support_probe(S, p, n_probes=300, seed=seed)
+            assert repr(got) == repr(_support_probe_loop(S, p, 300, seed))
+
     def test_out_of_reach_is_zero(self):
         S = Circle((0.0, 0.0), 1.0)
         p = KernelParams(kappa=0.15, alpha=8.0)
@@ -245,3 +264,28 @@ class TestAdmissibility:
         S = Circle((0.0, 0.0), 1.0)
         p = KernelParams.for_barrier(S)
         assert p.kappa <= S.global_reflection_scale() / p.c1 * (1 + 1e-9)
+
+
+def _support_probe_loop(S, params, n_probes, seed):
+    """support_probe one probe at a time: the reference for its bits."""
+    rng = np.random.default_rng(seed)
+    kappa = params.kappa
+    tau_max = params.beta0_sq * kappa ** 2
+    worst = np.inf
+    boundary = S.boundary_samples(128)
+    for _ in range(n_probes):
+        tau = tau_max * rng.uniform(0.05, 1.0)
+        anchor = boundary[rng.integers(len(boundary))]
+        n = S.normal(anchor)
+        center = anchor - rng.uniform(0.0, kappa / 10.0) * n
+        r = rng.uniform(0.0, kappa) * 1.2
+        ang = rng.uniform(0.0, 2.0 * np.pi)
+        x = center + r * np.array([np.cos(ang), np.sin(ang)])
+        phi = float(cutoff(x - center, -tau, params))
+        if phi > 0.0 and np.linalg.norm(x - center) > kappa / 20.0:
+            worst = min(worst, kappa / 20.0 - np.linalg.norm(x - center))
+        if S.distance(x) < S.reach * 0.98:
+            tot = phi + float(cutoff(S.reflect_point(x) - center, -tau, params))
+            if tot > 0.0 and np.linalg.norm(x - center) > kappa / 2.0:
+                worst = min(worst, kappa / 2.0 - np.linalg.norm(x - center))
+    return worst if np.isfinite(worst) else 1.0
