@@ -83,7 +83,9 @@ class Barrier:
 
     A value: subclass constructors set attributes through ``_init`` and
     nothing can be assigned afterwards, so scales measured from the barrier
-    stay valid and are kept on the instance (``_measured``).
+    stay valid and are kept on the instance (``_measured``).  A copy or an
+    unpickled barrier restores its state through ``_init`` too, so its
+    arrays are read-only as well.
     """
 
     reach: float = np.inf
@@ -96,6 +98,9 @@ class Barrier:
                 value = value.copy()
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        self._init(**state)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(
@@ -470,7 +475,7 @@ class ParametricBarrier(Barrier):
     The reach is estimated as ``min(1/max curvature, min self-distance / 2)``.
     """
 
-    def __init__(self, points, d1=None, d2=None, funcs=None, omega_side="inside"):
+    def __init__(self, points, funcs=None, omega_side="inside"):
         from scipy.interpolate import CubicSpline
 
         points = np.asarray(points, dtype=float)
@@ -484,10 +489,8 @@ class ParametricBarrier(Barrier):
             spl = CubicSpline(th_closed, pts_closed.T, axis=1, bc_type="periodic")
             funcs = (spl, spl.derivative(1), spl.derivative(2))
         f, df, ddf = funcs
-        d1 = np.asarray(df(theta), dtype=float).T if d1 is None \
-            else np.asarray(d1, dtype=float)
-        d2 = np.asarray(ddf(theta), dtype=float).T if d2 is None \
-            else np.asarray(d2, dtype=float)
+        d1 = np.asarray(df(theta), dtype=float).T
+        d2 = np.asarray(ddf(theta), dtype=float).T
 
         speed = np.linalg.norm(d1, axis=1)
         cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -502,9 +505,7 @@ class ParametricBarrier(Barrier):
     @classmethod
     def from_function(cls, f, df, ddf, n_samples=256):
         th = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-        return cls(np.asarray(f(th), dtype=float).T,
-                   np.asarray(df(th), dtype=float).T,
-                   np.asarray(ddf(th), dtype=float).T, funcs=(f, df, ddf))
+        return cls(np.asarray(f(th), dtype=float).T, funcs=(f, df, ddf))
 
     def _min_self_distance(self):
         """Narrowest bottleneck: pairs far apart along the curve but close in space."""
@@ -628,9 +629,8 @@ class ParametricBarrier(Barrier):
         funcs = (lambda t: (np.asarray(f(t)).T - center).T / scale,
                  lambda t: np.asarray(df(t)) / scale,
                  lambda t: np.asarray(ddf(t)) / scale)
-        return ParametricBarrier((self.points - center) / scale,
-                                 self.d1 / scale, self.d2 / scale,
-                                 funcs=funcs, omega_side=self.omega_side)
+        return ParametricBarrier((self.points - center) / scale, funcs=funcs,
+                                 omega_side=self.omega_side)
 
 
 def _dot2(a, b):

@@ -20,8 +20,13 @@ def _cmd_run(args):
     from concurrent.futures import ProcessPoolExecutor
 
     configs = args.config
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at the first submit, so ask for
+        # no more than there are configs
+        with ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(configs))) as pool:
             futures = [pool.submit(run_scenario, c, args.out, args.seed)
                        for c in configs]
             for cfg, fut in zip(configs, futures):

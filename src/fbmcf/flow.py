@@ -1,20 +1,21 @@
 """Front-tracking curve shortening with a one-sided barrier constraint.
 
-Curves are polylines moving by the discrete curvature vector
+Curves are polylines moving by the discrete curvature vector, turning over
+lumped mass (``varifold.turning_and_mass``, also the remesh sagitta's),
 
-    kappa_i = 2 (e_i - e_{i-1}) / (l_i + l_{i-1}),
+    H_i = (u_i - u_{i-1}) / ((l_i + l_{i-1}) / 2),
 
 which is exact (magnitude 1/R, radially inward) on uniformly sampled
-circles.  Vertices flagged as boundary points ride on the barrier: their
-velocity is the barrier-tangential part of the mirrored-neighbor curvature,
-their position is re-projected onto the barrier after each step, and a
-single Gauss-Seidel pass rotates the adjacent vertex so the one-sided
-quadratic tangent estimate meets the barrier orthogonally.  That boundary
-arithmetic runs on plain floats with ``math``, so it does not depend on BLAS
-or SIMD dispatch; each component's barrier queries go out in one batch.
-Components are immutable and measure their segment lengths once, so a step,
-the pop threshold, the remesh trigger, the vanish test and the next step
-size share one measurement.
+circles.  Vertices flagged as boundary points ride on the barrier: they
+turn against a ghost segment to their neighbor's mirror image and keep the
+barrier-tangential part, their position is re-projected onto the barrier
+after each step, and a single Gauss-Seidel pass rotates the adjacent vertex
+so the one-sided quadratic tangent estimate meets the barrier orthogonally.
+That estimate and solve run on plain floats with ``math``, so they do not
+depend on BLAS or SIMD dispatch; each component's barrier queries go out in
+one batch.  Components are immutable and measure their segment lengths
+once, so a step, the pop threshold, the remesh trigger, the vanish test and
+the next step size share one measurement.
 
 Interior vertices that reach the barrier moving inward trigger a "pop": the
 touching vertex is duplicated into two boundary vertices placed on the
@@ -40,7 +41,8 @@ import numpy as np
 from .barrier import Barrier
 from .errors import (GraphFailure, InadmissibleTestFunction, OutOfHistory,
                      StepTooLarge)
-from .varifold import Component, DiscreteVarifold, integrate_slice
+from .varifold import (Component, DiscreteVarifold, integrate_slice,
+                       turning_and_mass)
 
 
 @dataclass
@@ -191,53 +193,43 @@ class FlowHistory:
 # -- discrete curvature ---------------------------------------------------------
 
 def vertex_velocity(comp: Component, barrier: Barrier | None):
-    """Curvature velocity at every vertex; boundary vertices slide tangentially.
+    """Curvature velocity H = turning / mass at every vertex.
 
-    Boundary vertices use a mirrored neighbor across the barrier, which by
-    symmetry produces a barrier-tangential turning vector; the tangential
-    projection guards against curvature of the barrier itself.  Free (off
-    barrier) endpoints of open chains are pinned.
+    A barrier-flagged end turns against a ghost segment to its neighbor's
+    mirror image across the barrier, barrier-tangential by symmetry; the
+    tangential projection guards against curvature of the barrier itself.
+    Free ends of open chains have zero turning, so they are pinned.
     """
     pts = comp.points
     m = len(pts)
     if m < 2:
         return np.zeros_like(pts)
-    e = comp.segment_vectors()
-    L = comp.segment_lengths()
-    if comp.closed:
-        e_unit = e / L[:, None]
-        e_prev = np.concatenate([e_unit[-1:], e_unit[:-1]])
-        L_prev = np.concatenate([L[-1:], L[:-1]])
-        return 2.0 * (e_unit - e_prev) / (L + L_prev)[:, None]
-    vel = np.zeros_like(pts)
-    if m > 2:
-        e_unit = e / L[:, None]
-        vel[1:-1] = 2.0 * (e_unit[1:] - e_unit[:-1]) / (L[1:] + L[:-1])[:, None]
+    e, L = comp.segment_vectors(), comp.segment_lengths()
     ends = _boundary_ends(comp) if barrier is not None else []
-    if not ends:
-        return vel
-    mirrors = barrier.reflect_point(pts[[nb for _, nb, _ in ends]]).tolist()
-    normals = barrier.normal(pts[[j for j, _, _ in ends]]).tolist()
-    for (j, nb, _), (mx, my), (nx, ny) in zip(ends, mirrors, normals):
-        (xj, yj), (xn, yn) = pts[[j, nb]].tolist()
-        e1x, e1y = xn - xj, yn - yj
-        e0x, e0y = xj - mx, yj - my
-        l1 = math.sqrt(e1x * e1x + e1y * e1y)
-        l0 = math.sqrt(e0x * e0x + e0y * e0y)
-        if l0 < 1e-300 or l1 < 1e-300:
-            continue
-        kx = 2.0 * (e1x / l1 - e0x / l0) / (l0 + l1)
-        ky = 2.0 * (e1y / l1 - e0y / l0) / (l0 + l1)
-        kn = kx * nx + ky * ny
-        vel[j] = (kx - kn * nx, ky - kn * ny)
+    first = int(bool(ends) and ends[0][0] == 0)  # a ghost precedes vertex 0
+    if ends:
+        # the flagged ends, 0 and/or m - 1, as a view
+        rows = slice(ends[0][0], ends[-1][0] + 1, m - 1)
+        mirrors = barrier.reflect_point(pts[[nb for _, nb, _ in ends]])
+        ghost = pts[rows] - mirrors
+        ghost[first:] *= -1.0  # the last vertex's ghost segment leaves it
+        lg = np.sqrt(np.add.reduce(ghost * ghost, axis=1))
+        e = np.concatenate([ghost[:first], e, ghost[first:]])
+        L = np.concatenate([lg[:first], L, lg[first:]])
+    turning, mass = turning_and_mass(e, L, comp.closed)
+    vel = (turning / mass[:, None])[first:first + m]
+    if ends:
+        n = barrier.normal(pts[rows])
+        k = vel[rows]
+        k -= np.add.reduce(k * n, axis=1)[:, None] * n
     return vel
 
 
 # -- boundary vertices ----------------------------------------------------------
 #
-# Plain floats and ``math`` throughout: a handful of 2-vectors per endpoint do
-# not pay for numpy calls, and the results do not depend on BLAS or SIMD
-# dispatch.
+# The tangent estimate and the orthogonality solve use plain floats and
+# ``math``: a handful of 2-vectors per endpoint do not pay for numpy calls,
+# and the results do not depend on BLAS or SIMD dispatch.
 
 def _boundary_ends(comp: Component):
     """(j, nb, nb2) for each barrier-flagged endpoint j of an open component:
@@ -453,27 +445,6 @@ def _split_component(comp: Component, cuts, S: Barrier):
     return pieces
 
 
-def _local_curvature_pair(pts, i, j, closed):
-    """Average turning-based curvature vector at the two merge vertices."""
-    m = len(pts)
-
-    def kappa_at(v):
-        if closed:
-            p_prev, p_next = pts[(v - 1) % m], pts[(v + 1) % m]
-        else:
-            if v == 0 or v == m - 1:
-                return np.zeros(2)
-            p_prev, p_next = pts[v - 1], pts[v + 1]
-        e0 = pts[v] - p_prev
-        e1 = p_next - pts[v]
-        l0, l1 = np.linalg.norm(e0), np.linalg.norm(e1)
-        if l0 < 1e-300 or l1 < 1e-300:
-            return np.zeros(2)
-        return 2.0 * (e1 / l1 - e0 / l0) / (l0 + l1)
-
-    return 0.5 * (kappa_at(i) + kappa_at(j))
-
-
 def remesh(state: CurveState, h_target):
     """Split segments longer than 1.5 h and merge interior vertices of
     segments shorter than 0.5 h; boundary flags are preserved and the total
@@ -517,13 +488,15 @@ def remesh(state: CurveState, h_target):
                 elif flags[j] or (not comp.closed and j == len(pts) - 1):
                     keep, drop, target = j, i, pts[j]
                 else:
-                    # midpoint plus a sagitta correction from the local
-                    # curvature, so merging does not dent smooth arcs
+                    # midpoint plus a sagitta correction from the mean
+                    # curvature of the two vertices, so merging does not
+                    # dent smooth arcs
                     keep, drop = i, j
-                    mid = 0.5 * (pts[i] + pts[j])
-                    chord = np.linalg.norm(pts[j] - pts[i])
-                    kap = _local_curvature_pair(pts, i, j, comp.closed)
-                    target = mid + kap * (chord ** 2 / 8.0)
+                    k, w = turning_and_mass(comp.segment_vectors(), lens,
+                                            comp.closed)
+                    H = k[[i, j]] / w[[i, j], None]
+                    target = 0.5 * (pts[i] + pts[j]) \
+                        + 0.5 * (H[0] + H[1]) * (lens[si] ** 2 / 8.0)
                 trial_pts = np.delete(pts, drop, axis=0)
                 trial_flags = np.delete(flags, drop)
                 trial_pts[keep if keep < drop else keep - 1] = target
@@ -794,18 +767,6 @@ class SpacetimeTestFunction:
                     "gradient not tangent to the barrier on the barrier")
 
 
-def _lumped_vertex_masses(comp: Component):
-    lens = comp.segment_lengths()
-    m = len(comp.points)
-    w = np.zeros(m)
-    if comp.closed:
-        w = 0.5 * (lens + np.roll(lens, 1))
-    else:
-        w[:-1] += 0.5 * lens
-        w[1:] += 0.5 * lens
-    return w
-
-
 @dataclass
 class DissipationReport:
     lhs: float
@@ -922,7 +883,8 @@ def _dissipation_integral(history, phi, a, b):
         rate = 0.0
         vels = _effective_velocities(s)
         for comp, vel in zip(s.components, vels):
-            w = _lumped_vertex_masses(comp)
+            _, w = turning_and_mass(comp.segment_vectors(),
+                                    comp.segment_lengths(), comp.closed)
             pv = phi.value(comp.points, t)
             gv = phi.grad(comp.points, t)
             rate += float(np.sum(w * (-np.sum(vel ** 2, axis=1) * pv

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -87,6 +88,24 @@ def initial_curve_from_config(cfg):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad initial_curve block: {exc}") from exc
     raise ConfigError(f"unknown initial curve kind {cfg.get('kind')!r}")
+
+
+def flow_params_from_config(fc, h_default):
+    """(t_end, h_target, snapshot_dt, cfl) of a flow block, each checked to
+    let the run end: all finite, t_end >= 0 and the others > 0 (remesh
+    splits without end at h_target <= 0, the snapshot grid divides by
+    snapshot_dt, and time never advances at cfl <= 0)."""
+    params = {"t_end": fc.get("t_end", 0.25),
+              "h_target": fc.get("h_target", h_default),
+              "snapshot_dt": fc.get("snapshot_dt", 0.005),
+              "cfl": fc.get("cfl", 0.4)}
+    for key, value in params.items():
+        bound = ">= 0" if key == "t_end" else "> 0"
+        if not (isinstance(value, (int, float)) and math.isfinite(value)
+                and (value >= 0 if key == "t_end" else value > 0)):
+            raise ConfigError(f"flow.{key} must be finite and {bound}, "
+                              f"got {value!r}")
+    return params.values()
 
 
 def kernel_params_from_config(cfg, barrier, seed=0):
@@ -183,11 +202,10 @@ def run_scenario(config_path, out_dir=None, seed=None):
         initial = initial_curve_from_config(cfg["initial_curve"])
         n_pts = sum(len(c.points) for c in initial.components)
         h_default = initial.total_length() / max(n_pts - 1, 1)
-        history = run(initial,
-                      t_end=fc.get("t_end", 0.25),
-                      h_target=fc.get("h_target", h_default),
-                      snapshot_dt=fc.get("snapshot_dt", 0.005),
-                      cfl=fc.get("cfl", 0.4),
+        t_end, h_target, snapshot_dt, cfl = flow_params_from_config(
+            fc, h_default)
+        history = run(initial, t_end=t_end, h_target=h_target,
+                      snapshot_dt=snapshot_dt, cfl=cfl,
                       pop_threshold=fc.get("pop_threshold"),
                       vanish_length=fc.get("vanish_length"),
                       barrier=barrier,

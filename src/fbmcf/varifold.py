@@ -14,6 +14,8 @@ evolves, so a flow slice is a varifold without conversion.  The atomic
 decomposition of delta V -- turning vectors at interior vertices, conormals
 at chain endpoints -- is what the boundary monotonicity identity pairs
 against, which makes that identity exact for polylines up to quadrature.
+The turning is also the flow's stencil: over the lumped vertex mass it is
+the curvature vector H = turning / mass (``turning_and_mass``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .barrier import Barrier, Line
 from .errors import IllConditionedFit
 
 _GL_CACHE = {}
+_ZERO = np.zeros(1)
 
 
 def segment_quadrature(starts, ends, order):
@@ -56,6 +59,22 @@ def integrate_slice(state, fn, order=8):
         vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(len(L), order)
         total += float(np.sum(0.5 * L * (vals @ weights)))
     return total
+
+
+def turning_and_mass(vectors, lengths, closed):
+    """Turning u_i - u_{i-1} (vertices, 2) and lumped mass (l_i + l_{i-1}) / 2
+    (vertices,) of a polyline from its segment vectors and lengths, u_i the
+    unit direction of the segment leaving vertex i.  An open chain's ends
+    have zero turning and half their one segment as mass.  H = turning / mass
+    is the curvature vector."""
+    u = vectors / lengths[:, None]
+    if closed:  # pad with the segment before the first vertex
+        u = np.concatenate([u[-1:], u])
+        lengths = np.concatenate([lengths[-1:], lengths])
+    else:  # repeated end directions turn by zero, zero lengths halve masses
+        u = np.concatenate([u[:1], u, u[-1:]])
+        lengths = np.concatenate([_ZERO, lengths, _ZERO])
+    return u[1:] - u[:-1], 0.5 * (lengths[1:] + lengths[:-1])
 
 
 def _read_only_copy(a, dtype):
@@ -149,29 +168,21 @@ class DiscreteVarifold:
         """Atomic first-variation data.
 
         Returns (positions, vectors) with delta V(X) = - sum vectors . X(pos):
-        interior turning vectors e_next - e_prev and, at open-chain endpoints,
-        minus the outward conormal.
+        interior turning vectors u_i - u_{i-1} (``turning_and_mass``) and, at
+        open-chain endpoints, minus the outward conormal.
         """
         pos, vec = [], []
         for c in self.chains:
-            starts, ends = c.segments()
-            d = ends - starts
-            e = d / np.linalg.norm(d, axis=1, keepdims=True)
-            m = c.multiplicity
-            if c.closed:
-                k = e - np.roll(e, 1, axis=0)
-                pos.append(c.points)
-                vec.append(m * k)
-            else:
-                if len(c.points) > 2:
-                    k = e[1:] - e[:-1]
-                    pos.append(c.points[1:-1])
-                    vec.append(m * k)
+            d, L = c.segment_vectors(), c.segment_lengths()
+            turning, _ = turning_and_mass(d, L, c.closed)
+            rows = slice(None) if c.closed else slice(1, -1)
+            pos.append(c.points[rows])
+            vec.append(c.multiplicity * turning[rows])
+            if not c.closed:
                 # endpoint atoms are minus the outward conormal (times mult)
-                pos.append(c.points[:1])
-                vec.append(m * e[:1])
-                pos.append(c.points[-1:])
-                vec.append(-m * e[-1:])
+                pos.append(c.points[[0, -1]])
+                vec.append(c.multiplicity * (d[[0, -1]] / L[[0, -1], None])
+                           * [[1.0], [-1.0]])
         return np.vstack(pos), np.vstack(vec)
 
     def ball_mass(self, center, r):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -341,6 +343,7 @@ BARRIER_KINDS = [lambda: Line(normal=(3.0, 4.0), offset=1.0),
                  lambda: Circle((0.3, -0.2), 1.3),
                  lambda: ellipse_parametric(1.5, 1.0, 256)]
 KIND_IDS = ["line", "circle", "ellipse"]
+TH64 = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
 
 class TestFrozen:
@@ -364,6 +367,29 @@ class TestFrozen:
         for a in arrays:
             with pytest.raises(ValueError):
                 a.flat[0] = 0.0
+
+    @pytest.mark.parametrize("copier", [
+        copy.deepcopy, lambda S: pickle.loads(pickle.dumps(S))],
+        ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("make", [
+        BARRIER_KINDS[0], BARRIER_KINDS[1],
+        lambda: ParametricBarrier(np.stack(
+            [1.5 * np.cos(TH64), np.sin(TH64)], axis=-1))],
+        ids=["line", "circle", "table"])
+    def test_copies_are_frozen_values(self, make, copier):
+        """A deep copy or an unpickled barrier keeps read-only arrays next to
+        the measurement it carries, and answers with the same bits."""
+        S = make()
+        S.global_reflection_scale()
+        T = copier(S)
+        arrays = [v for v in vars(T).values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(FrozenInstanceError):
+            T.reach = 0.5
+        assert T.global_reflection_scale() == S.global_reflection_scale()
+        pts = near_unit_circle(50, seed=3)
+        assert T.project(pts).tobytes() == S.project(pts).tobytes()
+        assert T.normal(pts).tobytes() == S.normal(pts).tobytes()
 
     def test_arrays_are_copies(self):
         center, points = np.array([0.3, -0.2]), near_unit_circle(32, seed=1)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -23,6 +24,48 @@ def half_circle_artifacts(tmp_path_factory):
                  "--out", str(out)])
     assert code == 0
     return out / "half_circle_shrinker"
+
+
+def _tiny_circle_configs(tmp_path):
+    """Paths of two barrier-free circle scenarios that run in well under a
+    second."""
+    paths = []
+    for name, radius in (("tiny_a", 1.0), ("tiny_b", 0.8)):
+        cfg = {"name": name, "seed": 0, "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": radius, "n": 32},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005}}
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(cfg))
+        paths.append(str(p))
+    return paths
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    submit inline, so no process is started."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(_InlinePool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    return _InlinePool
 
 
 class TestRun:
@@ -98,16 +141,54 @@ class TestRun:
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "4 points but 3 flags" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flow, key", [
+        ({"h_target": 0.0}, "h_target"),
+        ({"h_target": -1.0}, "h_target"),
+        ({"h_target": float("nan")}, "h_target"),
+        ({"snapshot_dt": 0}, "snapshot_dt"),
+        ({"snapshot_dt": "0.005"}, "snapshot_dt"),
+        ({"cfl": 0.0}, "cfl"),
+        ({"cfl": -0.4}, "cfl"),
+        ({"t_end": -0.01}, "t_end"),
+        ({"t_end": float("inf")}, "t_end"),
+    ])
+    def test_flow_block_that_cannot_end_exits_2(self, tmp_path, capsys, flow,
+                                                 key):
+        """Rejected before the flow starts: remesh would double the vertex
+        count every step at h_target <= 0, snapshot_dt = 0 divides by zero
+        and cfl <= 0 never advances time."""
+        cfg = {"name": "bad_flow", "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": 1.0, "n": 8},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005, **flow}}
+        p = tmp_path / "bad_flow.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"flow.{key} must be finite" in err
+        assert "Traceback" not in err
+
+    def test_jobs_beyond_config_count_start_one_worker_each(self, tmp_path,
+                                                             inline_pool):
+        paths = _tiny_circle_configs(tmp_path)
+        assert main(["run", *paths, "--out", str(tmp_path / "out"),
+                     "--jobs", "5000"]) == 0
+        assert inline_pool.made == [2]
+        for name in ("tiny_a", "tiny_b"):
+            assert (tmp_path / "out" / name / "manifest.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exits_2(self, tmp_path, capsys, inline_pool,
+                                      jobs):
+        paths = _tiny_circle_configs(tmp_path)
+        assert main(["run", *paths, "--out", str(tmp_path / "out"),
+                     "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs must be at least 1" in err and "Traceback" not in err
+        assert inline_pool.made == []
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_jobs_match_serial_run(self, tmp_path):
-        paths = []
-        for name, radius in (("tiny_a", 1.0), ("tiny_b", 0.8)):
-            cfg = {"name": name, "seed": 0, "barrier": None,
-                   "initial_curve": {"kind": "circle", "radius": radius,
-                                     "n": 32},
-                   "flow": {"t_end": 0.01, "snapshot_dt": 0.005}}
-            p = tmp_path / f"{name}.json"
-            p.write_text(json.dumps(cfg))
-            paths.append(str(p))
+        paths = _tiny_circle_configs(tmp_path)
         manifests = {}
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from fbmcf.flow import (
     _boundary_ends, _gauss_seidel_orthogonality, _self_intersects,
     _tangent_estimate,
 )
+from fbmcf.varifold import DiscreteVarifold, turning_and_mass
 
 LINE = Line(normal=(0.0, -1.0), offset=0.0)  # Omega = upper half plane
 H_HALF = np.pi / 256
@@ -229,6 +231,127 @@ class TestBoundaryKernel:
                 assert _end_residual(comp, S, j) < 1e-9
 
 
+def _reference_velocity(comp, barrier):
+    """Reference curvature velocity, written out case by case: the
+    2 (u_i - u_{i-1}) / (l_i + l_{i-1}) formula on the interior and a plain
+    float loop over the barrier-flagged ends against the mirrored neighbor."""
+    pts = comp.points
+    m = len(pts)
+    if m < 2:
+        return np.zeros_like(pts)
+    e = comp.segment_vectors()
+    L = comp.segment_lengths()
+    if comp.closed:
+        e_unit = e / L[:, None]
+        e_prev = np.concatenate([e_unit[-1:], e_unit[:-1]])
+        L_prev = np.concatenate([L[-1:], L[:-1]])
+        return 2.0 * (e_unit - e_prev) / (L + L_prev)[:, None]
+    vel = np.zeros_like(pts)
+    if m > 2:
+        e_unit = e / L[:, None]
+        vel[1:-1] = 2.0 * (e_unit[1:] - e_unit[:-1]) / (L[1:] + L[:-1])[:, None]
+    ends = _boundary_ends(comp) if barrier is not None else []
+    if not ends:
+        return vel
+    mirrors = barrier.reflect_point(pts[[nb for _, nb, _ in ends]]).tolist()
+    normals = barrier.normal(pts[[j for j, _, _ in ends]]).tolist()
+    for (j, nb, _), (mx, my), (nx, ny) in zip(ends, mirrors, normals):
+        (xj, yj), (xn, yn) = pts[[j, nb]].tolist()
+        e1x, e1y = xn - xj, yn - yj
+        e0x, e0y = xj - mx, yj - my
+        l1 = math.sqrt(e1x * e1x + e1y * e1y)
+        l0 = math.sqrt(e0x * e0x + e0y * e0y)
+        if l0 < 1e-300 or l1 < 1e-300:
+            continue
+        kx = 2.0 * (e1x / l1 - e0x / l0) / (l0 + l1)
+        ky = 2.0 * (e1y / l1 - e0y / l0) / (l0 + l1)
+        kn = kx * nx + ky * ny
+        vel[j] = (kx - kn * nx, ky - kn * ny)
+    return vel
+
+
+def _reference_masses(comp):
+    """Reference lumped vertex masses, half of each segment added to each of
+    its two vertices."""
+    lens = comp.segment_lengths()
+    if comp.closed:
+        return 0.5 * (lens + np.roll(lens, 1))
+    w = np.zeros(len(comp.points))
+    w[:-1] += 0.5 * lens
+    w[1:] += 0.5 * lens
+    return w
+
+
+def _ellipse():
+    return ParametricBarrier.from_function(
+        lambda t: np.array([1.5 * np.cos(t), np.sin(t)]),
+        lambda t: np.array([-1.5 * np.sin(t), np.cos(t)]),
+        lambda t: np.array([-1.5 * np.cos(t), -np.sin(t)]), n_samples=256)
+
+
+STENCIL_BARRIERS = {
+    "line": LINE,
+    "circle_inside": Circle((0.0, 0.0), 1.0),
+    "circle_outside": Circle((0.0, 0.0), 1.0, omega_side="outside"),
+    "ellipse": _ellipse(),
+}
+
+
+@st.composite
+def _stencil_chain(draw):
+    """(barrier, chain): a walk of 2 to 10 vertices from a barrier foot into
+    the domain, with steps of 0.01 to 0.05 (inside every barrier's reach),
+    closed or open with either, both or no end flagged."""
+    S = STENCIL_BARRIERS[draw(st.sampled_from(sorted(STENCIL_BARRIERS)))]
+    m = draw(st.integers(2, 10))
+    closed = m >= 3 and draw(st.booleans())
+    a = draw(st.floats(0.0, 2.0 * np.pi))
+    foot = S.project(np.array([1.2 * np.cos(a), 1.2 * np.sin(a)]))
+    inward = -S.normal(foot)
+    heading = math.atan2(inward[1], inward[0]) + draw(st.floats(-1.2, 1.2))
+    pts = [foot]
+    for _ in range(m - 1):
+        heading += draw(st.floats(-0.6, 0.6))
+        step_len = draw(st.floats(0.01, 0.05))
+        pts.append(pts[-1] + step_len * np.array([np.cos(heading),
+                                                   np.sin(heading)]))
+    flags = np.zeros(m, dtype=bool)
+    if not closed:
+        flags[[0, -1]] = draw(st.tuples(st.booleans(), st.booleans()))
+    return S, Component(np.array(pts), closed, flags)
+
+
+class TestCurvatureStencil:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_stencil_chain())
+    def test_velocity_and_mass_match_reference_bits(self, drawn):
+        """turning / mass with ghost segments at barrier ends gives the bits
+        of the per-end formula; the mass gives the dissipation check's."""
+        S, comp = drawn
+        for barrier in (S, None):
+            assert vertex_velocity(comp, barrier).tobytes() == \
+                _reference_velocity(comp, barrier).tobytes()
+        _, mass = turning_and_mass(comp.segment_vectors(),
+                                   comp.segment_lengths(), comp.closed)
+        assert mass.tobytes() == _reference_masses(comp).tobytes()
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_stencil_chain())
+    def test_interior_velocity_times_mass_is_the_atom(self, drawn):
+        S, comp = drawn
+        pts = comp.points
+        vel = vertex_velocity(comp, S)
+        pos, vec = DiscreteVarifold([comp]).atoms()
+        before = np.linalg.norm(pts - np.roll(pts, 1, axis=0), axis=1)
+        after = np.roll(before, -1)
+        mass = 0.5 * (before + after)
+        rows = slice(None) if comp.closed else slice(1, -1)
+        n_rows = len(mass[rows])
+        np.testing.assert_array_equal(pos[:n_rows], pts[rows])
+        np.testing.assert_allclose(vel[rows] * mass[rows, None], vec[:n_rows],
+                                   rtol=0, atol=1e-13)
+
+
 def _fresh_lengths(comp):
     starts, ends = comp.segments()
     return np.linalg.norm(ends - starts, axis=1)
@@ -395,7 +518,7 @@ class TestPop:
         df = lambda t: np.array([-np.sin(t), np.cos(t)])
         ddf = lambda t: np.array([-np.cos(t), -np.sin(t)])
         th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        S = ParametricBarrier(f(th).T, df(th).T, ddf(th).T, funcs=(f, df, ddf),
+        S = ParametricBarrier(f(th).T, funcs=(f, df, ddf),
                               omega_side="outside")
         st = lasso_curve(barrier_radius=1.0, n=96)
         hist = run(st, t_end=0.18, h_target=st.total_length() / 96,
