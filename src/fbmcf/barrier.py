@@ -153,6 +153,9 @@ class Barrier:
         return np.stack([-n[..., 1], n[..., 0]], axis=-1)
 
     def _check_reach(self, pts, feet):
+        if self.reach == np.inf and \
+                np.abs(pts - feet).max(initial=0.0) < 1e150:
+            return  # d cannot overflow to the infinite reach
         d = np.linalg.norm(pts - feet, axis=-1)
         if np.any(d >= self.reach * (1.0 - 1e-12)):
             raise BeyondReach(

@@ -6,7 +6,19 @@ lumped mass (``varifold.turning_and_mass``, also the remesh sagitta's),
     H_i = (u_i - u_{i-1}) / ((l_i + l_{i-1}) / 2),
 
 which is exact (magnitude 1/R, radially inward) on uniformly sampled
-circles.  Vertices flagged as boundary points ride on the barrier: they
+circles.  With the segment lengths l frozen, H = D(l) X is linear in the
+vertices X, D a cyclic tridiagonal operator on a closed component.
+
+A closed component advances by linearly implicit BDF2 with variable steps
+(Dziuk, M3AS 1994; Akrivis, Li & Lubich, Math. Comp. 2017): the lengths are
+frozen at the extrapolation l* = (1 + w) l^n - w l^{n-1}, w = dt_n /
+dt_{n-1}, and one cyclic tridiagonal solve, shared by x and y, gives the new
+level.  A closed component without a previous level (new, split or
+remeshed) restarts with one backward-Euler step.  Its step has no stability
+bound; ``run`` sizes it from ``h_target`` and the snapshot cadence.
+
+Open chains take an explicit Euler step bounded by cfl h_min^2 over the
+open chains.  Vertices flagged as boundary points ride on the barrier: they
 turn against a ghost segment to their neighbor's mirror image and keep the
 barrier-tangential part, their position is re-projected onto the barrier
 after each step, and a single Gauss-Seidel pass rotates the adjacent vertex
@@ -21,8 +33,8 @@ Interior vertices that reach the barrier moving inward trigger a "pop": the
 touching vertex is duplicated into two boundary vertices placed on the
 barrier and the curve splits there.  Popping, vanishing (short components
 are deleted), and detected self-crossings are recorded as events.  Every
-snapshot is checked for a proper crossing of two segments that share no
-vertex, in any component or between components; the last and first
+snapshot is checked for a crossing of two segments that share no vertex,
+in any component or between components; the last and first
 segments of a closed component are adjacent, the ends of an open chain
 are not.  The check files segments on a uniform grid, so its time and
 memory grow linearly with the number of segments while their lengths stay
@@ -33,14 +45,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .barrier import Barrier
-from .errors import (GraphFailure, InadmissibleTestFunction, OutOfHistory,
-                     StepTooLarge)
+from .errors import (ConfigError, GraphFailure, InadmissibleTestFunction,
+                     OutOfHistory, StepTooLarge)
 from .varifold import (Component, DiscreteVarifold, integrate_slice,
                        turning_and_mass)
 
@@ -225,6 +239,72 @@ def vertex_velocity(comp: Component, barrier: Barrier | None):
     return vel
 
 
+# -- closed components: linearly implicit BDF2 ---------------------------------
+
+def _implicit(comp: Component):
+    """Whether ``step`` advances the component implicitly: closed curves of
+    at least three vertices."""
+    return comp.closed and len(comp.points) > 2
+
+
+def closed_stencil(lengths):
+    """(mass, diagonal, off) of the closed curvature stencil at segment
+    lengths l (l_i from vertex i to i + 1): H = D X with D = M^{-1} K, M the
+    lumped masses (l_i + l_{i-1}) / 2 of ``turning_and_mass`` and K the
+    symmetric cyclic tridiagonal matrix with K_ii = diagonal_i =
+    -(1/l_i + 1/l_{i-1}) and K_{i,i+1} = K_{i+1,i} = off_i = 1/l_i, indices
+    taken around the curve."""
+    before = np.concatenate([lengths[-1:], lengths[:-1]])
+    off = 1.0 / lengths
+    return 0.5 * (lengths + before), -(off + 1.0 / before), off
+
+
+def _implicit_closed_step(comp: Component, dt):
+    """New vertices of a closed component after one step of size dt.
+
+    BDF2 from the previous level kept on the component, with step ratio
+    w = dt / dt_prev and lengths frozen at (1 + w) l^n - w l^{n-1}:
+
+        (1 + 2w)/(1 + w) X' - (1 + w) X^n + w^2/(1 + w) X^{n-1} = dt D X',
+
+    or backward Euler, X' - X^n = dt D(l^n) X', without one.  Multiplied by
+    the masses the system is symmetric and positive definite; its cyclic
+    corner is split off by Sherman-Morrison, so x, y and the correction
+    vector are one tridiagonal solve with three right-hand sides.
+    """
+    # imported here: scipy.linalg takes longer to load than runs without a
+    # closed component take
+    from scipy.linalg.lapack import dptsv
+    X, lengths = comp.points, comp.segment_lengths()
+    if comp._previous is None:
+        a, rhs, frozen = 1.0, X, lengths
+    else:
+        X_old, lengths_old, dt_old = comp._previous
+        w = dt / dt_old
+        a = (1.0 + 2.0 * w) / (1.0 + w)
+        rhs = (1.0 + w) * X - (w * w / (1.0 + w)) * X_old
+        frozen = (1.0 + w) * lengths - w * lengths_old
+    mass, diagonal, off = closed_stencil(frozen)
+    d = a * mass - dt * diagonal
+    e = -dt * off  # e[i] couples i and i + 1, e[-1] the last and the first
+    # A = T + u v^T with u = (-d_0, 0, ..., 0, e_{-1}),
+    # v = (1, 0, ..., 0, -e_{-1} / d_0); T is tridiagonal and stays definite
+    c, d0 = e[-1], d[0]
+    d[0] = 2.0 * d0
+    d[-1] += c * c / d0
+    b = np.zeros((3, len(X)))  # b.T is Fortran-ordered: solved uncopied
+    np.multiply(mass, rhs.T, out=b[:2])
+    b[2, 0], b[2, -1] = -d0, c
+    _, _, y, info = dptsv(d, e[:-1], b.T, overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise StepTooLarge(f"dt={dt:.3g} freezes a closed component at "
+                           "non-positive extrapolated lengths")
+    y = y.T  # rows: x, y and the correction vector
+    vy = y[:, 0] - (c / d0) * y[:, -1]
+    y[:2] -= np.multiply.outer(vy[:2] / (1.0 + vy[2]), y[2])
+    return y[:2].T
+
+
 # -- boundary vertices ----------------------------------------------------------
 #
 # The tangent estimate and the orthogonality solve use plain floats and
@@ -326,22 +406,37 @@ def _gauss_seidel_orthogonality(pts, ends, targets):
         pts[nb] = rotated(theta1)
 
 
-def step(state: CurveState, dt, cfl=0.4):
-    """One explicit Euler step of curvature motion.
+def _open_h_min(components):
+    """Shortest segment of the components ``step`` advances explicitly."""
+    lens = [c.segment_lengths().min() for c in components
+            if not _implicit(c) and len(c.points) > 1]
+    return min(lens) if lens else np.inf
 
-    Interior vertices move by the discrete curvature vector; boundary
+
+def step(state: CurveState, dt, cfl=0.4):
+    """One time step of curvature motion.
+
+    A closed component takes a linearly implicit BDF2 step from the level
+    it keeps, or a backward-Euler step when it has none (it is new, split
+    or remeshed); the new component keeps this level.  Open chains take an
+    explicit Euler step, and dt may not exceed cfl h_min^2 over them:
+    interior vertices move by the discrete curvature vector; boundary
     vertices move tangentially and are re-projected onto the barrier, then
     one Gauss-Seidel pass restores orthogonality at the contact.  Each new
     component is built from its final point array.
     """
-    h = state.h_min()
+    h = _open_h_min(state.components)
     if dt > cfl * h * h * (1.0 + 1e-9):
         raise StepTooLarge(f"dt={dt:.3g} exceeds {cfl:.2f} h_min^2 = "
                            f"{cfl * h * h:.3g}")
     S = state.barrier
     new_comps = []
     for comp in state.components:
-        pts = comp.points + dt * vertex_velocity(comp, S)
+        implicit = _implicit(comp)
+        if implicit:
+            pts = _implicit_closed_step(comp, dt)
+        else:
+            pts = comp.points + dt * vertex_velocity(comp, S)
         if S is not None and np.any(comp.on_s):
             flagged = np.nonzero(comp.on_s)[0]
             pts[flagged] = S.project(pts[flagged])
@@ -349,7 +444,11 @@ def step(state: CurveState, dt, cfl=0.4):
             if ends:
                 targets = (-S.normal(pts[[j for j, _, _ in ends]])).tolist()
                 _gauss_seidel_orthogonality(pts, ends, targets)
-        new_comps.append(Component(pts, comp.closed, comp.on_s))
+        new = Component(pts, comp.closed, comp.on_s)
+        if implicit:
+            object.__setattr__(new, "_previous",
+                               (comp.points, comp.segment_lengths(), dt))
+        new_comps.append(new)
     return CurveState(new_comps, state.time + dt, state.barrier)
 
 
@@ -446,16 +545,19 @@ def _split_component(comp: Component, cuts, S: Barrier):
 
 
 def remesh(state: CurveState, h_target):
-    """Split segments longer than 1.5 h and merge interior vertices of
-    segments shorter than 0.5 h; boundary flags are preserved and the total
-    length changes by at most 1e-3 of itself.
+    """Split segments longer than 1.5 h and, on open chains, merge interior
+    vertices of segments shorter than 0.5 h; boundary flags are preserved
+    and the total length changes by at most 1e-3 of itself.
 
-    Components that need no change are passed on as they are, and the state
-    itself is returned when none does.
+    Closed components are never merged: their implicit step has no bound
+    that short segments would shrink, and a merge would cost them their
+    previous level.  Components that need no change are passed on as they
+    are, and the state itself is returned when none does.
     """
     lo, hi = 0.5 * h_target, 1.5 * h_target
-    fine = [len(c.points) > 1 and c.segment_lengths().min() >= lo
-            and c.segment_lengths().max() <= hi for c in state.components]
+    fine = [len(c.points) > 1 and c.segment_lengths().max() <= hi
+            and (c.closed or c.segment_lengths().min() >= lo)
+            for c in state.components]
     if all(fine):
         return state
     new_comps = []
@@ -469,23 +571,21 @@ def remesh(state: CurveState, h_target):
             continue
         pts, flags, lens = comp.points, comp.on_s, comp.segment_lengths()
         base_len = float(lens.sum())
-        # merge pass, kept within the length-change budget; leftovers wait
-        # for the next remesh call
-        changed = True
-        while changed and len(pts) > (3 if not comp.closed else 4):
+        # merge pass on open chains, kept within the length-change budget;
+        # leftovers wait for the next remesh call
+        changed = not comp.closed
+        while changed and len(pts) > 3:
             changed = False
             order = np.argsort(lens)
             for si in order:
                 if lens[si] >= lo:
                     break
-                i, j = si, (si + 1) % len(pts)
-                if not comp.closed and si + 1 >= len(pts):
-                    continue
+                i, j = si, si + 1
                 if flags[i] and flags[j]:
                     continue
-                if flags[i] or (not comp.closed and i == 0):
+                if flags[i] or i == 0:
                     keep, drop, target = i, j, pts[i]
-                elif flags[j] or (not comp.closed and j == len(pts) - 1):
+                elif flags[j] or j == len(pts) - 1:
                     keep, drop, target = j, i, pts[j]
                 else:
                     # midpoint plus a sagitta correction from the mean
@@ -493,7 +593,7 @@ def remesh(state: CurveState, h_target):
                     # dent smooth arcs
                     keep, drop = i, j
                     k, w = turning_and_mass(comp.segment_vectors(), lens,
-                                            comp.closed)
+                                            False)
                     H = k[[i, j]] / w[[i, j], None]
                     target = 0.5 * (pts[i] + pts[j]) \
                         + 0.5 * (H[0] + H[1]) * (lens[si] ** 2 / 8.0)
@@ -528,16 +628,19 @@ def remesh(state: CurveState, h_target):
 
 
 def _self_intersects(state: CurveState):
-    """Any proper crossing between non-adjacent segments (all components).
+    """Any crossing between non-adjacent segments (all components).
 
     Segments are adjacent when they share a vertex: consecutive ones, and
     the last and first of a closed component (an open chain's ends are not
-    adjacent).  Broad phase: a uniform grid whose cell is the longest
-    segment, every segment filed under its midpoint.  Two segments that
-    cross have midpoints less than one cell apart on each axis, so only
-    pairs from the same or neighbouring cells are candidates; they come
-    from one stable sort of the cell keys, without a loop over segments.
-    Narrow phase: the exact parametric test on the candidates, which gives
+    adjacent).  Each vertex belongs to the segment it starts: segments meet
+    when their parameters t, u lie in the half-open band (-eps, 1 - eps), so
+    a curve that passes through one of its own vertices crosses there, and
+    two pieces that share only an end point do not.  Broad phase: a uniform
+    grid whose cell is the longest segment, every segment filed under its
+    midpoint.  Two segments that meet have midpoints less than one cell
+    apart on each axis, so only pairs from the same or neighbouring cells
+    are candidates; they come from one stable sort of the cell keys,
+    without a loop over segments.  Narrow phase: the exact parametric test on the candidates, which gives
     pair (i, j) the same bits as an all-pairs test.  Memory is O(M +
     candidates).
     """
@@ -591,9 +694,29 @@ def _self_intersects(state: CurveState):
         t = (rx * dyj - ry * dxj) / denom
         u = (rx * dyi - ry * dxi) / denom
     eps = 1e-9
-    hit = (np.abs(denom) > 1e-300) & (t > eps) & (t < 1 - eps) & \
-          (u > eps) & (u < 1 - eps)
+    hit = (np.abs(denom) > 1e-300) & (t > -eps) & (t < 1 - eps) & \
+          (u > -eps) & (u < 1 - eps)
     return bool(np.any(hit))
+
+
+# a closed component's step, at most this many h_target^2 and half the
+# snapshot cadence, dividing the cadence
+_CLOSED_DT_H2 = 2.0
+
+
+def check_run_params(t_end, h_target, snapshot_dt, cfl):
+    """Raise ConfigError unless a run with these values can end: all reals
+    with a finite float value, t_end >= 0 and the others > 0 (remesh splits
+    without end at h_target <= 0, the snapshot grid and the closed step
+    divide by snapshot_dt, and time never advances at cfl <= 0)."""
+    for key, value in (("t_end", t_end), ("h_target", h_target),
+                       ("snapshot_dt", snapshot_dt), ("cfl", cfl)):
+        bound = ">= 0" if key == "t_end" else "> 0"
+        if not (isinstance(value, numbers.Real)
+                and abs(value) <= sys.float_info.max
+                and (value >= 0 if key == "t_end" else value > 0)):
+            raise ConfigError(f"flow.{key} must be finite and {bound}, "
+                              f"got {value!r}")
 
 
 def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
@@ -602,19 +725,30 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
     """Drive the flow: step, pop, remesh, snapshot on an exact cadence grid.
 
     Stops at ``t_end``, on total extinction, or on a Collision event: every
-    snapshot is checked for a proper crossing of segments that share no
-    vertex (an open chain's ends are not adjacent).  ``vanish_length``
-    (default 10 h_target) deletes components shorter than the threshold,
-    recording a Vanish event.
+    snapshot is checked for a crossing of segments that share no vertex
+    (an open chain's ends are not adjacent).  ``vanish_length`` (default
+    10 h_target) deletes components shorter than the threshold, recording a
+    Vanish event.  Raises ConfigError, before any step, on values with which
+    the run could not end (``check_run_params``).
+
+    Open chains bound the step by cfl h_min^2, their h_min only.  A closed
+    component's step is snapshot_dt / ceil(snapshot_dt / min(2 h_target^2,
+    snapshot_dt / 2)); while one is present, the rest of each snapshot
+    interval is cut into equal steps within both bounds, so the BDF2 step
+    ratio stays near one.
 
     Components are values that measure their segment lengths once, so the
     pop threshold, the remesh trigger, the vanish test and the next ``dt``
     share one measurement per component; snapshots share components with
-    the running state instead of copying them.
+    the running state instead of copying them, and a component that no
+    pop or remesh replaced keeps its previous level for the next BDF2 step.
     """
+    check_run_params(t_end, h_target, snapshot_dt, cfl)
     state = CurveState(list(initial.components), initial.time,
                        barrier if barrier is not None else initial.barrier)
     vanish_len = 10.0 * h_target if vanish_length is None else vanish_length
+    closed_dt = snapshot_dt / math.ceil(
+        snapshot_dt / min(_CLOSED_DT_H2 * h_target ** 2, 0.5 * snapshot_dt))
     t0 = state.time
     n_snap = int(round((t_end - t0) / snapshot_dt))
     snap_times = t0 + snapshot_dt * np.arange(n_snap + 1)
@@ -625,8 +759,13 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
     for k in range(1, n_snap + 1):
         t_next = snap_times[k]
         while state.time < t_next - 1e-14:
-            h = state.h_min()
-            dt = min(cfl * h * h, t_next - state.time)
+            h = _open_h_min(state.components)
+            rest = t_next - state.time
+            if any(_implicit(c) for c in state.components):
+                cap = min(cfl * h * h, closed_dt)
+                dt = rest / math.ceil(rest / cap * (1.0 - 1e-9))
+            else:
+                dt = min(cfl * h * h, rest)
             state = step(state, dt, cfl=cfl)
             state, pop_events = detect_and_pop(state, pop_threshold)
             events.extend(pop_events)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 
 import numpy as np
@@ -21,7 +20,8 @@ from .kernels import (KernelParams, calibrate_alpha, measured_c1,
                       sample_heat_operator_cases, support_probe,
                       write_heat_operator_csv)
 from . import flow as flow_mod
-from .flow import CurveState, circle_curve, half_circle_curve, lasso_curve, run
+from .flow import (CurveState, check_run_params, circle_curve,
+                   half_circle_curve, lasso_curve, run)
 
 
 def barrier_from_config(cfg):
@@ -91,21 +91,12 @@ def initial_curve_from_config(cfg):
 
 
 def flow_params_from_config(fc, h_default):
-    """(t_end, h_target, snapshot_dt, cfl) of a flow block, each checked to
-    let the run end: all finite, t_end >= 0 and the others > 0 (remesh
-    splits without end at h_target <= 0, the snapshot grid divides by
-    snapshot_dt, and time never advances at cfl <= 0)."""
-    params = {"t_end": fc.get("t_end", 0.25),
-              "h_target": fc.get("h_target", h_default),
-              "snapshot_dt": fc.get("snapshot_dt", 0.005),
-              "cfl": fc.get("cfl", 0.4)}
-    for key, value in params.items():
-        bound = ">= 0" if key == "t_end" else "> 0"
-        if not (isinstance(value, (int, float)) and math.isfinite(value)
-                and (value >= 0 if key == "t_end" else value > 0)):
-            raise ConfigError(f"flow.{key} must be finite and {bound}, "
-                              f"got {value!r}")
-    return params.values()
+    """(t_end, h_target, snapshot_dt, cfl) of a flow block, checked by
+    ``flow.check_run_params`` to let the run end."""
+    params = (fc.get("t_end", 0.25), fc.get("h_target", h_default),
+              fc.get("snapshot_dt", 0.005), fc.get("cfl", 0.4))
+    check_run_params(*params)
+    return params
 
 
 def kernel_params_from_config(cfg, barrier, seed=0):

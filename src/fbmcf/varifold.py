@@ -90,7 +90,10 @@ class Component:
 
     A value: ``points`` and ``on_s`` are read-only copies of what the
     constructor was given, so a component can be shared between states and
-    its segment vectors and lengths are measured once.
+    its segment vectors and lengths are measured once.  A closed component
+    made by a flow step also keeps the level it was stepped from, as the
+    arrays (points, segment lengths, dt) and never as a component, so
+    histories do not chain; any other component has none.
     """
 
     points: np.ndarray
@@ -101,6 +104,8 @@ class Component:
                                  compare=False)
     _lengths: np.ndarray = field(default=None, init=False, repr=False,
                                  compare=False)
+    _previous: tuple = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         points = _read_only_copy(self.points, float)

@@ -109,6 +109,29 @@ class TestReflection:
         with pytest.raises(BeyondReach):
             S.reflect_point(np.array([3.0, 0.0]))
 
+    def test_reach_check_on_finite_and_infinite_reach(self):
+        """A Circle still checks its reach in both reflections; a Line skips
+        the check where it cannot fire and gives the mirror and reflected
+        vector bits of the unchecked formulas, and a distance that
+        overflows the norm still raises."""
+        S = Circle((0.0, 0.0), 1.0)
+        far = np.array([[0.5, 0.0], [0.0, 2.5]])
+        for query in (lambda x: S.reflect_point(x),
+                      lambda x: S.reflect_vector(x, np.ones_like(x))):
+            with pytest.raises(BeyondReach):
+                query(far)
+        line = Line(normal=(0.6, -0.8), offset=0.3)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(64, 2)) * 10.0 ** rng.uniform(-3, 140, (64, 1))
+        v = rng.normal(size=(64, 2))
+        feet = line.project(x)
+        n = line.normal(x)
+        assert line.reflect_point(x).tobytes() == (2.0 * feet - x).tobytes()
+        assert line.reflect_vector(x, v).tobytes() == (
+            v - 2.0 * np.sum(v * n, axis=-1, keepdims=True) * n).tobytes()
+        with np.errstate(over="ignore"), pytest.raises(BeyondReach):
+            line.reflect_point(np.array([0.0, 1e200]))
+
     def test_vector_reflection_line(self):
         S = Line(normal=(0.0, 1.0), offset=0.0)
         np.testing.assert_allclose(

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fbmcf import flow
 from fbmcf.barrier import Circle, Line, ParametricBarrier
-from fbmcf.errors import InadmissibleTestFunction, StepTooLarge
+from fbmcf.errors import ConfigError, InadmissibleTestFunction, StepTooLarge
 from fbmcf.flow import (
     Component, CurveState, SpacetimeTestFunction, dissipation_inequality_check,
-    circle_curve, detect_and_pop, graph_estimate_check, half_circle_curve,
-    lasso_curve, mass_bound_check, orthogonality_residual, remesh, run,
-    segment_curve, static_history, step, vertex_velocity,
+    circle_curve, closed_stencil, detect_and_pop, graph_estimate_check,
+    half_circle_curve, lasso_curve, mass_bound_check, orthogonality_residual,
+    remesh, run, segment_curve, static_history, step, vertex_velocity,
     _boundary_ends, _gauss_seidel_orthogonality, _self_intersects,
     _tangent_estimate,
 )
@@ -67,7 +68,8 @@ class TestStep:
             assert radii.std() <= 0.002
 
     def test_step_too_large(self):
-        st = circle_curve(radius=1.0, n=64)
+        """Only open chains bound the step; closed components are implicit."""
+        st = half_circle_curve(radius=1.0, n=64)
         with pytest.raises(StepTooLarge):
             step(st, 1.0)
 
@@ -408,6 +410,108 @@ class TestComponentValue:
                                           _fresh_lengths(c))
 
 
+def _recording_step(monkeypatch):
+    """Make ``run`` record (dt, restart) for every closed component it steps,
+    restart meaning the component has no previous level."""
+    log = []
+    inner = flow.step
+
+    def recording(state, dt, cfl=0.4):
+        log.extend((dt, c._previous is None) for c in state.components
+                   if c.closed)
+        return inner(state, dt, cfl)
+
+    monkeypatch.setattr(flow, "step", recording)
+    return log
+
+
+def _circle_radius_error(hist, center):
+    return max(abs(mean_radius(CurveState(s.components[:1]), center)
+                   - np.sqrt(1.0 - 2.0 * s.time)) for s in hist.snapshots)
+
+
+class TestImplicitClosedStep:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(3, 40), st.integers(0, 2 ** 32 - 1))
+    def test_operator_is_turning_over_mass(self, n, seed):
+        """D(l) X from the stencil's diagonals equals turning / mass on
+        random closed polylines."""
+        rng = np.random.default_rng(seed)
+        th = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        r = rng.uniform(0.5, 1.5, n)
+        comp = Component(np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+                         + rng.uniform(-1.0, 1.0, 2), closed=True)
+        mass, diagonal, off = closed_stencil(comp.segment_lengths())
+        i = np.arange(n)
+        K = np.diag(diagonal)
+        K[i, (i + 1) % n] += off
+        K[(i + 1) % n, i] += off
+        turning, w = turning_and_mass(comp.segment_vectors(),
+                                      comp.segment_lengths(), True)
+        H = turning / w[:, None]
+        np.testing.assert_array_equal(mass, w)
+        np.testing.assert_allclose((K @ comp.points) / mass[:, None], H,
+                                   rtol=0, atol=1e-12 * max(1.0, abs(H).max()))
+
+    def test_shrinking_circle_keeps_vertices_and_restarts_once(
+            self, monkeypatch):
+        log = _recording_step(monkeypatch)
+        hist = run(circle_curve(radius=1.0, n=64), t_end=0.4,
+                   h_target=2 * np.pi / 64, snapshot_dt=0.01)
+        assert hist.events == []
+        assert all(len(s.components[0].points) == 64 for s in hist.snapshots)
+        assert [restart for _, restart in log].count(True) == 1 and log[0][1]
+        # 2 h^2 = 0.019 exceeds half the cadence, which is the step
+        dts = np.array([dt for dt, _ in log])
+        np.testing.assert_allclose(dts, 0.005, rtol=1e-9)
+
+    def test_mixed_state_varies_the_step_ratio(self, monkeypatch):
+        """A circle beside a half circle on a line steps at the open chain's
+        bound, which shrinks with that chain, so a snapshot interval now and
+        then needs one more equal step: BDF2 runs at step ratios away from
+        one, and the circle stays at least as close to its radius law as
+        when it flows alone."""
+        h = np.pi / 128
+        center = (0.0, 3.0)
+        circle = circle_curve(center=center, radius=1.0, n=256)
+        alone = run(circle, t_end=0.3, h_target=h, snapshot_dt=0.005)
+        log = _recording_step(monkeypatch)
+        mixed = run(CurveState(circle.components
+                               + half_circle_curve(radius=1.0,
+                                                   n=128).components),
+                    t_end=0.3, h_target=h, snapshot_dt=0.005, barrier=LINE)
+        assert mixed.events == []
+        assert all(len(s.components) == 2 for s in mixed.snapshots)
+        dts = np.array([dt for dt, _ in log])
+        ratios = dts[1:] / dts[:-1]
+        assert ratios.min() < 0.9 and 1.1 < ratios.max() < 1.0 + np.sqrt(2.0)
+        assert [restart for _, restart in log].count(True) == 1
+        assert _circle_radius_error(mixed, center) <= \
+            _circle_radius_error(alone, center)
+
+    @pytest.mark.parametrize("params, key", [
+        ({"h_target": 0.0}, "h_target"),
+        ({"h_target": -1.0}, "h_target"),
+        ({"snapshot_dt": 0.0}, "snapshot_dt"),
+        ({"cfl": 0.0}, "cfl"),
+        ({"cfl": -0.4}, "cfl"),
+        ({"t_end": float("nan")}, "t_end"),
+        ({"t_end": 10 ** 400}, "t_end"),  # no float value
+    ])
+    def test_run_rejects_values_that_cannot_end(self, monkeypatch, params,
+                                                 key):
+        """A typed error before the first step, from the check the scenario
+        config shares."""
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(flow, "step", no_step)
+        kwargs = {"t_end": 0.01, "h_target": 0.1, "snapshot_dt": 0.005,
+                  **params}
+        with pytest.raises(ConfigError, match=f"flow.{key} must be finite"):
+            run(circle_curve(n=16), **kwargs)
+
+
 class TestRunLaws:
     def test_circle_radius_law(self, circle_history):
         errs = [abs(mean_radius(s) - np.sqrt(1.0 - 2.0 * s.time))
@@ -559,7 +663,8 @@ class TestPop:
 
 def _self_intersects_dense(state):
     """Reference for ``_self_intersects``: every pair of segments at once, in
-    dense M x M arrays; only closed components wrap around."""
+    dense M x M arrays; only closed components wrap around, and each vertex
+    belongs to the segment it starts (t, u in (-eps, 1 - eps))."""
     segs = [c.segments() for c in state.components]
     n_seg = np.array([len(a) for a, _ in segs], dtype=int)
     M = int(n_seg.sum())
@@ -577,8 +682,8 @@ def _self_intersects_dense(state):
         t = cross(rel, d[None, :, :]) / denom
         u = cross(rel, d[:, None, :]) / denom
     eps = 1e-9
-    hit = (np.abs(denom) > 1e-300) & (t > eps) & (t < 1 - eps) & \
-          (u > eps) & (u < 1 - eps)
+    hit = (np.abs(denom) > 1e-300) & (t > -eps) & (t < 1 - eps) & \
+          (u > -eps) & (u < 1 - eps)
     comp_id = np.repeat(np.arange(len(segs)), n_seg)
     seg_id = np.concatenate([np.arange(n) for n in n_seg])
     same_comp = comp_id[:, None] == comp_id[None, :]
@@ -703,11 +808,23 @@ class TestCollision:
             tracemalloc.stop()
         assert peak <= 8e6
 
-    def test_self_crossing_halts_with_event(self):
-        # bowtie: two lobes sharing a crossing
+    @staticmethod
+    def _bowtie():
+        """Two lobes crossing at vertices 0 and 32, which coincide."""
         th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         pts = np.stack([np.sin(2 * th), np.sin(th)], axis=-1) + [0.0, 3.0]
-        st = CurveState([Component(pts, closed=True)])
+        return CurveState([Component(pts, closed=True)])
+
+    def test_crossing_through_a_vertex(self):
+        """Each vertex belongs to the segment it starts, so the bowtie
+        crosses where two of its vertices coincide."""
+        st = self._bowtie()
+        np.testing.assert_allclose(st.components[0].points[0],
+                                   st.components[0].points[32], atol=1e-15)
+        assert _self_intersects(st)
+
+    def test_self_crossing_halts_with_event(self):
+        st = self._bowtie()
         hist = run(st, t_end=0.05, h_target=st.total_length() / 64,
                    snapshot_dt=0.002)
         kinds = [e.kind for e in hist.events]
