@@ -466,12 +466,13 @@ class Circle(Barrier):
 class ParametricBarrier(Barrier):
     """Closed C^3 barrier from a parametric sample table (plus optional callables).
 
-    The table stores ``gamma(theta)`` with first and second derivatives on a
-    uniform closed parameter grid.  Projection runs Newton iteration on the
-    squared distance, multistarted from the eight nearest table samples; when
-    analytic callables ``funcs = (f, df, ddf)`` are supplied they are used for
-    the Newton evaluations, otherwise a periodic cubic spline through the
-    table is used.  The callables act on whole arrays: given parameters
+    The table stores ``gamma(theta)`` on a uniform closed parameter grid; the
+    first and second derivatives there only give the curvature for the
+    reach.  Projection runs Newton iteration on the squared distance,
+    multistarted from the eight nearest table samples; when analytic
+    callables ``funcs = (f, df, ddf)`` are supplied they are used for the
+    Newton evaluations, otherwise a periodic cubic spline through the table
+    is used.  The callables act on whole arrays: given parameters
     ``theta`` of any shape they return ``gamma``, ``gamma'`` and ``gamma''``
     with shape ``(2,) + theta.shape``, x components first.
 
@@ -500,8 +501,7 @@ class ParametricBarrier(Barrier):
         kappa = np.abs(cross) / np.maximum(speed, 1e-300) ** 3
         orientation = np.sign(np.sum(cross))  # >0 for counterclockwise
         self._init(points=points, theta=theta, omega_side=omega_side,
-                   _f=f, _df=df, _ddf=ddf, d1=d1, d2=d2,
-                   _orientation=orientation)
+                   _f=f, _df=df, _ddf=ddf, _orientation=orientation)
         reach_curv = 1.0 / max(kappa.max(), 1e-300)
         self._init(reach=min(reach_curv, 0.5 * self._min_self_distance()))
 

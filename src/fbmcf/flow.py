@@ -17,7 +17,7 @@ level.  A closed component without a previous level (new, split or
 remeshed) restarts with one backward-Euler step.  Its step has no stability
 bound; ``run`` sizes it from ``h_target`` and the snapshot cadence.
 
-Open chains take an explicit Euler step bounded by cfl h_min^2 over the
+Open chains take an explicit Euler step bounded by 0.4 h_min^2 over the
 open chains.  Vertices flagged as boundary points ride on the barrier: they
 turn against a ghost segment to their neighbor's mirror image and keep the
 barrier-tangential part, their position is re-projected onto the barrier
@@ -413,22 +413,22 @@ def _open_h_min(components):
     return min(lens) if lens else np.inf
 
 
-def step(state: CurveState, dt, cfl=0.4):
+def step(state: CurveState, dt):
     """One time step of curvature motion.
 
     A closed component takes a linearly implicit BDF2 step from the level
     it keeps, or a backward-Euler step when it has none (it is new, split
     or remeshed); the new component keeps this level.  Open chains take an
-    explicit Euler step, and dt may not exceed cfl h_min^2 over them:
+    explicit Euler step, and dt may not exceed 0.4 h_min^2 over them:
     interior vertices move by the discrete curvature vector; boundary
     vertices move tangentially and are re-projected onto the barrier, then
     one Gauss-Seidel pass restores orthogonality at the contact.  Each new
     component is built from its final point array.
     """
     h = _open_h_min(state.components)
-    if dt > cfl * h * h * (1.0 + 1e-9):
-        raise StepTooLarge(f"dt={dt:.3g} exceeds {cfl:.2f} h_min^2 = "
-                           f"{cfl * h * h:.3g}")
+    if dt > _CFL * h * h * (1.0 + 1e-9):
+        raise StepTooLarge(f"dt={dt:.3g} exceeds {_CFL:.2f} h_min^2 = "
+                           f"{_CFL * h * h:.3g}")
     S = state.barrier
     new_comps = []
     for comp in state.components:
@@ -488,7 +488,7 @@ def detect_and_pop(state: CurveState, pop_threshold=None):
             out.append(comp)
             continue
         idx = _coalesce_adjacent(idx, d, len(pts), comp.closed)
-        pieces = _split_component(comp, idx, S)
+        pieces = _split_component(comp, idx, feet)
         for i in idx:
             events.append(FlowEvent(state.time, "Pop", feet[i].copy()))
         out.extend(pieces)
@@ -510,37 +510,25 @@ def _coalesce_adjacent(idx, d, m, closed):
     return np.array(sorted(int(g[int(np.argmin(d[g]))]) for g in groups))
 
 
-def _split_component(comp: Component, cuts, S: Barrier):
-    """Split at the cut vertices; each cut vertex becomes two boundary vertices."""
-    pts, flags = comp.points, comp.on_s
-    feet = dict(zip((int(i) for i in cuts), S.project(pts[cuts])))
-    pieces = []
+def _split_component(comp: Component, cuts, feet):
+    """Split at the cut vertices, given the barrier feet of all vertices: each
+    cut becomes two boundary vertices on its foot, pieces run from cut (or an
+    open chain's end) to cut (or end), and pieces under three vertices are
+    dropped."""
+    pts, flags, m = comp.points, comp.on_s, len(comp.points)
+    is_cut = np.zeros(m, dtype=bool)
+    is_cut[cuts] = True
     cuts = sorted(int(i) for i in cuts)
-    if comp.closed:
-        ordered = cuts + [cuts[0] + len(pts)]
-        for a, b in zip(ordered[:-1], ordered[1:]):
-            ring = np.arange(a, b + 1) % len(pts)
-            p = pts[ring]
-            f = flags[ring]
-            p[0] = feet[int(ring[0])]
-            p[-1] = feet[int(ring[-1])]
-            f[0] = f[-1] = True
-            if len(p) >= 3:
-                pieces.append(Component(p, False, f))
-    else:
-        bounds = [0] + cuts + [len(pts) - 1]
-        for k in range(len(bounds) - 1):
-            a, b = bounds[k], bounds[k + 1]
-            p = pts[a:b + 1].copy()
-            f = flags[a:b + 1].copy()
-            if a in feet:
-                p[0] = feet[a]
-                f[0] = True
-            if b in feet:
-                p[-1] = feet[b]
-                f[-1] = True
-            if len(p) >= 3:
-                pieces.append(Component(p, False, f))
+    bounds = cuts + [cuts[0] + m] if comp.closed else [0] + cuts + [m - 1]
+    pieces = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        ring = np.arange(a, b + 1) % m
+        p, f = pts[ring], flags[ring]
+        for end in (0, -1):
+            if is_cut[ring[end]]:
+                p[end], f[end] = feet[ring[end]], True
+        if len(p) >= 3:
+            pieces.append(Component(p, False, f))
     return pieces
 
 
@@ -702,26 +690,31 @@ def _self_intersects(state: CurveState):
 # a closed component's step, at most this many h_target^2 and half the
 # snapshot cadence, dividing the cadence
 _CLOSED_DT_H2 = 2.0
+# an open chain's explicit step, at most this many h_min^2 of the open chains
+_CFL = 0.4
 
 
-def check_run_params(t_end, h_target, snapshot_dt, cfl):
+def check_run_params(t_end, h_target, snapshot_dt):
     """Raise ConfigError unless a run with these values can end: all reals
-    with a finite float value, t_end >= 0 and the others > 0 (remesh splits
-    without end at h_target <= 0, the snapshot grid and the closed step
-    divide by snapshot_dt, and time never advances at cfl <= 0)."""
+    with a finite float value, t_end >= 0, the others > 0 and h_target^2 a
+    normal float (remesh splits without end at h_target <= 0, the snapshot
+    grid and the closed step divide by snapshot_dt, and the closed step
+    divides by a zero h_target^2 and overflows on a subnormal one)."""
     for key, value in (("t_end", t_end), ("h_target", h_target),
-                       ("snapshot_dt", snapshot_dt), ("cfl", cfl)):
+                       ("snapshot_dt", snapshot_dt)):
         bound = ">= 0" if key == "t_end" else "> 0"
         if not (isinstance(value, numbers.Real)
                 and abs(value) <= sys.float_info.max
                 and (value >= 0 if key == "t_end" else value > 0)):
             raise ConfigError(f"flow.{key} must be finite and {bound}, "
                               f"got {value!r}")
+    if h_target * h_target < sys.float_info.min:
+        raise ConfigError(f"flow.h_target must be finite and its square at "
+                          f"least {sys.float_info.min!r}, got {h_target!r}")
 
 
-def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
-        pop_threshold=None, vanish_length=None, barrier=None,
-        config_echo=None):
+def run(initial: CurveState, t_end, h_target, snapshot_dt,
+        vanish_length=None, barrier=None, config_echo=None):
     """Drive the flow: step, pop, remesh, snapshot on an exact cadence grid.
 
     Stops at ``t_end``, on total extinction, or on a Collision event: every
@@ -731,7 +724,7 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
     Vanish event.  Raises ConfigError, before any step, on values with which
     the run could not end (``check_run_params``).
 
-    Open chains bound the step by cfl h_min^2, their h_min only.  A closed
+    Open chains bound the step by 0.4 h_min^2, their h_min only.  A closed
     component's step is snapshot_dt / ceil(snapshot_dt / min(2 h_target^2,
     snapshot_dt / 2)); while one is present, the rest of each snapshot
     interval is cut into equal steps within both bounds, so the BDF2 step
@@ -743,7 +736,7 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
     the running state instead of copying them, and a component that no
     pop or remesh replaced keeps its previous level for the next BDF2 step.
     """
-    check_run_params(t_end, h_target, snapshot_dt, cfl)
+    check_run_params(t_end, h_target, snapshot_dt)
     state = CurveState(list(initial.components), initial.time,
                        barrier if barrier is not None else initial.barrier)
     vanish_len = 10.0 * h_target if vanish_length is None else vanish_length
@@ -762,12 +755,12 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
             h = _open_h_min(state.components)
             rest = t_next - state.time
             if any(_implicit(c) for c in state.components):
-                cap = min(cfl * h * h, closed_dt)
+                cap = min(_CFL * h * h, closed_dt)
                 dt = rest / math.ceil(rest / cap * (1.0 - 1e-9))
             else:
-                dt = min(cfl * h * h, rest)
-            state = step(state, dt, cfl=cfl)
-            state, pop_events = detect_and_pop(state, pop_threshold)
+                dt = min(_CFL * h * h, rest)
+            state = step(state, dt)
+            state, pop_events = detect_and_pop(state)
             events.extend(pop_events)
             state = remesh(state, h_target)
             # delete vanished components
@@ -793,7 +786,7 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt, cfl=0.4,
 
     cfg = dict(config_echo or {})
     cfg.update({"t_end": t_end, "h_target": h_target, "snapshot_dt": snapshot_dt,
-                "cfl": cfl, "halted": halted})
+                "halted": halted})
     return FlowHistory(snapshots, events, cfg, state.barrier)
 
 
@@ -1003,7 +996,7 @@ def _effective_velocities(state: CurveState):
     h = state.h_min()
     if not np.isfinite(h):
         return [np.zeros_like(c.points) for c in state.components]
-    dt = 0.2 * 0.4 * h * h
+    dt = 0.2 * _CFL * h * h
     probe = step(state, dt)
     return [(cb.points - ca.points) / dt
             for ca, cb in zip(state.components, probe.components)]

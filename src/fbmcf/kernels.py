@@ -25,6 +25,7 @@ from .barrier import Barrier, measured_c1
 from .errors import (CalibrationFailure, KappaTooLarge, NonNegativeTime)
 
 ALPHA_GRID_MAX = 2.0 ** 10
+ALPHA_SAMPLES = 2000  # seeded samples per alpha tried by calibrate_alpha
 
 
 def beta0_squared(alpha):
@@ -141,7 +142,7 @@ def reflected_truncated_kernel(S: Barrier, X0, x, t, params: KernelParams):
         0.0)
 
 
-def heat_operator(fn, xs, ts, dirs, kappa=1.0):
+def heat_operator(fn, xs, ts, dirs, kappa):
     """(d_t - tr_L D^2) fn at points xs and times ts < 0, batched.
 
     Each row of ``dirs`` is a unit direction spanning the 1-plane of its
@@ -318,17 +319,17 @@ def support_probe(S: Barrier, params: KernelParams, n_probes=1000, seed=0):
     return margins.min() if len(margins) else 1.0
 
 
-def calibrate_alpha(draft: KernelParams, S: Barrier, sample_budget=2000, seed=0):
+def calibrate_alpha(draft: KernelParams, S: Barrier, seed=0):
     """Smallest dyadic alpha >= 1/2 making the cutoff subsolution inequality hold.
 
     The check evaluates the sufficient bracket from the subsolution estimate,
 
         -3 q^2 / (4 tau) - alpha/4 + 2 + c_meas * |q| / r_S  <=  0,
 
-    over seeded admissible samples (q the kernel-frame position of x or its
-    mirror), with the curvature constant c_meas measured from the barrier's
-    mirror Hessian.  Flat barriers have c_meas = 0, so the smallest passing
-    value is the dyadic ceiling of 8.
+    over ALPHA_SAMPLES seeded admissible samples per alpha (q the
+    kernel-frame position of x or its mirror), with the curvature constant
+    c_meas measured from the barrier's mirror Hessian.  Flat barriers have
+    c_meas = 0, so the smallest passing value is the dyadic ceiling of 8.
     """
     rng = np.random.default_rng(seed)
     kappa = draft.kappa
@@ -339,9 +340,9 @@ def calibrate_alpha(draft: KernelParams, S: Barrier, sample_budget=2000, seed=0)
     while alpha <= ALPHA_GRID_MAX:
         params = KernelParams(kappa=kappa, alpha=alpha, c1=draft.c1)
         tau_max = params.beta0_sq * kappa ** 2
-        tau = tau_max * 10.0 ** rng.uniform(-2, 0, sample_budget)
-        q = np.sqrt(tau)[:, None] * rng.uniform(0.0, 6.0, (sample_budget, 1)) \
-            * _unit_dirs(rng, sample_budget)
+        tau = tau_max * 10.0 ** rng.uniform(-2, 0, ALPHA_SAMPLES)
+        q = np.sqrt(tau)[:, None] * rng.uniform(0.0, 6.0, (ALPHA_SAMPLES, 1)) \
+            * _unit_dirs(rng, ALPHA_SAMPLES)
         qq = np.linalg.norm(q, axis=-1)
         bracket = (-3.0 * qq ** 2 / (4.0 * tau) - alpha / 4.0 + 2.0
                    + c_meas * qq / r_s)

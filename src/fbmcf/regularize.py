@@ -46,8 +46,8 @@ class TranslatorProfile:
     cap_w: np.ndarray    # dz/dr on the cap
     z_max: float
     shoot_slope: float   # the slope r'(0) a shooting solve would search for
-    full_r: np.ndarray = None   # type: ignore[assignment]  # uniform r grid
-    full_w: np.ndarray = None   # type: ignore[assignment]  # dz/dr on it
+    full_r: np.ndarray   # uniform r grid
+    full_w: np.ndarray   # dz/dr on it
 
     @property
     def samples(self):

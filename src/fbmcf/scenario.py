@@ -91,10 +91,10 @@ def initial_curve_from_config(cfg):
 
 
 def flow_params_from_config(fc, h_default):
-    """(t_end, h_target, snapshot_dt, cfl) of a flow block, checked by
+    """(t_end, h_target, snapshot_dt) of a flow block, checked by
     ``flow.check_run_params`` to let the run end."""
     params = (fc.get("t_end", 0.25), fc.get("h_target", h_default),
-              fc.get("snapshot_dt", 0.005), fc.get("cfl", 0.4))
+              fc.get("snapshot_dt", 0.005))
     check_run_params(*params)
     return params
 
@@ -109,9 +109,7 @@ def kernel_params_from_config(cfg, barrier, seed=0):
     draft = KernelParams.for_barrier(barrier, kappa=kappa,
                                      alpha=alpha or 8.0, c1=c1)
     if alpha is None:
-        alpha = calibrate_alpha(draft, barrier,
-                                sample_budget=cfg.get("sample_budget", 2000),
-                                seed=seed)
+        alpha = calibrate_alpha(draft, barrier, seed=seed)
     return KernelParams.for_barrier(barrier, kappa=kappa, alpha=alpha, c1=c1)
 
 
@@ -154,6 +152,12 @@ def env_seed(default):
         raise ConfigError(f"seed must be an integer, got {value!r}") from None
 
 
+# keys of earlier configs whose values are fixed constants: a config that
+# sets one is refused rather than run without it
+_REMOVED_KEYS = (("flow", "cfl"), ("flow", "pop_threshold"),
+                 ("kernels", "sample_budget"))
+
+
 def load_config(path):
     try:
         with open(path) as f:
@@ -162,6 +166,10 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if "name" not in cfg:
         raise ConfigError("config needs a 'name'")
+    for block, key in _REMOVED_KEYS:
+        if key in (cfg.get(block) or {}):
+            raise ConfigError(f"{block}.{key} is not a setting: its value is "
+                              "fixed; remove the key")
     return cfg
 
 
@@ -193,11 +201,9 @@ def run_scenario(config_path, out_dir=None, seed=None):
         initial = initial_curve_from_config(cfg["initial_curve"])
         n_pts = sum(len(c.points) for c in initial.components)
         h_default = initial.total_length() / max(n_pts - 1, 1)
-        t_end, h_target, snapshot_dt, cfl = flow_params_from_config(
-            fc, h_default)
+        t_end, h_target, snapshot_dt = flow_params_from_config(fc, h_default)
         history = run(initial, t_end=t_end, h_target=h_target,
-                      snapshot_dt=snapshot_dt, cfl=cfl,
-                      pop_threshold=fc.get("pop_threshold"),
+                      snapshot_dt=snapshot_dt,
                       vanish_length=fc.get("vanish_length"),
                       barrier=barrier,
                       config_echo={"name": name, "seed": seed,

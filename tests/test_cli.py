@@ -147,16 +147,17 @@ class TestRun:
         ({"h_target": float("nan")}, "h_target"),
         ({"snapshot_dt": 0}, "snapshot_dt"),
         ({"snapshot_dt": "0.005"}, "snapshot_dt"),
-        ({"cfl": 0.0}, "cfl"),
-        ({"cfl": -0.4}, "cfl"),
+        ({"h_target": 1e-200}, "h_target"),
+        ({"h_target": 1e-160}, "h_target"),
         ({"t_end": -0.01}, "t_end"),
         ({"t_end": float("inf")}, "t_end"),
     ])
     def test_flow_block_that_cannot_end_exits_2(self, tmp_path, capsys, flow,
                                                  key):
         """Rejected before the flow starts: remesh would double the vertex
-        count every step at h_target <= 0, snapshot_dt = 0 divides by zero
-        and cfl <= 0 never advances time."""
+        count every step at h_target <= 0, snapshot_dt = 0 divides by zero,
+        and the closed step divides by zero or overflows when h_target^2
+        is below the smallest normal float."""
         cfg = {"name": "bad_flow", "barrier": None,
                "initial_curve": {"kind": "circle", "radius": 1.0, "n": 8},
                "flow": {"t_end": 0.01, "snapshot_dt": 0.005, **flow}}
@@ -166,6 +167,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"flow.{key} must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("block, key", [("flow", "cfl"),
+                                            ("flow", "pop_threshold"),
+                                            ("kernels", "sample_budget")])
+    def test_removed_key_exits_2(self, tmp_path, capsys, block, key):
+        """Keys whose values became constants are refused, not ignored."""
+        cfg = {"name": "removed_key", "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": 1.0, "n": 8},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005}}
+        cfg.setdefault(block, {})[key] = 0.4
+        p = tmp_path / "removed_key.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{block}.{key} is not a setting" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_jobs_beyond_config_count_start_one_worker_each(self, tmp_path,
                                                              inline_pool):

@@ -416,10 +416,10 @@ def _recording_step(monkeypatch):
     log = []
     inner = flow.step
 
-    def recording(state, dt, cfl=0.4):
+    def recording(state, dt):
         log.extend((dt, c._previous is None) for c in state.components
                    if c.closed)
-        return inner(state, dt, cfl)
+        return inner(state, dt)
 
     monkeypatch.setattr(flow, "step", recording)
     return log
@@ -493,8 +493,8 @@ class TestImplicitClosedStep:
         ({"h_target": 0.0}, "h_target"),
         ({"h_target": -1.0}, "h_target"),
         ({"snapshot_dt": 0.0}, "snapshot_dt"),
-        ({"cfl": 0.0}, "cfl"),
-        ({"cfl": -0.4}, "cfl"),
+        ({"h_target": 1e-200}, "h_target"),  # h_target^2 underflows to 0
+        ({"h_target": 1e-160}, "h_target"),  # h_target^2 is subnormal
         ({"t_end": float("nan")}, "t_end"),
         ({"t_end": 10 ** 400}, "t_end"),  # no float value
     ])

@@ -86,7 +86,7 @@ class TestFirstVariation:
 
     def test_linearity(self):
         V = half_circle(37)
-        X = rotational_field(Poly2([[1.0, 0.2], [0.3, 0.0]]))
+        X = rotational_field(Poly2([[1.0, 0.2], [0.3, 0.0]]), (0.0, 0.0))
         Y = field_identity()
         a, b = 0.7, -1.3
 
