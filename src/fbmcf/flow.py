@@ -6,28 +6,35 @@ lumped mass (``varifold.turning_and_mass``, also the remesh sagitta's),
     H_i = (u_i - u_{i-1}) / ((l_i + l_{i-1}) / 2),
 
 which is exact (magnitude 1/R, radially inward) on uniformly sampled
-circles.  With the segment lengths l frozen, H = D(l) X is linear in the
-vertices X, D a cyclic tridiagonal operator on a closed component.
-
-A closed component advances by linearly implicit BDF2 with variable steps
-(Dziuk, M3AS 1994; Akrivis, Li & Lubich, Math. Comp. 2017): the lengths are
-frozen at the extrapolation l* = (1 + w) l^n - w l^{n-1}, w = dt_n /
-dt_{n-1}, and one cyclic tridiagonal solve, shared by x and y, gives the new
-level.  A closed component without a previous level (new, split or
-remeshed) restarts with one backward-Euler step.  Its step has no stability
-bound; ``run`` sizes it from ``h_target`` and the snapshot cadence.
-
-Open chains take an explicit Euler step bounded by 0.4 h_min^2 over the
-open chains.  Vertices flagged as boundary points ride on the barrier: they
+circles.  Vertices flagged as boundary points ride on the barrier: they
 turn against a ghost segment to their neighbor's mirror image and keep the
-barrier-tangential part, their position is re-projected onto the barrier
-after each step, and a single Gauss-Seidel pass rotates the adjacent vertex
-so the one-sided quadratic tangent estimate meets the barrier orthogonally.
-That estimate and solve run on plain floats with ``math``, so they do not
-depend on BLAS or SIMD dispatch; each component's barrier queries go out in
-one batch.  Components are immutable and measure their segment lengths
-once, so a step, the pop threshold, the remesh trigger, the vanish test and
-the next step size share one measurement.
+barrier-tangential part.  Free ends of open chains are pinned.  With the
+segment lengths l frozen, H = D(l) X is linear in the vertices X: D is a
+cyclic tridiagonal operator on a closed component, and on an open chain a
+tridiagonal one whose end rows, against a line, are exactly the mirror
+ghost (a Neumann row along the line).
+
+Closed components, and open chains with no barrier or a flat one, advance
+by linearly implicit BDF2 with variable steps (Dziuk, M3AS 1994; Akrivis,
+Li & Lubich, Math. Comp. 2017): the lengths are frozen at the extrapolation
+l* = (1 + w) l^n - w l^{n-1}, w = dt_n / dt_{n-1}, and one tridiagonal
+solve gives the new level, shared by x and y on a closed component and by
+the two coordinates of the line's frame on an open chain.  A component
+without a previous level (new, split, popped or remeshed), or whose
+extrapolated lengths are not all positive, restarts with one backward-Euler
+step.  The step has no stability bound; ``run`` sizes it from
+``h_target`` and the snapshot cadence.  Flagged ends are re-projected onto
+the line after each step.
+
+Open chains against a curved barrier take an explicit Euler step bounded
+by 0.4 h_min^2 over those chains.  Their boundary vertices are re-projected
+onto the barrier after each step, and a single Gauss-Seidel pass rotates
+the adjacent vertex so the one-sided quadratic tangent estimate meets the
+barrier orthogonally.  That estimate and solve run on plain floats with
+``math``, so they do not depend on BLAS or SIMD dispatch; each component's
+barrier queries go out in one batch.  Components are immutable and measure
+their segment lengths once, so a step, the pop threshold, the remesh
+trigger, the vanish test and the next step size share one measurement.
 
 Interior vertices that reach the barrier moving inward trigger a "pop": the
 touching vertex is duplicated into two boundary vertices placed on the
@@ -239,12 +246,14 @@ def vertex_velocity(comp: Component, barrier: Barrier | None):
     return vel
 
 
-# -- closed components: linearly implicit BDF2 ---------------------------------
+# -- implicit components: linearly implicit BDF2 -------------------------------
 
-def _implicit(comp: Component):
-    """Whether ``step`` advances the component implicitly: closed curves of
-    at least three vertices."""
-    return comp.closed and len(comp.points) > 2
+def _implicit(comp: Component, barrier: Barrier | None):
+    """Whether ``step`` advances the component implicitly: components of at
+    least three vertices that are closed, or open with no barrier or a flat
+    one (a ``Line``)."""
+    return len(comp.points) > 2 and (comp.closed or barrier is None
+                                     or barrier.is_flat())
 
 
 def closed_stencil(lengths):
@@ -259,31 +268,55 @@ def closed_stencil(lengths):
     return 0.5 * (lengths + before), -(off + 1.0 / before), off
 
 
-def _implicit_closed_step(comp: Component, dt):
-    """New vertices of a closed component after one step of size dt.
+def _implicit_step(comp: Component, dt, barrier: Barrier | None):
+    """New vertices of an implicit component after one step of size dt.
 
     BDF2 from the previous level kept on the component, with step ratio
     w = dt / dt_prev and lengths frozen at (1 + w) l^n - w l^{n-1}:
 
         (1 + 2w)/(1 + w) X' - (1 + w) X^n + w^2/(1 + w) X^{n-1} = dt D X',
 
-    or backward Euler, X' - X^n = dt D(l^n) X', without one.  Multiplied by
-    the masses the system is symmetric and positive definite; its cyclic
-    corner is split off by Sherman-Morrison, so x, y and the correction
-    vector are one tridiagonal solve with three right-hand sides.
+    or backward Euler, X' - X^n = dt D(l^n) X', without one or when the
+    extrapolated lengths are not all positive (a collapsing segment, such
+    as an end sliding under its neighbor).  Multiplied by the masses the
+    system is symmetric and positive definite.
     """
-    # imported here: scipy.linalg takes longer to load than runs without a
-    # closed component take
-    from scipy.linalg.lapack import dptsv
     X, lengths = comp.points, comp.segment_lengths()
-    if comp._previous is None:
-        a, rhs, frozen = 1.0, X, lengths
-    else:
+    a, rhs, frozen = 1.0, X, lengths
+    if comp._previous is not None:
         X_old, lengths_old, dt_old = comp._previous
         w = dt / dt_old
-        a = (1.0 + 2.0 * w) / (1.0 + w)
-        rhs = (1.0 + w) * X - (w * w / (1.0 + w)) * X_old
-        frozen = (1.0 + w) * lengths - w * lengths_old
+        extrapolated = (1.0 + w) * lengths - w * lengths_old
+        if extrapolated.min() > 0.0:
+            a = (1.0 + 2.0 * w) / (1.0 + w)
+            rhs = (1.0 + w) * X - (w * w / (1.0 + w)) * X_old
+            frozen = extrapolated
+    if comp.closed:
+        return _closed_solve(a, rhs, frozen, dt)
+    return _open_solve(comp, a, rhs, frozen, dt, barrier)
+
+
+def _solve_definite(d, e, b):
+    """Solution of the symmetric positive definite tridiagonal system with
+    diagonal d, off-diagonal e and right-hand sides b (rows), by LAPACK
+    ``ptsv``; d and b are overwritten."""
+    # imported here: scipy.linalg takes longer to load than runs without an
+    # implicit component take
+    from scipy.linalg.lapack import dptsv
+    # b.T is Fortran-ordered: solved uncopied
+    _, _, y, info = dptsv(d, e, b.T, overwrite_d=1, overwrite_b=1)
+    if info != 0:  # the frozen lengths are positive, so not definite means
+        # a zero-length or non-finite segment
+        raise StepTooLarge("an implicit step met a zero-length or non-finite "
+                           "segment")
+    return y.T
+
+
+def _closed_solve(a, rhs, frozen, dt):
+    """Solution of (a M - dt K) X' = M rhs on a closed component, M and K
+    from ``closed_stencil(frozen)``.  The cyclic corner is split off by
+    Sherman-Morrison, so x, y and the correction vector are one tridiagonal
+    solve with three right-hand sides."""
     mass, diagonal, off = closed_stencil(frozen)
     d = a * mass - dt * diagonal
     e = -dt * off  # e[i] couples i and i + 1, e[-1] the last and the first
@@ -292,17 +325,56 @@ def _implicit_closed_step(comp: Component, dt):
     c, d0 = e[-1], d[0]
     d[0] = 2.0 * d0
     d[-1] += c * c / d0
-    b = np.zeros((3, len(X)))  # b.T is Fortran-ordered: solved uncopied
+    b = np.zeros((3, len(rhs)))
     np.multiply(mass, rhs.T, out=b[:2])
     b[2, 0], b[2, -1] = -d0, c
-    _, _, y, info = dptsv(d, e[:-1], b.T, overwrite_d=1, overwrite_b=1)
-    if info != 0:
-        raise StepTooLarge(f"dt={dt:.3g} freezes a closed component at "
-                           "non-positive extrapolated lengths")
-    y = y.T  # rows: x, y and the correction vector
+    y = _solve_definite(d, e[:-1], b)  # rows: x, y and the correction vector
     vy = y[:, 0] - (c / d0) * y[:, -1]
     y[:2] -= np.multiply.outer(vy[:2] / (1.0 + vy[2]), y[2])
     return y[:2].T
+
+
+def _open_solve(comp: Component, a, rhs, frozen, dt, barrier):
+    """Solution of (a M - dt K) X' = M rhs on an open chain.
+
+    M holds the lumped masses of ``turning_and_mass``, half a segment at
+    each end, and K the tridiagonal stencil, whose end row (-1/l, 1/l) is
+    the ghost segment to the neighbor's mirror image across a line.  The
+    unknowns are the coordinates in the barrier's frame, s along the line
+    and z along its normal, or x and y without a barrier.  A flagged end on
+    a line keeps that Neumann row in s and stays on the line in z; any
+    other end is pinned.  Pinned rows move to the right-hand side, so both
+    coordinates stack into one definite tridiagonal system of 2m rows.
+    """
+    m = len(rhs)
+    coupling = dt / frozen  # dt K_{i,i+1}
+    mass = np.zeros(m)
+    mass[:-1] = 0.5 * frozen
+    mass[1:] += 0.5 * frozen
+    d = np.empty(2 * m)  # the s rows, then the z rows
+    d[:m] = a * mass
+    d[:m - 1] += coupling
+    d[1:m] += coupling
+    d[m:] = d[:m]
+    e = np.zeros(2 * m - 1)  # e[m - 1] = 0 splits s and z
+    e[:m - 1] = e[m:] = -coupling
+    # rows: the line's tangent and normal, or x and y without a barrier
+    frame = np.eye(2) if barrier is None else \
+        np.array([[-barrier.nu[1], barrier.nu[0]], barrier.nu])
+    b = ((rhs @ frame.T).T * mass).ravel()
+    (t0, t1), (n0, n1) = frame.tolist()
+    for j, nb in ((0, 1), (m - 1, m - 2)):
+        if barrier is not None and comp.on_s[j]:
+            pins = [(1, barrier.offset)]  # on the line; s keeps its row
+        else:
+            x, y = comp.points[j].tolist()
+            pins = [(0, x * t0 + y * t1), (1, x * n0 + y * n1)]
+        for k, value in pins:
+            r, edge = k * m + j, k * m + min(j, nb)
+            d[r], b[r] = 1.0, value
+            b[k * m + nb] -= e[edge] * value
+            e[edge] = 0.0
+    return _solve_definite(d, e, b[None])[0].reshape(2, m).T @ frame
 
 
 # -- boundary vertices ----------------------------------------------------------
@@ -406,41 +478,45 @@ def _gauss_seidel_orthogonality(pts, ends, targets):
         pts[nb] = rotated(theta1)
 
 
-def _open_h_min(components):
+def _explicit_h_min(state: CurveState):
     """Shortest segment of the components ``step`` advances explicitly."""
-    lens = [c.segment_lengths().min() for c in components
-            if not _implicit(c) and len(c.points) > 1]
+    lens = [c.segment_lengths().min() for c in state.components
+            if not _implicit(c, state.barrier) and len(c.points) > 1]
     return min(lens) if lens else np.inf
 
 
 def step(state: CurveState, dt):
     """One time step of curvature motion.
 
-    A closed component takes a linearly implicit BDF2 step from the level
-    it keeps, or a backward-Euler step when it has none (it is new, split
-    or remeshed); the new component keeps this level.  Open chains take an
-    explicit Euler step, and dt may not exceed 0.4 h_min^2 over them:
-    interior vertices move by the discrete curvature vector; boundary
-    vertices move tangentially and are re-projected onto the barrier, then
-    one Gauss-Seidel pass restores orthogonality at the contact.  Each new
-    component is built from its final point array.
+    An implicit component (closed, or open with no barrier or a flat one)
+    takes a linearly implicit BDF2 step from the level it keeps, or a
+    backward-Euler step when it has none (it is new, split, popped or
+    remeshed); the new component keeps this level.  Its flagged ends obey
+    the mirror condition exactly and are re-projected onto the line.  Open
+    chains against a curved barrier take an explicit Euler step, and dt may
+    not exceed 0.4 h_min^2 over them: interior vertices move by the discrete
+    curvature vector; boundary vertices move tangentially and are
+    re-projected onto the barrier, then one Gauss-Seidel pass restores
+    orthogonality at the contact.  Each new component is built from its
+    final point array.
     """
-    h = _open_h_min(state.components)
+    h = _explicit_h_min(state)
     if dt > _CFL * h * h * (1.0 + 1e-9):
         raise StepTooLarge(f"dt={dt:.3g} exceeds {_CFL:.2f} h_min^2 = "
                            f"{_CFL * h * h:.3g}")
     S = state.barrier
     new_comps = []
     for comp in state.components:
-        implicit = _implicit(comp)
+        implicit = _implicit(comp, S)
         if implicit:
-            pts = _implicit_closed_step(comp, dt)
+            pts = _implicit_step(comp, dt, S)
         else:
             pts = comp.points + dt * vertex_velocity(comp, S)
         if S is not None and np.any(comp.on_s):
             flagged = np.nonzero(comp.on_s)[0]
             pts[flagged] = S.project(pts[flagged])
-            ends = _boundary_ends(comp) if len(pts) > 2 else []
+            ends = _boundary_ends(comp) \
+                if not implicit and len(pts) > 2 else []
             if ends:
                 targets = (-S.normal(pts[[j for j, _, _ in ends]])).tolist()
                 _gauss_seidel_orthogonality(pts, ends, targets)
@@ -532,20 +608,37 @@ def _split_component(comp: Component, cuts, feet):
     return pieces
 
 
+def _mergeable(comp: Component, lo, implicit):
+    """Mask of the segments ``remesh`` may merge away: on an explicit chain
+    those shorter than lo.  An implicit component's step has no bound that
+    short segments would shrink, and a merge costs it its previous level, so
+    only a flagged end of an implicit open chain that slid under its
+    neighbor, as after a pop at a tangential touch, is merged: its segment
+    is shorter than lo and than half the next one."""
+    lens = comp.segment_lengths()
+    if not implicit:
+        return lens < lo
+    mask = np.zeros(len(lens), dtype=bool)
+    if not comp.closed:
+        for end, after in ((0, 1), (-1, -2)):
+            mask[end] = comp.on_s[end] and lens[end] < min(lo, 0.5 * lens[after])
+    return mask
+
+
 def remesh(state: CurveState, h_target):
-    """Split segments longer than 1.5 h and, on open chains, merge interior
-    vertices of segments shorter than 0.5 h; boundary flags are preserved
+    """Split segments longer than 1.5 h and merge the ``_mergeable``
+    segments shorter than 0.5 h, interior vertices on explicit chains and
+    collapsed flagged ends on implicit ones; boundary flags are preserved
     and the total length changes by at most 1e-3 of itself.
 
-    Closed components are never merged: their implicit step has no bound
-    that short segments would shrink, and a merge would cost them their
-    previous level.  Components that need no change are passed on as they
-    are, and the state itself is returned when none does.
+    Components that need no change are passed on as they are, and the state
+    itself is returned when none does.
     """
     lo, hi = 0.5 * h_target, 1.5 * h_target
+    implicit = [_implicit(c, state.barrier) for c in state.components]
     fine = [len(c.points) > 1 and c.segment_lengths().max() <= hi
-            and (c.closed or c.segment_lengths().min() >= lo)
-            for c in state.components]
+            and not _mergeable(c, lo, imp).any()
+            for c, imp in zip(state.components, implicit)]
     if all(fine):
         return state
     new_comps = []
@@ -553,21 +646,19 @@ def remesh(state: CurveState, h_target):
                        for c in state.components)
     budget = 1e-3 * max(total_before, 1e-12)
     spent = 0.0
-    for comp, ok in zip(state.components, fine):
+    for comp, ok, imp in zip(state.components, fine, implicit):
         if ok:
             new_comps.append(comp)
             continue
         pts, flags, lens = comp.points, comp.on_s, comp.segment_lengths()
         base_len = float(lens.sum())
-        # merge pass on open chains, kept within the length-change budget;
+        # merge pass, shortest first, kept within the length-change budget;
         # leftovers wait for the next remesh call
-        changed = not comp.closed
+        changed = True
         while changed and len(pts) > 3:
             changed = False
             order = np.argsort(lens)
-            for si in order:
-                if lens[si] >= lo:
-                    break
+            for si in order[_mergeable(comp, lo, imp)[order]]:
                 i, j = si, si + 1
                 if flags[i] and flags[j]:
                     continue
@@ -687,10 +778,10 @@ def _self_intersects(state: CurveState):
     return bool(np.any(hit))
 
 
-# a closed component's step, at most this many h_target^2 and half the
+# an implicit component's step, at most this many h_target^2 and half the
 # snapshot cadence, dividing the cadence
-_CLOSED_DT_H2 = 2.0
-# an open chain's explicit step, at most this many h_min^2 of the open chains
+_IMPLICIT_DT_H2 = 2.0
+# an explicit chain's step, at most this many h_min^2 of the explicit chains
 _CFL = 0.4
 
 
@@ -698,7 +789,7 @@ def check_run_params(t_end, h_target, snapshot_dt):
     """Raise ConfigError unless a run with these values can end: all reals
     with a finite float value, t_end >= 0, the others > 0 and h_target^2 a
     normal float (remesh splits without end at h_target <= 0, the snapshot
-    grid and the closed step divide by snapshot_dt, and the closed step
+    grid and the implicit step divide by snapshot_dt, and the implicit step
     divides by a zero h_target^2 and overflows on a subnormal one)."""
     for key, value in (("t_end", t_end), ("h_target", h_target),
                        ("snapshot_dt", snapshot_dt)):
@@ -724,11 +815,11 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     Vanish event.  Raises ConfigError, before any step, on values with which
     the run could not end (``check_run_params``).
 
-    Open chains bound the step by 0.4 h_min^2, their h_min only.  A closed
-    component's step is snapshot_dt / ceil(snapshot_dt / min(2 h_target^2,
-    snapshot_dt / 2)); while one is present, the rest of each snapshot
-    interval is cut into equal steps within both bounds, so the BDF2 step
-    ratio stays near one.
+    Open chains against a curved barrier bound the step by 0.4 h_min^2,
+    their h_min only.  An implicit component's step is snapshot_dt /
+    ceil(snapshot_dt / min(2 h_target^2, snapshot_dt / 2)); while one is
+    present, the rest of each snapshot interval is cut into equal steps
+    within both bounds, so the BDF2 step ratio stays near one.
 
     Components are values that measure their segment lengths once, so the
     pop threshold, the remesh trigger, the vanish test and the next ``dt``
@@ -740,8 +831,8 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     state = CurveState(list(initial.components), initial.time,
                        barrier if barrier is not None else initial.barrier)
     vanish_len = 10.0 * h_target if vanish_length is None else vanish_length
-    closed_dt = snapshot_dt / math.ceil(
-        snapshot_dt / min(_CLOSED_DT_H2 * h_target ** 2, 0.5 * snapshot_dt))
+    implicit_dt = snapshot_dt / math.ceil(
+        snapshot_dt / min(_IMPLICIT_DT_H2 * h_target ** 2, 0.5 * snapshot_dt))
     t0 = state.time
     n_snap = int(round((t_end - t0) / snapshot_dt))
     snap_times = t0 + snapshot_dt * np.arange(n_snap + 1)
@@ -752,10 +843,10 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     for k in range(1, n_snap + 1):
         t_next = snap_times[k]
         while state.time < t_next - 1e-14:
-            h = _open_h_min(state.components)
+            h = _explicit_h_min(state)
             rest = t_next - state.time
-            if any(_implicit(c) for c in state.components):
-                cap = min(_CFL * h * h, closed_dt)
+            if any(_implicit(c, state.barrier) for c in state.components):
+                cap = min(_CFL * h * h, implicit_dt)
                 dt = rest / math.ceil(rest / cap * (1.0 - 1e-9))
             else:
                 dt = min(_CFL * h * h, rest)

@@ -156,6 +156,9 @@ def env_seed(default):
 # sets one is refused rather than run without it
 _REMOVED_KEYS = (("flow", "cfl"), ("flow", "pop_threshold"),
                  ("kernels", "sample_budget"))
+# every key a flow block may set: a misspelled one is refused rather than
+# run with the default of the key it meant
+_FLOW_KEYS = ("t_end", "h_target", "snapshot_dt", "vanish_length")
 
 
 def load_config(path):
@@ -166,10 +169,17 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if "name" not in cfg:
         raise ConfigError("config needs a 'name'")
+    flow_block = cfg.get("flow") or {}
+    if not isinstance(flow_block, dict):
+        raise ConfigError(f"flow must be an object, got {flow_block!r}")
     for block, key in _REMOVED_KEYS:
         if key in (cfg.get(block) or {}):
             raise ConfigError(f"{block}.{key} is not a setting: its value is "
                               "fixed; remove the key")
+    for key in flow_block:
+        if key not in _FLOW_KEYS:
+            raise ConfigError(f"flow.{key} is not a setting; the flow block "
+                              f"takes {', '.join(_FLOW_KEYS)}")
     return cfg
 
 

@@ -90,9 +90,9 @@ class Component:
 
     A value: ``points`` and ``on_s`` are read-only copies of what the
     constructor was given, so a component can be shared between states and
-    its segment vectors and lengths are measured once.  A closed component
-    made by a flow step also keeps the level it was stepped from, as the
-    arrays (points, segment lengths, dt) and never as a component, so
+    its segment vectors and lengths are measured once.  A component that a
+    flow step advanced implicitly also keeps the level it was stepped from,
+    as the arrays (points, segment lengths, dt) and never as a component, so
     histories do not chain; any other component has none.
     """
 

@@ -185,6 +185,20 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["h_targt", "dt", "CFL"])
+    def test_unknown_flow_key_exits_2(self, tmp_path, capsys, key):
+        """A misspelled flow setting is refused, not run with the default."""
+        cfg = {"name": "unknown_key", "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": 1.0, "n": 8},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005, key: 0.5}}
+        p = tmp_path / "unknown_key.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"flow.{key} is not a setting" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_jobs_beyond_config_count_start_one_worker_each(self, tmp_path,
                                                              inline_pool):
         paths = _tiny_circle_configs(tmp_path)

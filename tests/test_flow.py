@@ -68,10 +68,15 @@ class TestStep:
             assert radii.std() <= 0.002
 
     def test_step_too_large(self):
-        """Only open chains bound the step; closed components are implicit."""
-        st = half_circle_curve(radius=1.0, n=64)
+        """Only open chains against a curved barrier bound the step; closed
+        components and chains on a line are implicit."""
+        st = lasso_curve(barrier_radius=1.0, n=64)
+        st = CurveState(st.components, 0.0,
+                        Circle((0.0, 0.0), 1.0, omega_side="outside"))
         with pytest.raises(StepTooLarge):
             step(st, 1.0)
+        step(CurveState(half_circle_curve(radius=1.0, n=64).components, 0.0,
+                        LINE), 1.0)
 
     def test_boundary_vertices_stay_on_barrier(self, half_circle_history):
         for s in half_circle_history.snapshots:
@@ -90,9 +95,10 @@ class TestStep:
         mid = half_circle_history.snapshots[len(half_circle_history.snapshots) // 2]
         assert orthogonality_residual(mid) < 1e-3
 
-    def test_corner_step_makes_six_line_queries(self):
-        """Mirror, normal, projection, Gauss-Seidel normal and pop depth:
-        reflect_point's own projection included, six queries per step."""
+    def test_corner_step_makes_two_line_queries(self):
+        """The projection of the flagged ends and the pop depth: two queries
+        per step, since the implicit step reads the line's frame directly
+        and takes no Gauss-Seidel pass."""
 
         class CountingLine(Line):
             calls = 0  # on the class: barrier instances are immutable
@@ -126,7 +132,7 @@ class TestStep:
             state = step(state, 0.4 * state.h_min() ** 2)
             state, _ = detect_and_pop(state)
             state = remesh(state, h)
-            assert CountingLine.calls <= 6
+            assert CountingLine.calls <= 2
 
 
 def _rot(v, angle):
@@ -401,7 +407,10 @@ class TestComponentValue:
 
     @pytest.mark.parametrize("scale", [0.5, 2.5], ids=["split", "merge"])
     def test_lengths_fresh_after_remesh(self, scale):
-        st = half_circle_curve(radius=1.0, n=32)
+        """On an open chain against a circle, whose explicit step merges."""
+        st = lasso_curve(barrier_radius=1.0, n=32)
+        st = CurveState(st.components, 0.0,
+                        Circle((0.0, 0.0), 1.0, omega_side="outside"))
         h = st.components[0].segment_lengths().mean()
         st2 = remesh(st, scale * h)
         assert len(st2.components[0].points) != 33
@@ -410,19 +419,32 @@ class TestComponentValue:
                                           _fresh_lengths(c))
 
 
-def _recording_step(monkeypatch):
-    """Make ``run`` record (dt, restart) for every closed component it steps,
-    restart meaning the component has no previous level."""
+def _recording_step(monkeypatch, closed=True):
+    """Make ``run`` record (dt, restart) for every closed (or every open)
+    component it steps, restart meaning the component has no previous
+    level."""
     log = []
     inner = flow.step
 
     def recording(state, dt):
         log.extend((dt, c._previous is None) for c in state.components
-                   if c.closed)
+                   if c.closed == closed)
         return inner(state, dt)
 
     monkeypatch.setattr(flow, "step", recording)
     return log
+
+
+def _orthogonal_arc(R, r, n):
+    """The n-segment arc, inside the circle of radius R about the origin, of
+    the circle of radius r centered below it that meets it orthogonally;
+    both ends flagged."""
+    D = math.hypot(R, r)
+    th = np.linspace(math.asin(r / D), math.pi - math.asin(r / D), n + 1)
+    flags = np.zeros(n + 1, dtype=bool)
+    flags[0] = flags[-1] = True
+    return Component(np.stack([r * np.cos(th), r * np.sin(th) - D], axis=-1),
+                     False, flags)
 
 
 def _circle_radius_error(hist, center):
@@ -466,20 +488,20 @@ class TestImplicitClosedStep:
         np.testing.assert_allclose(dts, 0.005, rtol=1e-9)
 
     def test_mixed_state_varies_the_step_ratio(self, monkeypatch):
-        """A circle beside a half circle on a line steps at the open chain's
-        bound, which shrinks with that chain, so a snapshot interval now and
-        then needs one more equal step: BDF2 runs at step ratios away from
-        one, and the circle stays at least as close to its radius law as
-        when it flows alone."""
+        """A circle beside an open chain against a curved barrier steps at
+        the chain's explicit bound, which shrinks with that chain, so a
+        snapshot interval now and then needs one more equal step: BDF2 runs
+        at step ratios away from one, and the circle stays at least as close
+        to its radius law as when it flows alone."""
         h = np.pi / 128
-        center = (0.0, 3.0)
+        center = (0.0, 0.0)
         circle = circle_curve(center=center, radius=1.0, n=256)
         alone = run(circle, t_end=0.3, h_target=h, snapshot_dt=0.005)
         log = _recording_step(monkeypatch)
         mixed = run(CurveState(circle.components
-                               + half_circle_curve(radius=1.0,
-                                                   n=128).components),
-                    t_end=0.3, h_target=h, snapshot_dt=0.005, barrier=LINE)
+                               + [_orthogonal_arc(4.0, 1.0, 128)]),
+                    t_end=0.3, h_target=h, snapshot_dt=0.005,
+                    barrier=Circle((0.0, 0.0), 4.0))
         assert mixed.events == []
         assert all(len(s.components) == 2 for s in mixed.snapshots)
         dts = np.array([dt for dt, _ in log])
@@ -510,6 +532,169 @@ class TestImplicitClosedStep:
                   **params}
         with pytest.raises(ConfigError, match=f"flow.{key} must be finite"):
             run(circle_curve(n=16), **kwargs)
+
+
+def _dense_open_step(comp, dt, S):
+    """Reference for an open chain's implicit step: a dense solve per frame
+    coordinate of (a M - dt K) X' = M rhs, the stencil rows of pinned values
+    replaced by identity rows."""
+    X, frozen = comp.points, comp.segment_lengths()
+    a, rhs = 1.0, X
+    if comp._previous is not None:
+        X_old, lengths_old, dt_old = comp._previous
+        w = dt / dt_old
+        a = (1.0 + 2.0 * w) / (1.0 + w)
+        rhs = (1.0 + w) * X - (w * w / (1.0 + w)) * X_old
+        frozen = (1.0 + w) * frozen - w * lengths_old
+    m = len(X)
+    # the masses of a straight chain with the frozen segment lengths
+    M = np.diag(_reference_masses(Component(
+        np.cumsum(np.concatenate([[0.0], frozen]))[:, None] * [1.0, 0.0])))
+    K = np.zeros((m, m))
+    for i, length in enumerate(frozen):
+        K[np.ix_([i, i + 1], [i, i + 1])] += np.array([[-1.0, 1.0],
+                                                       [1.0, -1.0]]) / length
+    frame = np.eye(2) if S is None else \
+        np.array([[-S.nu[1], S.nu[0]], S.nu])
+    out = np.zeros_like(X)
+    for k in (0, 1):
+        A, b = a * M - dt * K, M @ (rhs @ frame[k])
+        for j in (0, m - 1):
+            if S is not None and comp.on_s[j]:
+                if k == 0:
+                    continue  # the mirror ghost's Neumann row
+                value = S.offset
+            else:
+                value = X[j] @ frame[k]
+            A[j], b[j] = 0.0, value
+            A[j, j] = 1.0
+        out += np.outer(np.linalg.solve(A, b), frame[k])
+    return out
+
+
+@st.composite
+def _open_chain(draw):
+    """A random open chain, flags, optionally a previous level, and a
+    barrier: none or a line through the first vertex."""
+    m = draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    heading = rng.uniform(0.0, 2.0 * np.pi) \
+        + np.cumsum(rng.uniform(-0.6, 0.6, m - 1))
+    steps = rng.uniform(0.05, 0.3, m - 1)[:, None] \
+        * np.stack([np.cos(heading), np.sin(heading)], axis=-1)
+    pts = np.cumsum(np.concatenate([rng.uniform(-1.0, 1.0, (1, 2)), steps]),
+                    axis=0)
+    flags = np.zeros(m, dtype=bool)
+    flags[[0, -1]] = draw(st.tuples(st.booleans(), st.booleans()))
+    S = None
+    if draw(st.booleans()):
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        nu = np.array([np.cos(phi), np.sin(phi)])
+        S = Line(normal=nu, offset=float(nu @ pts[0]))
+    comp = Component(pts, False, flags)
+    dt = rng.uniform(1e-4, 1e-1)
+    if draw(st.booleans()):
+        old = Component(pts + rng.uniform(-0.01, 0.01, pts.shape))
+        object.__setattr__(comp, "_previous",
+                           (old.points, old.segment_lengths(),
+                            dt * rng.uniform(0.5, 2.0)))
+    return comp, S, dt
+
+
+class TestImplicitOpenStep:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_open_chain())
+    def test_step_is_the_dense_solve(self, drawn):
+        """Free ends pinned; a flagged end on a line keeps its mirror row
+        along the line and stays on it; x and y alike without a barrier."""
+        comp, S, dt = drawn
+        new = step(CurveState([comp], 0.0, S), dt).components[0]
+        expected = _dense_open_step(comp, dt, S)
+        np.testing.assert_allclose(new.points, expected, rtol=0, atol=1e-11)
+        if S is not None and comp.on_s.any():
+            assert np.abs(S.omega_signed(new.points[new.on_s])).max() <= 1e-12
+        assert new._previous[0] is comp.points and new._previous[2] == dt
+
+    def test_half_circle_matches_mirrored_circle(self, half_circle_history,
+                                                 circle_history):
+        """The n = 256 half circle on a line is the upper half of the
+        n = 512 circle at every snapshot: its end rows are the mirror
+        image of the circle's rows at the contact."""
+        assert len(half_circle_history.snapshots) \
+            == len(circle_history.snapshots)
+        worst = 0.0
+        for half, full in zip(half_circle_history.snapshots,
+                              circle_history.snapshots):
+            assert half.time == full.time and len(half.components) == 1
+            worst = max(worst, np.abs(half.components[0].points
+                                      - full.components[0].points[:257])
+                        .max())
+        assert worst <= 1e-12
+
+    def test_contact_orthogonal_without_gauss_seidel(self, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("Gauss-Seidel pass")
+
+        monkeypatch.setattr(flow, "_gauss_seidel_orthogonality", no_pass)
+        log = _recording_step(monkeypatch, closed=False)
+        hist = run(half_circle_curve(radius=1.0, n=256), t_end=0.45,
+                   h_target=H_HALF, snapshot_dt=0.005, barrier=LINE)
+        assert hist.events == []
+        assert all(len(s.components[0].points) == 257 for s in hist.snapshots)
+        assert [restart for _, restart in log].count(True) == 1
+        assert max(orthogonality_residual(s) for s in hist.snapshots) < 1e-6
+
+    def test_non_positive_extrapolation_restarts(self):
+        """A previous level whose extrapolated lengths are not all positive
+        is dropped: the step is the backward-Euler one."""
+        comp = half_circle_curve(radius=1.0, n=16).components[0]
+        old = Component(2.0 * comp.points)
+        object.__setattr__(comp, "_previous",
+                           (old.points, old.segment_lengths(), 1e-3))
+        dt = 1e-3  # (1 + w) l - w (2 l) = 0
+        stepped = step(CurveState([comp], 0.0, LINE), dt).components[0]
+        fresh = step(CurveState([Component(comp.points, False, comp.on_s)],
+                                0.0, LINE), dt).components[0]
+        np.testing.assert_array_equal(stepped.points, fresh.points)
+
+    def test_tangential_touch_pops_and_pieces_restart(self, monkeypatch):
+        """A parabola touching the line at its vertex (1e-12 across it)
+        pops there; each piece restarts with one backward-Euler step, its
+        popped end stays on the line and turns orthogonal to it, and no
+        vertex crosses it."""
+        x = np.linspace(-1.0, 1.0, 41)
+        st0 = CurveState([Component(np.stack([x, x * x - 1e-12], axis=-1))],
+                         0.0, LINE)
+        popped, events = detect_and_pop(st0)
+        assert [e.kind for e in events] == ["Pop"]
+        assert [c.on_s.nonzero()[0].tolist() for c in popped.components] \
+            == [[20], [0]]
+        log = _recording_step(monkeypatch, closed=False)
+        hist = run(popped, t_end=0.05, h_target=0.05, snapshot_dt=0.005)
+        assert log[0][1] and log[1][1]  # the two pieces' first step
+        for s in hist.snapshots:
+            assert len(s.components) == 2
+            for c in s.components:
+                assert c.on_s.sum() == 1
+                assert np.abs(LINE.omega_signed(c.points[c.on_s])).max() \
+                    <= 1e-12
+                assert LINE.omega_signed(c.points).min() >= -1e-12
+        assert not any(e.kind == "Collision" for e in hist.events)
+        assert orthogonality_residual(hist.snapshots[-1]) < 1e-2
+
+    def test_collapsed_end_is_merged(self):
+        """On an implicit chain remesh merges only a flagged end that slid
+        under its neighbor; uniformly short segments stay."""
+        comp = half_circle_curve(radius=0.05, n=16).components[0]
+        st0 = CurveState([comp], 0.0, LINE)
+        assert remesh(st0, 0.1) is st0  # every segment under 0.5 h_target
+        pts = comp.points.copy()
+        pts[1] = pts[0] + 0.01 * (pts[1] - pts[0])  # the end slid under it
+        st1 = CurveState([Component(pts, False, comp.on_s)], 0.0, LINE)
+        out = remesh(st1, 0.1).components[0]
+        np.testing.assert_array_equal(out.points,
+                                      np.delete(pts, 1, axis=0))
+        np.testing.assert_array_equal(out.on_s, np.delete(comp.on_s, 1))
 
 
 class TestRunLaws:
