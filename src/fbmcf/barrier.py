@@ -340,11 +340,16 @@ class Line(Barrier):
 
     def __init__(self, normal=(0.0, -1.0), offset=0.0, scale_cap=FLAT_SCALE_CAP):
         n = np.asarray(normal, dtype=float)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:
-            raise ValueError("line normal must be nonzero")
-        self._init(nu=n / norm, offset=float(offset) / norm,
-                   scale_cap=float(scale_cap), reach=np.inf)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            norm = np.linalg.norm(n)
+        if not 0.0 < norm < np.inf:
+            raise ValueError("line normal must be nonzero with a finite "
+                             "length")
+        offset = float(offset) / norm
+        if not np.isfinite([offset, scale_cap]).all():
+            raise ValueError("line offset and scale_cap must be finite")
+        self._init(nu=n / norm, offset=offset, scale_cap=float(scale_cap),
+                   reach=np.inf)
 
     def is_flat(self):
         return True
@@ -391,8 +396,10 @@ class Circle(Barrier):
     """Circular barrier; ``omega_side`` picks which side is the admissible domain."""
 
     def __init__(self, center=(0.0, 0.0), radius=1.0, omega_side="inside"):
-        if radius <= 0:
-            raise ValueError("circle radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError("circle radius must be positive and finite")
+        if not np.isfinite(center).all():
+            raise ValueError("circle center must be finite")
         if omega_side not in ("inside", "outside"):
             raise ValueError("omega_side must be 'inside' or 'outside'")
         self._init(center=np.asarray(center, dtype=float), radius=float(radius),
@@ -486,6 +493,8 @@ class ParametricBarrier(Barrier):
         m = len(points)
         if m < 8:
             raise ValueError("parametric barrier needs at least 8 samples")
+        if not np.isfinite(points).all():
+            raise ValueError("parametric barrier points must be finite")
         theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
         if funcs is None:
             th_closed = np.concatenate([theta, [2.0 * np.pi]])

@@ -43,9 +43,10 @@ are deleted), and detected self-crossings are recorded as events.  Every
 snapshot is checked for a crossing of two segments that share no vertex,
 in any component or between components; the last and first
 segments of a closed component are adjacent, the ends of an open chain
-are not.  The check files segments on a uniform grid, so its time and
-memory grow linearly with the number of segments while their lengths stay
-comparable, as remeshing keeps them.
+are not.  The check pairs segments whose midpoints a k-d tree finds within
+one longest segment, so its time grows as M log M and its memory as M in
+the number M of segments while their lengths stay comparable, as
+remeshing keeps them.
 """
 
 from __future__ import annotations
@@ -706,6 +707,11 @@ def remesh(state: CurveState, h_target):
     return out
 
 
+# the crossing test's candidate radius over the longest segment: 1% above
+# the bound 1, which covers the parameter band's 2e-9 and rounding
+_PAIR_MARGIN = 1.01
+
+
 def _self_intersects(state: CurveState):
     """Any crossing between non-adjacent segments (all components).
 
@@ -714,54 +720,40 @@ def _self_intersects(state: CurveState):
     adjacent).  Each vertex belongs to the segment it starts: segments meet
     when their parameters t, u lie in the half-open band (-eps, 1 - eps), so
     a curve that passes through one of its own vertices crosses there, and
-    two pieces that share only an end point do not.  Broad phase: a uniform
-    grid whose cell is the longest segment, every segment filed under its
-    midpoint.  Two segments that meet have midpoints less than one cell
-    apart on each axis, so only pairs from the same or neighbouring cells
-    are candidates; they come from one stable sort of the cell keys,
-    without a loop over segments.  Narrow phase: the exact parametric test on the candidates, which gives
-    pair (i, j) the same bits as an all-pairs test.  Memory is O(M +
-    candidates).
+    two pieces that share only an end point do not.  Broad phase: a k-d
+    tree of the segment midpoints (Bentley, CACM 1975).  Two segments that
+    meet have midpoints at most (l_i + l_j) / 2 <= l_max apart, so only the
+    pairs it finds within _PAIR_MARGIN l_max are candidates.  Narrow phase:
+    the exact parametric test on the candidates, which gives pair (i, j) the
+    same bits as an all-pairs test.  Memory is O(M + candidates).  Raises
+    StepTooLarge on a non-finite coordinate or segment length.
     """
+    # imported here, as scipy.linalg is in _solve_definite: importing the
+    # module does not load scipy.spatial
+    from scipy.spatial import cKDTree
     comps = [c for c in state.components if len(c.segment_lengths())]
-    segs = [c.segments() for c in comps]
-    n_seg = np.array([len(a) for a, _ in segs], dtype=int)
+    n_seg = np.array([len(c.segment_lengths()) for c in comps], dtype=int)
     M = int(n_seg.sum())
     if M < 3:
         return False
-    cell = max(float(c.segment_lengths().max()) for c in comps)
-    if cell == 0.0:
+    # a non-finite coordinate makes a length non-finite; cKDTree would
+    # refuse its midpoint with an untyped ValueError
+    l_max = float(np.concatenate([c.segment_lengths() for c in comps]).max())
+    if not math.isfinite(l_max):
+        raise StepTooLarge("the crossing test met a non-finite coordinate "
+                           "or segment length")
+    if l_max == 0.0:
         return False
-    P0 = np.concatenate([a for a, _ in segs])
-    d = np.concatenate([b for _, b in segs]) - P0
-
-    # cell coordinates, clipped so that a sparse grid cannot overflow int64
-    # (merged cells only add candidates); keys may wrap, which keeps
-    # neighbour keys exact and only adds candidates
-    mid = P0 + 0.5 * d
-    ij = np.minimum(np.floor((mid - mid.min(axis=0)) / cell), 2.0 ** 62)
-    ij = ij.astype(np.int64)
-    width = ij[:, 1].max() + 3
-    key = ij[:, 0] * width + ij[:, 1]
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    # the cell itself and the half of its 8 neighbours ahead of it in key
-    # order: every unordered pair of neighbouring cells is visited once
-    offsets = np.array([0, 1, width - 1, width, width + 1])
-    query = (key[:, None] + offsets).ravel()
-    lo, hi = np.searchsorted(sorted_key, np.concatenate([query, query + 1])) \
-        .reshape(2, -1)
-    count = hi - lo
-    i = np.repeat(np.arange(M), count.reshape(M, -1).sum(axis=1))
-    first = np.repeat(lo - np.cumsum(count) + count, count)
-    j = order[first + np.arange(len(i))]
+    P0 = np.concatenate([c.segments()[0] for c in comps])
+    d = np.concatenate([c.segment_vectors() for c in comps])
+    i, j = cKDTree(P0 + 0.5 * d).query_pairs(
+        _PAIR_MARGIN * l_max, output_type="ndarray").T
 
     # the segment after each one in its component, -1 after an open end
     nxt = np.arange(1, M + 1)
     last = np.cumsum(n_seg) - 1
     nxt[last] = np.where([c.closed for c in comps], last - n_seg + 1, -1)
-    # a same-cell pair shows up as (i, j), (j, i) and (i, i); keep i < j
-    keep = ((i < j) | (key[i] != key[j])) & (nxt[i] != j) & (nxt[j] != i)
+    keep = (nxt[i] != j) & (nxt[j] != i)
     i, j = i[keep], j[keep]
 
     x0, y0 = P0.T
@@ -804,6 +796,19 @@ def check_run_params(t_end, h_target, snapshot_dt):
                           f"least {sys.float_info.min!r}, got {h_target!r}")
 
 
+def check_initial_curve(state: CurveState):
+    """Raise ConfigError unless every coordinate and segment length of the
+    state is finite.  The lengths are measured, and kept on the components,
+    with numpy's overflow warning silenced: this error reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(np.isfinite(c.points).all()
+                     and np.isfinite(c.segment_lengths()).all()
+                     for c in state.components)
+    if not finite:
+        raise ConfigError("the initial curve needs finite coordinates and "
+                          "segment lengths")
+
+
 def run(initial: CurveState, t_end, h_target, snapshot_dt,
         vanish_length=None, barrier=None, config_echo=None):
     """Drive the flow: step, pop, remesh, snapshot on an exact cadence grid.
@@ -813,7 +818,8 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     (an open chain's ends are not adjacent).  ``vanish_length`` (default
     10 h_target) deletes components shorter than the threshold, recording a
     Vanish event.  Raises ConfigError, before any step, on values with which
-    the run could not end (``check_run_params``).
+    the run could not end (``check_run_params``) and on an initial curve
+    with a non-finite coordinate or segment length (``check_initial_curve``).
 
     Open chains against a curved barrier bound the step by 0.4 h_min^2,
     their h_min only.  An implicit component's step is snapshot_dt /
@@ -828,6 +834,7 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     pop or remesh replaced keeps its previous level for the next BDF2 step.
     """
     check_run_params(t_end, h_target, snapshot_dt)
+    check_initial_curve(initial)
     state = CurveState(list(initial.components), initial.time,
                        barrier if barrier is not None else initial.barrier)
     vanish_len = 10.0 * h_target if vanish_length is None else vanish_length
@@ -921,17 +928,19 @@ def resample_uniform(comp: Component, n):
                      np.interp(targets, s, ring[:, 1])], axis=-1)
 
 
-def lasso_curve(barrier_radius=1.0, dip=0.04, lobe=0.5, opening=0.35, n=384):
+def lasso_curve(barrier_radius=1.0, n=384):
     """Open curve wrapped around a circular barrier centered at the origin,
     with a waist dipping toward the barrier top: the standard popping
     scenario ("peanut").
 
-    Endpoints sit on the barrier near the bottom opening and lift off
-    steeply (as the 1/4 power of the normalized angle from the end) so no
-    vertex starts inside the pop band; two lobes bulge out symmetrically;
-    the waist at the top starts ``dip`` above the barrier and is carried
-    onto it by its own curvature, producing a single tangential contact.
+    Endpoints sit on the barrier near the bottom opening, 0.35 rad from
+    the bottom on each side, and lift off steeply (as the 1/4 power of the
+    normalized angle from the end) so no vertex starts inside the pop band;
+    two lobes bulge out symmetrically by about 0.5; the waist at the top
+    starts 0.04 above the barrier and is carried onto it by its own
+    curvature, producing a single tangential contact.
     """
+    dip, lobe, opening = 0.04, 0.5, 0.35
     th_end = np.pi - opening  # polar angle from the top; endpoints near bottom
     th = np.linspace(-th_end, th_end, 4 * n + 1)
     u = (th_end - np.abs(th)) / th_end

@@ -20,8 +20,8 @@ from .kernels import (KernelParams, calibrate_alpha, measured_c1,
                       sample_heat_operator_cases, support_probe,
                       write_heat_operator_csv)
 from . import flow as flow_mod
-from .flow import (CurveState, check_run_params, circle_curve,
-                   half_circle_curve, lasso_curve, run)
+from .flow import (CurveState, check_initial_curve, check_run_params,
+                   circle_curve, half_circle_curve, lasso_curve, run)
 
 
 def barrier_from_config(cfg):
@@ -73,9 +73,6 @@ def initial_curve_from_config(cfg):
                                      center=cfg.get("center", (0.0, 0.0)))
         if kind == "lasso":
             return lasso_curve(barrier_radius=cfg.get("barrier_radius", 1.0),
-                               dip=cfg.get("dip", 0.04),
-                               lobe=cfg.get("lobe", 0.5),
-                               opening=cfg.get("opening", 0.35),
                                n=cfg.get("n", 384))
         if kind == "polyline":
             pts = np.asarray(cfg["points"], dtype=float)
@@ -159,6 +156,17 @@ _REMOVED_KEYS = (("flow", "cfl"), ("flow", "pop_threshold"),
 # every key a flow block may set: a misspelled one is refused rather than
 # run with the default of the key it meant
 _FLOW_KEYS = ("t_end", "h_target", "snapshot_dt", "vanish_length")
+# every key besides "kind" that a barrier or initial_curve block of each
+# kind may set, for the same reason
+_KIND_KEYS = {
+    "barrier": {"line": ("normal", "offset", "scale_cap"),
+                "circle": ("center", "radius", "omega_side"),
+                "parametric": ("points", "omega_side")},
+    "initial_curve": {"circle": ("center", "radius", "n"),
+                      "half_circle": ("center", "radius", "n"),
+                      "lasso": ("barrier_radius", "n"),
+                      "polyline": ("points", "flags", "closed")},
+}
 
 
 def load_config(path):
@@ -180,6 +188,16 @@ def load_config(path):
         if key not in _FLOW_KEYS:
             raise ConfigError(f"flow.{key} is not a setting; the flow block "
                               f"takes {', '.join(_FLOW_KEYS)}")
+    for block, kinds in _KIND_KEYS.items():
+        body = cfg.get(block)
+        kind = body.get("kind") if isinstance(body, dict) else None
+        if not (isinstance(kind, str) and kind in kinds):
+            continue  # refused with the block when it is built
+        for key in body:
+            if key != "kind" and key not in kinds[kind]:
+                raise ConfigError(
+                    f"{block}.{key} is not a setting of kind {kind!r}; it "
+                    f"takes {', '.join(kinds[kind])}")
     return cfg
 
 
@@ -209,6 +227,7 @@ def run_scenario(config_path, out_dir=None, seed=None):
     if "flow" in pipeline or "density" in pipeline or "tangent" in pipeline:
         fc = cfg.get("flow", {})
         initial = initial_curve_from_config(cfg["initial_curve"])
+        check_initial_curve(initial)  # before it is measured below
         n_pts = sum(len(c.points) for c in initial.components)
         h_default = initial.total_length() / max(n_pts - 1, 1)
         t_end, h_target, snapshot_dt = flow_params_from_config(fc, h_default)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,66 @@ class TestRun:
         assert f"flow.{key} is not a setting" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block, body, key", [
+        ("barrier", {"kind": "line", "normal": [0.0, -1.0], "ofset": 0.0},
+         "ofset"),
+        ("barrier", {"kind": "circle", "radius": 1.0, "side": "outside"},
+         "side"),
+        ("initial_curve", {"kind": "lasso", "n": 32, "dip": 0.1}, "dip"),
+        ("initial_curve", {"kind": "circle", "radius": 1.0, "N": 8}, "N"),
+    ])
+    def test_unknown_block_key_exits_2(self, tmp_path, capsys, block, body,
+                                       key):
+        """A key that is not a setting of the block's kind is refused, not
+        ignored, before the artifact directory is made."""
+        cfg = {"name": "unknown_key", "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": 1.0, "n": 8},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005}, block: body}
+        p = tmp_path / "unknown_key.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{block}.{key} is not a setting of kind" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block, body", [
+        ("initial_curve", {"kind": "polyline",
+                           "points": [[0.0, 0.0], [1.0, float("nan")],
+                                      [2.0, 0.0]]}),
+        ("initial_curve", {"kind": "polyline",
+                           "points": [[0.0, 0.0], [1.0, float("inf")],
+                                      [2.0, 0.0]]}),
+        # finite, but the length of its first segment overflows
+        ("initial_curve", {"kind": "polyline",
+                           "points": [[0.0, 0.0], [1.0, 1e308],
+                                      [2.0, 0.0]]}),
+        ("barrier", {"kind": "circle", "radius": float("nan")}),
+        ("barrier", {"kind": "line", "normal": [0.0, float("nan")]}),
+        # finite, but its length overflows
+        ("barrier", {"kind": "line", "normal": [1e308, 1e308]}),
+        ("initial_curve", {"kind": "half_circle", "radius": float("nan"),
+                           "n": 8}),
+    ], ids=["nan_point", "inf_point", "overflowing_length", "nan_radius",
+            "nan_normal", "overflowing_normal", "nan_half_circle"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, block, body):
+        """JSON admits NaN and Infinity; such a number, or a length that
+        overflows, is refused before a history is written, with no numpy
+        warning on standard error."""
+        cfg = {"name": "non_finite", "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": 1.0, "n": 8},
+               "flow": {"t_end": 0.01, "h_target": 0.5,
+                        "snapshot_dt": 0.005}, block: body}
+        p = tmp_path / "non_finite.json"
+        p.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "non_finite" / "history.jsonl").exists()
 
     def test_jobs_beyond_config_count_start_one_worker_each(self, tmp_path,
                                                              inline_pool):

@@ -533,6 +533,18 @@ class TestImplicitClosedStep:
         with pytest.raises(ConfigError, match=f"flow.{key} must be finite"):
             run(circle_curve(n=16), **kwargs)
 
+    def test_run_rejects_non_finite_initial_curve(self, monkeypatch):
+        """A NaN coordinate is refused before the first step."""
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(flow, "step", no_step)
+        pts = circle_curve(n=16).components[0].points.copy()
+        pts[3, 1] = np.nan
+        with pytest.raises(ConfigError, match="finite coordinates"):
+            run(CurveState([Component(pts, closed=True)]), t_end=0.01,
+                h_target=0.1, snapshot_dt=0.005)
+
 
 def _dense_open_step(comp, dt, S):
     """Reference for an open chain's implicit step: a dense solve per frame
@@ -884,8 +896,8 @@ def _self_intersects_dense(state):
 def _polyline(draw):
     """Random points of one component: free floats, a half-integer lattice
     (repeated points, exactly collinear overlaps), points on one lattice
-    line (collinear, folding back over itself), or a short-step walk,
-    spread over many grid cells unless one long jump widens them."""
+    line (collinear, folding back over itself), or a short-step walk
+    many segment lengths across unless one long jump lengthens a segment."""
     n = draw(st.integers(1, 30))
     kind = draw(st.sampled_from(["free", "lattice", "line", "walk"]))
     if kind == "free":
@@ -955,18 +967,18 @@ class TestCollision:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(st.lists(_polyline(), min_size=1, max_size=2)
            | st.lists(_segment, min_size=3, max_size=12))
-    def test_grid_test_equals_dense_test(self, comps):
-        """One- and two-component polylines, and loose segments, which
-        cross in every relation of their grid cells."""
+    def test_equals_dense_test(self, comps):
+        """One- and two-component polylines, and loose segments, near and
+        far apart in units of their longest segment."""
         state = CurveState(comps)
         assert _self_intersects(state) == _self_intersects_dense(state)
 
     @pytest.mark.parametrize("dx", [-1, 0, 1])
     @pytest.mark.parametrize("dy", [-1, 0, 1])
     def test_crossing_in_neighbouring_cells(self, dx, dy):
-        """Unit segments on a grid of unit cells anchored at the lowest
-        midpoint, (0, 0): a crossing pair whose midpoints lie in cell
-        (5, 5) and in its neighbour (5 + dx, 5 + dy) is found."""
+        """Unit segments: a crossing pair whose midpoints lie 0.2 apart
+        along each of eight directions, or coincide, far from the anchor
+        segment, is found."""
         anchor = Component([(-0.5, 0.0), (0.5, 0.0)])
         m_a = np.array([5.5 + 0.45 * dx, 5.5 + 0.45 * dy])
         m_b = m_a + 0.2 * np.array([dx, dy])
@@ -981,6 +993,14 @@ class TestCollision:
         pts = [(-1, 0), (1, 0), (1, 1), (0, 1.5), (-0.2, 1), (0, -1)]
         assert _self_intersects(CurveState([Component(pts)]))
         assert not _self_intersects(CurveState([Component(pts[:-1])]))
+
+    def test_non_finite_coordinate_raises_typed_error(self):
+        """NaN reaches the check only from a failed step; it is a typed
+        numerical failure, not the k-d tree's ValueError."""
+        pts = circle_curve(n=16).components[0].points.copy()
+        pts[5, 0] = np.nan
+        with pytest.raises(StepTooLarge, match="non-finite"):
+            _self_intersects(CurveState([Component(pts, closed=True)]))
 
     def test_memory_bound(self):
         """2048 segments; all-pairs arrays would take about 240 MB."""
