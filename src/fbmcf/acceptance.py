@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import Circle, Line
+from .barrier import Circle, Line, norm2, norm2_sq
 from .density import (density_at_point, gaussian_density, monotonicity_report,
                       reflected_density)
 from .flow import (SpacetimeTestFunction, dissipation_inequality_check,
@@ -109,7 +109,7 @@ def _radius_error(history):
     errs = []
     for s in history.snapshots:
         if s.components:
-            R = np.linalg.norm(s.all_points(), axis=1).mean()
+            R = norm2(s.all_points()).mean()
             errs.append(abs(R - np.sqrt(1.0 - 2.0 * s.time)))
     return max(errs)
 
@@ -278,8 +278,8 @@ def criterion_9(cache: ArtifactCache):
     parts.append(("circle_saturation", equality_dev, 0.01))
 
     phi_bump = SpacetimeTestFunction(
-        lambda p, t: 1.0 + np.exp(-np.sum(p ** 2, axis=-1)),
-        lambda p, t: -2.0 * p * np.exp(-np.sum(p ** 2, axis=-1))[:, None],
+        lambda p, t: 1.0 + np.exp(-norm2_sq(p)),
+        lambda p, t: -2.0 * p * np.exp(-norm2_sq(p))[:, None],
         lambda p, t: np.zeros(len(p)))
     rep2 = dissipation_inequality_check(circle, phi_bump, 0.05, 0.4)
     parts.append(("circle_bump_deficit", max(-(rep2.gap + rep2.tol), 0.0), 1e-12))
@@ -295,8 +295,8 @@ def criterion_9(cache: ArtifactCache):
 
     peanut = cache.peanut()
     phi_rad = SpacetimeTestFunction(
-        lambda p, t: (np.sum(p ** 2, axis=-1) - 1.0) ** 2 + 0.5,
-        lambda p, t: 4.0 * (np.sum(p ** 2, axis=-1) - 1.0)[:, None] * p,
+        lambda p, t: (norm2_sq(p) - 1.0) ** 2 + 0.5,
+        lambda p, t: 4.0 * (norm2_sq(p) - 1.0)[:, None] * p,
         lambda p, t: np.zeros(len(p)))
     rep4 = dissipation_inequality_check(peanut, phi_rad, 0.02, 0.1)
     parts.append(("peanut_deficit", max(-(rep4.gap + rep4.tol), 0.0), 1e-12))
@@ -346,7 +346,7 @@ def criterion_11(cache: ArtifactCache):
                                          tol=1e-3, mesh_h=np.pi / 512)
     gaps = max(rep.hausdorff_gaps)
     pts = rep.limit_slice.all_points()
-    rad_dev = abs(float(np.linalg.norm(pts, axis=1).mean()) - np.sqrt(2.0))
+    rad_dev = abs(float(norm2(pts).mean()) - np.sqrt(2.0))
     resid = self_shrinker_residual(rescaled[-1])
     refl = reflect_flow(rescaled[-1], rescaled[-1].barrier)
     th_tf = gaussian_density(refl, (0.0, 0.0, 0.0), 1.0)

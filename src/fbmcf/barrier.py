@@ -34,6 +34,18 @@ from .errors import BeyondReach, ChartFailure
 FLAT_SCALE_CAP = 1e6
 
 
+def norm2_sq(v):
+    """|v|^2 over a last axis of length 2, taken componentwise: the bits of
+    ``np.sum(v ** 2, axis=-1)`` without numpy's strided reduction."""
+    return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
+
+
+def norm2(v):
+    """|v| over a last axis of length 2: the bits of
+    ``np.linalg.norm(v, axis=-1)``, several times faster on short arrays."""
+    return np.sqrt(norm2_sq(v))
+
+
 @dataclass(frozen=True)
 class ReflectionData:
     """One reflection query: base point, foot, mirror image and local scale."""
@@ -79,7 +91,12 @@ class Barrier:
 
     Every point query takes one point ``(2,)`` or an array ``(..., 2)`` and
     runs the same elementwise arithmetic on either, so a point's result has
-    the same bits whichever batch it is queried in.
+    the same bits whichever batch it is queried in.  Norms and sums of
+    squares over the coordinate axis are taken componentwise (``norm2``),
+    which gives the bits of numpy's reduction because a square is never
+    -0.0.  A dot product keeps the reduction it has (``np.sum`` or
+    ``np.vecdot``): numpy's reduction turns (-0.0) + (-0.0) into +0.0 and
+    a componentwise sum does not, so rewriting one would change bits.
 
     A value: subclass constructors set attributes through ``_init`` and
     nothing can be assigned afterwards, so scales measured from the barrier
@@ -146,7 +163,7 @@ class Barrier:
 
     def distance(self, x):
         x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - self.project(x), axis=-1)
+        return norm2(x - self.project(x))
 
     def tangent(self, y):
         n = self.normal(y)
@@ -156,7 +173,7 @@ class Barrier:
         if self.reach == np.inf and \
                 np.abs(pts - feet).max(initial=0.0) < 1e150:
             return  # d cannot overflow to the infinite reach
-        d = np.linalg.norm(pts - feet, axis=-1)
+        d = norm2(pts - feet)
         if np.any(d >= self.reach * (1.0 - 1e-12)):
             raise BeyondReach(
                 f"point at distance {d.max():.6g} outside the reach tube "
@@ -181,7 +198,7 @@ class Barrier:
         """Gradient of the (unsigned) distance: (x - zeta(x)) / d(x)."""
         x = np.asarray(x, dtype=float)
         rel = x - self.project(x)
-        d = np.linalg.norm(rel, axis=-1, keepdims=True)
+        d = norm2(rel)[..., None]
         return rel / np.maximum(d, 1e-300)
 
     def distance_hessian(self, x):
@@ -407,7 +424,7 @@ class Circle(Barrier):
 
     def _radial(self, x):
         rel = np.asarray(x, dtype=float) - self.center
-        rr = np.linalg.norm(rel, axis=-1)
+        rr = norm2(rel)
         if np.any(rr < 1e-14 * self.radius):
             raise BeyondReach("projection from the circle center is not unique")
         return rel, rr
@@ -424,7 +441,7 @@ class Circle(Barrier):
         return out
 
     def omega_signed(self, x):
-        rr = np.linalg.norm(np.asarray(x, dtype=float) - self.center, axis=-1)
+        rr = norm2(np.asarray(x, dtype=float) - self.center)
         return self.radius - rr if self.omega_side == "inside" else rr - self.radius
 
     def distance_hessian(self, x):
@@ -505,7 +522,7 @@ class ParametricBarrier(Barrier):
         d1 = np.asarray(df(theta), dtype=float).T
         d2 = np.asarray(ddf(theta), dtype=float).T
 
-        speed = np.linalg.norm(d1, axis=1)
+        speed = norm2(d1)
         cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         kappa = np.abs(cross) / np.maximum(speed, 1e-300) ** 3
         orientation = np.sign(np.sum(cross))  # >0 for counterclockwise
@@ -523,11 +540,11 @@ class ParametricBarrier(Barrier):
         """Narrowest bottleneck: pairs far apart along the curve but close in space."""
         pts = self.points
         m = len(pts)
-        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        d = norm2(pts[:, None, :] - pts[None, :, :])
         idx = np.arange(m)
         sep = np.minimum(np.abs(idx[:, None] - idx[None, :]),
                          m - np.abs(idx[:, None] - idx[None, :]))
-        edge = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        edge = norm2(np.roll(pts, -1, axis=0) - pts)
         arc = edge.mean() * sep
         # a convex arc has arc/chord <= pi/2; ratios beyond 3 flag a true neck
         mask = (sep > 0) & (arc > 3.0 * np.maximum(d, 1e-300))
@@ -540,7 +557,7 @@ class ParametricBarrier(Barrier):
         1e-14, and the closest of a point's eight results wins."""
         shape = np.shape(pts)[:-1]
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        d2 = np.sum((self.points[None, :, :] - pts[:, None, :]) ** 2, axis=-1)
+        d2 = norm2_sq(self.points[None, :, :] - pts[:, None, :])
         th = self.theta[np.argsort(d2, axis=1)[:, :8]].ravel()
         x = np.repeat(pts, 8, axis=0).T
         active = np.arange(len(th))
@@ -715,13 +732,13 @@ class InverseProjection:
         s = np.linspace(-rho, rho, 17)
         XI, S = np.meshgrid(xi, s, indexing="ij")
         Z = np.stack([XI, S], axis=-1)
-        r = np.linalg.norm(Z, axis=-1)
+        r = norm2(Z)
         mask = r > 1e-9 * rho
         val = self.evaluate(XI, S)
         jac = self.jacobian(XI, S)
         hess = self.second_derivative(XI, S, h=1e-6 * rho)
         c = 0.0
-        dev0 = np.linalg.norm(val - Z, axis=-1)
+        dev0 = norm2(val - Z)
         c = max(c, np.max(dev0[mask] * rho / r[mask] ** 2))
         dev1 = np.linalg.norm((jac - np.eye(2)).reshape(jac.shape[:-2] + (4,)), axis=-1)
         c = max(c, np.max(dev1[mask] * rho / r[mask]))
@@ -736,7 +753,7 @@ class InverseProjection:
         s = np.linspace(-r, r, 13)
         XI, S = np.meshgrid(xi, s, indexing="ij")
         Z = np.stack([XI, S], axis=-1)
-        rr = np.linalg.norm(Z, axis=-1)
+        rr = norm2(Z)
         mask = rr > 1e-9 * r
         try:
             val = self.evaluate(XI, S)
@@ -746,7 +763,7 @@ class InverseProjection:
             return False
         if not np.all(np.isfinite(val)):
             return False
-        dev0 = np.linalg.norm(val - Z, axis=-1)
+        dev0 = norm2(val - Z)
         dev1 = np.linalg.norm((jac - np.eye(2)).reshape(jac.shape[:-2] + (4,)), axis=-1)
         dev2 = np.linalg.norm(hess.reshape(hess.shape[:-3] + (8,)), axis=-1)
         slack = 1e-9
@@ -766,7 +783,7 @@ class InverseProjection:
                 q = self.invert(targets)
             except ChartFailure:
                 return False
-            dev = np.linalg.norm(q - targets, axis=-1)
+            dev = norm2(q - targets)
             if np.any(dev > c0 * rad ** 2 / r + slack):
                 return False
         return True

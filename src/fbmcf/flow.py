@@ -60,11 +60,11 @@ from typing import Callable
 
 import numpy as np
 
-from .barrier import Barrier
+from .barrier import Barrier, norm2, norm2_sq
 from .errors import (ConfigError, GraphFailure, InadmissibleTestFunction,
                      OutOfHistory, StepTooLarge)
-from .varifold import (Component, DiscreteVarifold, integrate_slice,
-                       turning_and_mass)
+from .varifold import (Component, DiscreteVarifold, ball_masses,
+                       integrate_slice, turning_and_mass)
 
 
 @dataclass
@@ -1119,7 +1119,7 @@ def _dissipation_integral(history, phi, a, b):
                                     comp.segment_lengths(), comp.closed)
             pv = phi.value(comp.points, t)
             gv = phi.grad(comp.points, t)
-            rate += float(np.sum(w * (-np.sum(vel ** 2, axis=1) * pv
+            rate += float(np.sum(w * (-norm2_sq(vel) * pv
                                       + np.sum(vel * gv, axis=1))))
             if len(comp.points) > 1:
                 h_sq = max(h_sq, comp.segment_lengths().max() ** 2)
@@ -1128,11 +1128,21 @@ def _dissipation_integral(history, phi, a, b):
     return float(np.trapezoid(rates, snap_times)), h_sq
 
 
-def state_ball_mass(state: CurveState, center, r):
+def _varifold(state: CurveState):
+    """The slice as a varifold, or None when no component has a segment."""
     comps = [c for c in state.components if len(c.points) > 1]
-    if not comps:
-        return 0.0
-    return DiscreteVarifold(comps).ball_mass(center, r)
+    return DiscreteVarifold(comps) if comps else None
+
+
+def state_ball_mass(state: CurveState, center, r):
+    V = _varifold(state)
+    return 0.0 if V is None else V.ball_mass(center, r)
+
+
+# snapshots whose initial-slice ball masses mass_bound_check takes in one
+# call: it bounds the (snapshots, segments) arrays, while a call per
+# snapshot would repeat the per-call overhead
+_MASS_BLOCK = 64
 
 
 @dataclass
@@ -1149,34 +1159,43 @@ def mass_bound_check(history: FlowHistory, z, r, kappa):
 
     Also reports the smallest support constant with
     max |x - z| on spt mu(t) <= R_0 + kappa + c t / kappa.
+
+    Each snapshot's mass in B_r(z) is measured once; the initial slice's
+    masses in the balls B_R(t)(z) of a grid value are taken _MASS_BLOCK
+    snapshots at a time, and a value is refused at its first failing block.
     """
     z = np.asarray(z, dtype=float)
     c_grid = np.concatenate([[1.0], np.arange(1.1, 8.01, 0.1)])
     t0 = history.times[0]
     mu0 = history.snapshots[0]
+    V0 = _varifold(mu0)
+    segments0 = None if V0 is None else V0.segments()
+    ts = [s.time - t0 for s in history.snapshots]
+    lhs = [state_ball_mass(s, z, r) for s in history.snapshots]
+
+    def holds(c, lo):
+        """The bound at grid value c on the block of snapshots from lo."""
+        hi = lo + _MASS_BLOCK
+        radii = np.array([r + kappa + c * t / kappa for t in ts[lo:hi]])
+        mass0 = np.zeros(len(radii)) if segments0 is None \
+            else ball_masses(*segments0, z, radii)
+        return not any(m > c ** (1.0 + t / kappa ** 2) * m0 + 1e-12
+                       for m, t, m0 in zip(lhs[lo:hi], ts[lo:hi], mass0))
+
     found = None
     for c in c_grid:
-        ok = True
-        for s in history.snapshots:
-            t = s.time - t0
-            R = r + kappa + c * t / kappa
-            lhs = state_ball_mass(s, z, r)
-            rhs = c ** (1.0 + t / kappa ** 2) * state_ball_mass(mu0, z, R)
-            if lhs > rhs + 1e-12:
-                ok = False
-                break
-        if ok:
+        if all(holds(c, lo) for lo in range(0, len(ts), _MASS_BLOCK)):
             found = float(c)
             break
     # support containment constant
     pts0 = mu0.all_points()
-    R0 = float(np.linalg.norm(pts0 - z, axis=1).max()) if len(pts0) else 0.0
+    R0 = float(norm2(pts0 - z).max()) if len(pts0) else 0.0
     support_c = 0.0
     for s in history.snapshots[1:]:
         t = s.time - t0
         if t <= 0 or not s.components:
             continue
-        reach = float(np.linalg.norm(s.all_points() - z, axis=1).max())
+        reach = float(norm2(s.all_points() - z).max())
         need = (reach - R0 - kappa) * kappa / t
         support_c = max(support_c, need)
     return MassBoundReport(holds=found is not None,
@@ -1204,7 +1223,7 @@ def graph_estimate_check(history: FlowHistory, x, window):
     t_init = init.time
     best = None
     for comp in init.components:
-        d = np.linalg.norm(comp.points - x, axis=1)
+        d = norm2(comp.points - x)
         i = int(np.argmin(d))
         if best is None or d[i] < best[0]:
             best = (d[i], comp, i)
@@ -1227,7 +1246,7 @@ def graph_estimate_check(history: FlowHistory, x, window):
         s = history.slice_at(t)
         pts = s.all_points()
         # keep the local branch only, then require it to be graphical
-        local = np.linalg.norm(pts - x, axis=1) <= 4.0 * fit_width
+        local = norm2(pts - x) <= 4.0 * fit_width
         pts = pts[local]
         xi = (pts - x) @ tangent
         eta = (pts - x) @ normal

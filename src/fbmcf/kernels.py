@@ -10,9 +10,15 @@ map; the pair enters the reflected, truncated heat kernel
 
     f = rho phi + rho~ phi~
 
-used by the density module.  This module also provides a finite-difference
-heat-operator sampler for the subsolution inequalities the cutoffs satisfy,
-and a runtime calibration of the cutoff constant ``alpha``.
+used by the density module.  ``reflected_truncated_kernel`` evaluates the
+direct and the mirror image in one pass, their squared distances stacked
+on an axis of length 2, with tau and its powers taken once.  Each entry
+goes through the same ufuncs in the same order as ``cutoff(.) *
+heat_kernel(.)``, so it has the bits of two separate evaluations.
+
+This module also provides a finite-difference heat-operator sampler for the
+subsolution inequalities the cutoffs satisfy, and a runtime calibration of
+the cutoff constant ``alpha``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barrier import Barrier, measured_c1
+from .barrier import Barrier, measured_c1, norm2, norm2_sq
 from .errors import (CalibrationFailure, KappaTooLarge, NonNegativeTime)
 
 ALPHA_GRID_MAX = 2.0 ** 10
@@ -81,7 +87,7 @@ def _tau(t):
     scalar takes another path."""
     t = np.asarray(t, dtype=float)
     tau = -t
-    if np.any(tau <= 0):
+    if (tau <= 0).any():
         raise NonNegativeTime("backward kernels need t < 0")
     return tau
 
@@ -89,30 +95,41 @@ def _tau(t):
 def heat_kernel(x, t):
     """Backward Gaussian rho(x, t) = (4 pi tau)^(-1/2) exp(-|x|^2 / 4 tau) of
     a curve (flow dimension one), at a point (2,) or points (..., 2)."""
-    tau = _tau(t)
-    sq = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+    return _rho(norm2_sq(np.asarray(x, dtype=float)), _tau(t))
+
+
+def _rho(sq, tau):
+    """heat_kernel from |x|^2 and tau."""
     return np.power(4.0 * np.pi * tau, -0.5) * np.exp(-sq / (4.0 * tau))
 
 
 def cutoff_argument(x, t, params: KernelParams):
     """The scale-free argument s with phi = (1 - s)_+^4."""
-    tau = _tau(t)
-    sq = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+    return _cutoff_argument(norm2_sq(np.asarray(x, dtype=float)), _tau(t),
+                            params)
+
+
+def _cutoff_argument(sq, tau, params: KernelParams):
+    """cutoff_argument from |x|^2 and tau."""
     k = params.kappa
     return k ** (-0.5) * np.power(tau, -0.75) * (sq - params.alpha * tau)
 
 
 def cutoff(x, t, params: KernelParams):
     """Mass cutoff phi at radius kappa; C^3 across its support edge."""
-    s = cutoff_argument(x, t, params)
-    return np.power(np.clip(1.0 - s, 0.0, None), 4)
+    return _phi(cutoff_argument(x, t, params))
+
+
+def _phi(s):
+    """phi = (1 - s)_+^4 from its argument s."""
+    return np.power(np.maximum(1.0 - s, 0.0), 4)
 
 
 def _tube_mirror(S: Barrier, x):
     """Mirror images 2 zeta(x) - x, and whether each x lies in the reach tube."""
     x = np.asarray(x, dtype=float)
     feet = S.project(x)
-    inside = np.linalg.norm(x - feet, axis=-1) < S.reach * (1.0 - 1e-12)
+    inside = norm2(x - feet) < S.reach * (1.0 - 1e-12)
     return 2.0 * feet - x, inside
 
 
@@ -129,17 +146,21 @@ def reflected_cutoff(S: Barrier, x, t, params: KernelParams):
 def reflected_truncated_kernel(S: Barrier, X0, x, t, params: KernelParams):
     """f(x, t) = phi rho (x - x0, t - t0) + phi rho (x~ - x0, t - t0).
 
-    The mirror image is taken of x itself and then recentered at x0.
+    The mirror image is taken of x itself and then recentered at x0.  The
+    squared distances of both images are stacked on a leading axis of
+    length 2 and go through the kernel in one pass.
     """
     x0 = np.asarray(X0[:2], dtype=float)
     t0 = float(X0[2]) if len(X0) > 2 else 0.0
-    dt = np.asarray(t, dtype=float) - t0
-    rel = np.asarray(x, dtype=float) - x0
+    tau = _tau(np.asarray(t, dtype=float) - t0)
+    x = np.asarray(x, dtype=float)
     mirror, inside = _tube_mirror(S, x)
-    mirror_rel = mirror - x0
-    return cutoff(rel, dt, params) * heat_kernel(rel, dt) + np.where(
-        inside, cutoff(mirror_rel, dt, params) * heat_kernel(mirror_rel, dt),
-        0.0)
+    # unit axes between the image axis and the points' axes let a t with
+    # more axes than the points broadcast as it would against one image
+    shape = (2,) + (1,) * (tau.ndim - x.ndim + 1) + x.shape[:-1]
+    sq = np.stack([norm2_sq(x - x0), norm2_sq(mirror - x0)]).reshape(shape)
+    f = _phi(_cutoff_argument(sq, tau, params)) * _rho(sq, tau)
+    return f[0] + np.where(inside, f[1], 0.0)
 
 
 def heat_operator(fn, xs, ts, dirs, kappa):
@@ -343,7 +364,7 @@ def calibrate_alpha(draft: KernelParams, S: Barrier, seed=0):
         tau = tau_max * 10.0 ** rng.uniform(-2, 0, ALPHA_SAMPLES)
         q = np.sqrt(tau)[:, None] * rng.uniform(0.0, 6.0, (ALPHA_SAMPLES, 1)) \
             * _unit_dirs(rng, ALPHA_SAMPLES)
-        qq = np.linalg.norm(q, axis=-1)
+        qq = norm2(q)
         bracket = (-3.0 * qq ** 2 / (4.0 * tau) - alpha / 4.0 + 2.0
                    + c_meas * qq / r_s)
         if np.max(bracket) <= 0.0:

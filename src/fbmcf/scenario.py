@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
+import sys
 
 import numpy as np
 
@@ -103,11 +105,15 @@ def kernel_params_from_config(cfg, barrier, seed=0):
     c1 = cfg["c1"] if "c1" in cfg else measured_c1(barrier)
     alpha = cfg.get("alpha")
     kappa = cfg.get("kappa")
-    draft = KernelParams.for_barrier(barrier, kappa=kappa,
-                                     alpha=alpha or 8.0, c1=c1)
-    if alpha is None:
-        alpha = calibrate_alpha(draft, barrier, seed=seed)
-    return KernelParams.for_barrier(barrier, kappa=kappa, alpha=alpha, c1=c1)
+    try:
+        draft = KernelParams.for_barrier(barrier, kappa=kappa,
+                                         alpha=alpha or 8.0, c1=c1)
+        if alpha is None:
+            alpha = calibrate_alpha(draft, barrier, seed=seed)
+        return KernelParams.for_barrier(barrier, kappa=kappa, alpha=alpha,
+                                        c1=c1)
+    except ValueError as exc:  # kappa <= 0 or alpha < 1/2
+        raise ConfigError(f"bad kernels block: {exc}") from exc
 
 
 def _write_atomic(path, writer):
@@ -153,9 +159,17 @@ def env_seed(default):
 # sets one is refused rather than run without it
 _REMOVED_KEYS = (("flow", "cfl"), ("flow", "pop_threshold"),
                  ("kernels", "sample_budget"))
-# every key a flow block may set: a misspelled one is refused rather than
+# every key each block may set: a misspelled one is refused rather than
 # run with the default of the key it meant
-_FLOW_KEYS = ("t_end", "h_target", "snapshot_dt", "vanish_length")
+_BLOCK_KEYS = {
+    "flow": ("t_end", "h_target", "snapshot_dt", "vanish_length"),
+    "kernels": ("kappa", "alpha", "c1"),
+    "density": ("center", "radii"),
+    "tangent": ("center", "lambdas", "tol"),
+    "varifold": ("vertices", "closed", "multiplicity", "n_fields", "tol"),
+    "kernel_checks": ("n_samples",),
+    "regularize": ("epsilon", "R0", "tol", "t_max"),
+}
 # every key besides "kind" that a barrier or initial_curve block of each
 # kind may set, for the same reason
 _KIND_KEYS = {
@@ -177,17 +191,24 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if "name" not in cfg:
         raise ConfigError("config needs a 'name'")
-    flow_block = cfg.get("flow") or {}
-    if not isinstance(flow_block, dict):
-        raise ConfigError(f"flow must be an object, got {flow_block!r}")
-    for block, key in _REMOVED_KEYS:
-        if key in (cfg.get(block) or {}):
-            raise ConfigError(f"{block}.{key} is not a setting: its value is "
-                              "fixed; remove the key")
-    for key in flow_block:
-        if key not in _FLOW_KEYS:
-            raise ConfigError(f"flow.{key} is not a setting; the flow block "
-                              f"takes {', '.join(_FLOW_KEYS)}")
+    for block, keys in _BLOCK_KEYS.items():
+        body = cfg.get(block) or {}
+        if not isinstance(body, dict):
+            raise ConfigError(f"{block} must be an object, got {body!r}")
+        for key in body:
+            if (block, key) in _REMOVED_KEYS:
+                raise ConfigError(f"{block}.{key} is not a setting: its value "
+                                  "is fixed; remove the key")
+            if key not in keys:
+                raise ConfigError(f"{block}.{key} is not a setting; the "
+                                  f"{block} block takes {', '.join(keys)}")
+    # null leaves a kernel value to be measured or calibrated; anything
+    # else must be a finite number, since NaN passes every bound check
+    for key, value in (cfg.get("kernels") or {}).items():
+        if value is not None and not (isinstance(value, numbers.Real)
+                                      and abs(value) <= sys.float_info.max):
+            raise ConfigError(f"kernels.{key} must be a finite number or "
+                              f"null, got {value!r}")
     for block, kinds in _KIND_KEYS.items():
         body = cfg.get(block)
         kind = body.get("kind") if isinstance(body, dict) else None
@@ -211,12 +232,26 @@ def run_scenario(config_path, out_dir=None, seed=None):
     name = cfg["name"]
     if seed is None:
         seed = env_seed(cfg.get("seed", 0))
+    pipeline = cfg.get("pipeline", ["flow"])
+    runs_flow = "flow" in pipeline or "density" in pipeline \
+        or "tangent" in pipeline
+
+    # everything a config block can refuse is built before the artifact
+    # directory is made, so a refused config leaves no directory behind
+    barrier = barrier_from_config(cfg.get("barrier"))
+    if runs_flow:
+        fc = cfg.get("flow", {})
+        initial = initial_curve_from_config(cfg["initial_curve"])
+        check_initial_curve(initial)  # before it is measured below
+        n_pts = sum(len(c.points) for c in initial.components)
+        h_default = initial.total_length() / max(n_pts - 1, 1)
+        t_end, h_target, snapshot_dt = flow_params_from_config(fc, h_default)
+    if "density" in pipeline or "kernel_checks" in pipeline:
+        params = kernel_params_from_config(cfg.get("kernels"), barrier, seed)
+
     out_root = out_dir or cfg.get("out", "out")
     art_dir = os.path.join(out_root, name)
     os.makedirs(art_dir, exist_ok=True)
-
-    barrier = barrier_from_config(cfg.get("barrier"))
-    pipeline = cfg.get("pipeline", ["flow"])
     written = []
 
     def emit(fname, writer):
@@ -224,13 +259,7 @@ def run_scenario(config_path, out_dir=None, seed=None):
         written.append(fname)
 
     history = None
-    if "flow" in pipeline or "density" in pipeline or "tangent" in pipeline:
-        fc = cfg.get("flow", {})
-        initial = initial_curve_from_config(cfg["initial_curve"])
-        check_initial_curve(initial)  # before it is measured below
-        n_pts = sum(len(c.points) for c in initial.components)
-        h_default = initial.total_length() / max(n_pts - 1, 1)
-        t_end, h_target, snapshot_dt = flow_params_from_config(fc, h_default)
+    if runs_flow:
         history = run(initial, t_end=t_end, h_target=h_target,
                       snapshot_dt=snapshot_dt,
                       vanish_length=fc.get("vanish_length"),
@@ -246,7 +275,6 @@ def run_scenario(config_path, out_dir=None, seed=None):
     if "density" in pipeline:
         from .density import monotonicity_report
         dc = cfg.get("density", {})
-        params = kernel_params_from_config(cfg.get("kernels"), barrier, seed)
         center = dc.get("center")
         if center is None:
             raise ConfigError("density pipeline needs density.center")
@@ -297,7 +325,6 @@ def run_scenario(config_path, out_dir=None, seed=None):
         }))
 
     if "kernel_checks" in pipeline:
-        params = kernel_params_from_config(cfg.get("kernels"), barrier, seed)
         kc = cfg.get("kernel_checks", {})
         samples = sample_heat_operator_cases(
             barrier, params, n_samples=kc.get("n_samples", 1000), seed=seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import Line
+from .barrier import Line, norm2, norm2_sq
 from .flow import Component, CurveState, FlowHistory
 
 
@@ -22,11 +22,11 @@ def point_to_chain_distance(pts, comp: Component):
     """Distance from each point to a polyline (exact point-segment)."""
     starts, ends = comp.segments()
     d = ends - starts
-    L2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
+    L2 = np.maximum(norm2_sq(d), 1e-300)
     rel = pts[:, None, :] - starts[None, :, :]
     t = np.clip(np.einsum("psc,sc->ps", rel, d) / L2, 0.0, 1.0)
     proj = starts[None, :, :] + t[..., None] * d[None, :, :]
-    dist = np.linalg.norm(pts[:, None, :] - proj, axis=-1)
+    dist = norm2(pts[:, None, :] - proj)
     return dist.min(axis=1)
 
 
@@ -39,7 +39,7 @@ def _directed_distance(src, dst, window):
         pts = c.points
         if window is not None:
             center, radius = window
-            pts = pts[np.linalg.norm(pts - center, axis=1) <= radius]
+            pts = pts[norm2(pts - center) <= radius]
             if len(pts) == 0:
                 continue
         dmin = np.full(len(pts), np.inf)
@@ -177,7 +177,7 @@ def self_shrinker_residual(hist: FlowHistory):
     if len(pts) == 0:
         return np.inf
     centroid = pts.mean(axis=0)
-    diam = float(np.linalg.norm(pts - centroid, axis=1).max()) * 2.0
+    diam = float(norm2(pts - centroid).max()) * 2.0
     diam = max(diam, 1e-12)
     window = (centroid, 0.45 * diam * 0.5)
 

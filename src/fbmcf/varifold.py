@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .barrier import Barrier, Line
+from .barrier import Barrier, Line, norm2, norm2_sq
 from .errors import IllConditionedFit
 
 _GL_CACHE = {}
@@ -44,8 +44,12 @@ def segment_quadrature(starts, ends, order):
     nodes, weights = _GL_CACHE[order]
     d = ends - starts
     s = 0.5 * (nodes + 1.0)
-    return (starts[:, None, :] + s[None, :, None] * d[:, None, :],
-            np.linalg.norm(d, axis=1), weights)
+    # start + s d one coordinate at a time, so numpy loops over the nodes
+    # rather than over the two coordinates of each
+    pts = np.empty((len(d), order, 2))
+    for c in range(2):
+        np.add(starts[:, c, None], s * d[:, c, None], out=pts[..., c])
+    return pts, norm2(d), weights
 
 
 def integrate_slice(state, fn, order=8):
@@ -133,7 +137,7 @@ class Component:
     def segment_lengths(self):
         """Length of every segment (read-only, computed on first use)."""
         if self._lengths is None:
-            lengths = np.linalg.norm(self.segment_vectors(), axis=1)
+            lengths = norm2(self.segment_vectors())
             lengths.flags.writeable = False
             object.__setattr__(self, "_lengths", lengths)
         return self._lengths
@@ -192,26 +196,28 @@ class DiscreteVarifold:
 
     def ball_mass(self, center, r):
         """mu_V(B_r(center)) from exact chord-ball clipping."""
-        starts, ends, mult = self.segments()
-        center = np.asarray(center, dtype=float)
-        a = starts - center
-        d = ends - starts
-        L = np.linalg.norm(d, axis=1)
-        # |a + s d|^2 = r^2 solved for s in [0, 1]
-        A = np.sum(d * d, axis=1)
-        Bq = 2.0 * np.sum(a * d, axis=1)
-        C = np.sum(a * a, axis=1) - r * r
-        disc = Bq * Bq - 4.0 * A * C
-        inside = np.zeros(len(L))
-        pos = disc > 0
-        s1 = np.full(len(L), np.inf)
-        s2 = np.full(len(L), -np.inf)
-        s1[pos] = (-Bq[pos] - np.sqrt(disc[pos])) / (2.0 * A[pos])
-        s2[pos] = (-Bq[pos] + np.sqrt(disc[pos])) / (2.0 * A[pos])
-        lo = np.clip(s1, 0.0, 1.0)
-        hi = np.clip(s2, 0.0, 1.0)
-        inside[pos] = np.maximum(hi[pos] - lo[pos], 0.0)
-        return float(np.sum(mult * inside * L))
+        return float(ball_masses(*self.segments(), np.asarray(
+            center, dtype=float), np.array([r], dtype=float))[0])
+
+
+def ball_masses(starts, ends, mult, center, radii):
+    """mu(B_r(center)) of segments [starts, ends] with multiplicities mult,
+    from exact chord-ball clipping, for every r in radii (K,).  Each radius
+    sums its own row, so a mass has the bits of a one-radius call."""
+    a = starts - center
+    d = ends - starts
+    # |a + s d|^2 = r^2 solved for s in [0, 1]
+    A = norm2_sq(d)
+    L = np.sqrt(A)
+    Bq = 2.0 * np.sum(a * d, axis=1)
+    C = norm2_sq(a) - (radii * radii)[:, None]
+    disc = Bq * Bq - 4.0 * A * C
+    pos = disc > 0
+    root = np.sqrt(np.where(pos, disc, 0.0))
+    lo = np.clip((-Bq - root) / (2.0 * A), 0.0, 1.0)
+    hi = np.clip((-Bq + root) / (2.0 * A), 0.0, 1.0)
+    inside = np.where(pos, np.maximum(hi - lo, 0.0), 0.0)
+    return np.sum(mult * inside * L, axis=1)
 
 
 @dataclass
@@ -340,7 +346,7 @@ def boundary_monotonicity_check(V: DiscreteVarifold, S: Barrier, h: ScalarField,
 
     pos, vec = V.atoms()
     rel = pos - S.project(pos)
-    d = np.linalg.norm(rel, axis=-1)
+    d = norm2(rel)
     near = (0.0 < d) & (d < sigma)
     pos, vec, rel, d = pos[near], vec[near], rel[near], d[near]
     hv = h.value(pos)
@@ -374,7 +380,7 @@ def _split_by_tube(S, starts, ends, radii):
     ts = np.linspace(0.0, 1.0, 65)
     radii = np.asarray(radii, dtype=float)
     d_seg = ends - starts
-    L = np.linalg.norm(d_seg, axis=1)
+    L = norm2(d_seg)
     scan = S.distance(starts[:, None, :] + ts[:, None] * d_seg[:, None, :])
     g = scan[:, None, :] - radii[:, None]  # (segment, radius, scan point)
     k_hit, _, i_hit = np.nonzero(np.abs(g) <= 1e-14 * np.maximum(
@@ -484,7 +490,7 @@ def _tube_integrals(S, h, q0, q1, order):
     pts = pts.reshape(-1, 2)
     e = np.repeat((q1 - q0) / L[:, None], order, axis=0)
     rel = pts - S.project(pts)
-    d = np.linalg.norm(rel, axis=-1)
+    d = norm2(rel)
     dtd = np.vecdot(rel / np.maximum(d, 1e-300)[:, None], e)
     tr_term = np.einsum("qa,qab,qb->q", e, S.distance_hessian(pts), e)
     hv = h.value(pts)
@@ -627,12 +633,12 @@ def bump_window(center, width):
     w2 = float(width) ** 2
 
     def val(pts):
-        r2 = np.sum((pts - c) ** 2, axis=-1)
+        r2 = norm2_sq(pts - c)
         return (1.0 + r2 / w2) ** -3
 
     def grad(pts):
         rel = pts - c
-        r2 = np.sum(rel ** 2, axis=-1)
+        r2 = norm2_sq(rel)
         return (-6.0 / w2) * ((1.0 + r2 / w2) ** -4.0)[:, None] * rel
 
     return val, grad

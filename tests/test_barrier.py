@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbmcf.barrier import Circle, Line, ParametricBarrier, measured_c1
+from fbmcf.barrier import (Circle, Line, ParametricBarrier, measured_c1, norm2,
+                           norm2_sq)
 from fbmcf.errors import BeyondReach
 from fbmcf.kernels import (KernelParams, cutoff, heat_kernel, reflected_cutoff,
                            reflected_truncated_kernel)
@@ -53,6 +54,36 @@ def sweep_distance(f, x, n=2_000_001):
     d = np.linalg.norm(pts - np.asarray(x), axis=1)
     i = np.argmin(d)
     return d[i], pts[i]
+
+
+class TestNorm2:
+    """The componentwise norms have the bits of numpy's reductions."""
+
+    MAGS = 10.0 ** np.arange(-320.0, 301.0, 5.0)
+    VALUES = np.concatenate([MAGS, -MAGS, [0.0, -0.0, np.inf, -np.inf,
+                                           np.nan, -np.nan, 5e-324,
+                                           np.finfo(float).max, 1.5, 3.0]])
+
+    def test_every_pair_of_magnitudes(self):
+        """1e-320 to 1e300 with both signs, +-0.0, +-inf and nan in each
+        coordinate: subnormal squares, squares that underflow to zero and
+        sums that overflow to inf."""
+        v = np.stack(np.meshgrid(self.VALUES, self.VALUES, indexing="ij"),
+                     axis=-1)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            n, ref = norm2(v), np.linalg.norm(v, axis=-1)
+            sq, ref_sq = norm2_sq(v), np.sum(v ** 2, axis=-1)
+        assert n.shape == ref.shape == v.shape[:-1]
+        assert n.tobytes() == ref.tobytes()
+        assert sq.tobytes() == ref_sq.tobytes()
+
+    def test_single_vector(self):
+        for v in ([3.0, 4.0], [-0.0, -0.0], [1e-320, 1e300], [np.nan, 1.0]):
+            v = np.array(v)
+            with np.errstate(over="ignore", under="ignore"):
+                n, ref = norm2(v), np.linalg.norm(v, axis=-1)
+            assert type(n) is type(ref)
+            assert np.asarray(n).tobytes() == np.asarray(ref).tobytes()
 
 
 class TestDistanceProject:

@@ -1,6 +1,8 @@
 import concurrent.futures
+import importlib.util
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -8,10 +10,12 @@ import pytest
 
 from fbmcf.cli import main
 from fbmcf.flow import FlowHistory
-from fbmcf.scenario import _write_atomic, run_scenario
+from fbmcf.scenario import _write_atomic, load_config, run_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fbmcf",
                             "scenarios")
+WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), "..", "bench",
+                              "workloads.py")
 
 
 def scenario_path(name):
@@ -259,6 +263,98 @@ class TestRun:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "non_finite" / "history.jsonl").exists()
+
+    def test_bad_barrier_kind_leaves_no_directory(self, tmp_path, capsys):
+        """The barrier and the initial curve are built before the artifact
+        directory is made."""
+        cfg = {"name": "bad_kind", "barrier": {"kind": "lin"},
+               "initial_curve": {"kind": "circle", "radius": 1.0, "n": 8},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005}}
+        p = tmp_path / "bad_kind.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown barrier kind 'lin'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "bad_kind").exists()
+
+    @pytest.mark.parametrize("key", ["kappa", "alpha", "c1"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), "1.0"])
+    def test_non_finite_kernel_value_exits_2(self, tmp_path, capsys, key,
+                                             value):
+        """NaN passes every bound check of the kernel parameters, so a
+        kernels value that is not a finite number is refused when the config
+        is read, before the flow runs."""
+        cfg = {"name": "bad_kernels",
+               "barrier": {"kind": "line", "normal": [0.0, -1.0]},
+               "initial_curve": {"kind": "half_circle", "n": 16},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005},
+               "kernels": {"kappa": 0.5, "alpha": 8.0, "c1": 2.0, key: value},
+               "density": {"center": [0.0, 0.5, 0.01]},
+               "pipeline": ["flow", "density"]}
+        p = tmp_path / "bad_kernels.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"kernels.{key} must be a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_nonpositive_kappa_exits_2(self, tmp_path, capsys):
+        """The kernel parameters' own bounds are config errors too."""
+        cfg = {"name": "bad_kappa",
+               "barrier": {"kind": "line", "normal": [0.0, -1.0]},
+               "kernels": {"kappa": -1.0, "alpha": 8.0, "c1": 2.0},
+               "pipeline": ["kernel_checks"]}
+        p = tmp_path / "bad_kappa.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "kappa must be positive" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block, key", [
+        ("kernels", "kapa"), ("density", "centre"), ("tangent", "lambda"),
+        ("varifold", "vertex"), ("kernel_checks", "samples"),
+        ("regularize", "eps")])
+    def test_unknown_key_of_a_pipeline_block_exits_2(self, tmp_path, capsys,
+                                                     block, key):
+        """A misspelled setting of any block is refused, not run with the
+        default of the key it meant."""
+        cfg = {"name": "unknown_key", "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": 1.0, "n": 8},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005},
+               block: {key: 1.0}}
+        p = tmp_path / "unknown_key.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{block}.{key} is not a setting; the {block} block takes" \
+            in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bundled_and_benchmark_configs_load(self, tmp_path, monkeypatch):
+        """Every key the bundled scenarios and the benchmark's corner and
+        lasso configs set is a setting."""
+        spec = importlib.util.spec_from_file_location("fbmcf_bench_workloads",
+                                                      WORKLOADS_PATH)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while it executes
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        flows = workloads.BarrierFlows(0, str(tmp_path / "bench"))
+        flows.setup()  # writes the two configs; runs nothing
+        R, b = workloads.rigid_motion(0, 3)
+        history_cfg = workloads.write_json(
+            str(tmp_path / "corner_history.json"),
+            workloads.corner_config("corner_history", 0, R, b, ["flow"]))
+        paths = [scenario_path(f) for f in sorted(os.listdir(SCENARIO_DIR))]
+        paths += [flows.corner_cfg, flows.lasso_cfg, history_cfg]
+        assert len(paths) == 6
+        for path in paths:
+            assert load_config(path)["name"]
+        corner = load_config(flows.corner_cfg)
+        assert {"kernels", "density", "tangent"} <= corner.keys()
 
     def test_jobs_beyond_config_count_start_one_worker_each(self, tmp_path,
                                                              inline_pool):

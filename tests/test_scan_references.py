@@ -1,0 +1,276 @@
+"""Reference versions of the density-scan kernels, compared bit for bit.
+
+``reflected_truncated_kernel`` evaluates the direct and mirror images in one
+stacked pass, ``DiscreteVarifold.ball_mass`` clips every segment without
+masks and takes many radii at once, and ``mass_bound_check`` measures each
+snapshot once.  The references below evaluate the same quantities the plain
+way, with numpy's norm reductions; every result must have the same bits.
+"""
+
+import numpy as np
+import pytest
+
+from fbmcf.barrier import Circle, Line
+from fbmcf.flow import (Component, CurveState, FlowHistory, circle_curve,
+                        half_circle_curve, mass_bound_check, run)
+from fbmcf.kernels import KernelParams, reflected_truncated_kernel
+from fbmcf.varifold import DiscreteVarifold, ball_masses
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+# -- reflected truncated kernel --------------------------------------------------
+
+def _reflected_truncated_kernel_two_pass(S, X0, x, t, params):
+    """Reference for ``reflected_truncated_kernel``: cutoff times heat kernel
+    of the direct image, then of the mirror image, each with its own tau
+    and squared norm."""
+    def sq(v):
+        return np.sum(np.asarray(v, dtype=float) ** 2, axis=-1)
+
+    def cutoff(v, t):
+        tau = -np.asarray(t, dtype=float)
+        s = params.kappa ** (-0.5) * np.power(tau, -0.75) \
+            * (sq(v) - params.alpha * tau)
+        return np.power(np.clip(1.0 - s, 0.0, None), 4)
+
+    def heat_kernel(v, t):
+        tau = -np.asarray(t, dtype=float)
+        return np.power(4.0 * np.pi * tau, -0.5) * np.exp(-sq(v) / (4.0 * tau))
+
+    x0 = np.asarray(X0[:2], dtype=float)
+    t0 = float(X0[2]) if len(X0) > 2 else 0.0
+    dt = np.asarray(t, dtype=float) - t0
+    x = np.asarray(x, dtype=float)
+    rel = x - x0
+    feet = S.project(x)
+    inside = np.linalg.norm(x - feet, axis=-1) < S.reach * (1.0 - 1e-12)
+    mirror_rel = 2.0 * feet - x - x0
+    return cutoff(rel, dt) * heat_kernel(rel, dt) + np.where(
+        inside, cutoff(mirror_rel, dt) * heat_kernel(mirror_rel, dt), 0.0)
+
+
+PARAMS = KernelParams(kappa=0.5, alpha=8.0, c1=2.0)
+BARRIERS = {
+    "line": Line((0.6, -0.8), 0.3),
+    "circle_inside": Circle((0.2, -0.1), 1.0),
+    "circle_outside": Circle((0.2, -0.1), 1.0, omega_side="outside"),
+}
+
+
+def _kernel_inputs(seed, n):
+    """A centre X0 = (x0, t0), points around x0 at the scale of the cutoff
+    support and a few far away, and times t < t0."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.0, 1.0, 2)
+    t0 = rng.uniform(-0.5, 0.5)
+    tau = 10.0 ** rng.uniform(-4.0, -1.0, n)
+    x = x0 + np.sqrt(tau)[:, None] * rng.normal(0.0, 2.0, (n, 2))
+    x[: n // 8] = rng.uniform(-4.0, 4.0, (n // 8, 2))
+    return (x0[0], x0[1], t0), x, t0 - tau
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(BARRIERS))
+def test_reflected_kernel_per_point_times(name, seed):
+    S = BARRIERS[name]
+    X0, x, t = _kernel_inputs(seed, 1000)
+    if isinstance(S, Circle):
+        assert np.any(S.distance(x) >= S.reach)  # some mirrors are dropped
+        assert np.any(S.distance(x) < S.reach)
+    new = reflected_truncated_kernel(S, X0, x, t, PARAMS)
+    ref = _reflected_truncated_kernel_two_pass(S, X0, x, t, PARAMS)
+    assert np.count_nonzero(new) > 100
+    assert same_bits(new, ref)
+
+
+@pytest.mark.parametrize("name", sorted(BARRIERS))
+def test_reflected_kernel_shared_time_and_shapes(name):
+    """One time for all points, a single point at one or at two times, a
+    grid of points, and a centre without a time coordinate."""
+    S = BARRIERS[name]
+    X0, x, t = _kernel_inputs(3, 240)
+    for args in ((X0, x, t[0]), (X0, x[5], t[5]), (X0, x[5], t[:2]),
+                 (X0[:2], x, -t), (X0, x.reshape(12, 20, 2), t.reshape(12, 20)),
+                 (X0, x.reshape(12, 20, 2), t[0]), (X0, x[:20], t[:12, None])):
+        new = reflected_truncated_kernel(S, *args, PARAMS)
+        ref = _reflected_truncated_kernel_two_pass(S, *args, PARAMS)
+        assert same_bits(new, ref)
+
+
+# -- ball mass ---------------------------------------------------------------------
+
+def _ball_mass_masked(V, center, r):
+    """Reference for ``DiscreteVarifold.ball_mass``: the chord-ball roots
+    solved only where the discriminant is positive."""
+    starts, ends, mult = V.segments()
+    center = np.asarray(center, dtype=float)
+    a = starts - center
+    d = ends - starts
+    L = np.linalg.norm(d, axis=1)
+    A = np.sum(d * d, axis=1)
+    Bq = 2.0 * np.sum(a * d, axis=1)
+    C = np.sum(a * a, axis=1) - r * r
+    disc = Bq * Bq - 4.0 * A * C
+    inside = np.zeros(len(L))
+    pos = disc > 0
+    s1 = np.full(len(L), np.inf)
+    s2 = np.full(len(L), -np.inf)
+    s1[pos] = (-Bq[pos] - np.sqrt(disc[pos])) / (2.0 * A[pos])
+    s2[pos] = (-Bq[pos] + np.sqrt(disc[pos])) / (2.0 * A[pos])
+    lo = np.clip(s1, 0.0, 1.0)
+    hi = np.clip(s2, 0.0, 1.0)
+    inside[pos] = np.maximum(hi[pos] - lo[pos], 0.0)
+    return float(np.sum(mult * inside * L))
+
+
+def _random_varifold(rng, n_chains, multiplicities, max_points=60):
+    chains = []
+    for k in range(n_chains):
+        n = int(rng.integers(2, max_points))
+        pts = np.cumsum(rng.normal(0.0, 0.2, (n, 2)), axis=0) \
+            + rng.uniform(-1.0, 1.0, 2)
+        chains.append(Component(pts, closed=bool(k % 2 and n > 2),
+                                multiplicity=multiplicities[k % len(
+                                    multiplicities)]))
+    return DiscreteVarifold(chains)
+
+
+@pytest.mark.parametrize("multiplicities", [(1,), (2,), (3,), (1, 2, 3)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ball_mass_equals_masked_clip(multiplicities, seed):
+    """Multiplicities 2 and 3 pin the product order (mult * inside) * L."""
+    rng = np.random.default_rng([seed, len(multiplicities),
+                                 multiplicities[0]])
+    V = _random_varifold(rng, 4, multiplicities)
+    pts = V.segments()[0]
+    for _ in range(40):
+        center = rng.uniform(-2.0, 2.0, 2)
+        r = float(10.0 ** rng.uniform(-2.0, 1.0))
+        assert same_bits(V.ball_mass(center, r),
+                         _ball_mass_masked(V, center, r))
+    # balls through a vertex, and radius zero
+    for center, r in ((pts[3], 0.5), (pts[3], 0.0), (pts[0], 1e-300)):
+        assert same_bits(V.ball_mass(center, r),
+                         _ball_mass_masked(V, center, r))
+
+
+def test_many_radii_rows_equal_one_radius_calls():
+    """3000 segments and 70 radii: each row of ball_masses is summed on its
+    own, with the bits of the one-radius reference."""
+    rng = np.random.default_rng(5)
+    V = _random_varifold(rng, 60, (1, 2, 3), max_points=100)
+    starts, ends, mult = V.segments()
+    assert len(mult) > 2500
+    center = np.array([0.1, -0.2])
+    radii = np.sort(10.0 ** rng.uniform(-1.5, 0.7, 70))
+    masses = ball_masses(starts, ends, mult, center, radii)
+    for r, m in zip(radii, masses):
+        assert same_bits(float(m), _ball_mass_masked(V, center, r))
+
+
+# -- mass bound -------------------------------------------------------------------
+
+def _mass_bound_check_per_probe(history, z, r, kappa):
+    """Reference for ``mass_bound_check``: a new varifold and a masked ball
+    mass for both sides of every (c, snapshot) probe."""
+    def mass(state, rad):
+        comps = [c for c in state.components if len(c.points) > 1]
+        return _ball_mass_masked(DiscreteVarifold(comps), z, rad) \
+            if comps else 0.0
+
+    z = np.asarray(z, dtype=float)
+    c_grid = np.concatenate([[1.0], np.arange(1.1, 8.01, 0.1)])
+    t0 = history.times[0]
+    mu0 = history.snapshots[0]
+    found = None
+    for c in c_grid:
+        ok = True
+        for s in history.snapshots:
+            t = s.time - t0
+            R = r + kappa + c * t / kappa
+            if mass(s, r) > c ** (1.0 + t / kappa ** 2) * mass(mu0, R) + 1e-12:
+                ok = False
+                break
+        if ok:
+            found = float(c)
+            break
+    pts0 = mu0.all_points()
+    R0 = float(np.linalg.norm(pts0 - z, axis=1).max()) if len(pts0) else 0.0
+    support_c = 0.0
+    for s in history.snapshots[1:]:
+        t = s.time - t0
+        if t <= 0 or not s.components:
+            continue
+        reach = float(np.linalg.norm(s.all_points() - z, axis=1).max())
+        support_c = max(support_c, (reach - R0 - kappa) * kappa / t)
+    return (found is not None, found if found is not None else np.inf,
+            max(support_c, 0.0))
+
+
+def _segment_history(half_lengths, times):
+    """Snapshots of the segment [-L, L] x {0}, one per (L, t); L = 0 gives
+    an empty slice."""
+    snaps = []
+    for L, t in zip(half_lengths, times):
+        comps = [] if L == 0 else [Component(
+            np.stack([np.linspace(-L, L, 9), np.zeros(9)], axis=-1))]
+        snaps.append(CurveState(comps, float(t)))
+    return FlowHistory(snaps)
+
+
+def _histories():
+    times = np.linspace(0.0, 1.0, 150)
+    jump = np.where(times < 0.6, 0.4, 0.45)  # c = 1 fails in the second block
+    # one snapshot that c = 1 fails: first after mu0, at either edge of the
+    # first block of 64, and last
+    spikes = {f"spike_{i}": _segment_history(
+        np.where(np.arange(150) == i, 0.45, 0.4), times)
+        for i in (1, 63, 64, 149)}
+    rng = np.random.default_rng(11)
+    wobble = 0.4 * (1.0 + rng.uniform(-0.2, 0.2, 150))
+    return {
+        **spikes,
+        "second_block": _segment_history(jump, times),
+        "random": _segment_history(wobble, times),
+        "no_grid_value": _segment_history([0.01] + [0.5] * 99,
+                                          np.linspace(0.0, 0.5, 100)),
+        "empty_start": _segment_history([0.0] + [0.4] * 9,
+                                        np.linspace(0.0, 0.1, 10)),
+        "circle": run(circle_curve(n=48), t_end=0.3, h_target=0.15,
+                      snapshot_dt=0.002),
+        "half_circle": run(half_circle_curve(n=32), t_end=0.3, h_target=0.1,
+                           snapshot_dt=0.002, barrier=Line()),
+    }
+
+
+HISTORIES = _histories()
+
+
+@pytest.mark.parametrize("name", sorted(HISTORIES))
+@pytest.mark.parametrize("z, r, kappa", [((0.0, 0.0), 0.5, 0.3),
+                                         ((0.3, 0.1), 0.2, 0.15)])
+def test_mass_bound_equals_per_probe_check(name, z, r, kappa):
+    hist = HISTORIES[name]
+    rep = mass_bound_check(hist, z, r, kappa)
+    holds, c, support_c = _mass_bound_check_per_probe(hist, z, r, kappa)
+    assert rep.holds == holds
+    assert same_bits(rep.c, c) and same_bits(rep.support_c, support_c)
+
+
+def test_mass_bound_histories_cover_each_outcome():
+    """The histories above reach c = 1, c > 1 only after the first block of
+    snapshots, and no grid value at all."""
+    z, r, kappa = (0.0, 0.0), 0.5, 0.3
+    c = {name: mass_bound_check(HISTORIES[name], z, r, kappa).c
+         for name in ("second_block", "no_grid_value", "circle", "spike_1",
+                      "spike_63", "spike_64", "spike_149")}
+    assert c["circle"] == 1.0
+    assert all(c[f"spike_{i}"] > 1.0 for i in (1, 63, 64, 149))
+    assert 1.0 < c["second_block"] < np.inf
+    assert c["no_grid_value"] == np.inf
+    assert len(HISTORIES["second_block"].snapshots) > 64
