@@ -9,6 +9,7 @@ All randomness is seeded, so repeated runs produce identical rows.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -388,17 +389,22 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4,
 
 
 def run_all(filter=None, seed=0, printer=None):
-    """Run the acceptance criteria (optionally filtered by id substring)."""
+    """Run the acceptance criteria (optionally filtered by id substring).
+
+    Returns the rows and the wall-clock seconds of each criterion by id; a
+    criterion's seconds include the shared histories it builds first."""
     cache = ArtifactCache(seed=seed)
-    rows = []
+    rows, seconds = [], {}
     for fn in ALL_CRITERIA:
         cid = fn.__name__.split("_")[1]
         if filter and filter not in (cid, fn.__name__):
             continue
+        start = time.perf_counter()
         result = fn(cache)
+        seconds[cid] = time.perf_counter() - start
         rows.append(result)
         if printer:
             printer(result.row())
     if filter and not rows:
         raise KeyError(f"unknown criterion filter {filter!r}")
-    return rows
+    return rows, seconds

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import time
 
 from .errors import ConfigError, FbmcfError
 
@@ -49,11 +50,13 @@ def _cmd_verify(args):
         print(line)
         lines.append(line)
 
+    start = time.perf_counter()
     try:
-        rows = run_all(filter=args.filter, seed=seed, printer=printer)
+        rows, seconds = run_all(filter=args.filter, seed=seed, printer=printer)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    total = time.perf_counter() - start
     n_fail = sum(not r.passed for r in rows)
     print(f"{len(rows) - n_fail}/{len(rows)} criteria passed")
     if args.out:
@@ -65,6 +68,14 @@ def _cmd_verify(args):
                 f.write('%s,"%s",%.17g,%.17g,%d,"%s"\n' % (
                     r.id, r.description, r.measured, r.bound,
                     int(r.passed), r.detail.replace('"', "'")))
+        print(f"wrote {path}")
+        # wall-clock seconds: they differ from run to run, so nothing
+        # compares or hashes this file
+        path = os.path.join(args.out, "verify_timings.json")
+        with open(path, "w") as f:
+            json.dump({"seconds": seconds, "total_seconds": total}, f,
+                      indent=1)
+            f.write("\n")
         print(f"wrote {path}")
     return 1 if n_fail else 0
 

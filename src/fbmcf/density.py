@@ -10,6 +10,13 @@ its r -> 0 limit is the density used for regularity classification.
 The truncated quantity differs from the plain Gaussian by an
 O(sqrt(r/kappa)) factor at finite r, so the pointwise density is obtained by
 polynomial extrapolation in sqrt(r) over the smallest admissible radii.
+
+Each reflected density is computed once per history: ``reflected_density``
+keeps its values on the ``FlowHistory``, keyed by the barrier object, the
+``KernelParams`` value and the float64 bits of (x0, y0, t0, r), and clears
+them at ``_DENSITY_MEMO_CAP`` entries.  So ``density_at_point``,
+``classify_regular`` and ``monotonicity_report`` at one centre and the same
+radii integrate each slice once between them.
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ def gaussian_density(history: FlowHistory, X0, r):
         state, lambda p: heat_kernel(p - x0, -r * r))
 
 
+# entries a history's density memo holds before it is cleared
+_DENSITY_MEMO_CAP = 4096
+
+
 def reflected_density(history: FlowHistory, S: Barrier, X0, r,
                       params: KernelParams):
     """Truncated/reflected Gaussian density at scale r.
@@ -44,6 +55,13 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
     kernel; centers farther inside integrate the truncated kernel alone.
     The two branches agree across the switch distance (asserted when the
     center sits within 1e-6 kappa of it).
+
+    The value is kept on ``history`` and a repeated query returns it without
+    integrating again.  The key is the barrier object, the kernel parameters
+    by value and the float64 bits of (x0, y0, t0, r), so -0.0 and 0.0 are
+    distinct queries and a query with a NaN is never kept.  The kappa and
+    radius checks run on every call and an exception is never kept; the
+    memo is cleared when it holds ``_DENSITY_MEMO_CAP`` values.
     """
     x0 = np.asarray(X0[:2], dtype=float)
     t0 = float(X0[2])
@@ -55,6 +73,11 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
     if r <= 0 or r * r > min(params.tau0, t0 - t_start) * (1 + 1e-9):
         raise InadmissibleRadius(
             f"need r^2 <= min(tau0, t0 - t_start); got r={r:.6g}")
+    coords = np.array([x0[0], x0[1], t0, r], dtype=float)
+    key = (S, params, coords.tobytes())
+    memo = history._densities
+    if key in memo:
+        return memo[key]
     state = history.slice_at(t0 - r * r)
     d0 = float(S.distance(x0))
 
@@ -67,15 +90,20 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
         return cutoff(rel, -r * r, params) * heat_kernel(rel, -r * r)
 
     if abs(d0 - params.kappa / 10.0) <= 1e-6 * params.kappa:
-        a = integrate_slice(state, near)
+        theta = integrate_slice(state, near)
         b = integrate_slice(state, interior)
-        if abs(a - b) > 1e-4 * max(1.0, abs(a)):
+        if abs(theta - b) > 1e-4 * max(1.0, abs(theta)):
             raise InadmissibleRadius(
                 "density branches disagree at the switch distance")
-        return a
-    if d0 <= params.kappa / 10.0:
-        return integrate_slice(state, near)
-    return integrate_slice(state, interior)
+    elif d0 <= params.kappa / 10.0:
+        theta = integrate_slice(state, near)
+    else:
+        theta = integrate_slice(state, interior)
+    if not np.isnan(coords).any():
+        if len(memo) >= _DENSITY_MEMO_CAP:
+            memo.clear()
+        memo[key] = theta
+    return theta
 
 
 @dataclass

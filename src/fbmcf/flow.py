@@ -55,7 +55,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -105,10 +105,21 @@ class FlowEvent:
                 "location": [float(self.location[0]), float(self.location[1])]}
 
 
+# FlowHistory attributes fixed at construction
+_KEPT = ("snapshots", "times")
+
+
 @dataclass
 class FlowHistory:
     """Time-ordered snapshots (a tuple) plus the events between them; the
-    read-only array ``times`` of snapshot times is built at construction."""
+    read-only array ``times`` of snapshot times is built at construction.
+
+    ``snapshots`` and ``times`` cannot be reassigned or deleted afterwards
+    (``FrozenInstanceError``), so values computed from them and kept on the
+    history, the reflected densities of ``density.reflected_density``, stay
+    valid.  ``barrier`` may be reassigned: no kept value reads it.  A copy
+    or an unpickled history is built through the constructor too.
+    """
 
     snapshots: tuple
     events: list = field(default_factory=list)
@@ -116,10 +127,30 @@ class FlowHistory:
     barrier: Barrier | None = None
 
     def __post_init__(self):
-        self.snapshots = tuple(self.snapshots)
-        self.times = np.array([s.time for s in self.snapshots])
-        self.times.flags.writeable = False
-        self._dt_grid = np.diff(self.times).max() if len(self.times) > 1 else 0.0
+        object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        times = np.array([s.time for s in self.snapshots])
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        self._dt_grid = np.diff(times).max() if len(times) > 1 else 0.0
+        self._densities = {}  # see density.reflected_density
+
+    def __setattr__(self, name, value):
+        if name in _KEPT and name in self.__dict__:
+            raise FrozenInstanceError(
+                f"cannot assign to {name!r}: a FlowHistory keeps its snapshots")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in _KEPT:
+            raise FrozenInstanceError(
+                f"cannot delete {name!r}: a FlowHistory keeps its snapshots")
+        object.__delattr__(self, name)
+
+    def __reduce__(self):
+        # a copy or an unpickled history is built anew: read-only times and
+        # an empty density memo
+        return (type(self), (self.snapshots, self.events, self.config,
+                             self.barrier))
 
     def slice_at(self, t):
         """State at time t: exact snapshot, vertexwise interpolation when the

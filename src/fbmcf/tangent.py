@@ -6,47 +6,70 @@ Tangent flows are extracted by materializing a decreasing sequence of
 rescalings and watching the t = -1 slices become Cauchy in Hausdorff
 distance; limits here are always reported together with the mesh resolution
 floor that caps how far the sequence can descend.
+
+Hausdorff distances measure each vertex against a union of polylines
+(``point_to_chain_distance``).  Two k-d tree queries, one over the segment
+starts and one over the segment midpoints, give every point its candidate
+segments, so P points against M segments cost (P + M) log M and memory
+linear in the candidates while segment lengths stay comparable.  One long
+segment widens every point's candidate set, up to the dense P M.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .barrier import Line, norm2, norm2_sq
-from .flow import Component, CurveState, FlowHistory
+from .flow import _PAIR_MARGIN, Component, CurveState, FlowHistory
 
 
-def point_to_chain_distance(pts, comp: Component):
-    """Distance from each point to a polyline (exact point-segment)."""
-    starts, ends = comp.segments()
-    d = ends - starts
-    L2 = np.maximum(norm2_sq(d), 1e-300)
-    rel = pts[:, None, :] - starts[None, :, :]
-    t = np.clip(np.einsum("psc,sc->ps", rel, d) / L2, 0.0, 1.0)
-    proj = starts[None, :, :] + t[..., None] * d[None, :, :]
-    dist = norm2(pts[:, None, :] - proj)
-    return dist.min(axis=1)
+def point_to_chain_distance(pts, chains):
+    """Distance from each point (P, 2) to the union of the polylines
+    ``chains`` (a list of Components): the exact point-segment distance to
+    its nearest segment, inf when the chains have no segment.
+
+    A k-d tree over the segment starts gives each point the distance dv to
+    its nearest vertex, which bounds its distance to the union.  The segment
+    holding its nearest point then has its midpoint within dv + l_max / 2,
+    so a ball query over the midpoints with radius ``_PAIR_MARGIN`` (dv +
+    l_max / 2), the margin covering rounding in the tree, finds every
+    candidate; the exact clamp-and-norm runs on those pairs alone.
+    """
+    from scipy.spatial import cKDTree
+
+    segments = [c.segments() for c in chains]
+    out = np.full(len(pts), np.inf)
+    if len(pts) == 0 or not any(len(a) for a, _ in segments):
+        return out
+    starts = np.concatenate([a for a, _ in segments])
+    d = np.concatenate([b for _, b in segments]) - starts
+    dv = cKDTree(starts).query(pts)[0]
+    radius = _PAIR_MARGIN * (dv + 0.5 * float(norm2(d).max()))
+    hits = cKDTree(starts + 0.5 * d).query_ball_point(pts, radius)
+    counts = np.fromiter(map(len, hits), np.intp, len(hits))
+    p = np.repeat(np.arange(len(pts)), counts)
+    s = np.fromiter(itertools.chain.from_iterable(hits), np.intp, counts.sum())
+    a, ds, q = starts[s], d[s], pts[p]
+    t = np.clip(np.einsum("pc,pc->p", q - a, ds)
+                / np.maximum(norm2_sq(ds), 1e-300), 0.0, 1.0)
+    np.minimum.at(out, p, norm2(q - (a + t[:, None] * ds)))
+    return out
 
 
 def _directed_distance(src, dst, window):
     """Largest distance from a vertex of the polylines ``src`` to the union
     of ``dst``; with ``window = (center, radius)`` only the vertices within
     radius of center count."""
-    worst = 0.0
-    for c in src:
-        pts = c.points
-        if window is not None:
-            center, radius = window
-            pts = pts[norm2(pts - center) <= radius]
-            if len(pts) == 0:
-                continue
-        dmin = np.full(len(pts), np.inf)
-        for q in dst:
-            dmin = np.minimum(dmin, point_to_chain_distance(pts, q))
-        worst = max(worst, float(dmin.max()))
-    return worst
+    pts = np.concatenate([c.points for c in src]) if src else np.zeros((0, 2))
+    if window is not None:
+        center, radius = window
+        pts = pts[norm2(pts - center) <= radius]
+    if len(pts) == 0:
+        return 0.0
+    return float(point_to_chain_distance(pts, dst).max())
 
 
 def hausdorff_distance(a, b):

@@ -472,6 +472,14 @@ class TestVerify:
         table = (tmp_path / "verify_results.csv").read_text()
         assert table.splitlines()[0] == "id,description,measured,bound,passed,detail"
 
+    def test_timings_have_one_key_per_row_run(self, tmp_path):
+        assert main(["verify", "--filter", "7", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "verify_results.csv").read_text().splitlines()[1:]
+        timings = json.loads((tmp_path / "verify_timings.json").read_text())
+        assert list(timings["seconds"]) == [r.split(",")[0] for r in rows] \
+            == ["7"]
+        assert 0 < timings["seconds"]["7"] <= timings["total_seconds"]
+
     def test_unknown_filter_exits_2(self):
         assert main(["verify", "--filter", "nonsense"]) == 2
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from fbmcf import density, kernels, varifold
 from fbmcf.barrier import Circle, Line
 from fbmcf.errors import InadmissibleRadius, KappaTooLarge
 from fbmcf.density import (
     classify_regular, density_at_point, euclidean_density, gaussian_density,
     monotonicity_report, reflected_density,
 )
-from fbmcf.flow import segment_curve, static_history
+from fbmcf.flow import FlowHistory, circle_curve, segment_curve, static_history
 from fbmcf.kernels import KernelParams
 from fbmcf.varifold import Component, DiscreteVarifold
 from conftest import DENSITY_LINE
@@ -108,6 +109,155 @@ class TestReflectedDensity:
             rhs = lam * reflected_density(corner_history, DENSITY_LINE, X0,
                                           lam * R, BIG_KAPPA) / lam
             assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+def _fresh(history):
+    """The same snapshots in a new FlowHistory, whose density memo is empty."""
+    return FlowHistory(history.snapshots, history.events, history.config,
+                       history.barrier)
+
+
+@pytest.fixture
+def slice_times(monkeypatch):
+    """Times of the slices ``density`` integrates during the test."""
+    times = []
+
+    def counting(state, fn, *args):
+        times.append(state.time)
+        return varifold.integrate_slice(state, fn, *args)
+
+    monkeypatch.setattr(density, "integrate_slice", counting)
+    return times
+
+
+# kappa = 0.15 is admissible on the unit circle (reflection scale 0.318 / c1)
+SMALL_KAPPA = KernelParams(kappa=0.15, alpha=8.0, c1=2.0)
+
+
+def _memo_case(name, corner_history):
+    """(history, barrier, params, centres) with every centre on one branch."""
+    if name == "line-near":  # kappa/10 = 1e6: the reflected kernel
+        return (corner_history, DENSITY_LINE, BIG_KAPPA,
+                [(0.0, 0.0, 0.5), (0.6, 0.0, 0.2), (0.3, 0.7, 0.3)])
+    if name == "line-interior":  # farther than kappa/10 = 0.1 from the line
+        return (corner_history, DENSITY_LINE,
+                KernelParams(kappa=1.0, alpha=8.0, c1=2.0),
+                [(0.0, 0.8, 0.2), (0.5, 0.5, 0.3)])
+    side = name.split("-")[1]
+    radius = 0.995 if side == "inside" else 1.005  # within kappa/10 of S
+    hist = static_history(circle_curve(radius=radius, n=1000), -1.0, 0.1, 12)
+    return (hist, Circle((0.0, 0.0), 1.0, omega_side=side), SMALL_KAPPA,
+            [(radius, 0.0, 0.0), (0.0, -radius, 0.05), (0.5, 0.0, 0.1)])
+
+
+class TestDensityMemo:
+    """A repeated query on one history returns the kept value, bit for bit
+    the value a history with an empty memo computes."""
+
+    @pytest.mark.parametrize("case", ["line-near", "line-interior",
+                                      "circle-inside", "circle-outside"])
+    def test_hit_equals_fresh_bits(self, case, corner_history, slice_times):
+        hist, S, params, centres = _memo_case(case, corner_history)
+        hist = _fresh(hist)
+        # default radii: four halvings from each centre's own time cap
+        first = [density_at_point(hist, S, X, params) for X in centres]
+        n = len(slice_times)
+        again = [density_at_point(hist, S, X, params) for X in centres]
+        assert len(slice_times) == n
+        ref = [density_at_point(_fresh(hist), S, X, params) for X in centres]
+        assert np.array(again).tobytes() == np.array(first).tobytes()
+        assert np.array(again).tobytes() == np.array(ref).tobytes()
+
+    def test_distinct_queries_never_collide(self, corner_history,
+                                            slice_times):
+        hist = _fresh(corner_history)
+        X, r = (0.0, 0.5, 0.3), 0.1
+        twin = Line(normal=(0.0, -1.0), offset=0.0, scale_cap=1e8)
+        queries = [
+            (DENSITY_LINE, BIG_KAPPA, X, r),
+            (twin, BIG_KAPPA, X, r),  # an equal barrier is another object
+            (DENSITY_LINE, KernelParams(kappa=1e6, alpha=8.0, c1=2.0), X, r),
+            (DENSITY_LINE, BIG_KAPPA, X, np.nextafter(r, 1.0)),
+            (DENSITY_LINE, BIG_KAPPA, (-0.0, 0.5, 0.3), r),
+            (DENSITY_LINE, BIG_KAPPA, (0.0, 0.5, np.nextafter(0.3, 1.0)), r),
+        ]
+        values = [reflected_density(hist, S, Y, rr, p)
+                  for S, p, Y, rr in queries]
+        assert len(slice_times) == len(queries)
+        for (S, p, Y, rr), v in zip(queries, values):
+            fresh = reflected_density(_fresh(hist), S, Y, rr, p)
+            assert np.float64(v).tobytes() == np.float64(fresh).tobytes()
+        # kernel parameters are compared by value
+        equal = KernelParams(kappa=1e7, alpha=8.0, c1=2.0)
+        assert reflected_density(hist, DENSITY_LINE, X, r, equal) == values[0]
+        assert len(slice_times) == 2 * len(queries)
+        # a query with a NaN is integrated on every call
+        for _ in range(2):
+            reflected_density(hist, DENSITY_LINE, (np.nan, 0.5, 0.3), r,
+                              BIG_KAPPA)
+        assert len(slice_times) == 2 * len(queries) + 2
+
+    def test_errors_raised_on_every_call(self, corner_history):
+        hist = _fresh(corner_history)
+        X = (0.0, 0.5, 0.3)
+        unit = Circle((0.0, 0.0), 1.0)
+        for _ in range(2):
+            with pytest.raises(KappaTooLarge):
+                reflected_density(hist, unit, X, 0.01,
+                                  KernelParams(kappa=1.0, alpha=8.0, c1=2.0))
+            with pytest.raises(InadmissibleRadius):
+                reflected_density(hist, DENSITY_LINE, X, 0.9, BIG_KAPPA)
+        assert hist._densities == {}
+
+    def test_branch_disagreement_is_not_kept(self, monkeypatch):
+        params = KernelParams(kappa=10.0, alpha=8.0, c1=2.0)
+        y0 = params.kappa / 10.0  # exactly the switch distance
+        hist = static_history(segment_curve((-12.0, y0), (12.0, y0), n=2400),
+                              -1.0, 0.1, 12)
+        X = (0.0, y0, 0.0)
+        with monkeypatch.context() as m:
+            # a doubled cutoff makes the interior branch disagree
+            m.setattr(density, "cutoff",
+                      lambda *a: 2.0 * kernels.cutoff(*a))
+            for _ in range(2):
+                with pytest.raises(InadmissibleRadius, match="disagree"):
+                    reflected_density(hist, DENSITY_LINE, X, 1e-3, params)
+        th = reflected_density(hist, DENSITY_LINE, X, 1e-3, params)
+        ref = reflected_density(_fresh(hist), DENSITY_LINE, X, 1e-3, params)
+        assert np.float64(th).tobytes() == np.float64(ref).tobytes()
+
+    def test_cap_clears_and_keeps_results(self, corner_history, monkeypatch,
+                                          slice_times):
+        monkeypatch.setattr(density, "_DENSITY_MEMO_CAP", 3)
+        hist = _fresh(corner_history)
+        X = (0.3, 0.7, 0.3)
+        radii = [0.2, 0.15, 0.1, 0.05, 0.025]
+        passes = []
+        for _ in range(2):
+            values = []
+            for r in radii:
+                values.append(reflected_density(hist, DENSITY_LINE, X, r,
+                                                BIG_KAPPA))
+                assert len(hist._densities) <= 3
+            passes.append(np.array(values))
+        # five keys cycle through a memo of three: every call integrates
+        assert len(slice_times) == 2 * len(radii)
+        ref = np.array([reflected_density(_fresh(hist), DENSITY_LINE, X, r,
+                                          BIG_KAPPA) for r in radii])
+        assert passes[0].tobytes() == passes[1].tobytes() == ref.tobytes()
+
+    def test_smooth_point_integrates_each_radius_once(self, corner_history,
+                                                      slice_times):
+        """density_at_point, classify_regular and monotonicity_report at one
+        centre and four radii integrate four slices between them."""
+        hist = _fresh(corner_history)
+        radii = [0.2, 0.1, 0.05, 0.025]
+        X = (0.3, 0.7, 0.3)
+        density_at_point(hist, DENSITY_LINE, X, BIG_KAPPA, radii=radii)
+        classify_regular(hist, DENSITY_LINE, X, BIG_KAPPA, eta=0.05,
+                         radii=radii)
+        monotonicity_report(hist, DENSITY_LINE, X, BIG_KAPPA, radii)
+        assert len(slice_times) == 4
 
 
 class TestMonotonicity:

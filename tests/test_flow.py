@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -1179,6 +1181,25 @@ class TestSliceAt:
         assert len(hist.snapshots) == 1
         for t in (5e-10, -5e-10):
             assert hist.slice_at(t) is hist.snapshots[0]
+
+
+class TestHistoryKeepsSnapshots:
+    """Values kept on a history (its densities) read only its snapshots and
+    times, which cannot change after construction."""
+
+    def test_snapshots_and_times_cannot_be_reassigned(self):
+        hist = static_history(segment_curve((-1.0, 0.0), (1.0, 0.0), n=8),
+                              0.0, 0.1, 3)
+        for h in (hist, copy.deepcopy(hist), pickle.loads(pickle.dumps(hist))):
+            for name in ("snapshots", "times"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(h, name, getattr(h, name)[:1])
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(h, name)
+            assert len(h.snapshots) == len(h.times) == 3
+            assert not h.times.flags.writeable
+            h.barrier = LINE  # densities never read the history's barrier
+            assert h.barrier is LINE
 
 
 class TestSerialization:

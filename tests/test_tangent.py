@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fbmcf.barrier import Line
+from fbmcf.barrier import Line, norm2, norm2_sq
 from fbmcf.density import density_at_point, euclidean_density, gaussian_density
 from fbmcf.flow import (Component, CurveState, FlowHistory, circle_curve,
                         segment_curve, static_history)
 from fbmcf.kernels import KernelParams
 from fbmcf.tangent import (extract_tangent_flow, hausdorff_distance,
-                           reflect_flow, rescale, self_shrinker_residual)
+                           point_to_chain_distance, reflect_flow, rescale,
+                           self_shrinker_residual)
 from fbmcf.varifold import DiscreteVarifold
 from conftest import DENSITY_LINE
 
@@ -202,3 +206,79 @@ class TestDensityTransfer:
         V = DiscreteVarifold.from_polyline(slice_pts.components[0].points)
         th_eucl = euclidean_density(V, (0.0, 0.0), 2.0)
         assert th_eucl == pytest.approx(th_gauss, rel=0.01)
+
+
+def _point_to_chain_distance_dense(pts, chains):
+    """Reference for ``point_to_chain_distance``: every point against every
+    segment of each chain at once, in dense (points, segments) arrays."""
+    out = np.full(len(pts), np.inf)
+    for comp in chains:
+        starts, ends = comp.segments()
+        if len(starts) == 0:
+            continue
+        d = ends - starts
+        L2 = np.maximum(norm2_sq(d), 1e-300)
+        rel = pts[:, None, :] - starts[None, :, :]
+        t = np.clip(np.einsum("psc,sc->ps", rel, d) / L2, 0.0, 1.0)
+        proj = starts[None, :, :] + t[..., None] * d[None, :, :]
+        out = np.minimum(out, norm2(pts[:, None, :] - proj).min(axis=1))
+    return out
+
+
+_coord = st.floats(-4.0, 4.0) | st.integers(-8, 8).map(lambda k: k / 2.0)
+
+
+@st.composite
+def _chain(draw):
+    """An open or closed polyline; some vertices repeat (zero-length
+    segments) and one far vertex may add a very long segment."""
+    pts = draw(st.lists(st.tuples(_coord, _coord), min_size=2, max_size=12))
+    for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3)):
+        pts.insert(i, pts[i])
+    if draw(st.booleans()):
+        pts.insert(draw(st.integers(0, len(pts))),
+                   (draw(st.floats(-1e4, 1e4)), 1e4))
+    return Component(np.array(pts, dtype=float), draw(st.booleans()))
+
+
+class TestPointToChainDistance:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(_chain(), min_size=1, max_size=3),
+           st.lists(st.tuples(_coord, _coord), min_size=1, max_size=20),
+           st.booleans())
+    def test_equals_dense_reference(self, chains, extra, on_vertices):
+        """Random points, or the chains' own vertices and random points,
+        against one to three chains: the same bits as the dense reference,
+        and the Hausdorff distance the reference's distances give."""
+        pts = np.array(extra, dtype=float)
+        if on_vertices:
+            pts = np.vstack([c.points for c in chains] + [pts])
+        got = point_to_chain_distance(pts, chains)
+        ref = _point_to_chain_distance_dense(pts, chains)
+        assert got.tobytes() == ref.tobytes()
+        src = [Component(pts)]
+        ref_h = max(ref.max(), _point_to_chain_distance_dense(
+            np.vstack([c.points for c in chains]), src).max())
+        assert hausdorff_distance(src, chains) == ref_h
+
+    def test_no_segments_is_infinitely_far(self):
+        pts = np.array([[0.0, 0.0], [1.0, 2.0]])
+        assert np.all(point_to_chain_distance(pts, []) == np.inf)
+        assert point_to_chain_distance(np.zeros((0, 2)),
+                                       [circle_curve(n=8).components[0]]).shape \
+            == (0,)
+
+    def test_memory_bound(self):
+        """4,000 segments against their own vertices pushed off the chain:
+        the dense (points, segments, 2) arrays would take 256 MB each."""
+        chain = circle_curve(n=4000).components[0]
+        pts = 1.001 * chain.points
+        point_to_chain_distance(pts[:1], [chain])  # imports scipy.spatial
+        tracemalloc.start()
+        try:
+            got = point_to_chain_distance(pts, [chain])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        np.testing.assert_allclose(got, 0.001, rtol=1e-3)
