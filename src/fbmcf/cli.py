@@ -90,8 +90,11 @@ def _cmd_density(args):
         x, y, t = (float(v) for v in args.center.split(","))
     except ValueError:
         raise ConfigError("--center expects x,y,t") from None
-    if not args.kappa > 0:
-        raise ConfigError(f"--kappa must be positive, got {args.kappa}")
+    if not all(math.isfinite(v) for v in (x, y, t)):
+        raise ConfigError(f"--center must be finite, got {args.center!r}")
+    if not 0 < args.kappa < math.inf:
+        raise ConfigError(f"--kappa must be positive and finite, got "
+                          f"{args.kappa}")
     try:
         radii = [float(r) for r in args.radii.split(",")] if args.radii \
             else [0.4, 0.2, 0.1, 0.05]
@@ -100,10 +103,7 @@ def _cmd_density(args):
                           f"{args.radii!r}") from None
     if not all(0 < r < math.inf for r in radii):
         raise ConfigError(f"--radii must be positive and finite, got {radii}")
-    try:
-        history = FlowHistory.from_jsonl(args.history)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"cannot read history {args.history}: {exc}") from exc
+    history = FlowHistory.from_jsonl(args.history)
     barrier = barrier_from_config(history.config.get("barrier"))
     if barrier is None:
         raise ConfigError("history carries no barrier; reflected densities "

@@ -60,8 +60,9 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
     integrating again.  The key is the barrier object, the kernel parameters
     by value and the float64 bits of (x0, y0, t0, r), so -0.0 and 0.0 are
     distinct queries and a query with a NaN is never kept.  The kappa and
-    radius checks run on every call and an exception is never kept; the
-    memo is cleared when it holds ``_DENSITY_MEMO_CAP`` values.
+    radius checks run on every call (a NaN or infinite r is inadmissible)
+    and an exception is never kept; the memo is cleared when it holds
+    ``_DENSITY_MEMO_CAP`` values.
     """
     x0 = np.asarray(X0[:2], dtype=float)
     t0 = float(X0[2])
@@ -70,7 +71,8 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
         raise KappaTooLarge(
             f"kappa={params.kappa:.6g} exceeds the admissible bound {bound:.6g}")
     t_start = history.times[0]
-    if r <= 0 or r * r > min(params.tau0, t0 - t_start) * (1 + 1e-9):
+    # written so that a NaN r fails it too
+    if not (r > 0 and r * r <= min(params.tau0, t0 - t_start) * (1 + 1e-9)):
         raise InadmissibleRadius(
             f"need r^2 <= min(tau0, t0 - t_start); got r={r:.6g}")
     coords = np.array([x0[0], x0[1], t0, r], dtype=float)

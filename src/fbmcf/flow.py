@@ -51,6 +51,7 @@ remeshing keeps them.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import numbers
@@ -105,6 +106,32 @@ class FlowEvent:
                 "location": [float(self.location[0]), float(self.location[1])]}
 
 
+# the header marker of the history file layout that FlowHistory.to_jsonl
+# writes and from_jsonl reads
+HISTORY_FORMAT = "fbmcf-history/2"
+
+
+def _decode_components(rec):
+    """The components of one history line; ValueError on a malformed one."""
+    points, flags, closed = rec["points"], rec["flags"], rec["closed"]
+    if not len(points) == len(flags) == len(closed):
+        raise ValueError(f"{len(points)} components with {len(flags)} flag "
+                         f"lists and {len(closed)} closed flags")
+    comps = []
+    for text, fl, cl in zip(points, flags, closed):
+        raw = base64.b64decode(text, validate=True)
+        if len(raw) % 16:
+            raise ValueError(f"{len(raw)} coordinate bytes, not a multiple "
+                             "of 16")
+        p = np.frombuffer(raw, "<f8").reshape(-1, 2)
+        if len(fl) != len(p):
+            raise ValueError(f"{len(fl)} flags for {len(p)} points")
+        if not np.isfinite(p).all():
+            raise ValueError("a non-finite coordinate")
+        comps.append(Component(p, cl, np.asarray(fl, bool)))
+    return comps
+
+
 # FlowHistory attributes fixed at construction
 _KEPT = ("snapshots", "times")
 
@@ -154,12 +181,14 @@ class FlowHistory:
 
     def slice_at(self, t):
         """State at time t: exact snapshot, vertexwise interpolation when the
-        bracketing snapshots are compatible, else the nearest snapshot."""
+        bracketing snapshots are compatible, else the nearest snapshot.
+        Raises OutOfHistory for a t outside the stored range or not finite."""
         times = self.times
         if len(times) == 0:
             raise OutOfHistory("empty history")
-        if t < times[0] - 1e-9 - self._dt_grid \
-                or t > times[-1] + 1e-9 + self._dt_grid:
+        # written so that a NaN t fails it too
+        if not (times[0] - 1e-9 - self._dt_grid <= t
+                <= times[-1] + 1e-9 + self._dt_grid):
             raise OutOfHistory(f"time {t} outside stored range "
                                f"[{times[0]}, {times[-1]}]")
         i = int(np.argmin(np.abs(times - t)))
@@ -195,15 +224,25 @@ class FlowHistory:
         return [e for e in self.events if a <= e.time <= b]
 
     def to_jsonl(self, path):
-        """One snapshot per line; a leading header line echoes the config."""
+        """A header line ``{"config": ..., "format": HISTORY_FORMAT}``, then
+        one snapshot per line: ``{"t", "points", "flags", "closed",
+        "events"}``, one entry of ``points``, ``flags`` and ``closed`` per
+        component.  A component's ``points`` is the base64 text of its
+        coordinates as little-endian float64 in row-major order (x0, y0, x1,
+        y1, ...), so every bit reads back, -0.0 included."""
         with open(path, "w") as f:
-            f.write(json.dumps({"config": self.config}, sort_keys=True) + "\n")
+            f.write(json.dumps({"config": self.config,
+                                "format": HISTORY_FORMAT}, sort_keys=True)
+                    + "\n")
             prev_t = -np.inf
             for s in self.snapshots:
                 evs = [e.to_dict() for e in self.events if prev_t < e.time <= s.time]
                 rec = {
                     "t": s.time,
-                    "components": [c.points.tolist() for c in s.components],
+                    "points": [
+                        base64.b64encode(c.points.astype("<f8", copy=False)
+                                         .tobytes()).decode("ascii")
+                        for c in s.components],
                     "flags": [c.on_s.astype(int).tolist() for c in s.components],
                     "closed": [c.closed for c in s.components],
                     "events": evs,
@@ -213,21 +252,36 @@ class FlowHistory:
 
     @classmethod
     def from_jsonl(cls, path, barrier=None):
-        snapshots, events, config = [], [], {}
-        with open(path) as f:
-            for line in f:
-                rec = json.loads(line)
-                if "config" in rec and "t" not in rec:
-                    config = rec["config"]
-                    continue
-                comps = [Component(np.asarray(p), closed, np.asarray(fl, bool))
-                         for p, fl, closed in zip(rec["components"], rec["flags"],
-                                                  rec["closed"])]
-                snapshots.append(CurveState(comps, rec["t"], barrier))
-                for e in rec.get("events", []):
-                    events.append(FlowEvent(e["time"], e["kind"],
-                                            np.asarray(e["location"])))
-        return cls(snapshots, events, config, barrier)
+        """The history ``to_jsonl`` wrote to path, its states on ``barrier``.
+
+        Raises ConfigError ("cannot read history ...") when the file cannot
+        be opened or parsed, when its header lacks the ``HISTORY_FORMAT``
+        marker (as every older layout does), and on invalid base64, a
+        coordinate byte count that is not a multiple of 16, ``flags`` or
+        ``closed`` that do not match the components, or a non-finite
+        coordinate or snapshot time.
+        """
+        snapshots, events = [], []
+        try:
+            with open(path) as f:
+                header = json.loads(f.readline())
+                if not isinstance(header, dict) \
+                        or header.get("format") != HISTORY_FORMAT:
+                    raise ValueError(
+                        f"its header has no format marker {HISTORY_FORMAT!r}"
+                        "; an older history is rebuilt by fbmcf run")
+                for line in f:
+                    rec = json.loads(line)
+                    if not math.isfinite(rec["t"]):
+                        raise ValueError(f"a snapshot at time {rec['t']}")
+                    snapshots.append(CurveState(_decode_components(rec),
+                                                rec["t"], barrier))
+                    events.extend(FlowEvent(e["time"], e["kind"],
+                                            np.asarray(e["location"]))
+                                  for e in rec["events"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read history {path}: {exc}") from exc
+        return cls(snapshots, events, header.get("config", {}), barrier)
 
     def summary_rows(self):
         rows = []
@@ -754,9 +808,10 @@ def _self_intersects(state: CurveState):
     two pieces that share only an end point do not.  Broad phase: a k-d
     tree of the segment midpoints (Bentley, CACM 1975).  Two segments that
     meet have midpoints at most (l_i + l_j) / 2 <= l_max apart, so only the
-    pairs it finds within _PAIR_MARGIN l_max are candidates.  Narrow phase:
-    the exact parametric test on the candidates, which gives pair (i, j) the
-    same bits as an all-pairs test.  Memory is O(M + candidates).  Raises
+    pairs it finds within _PAIR_MARGIN l_max are candidates; when they are
+    only the adjacent pairs, there is no crossing.  Narrow phase: the exact
+    parametric test on the candidates, which gives pair (i, j) the same bits
+    as an all-pairs test.  Memory is O(M + candidates).  Raises
     StepTooLarge on a non-finite coordinate or segment length.
     """
     # imported here, as scipy.linalg is in _solve_definite: importing the
@@ -779,11 +834,20 @@ def _self_intersects(state: CurveState):
     d = np.concatenate([c.segment_vectors() for c in comps])
     i, j = cKDTree(P0 + 0.5 * d).query_pairs(
         _PAIR_MARGIN * l_max, output_type="ndarray").T
+    # the tree finds every adjacent pair (midpoints at most l_max apart), so
+    # when it finds only as many pairs as there are adjacent ones, none can
+    # cross.  A closed component of s segments has s adjacent pairs, but one
+    # when s = 2 and none when s = 1.
+    closed = np.array([c.closed for c in comps])
+    n_adjacent = np.where(closed, np.minimum(n_seg, n_seg * (n_seg - 1) // 2),
+                          n_seg - 1).sum()
+    if len(i) == n_adjacent:
+        return False
 
     # the segment after each one in its component, -1 after an open end
     nxt = np.arange(1, M + 1)
     last = np.cumsum(n_seg) - 1
-    nxt[last] = np.where([c.closed for c in comps], last - n_seg + 1, -1)
+    nxt[last] = np.where(closed, last - n_seg + 1, -1)
     keep = (nxt[i] != j) & (nxt[j] != i)
     i, j = i[keep], j[keep]
 

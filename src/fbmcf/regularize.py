@@ -121,8 +121,8 @@ def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
     # graph region: |dz/dr| not too small, i.e. |r'| = |1/w| <= slope cap
     n_dense = 12000
     r_dense = np.linspace(r0, R0, 4 * n_dense)
-    w_dense = sol.sol(r_dense)[0]
-    z_dense = sol.sol(r_dense)[1] + z_max  # flow coordinates, z(R0) = 0
+    w_dense, z_dense = sol.sol(r_dense)
+    z_dense = z_dense + z_max  # flow coordinates, z(R0) = 0
     slope_cap = 50.0
     graphical = np.abs(1.0 / w_dense) <= slope_cap
     r_graph = r_dense[graphical]

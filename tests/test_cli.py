@@ -1,3 +1,4 @@
+import base64
 import concurrent.futures
 import importlib.util
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from fbmcf.cli import main
-from fbmcf.flow import FlowHistory
+from fbmcf.flow import HISTORY_FORMAT, FlowHistory
 from fbmcf.scenario import _write_atomic, load_config, run_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fbmcf",
@@ -387,7 +388,7 @@ class TestRun:
         assert manifests["1"] == manifests["2"]
 
     def test_determinism_byte_identical(self, tmp_path):
-        outs = []
+        outs, histories = [], []
         for sub in ("a", "b"):
             out = tmp_path / sub
             code = main(["run", scenario_path("circle_shrinker.json"),
@@ -396,7 +397,10 @@ class TestRun:
             manifest = json.loads(
                 (out / "circle_shrinker" / "manifest.json").read_text())
             outs.append(manifest["files"])
+            histories.append(
+                (out / "circle_shrinker" / "history.jsonl").read_bytes())
         assert outs[0] == outs[1]
+        assert histories[0] == histories[1]
 
 
 class TestAuxPipelines:
@@ -497,6 +501,20 @@ class TestVerify:
         assert texts[0] == texts[1]
 
 
+def _header(marker=HISTORY_FORMAT):
+    return json.dumps({"config": {}, "format": marker})
+
+
+def _b64(*coords):
+    return base64.b64encode(np.array(coords, "<f8").tobytes()).decode("ascii")
+
+
+def _snapshot(points, flags=([0, 0],), closed=(False,), t=0.0):
+    """One history line with one component's coordinates in ``points``."""
+    return json.dumps({"t": t, "points": [points], "flags": list(flags),
+                       "closed": list(closed), "events": []})
+
+
 class TestDensityCommand:
     def test_density_from_stored_history(self, half_circle_artifacts, capsys):
         hist = half_circle_artifacts / "history.jsonl"
@@ -537,11 +555,41 @@ class TestDensityCommand:
                      "--center", "0.3,0,0.45", "--kappa", "1e6"]) == 2
         assert "cannot read history" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["{not json", '{"t": 0.1}'],
-                             ids=["not-json", "no-components"])
-    def test_malformed_history_exits_2(self, tmp_path, line, capsys):
+    @pytest.mark.parametrize("lines", [
+        ["{not json"],
+        ['{"t": 0.1}'],
+        # the layout before binary coordinates: no format marker
+        ['{"config": {}}', '{"closed": [false], "components": [[[0.0, 0.0], '
+         '[1.0, 0.0]]], "events": [], "flags": [[0, 0]], "t": 0.0}'],
+        [_header("fbmcf-history/1"), _snapshot(_b64(0.0, 0.0, 1.0, 0.0))],
+        [_header(), _snapshot("AAAA!AAA")],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0))],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flags=[[0, 0], [0]])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flags=[[0]])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0),
+                              closed=[False, True])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, np.nan))],
+        [_header(), _snapshot(_b64(0.0, 0.0, np.inf, 0.0))],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), t=np.nan)],
+    ], ids=["not-json", "no-components", "old-layout", "unknown-marker",
+            "invalid-base64", "bytes-not-multiple-of-16", "flag-lists",
+            "flags-per-point", "closed-flags", "nan-coordinate",
+            "inf-coordinate", "nan-time"])
+    def test_malformed_history_exits_2(self, tmp_path, lines, capsys):
         hist = tmp_path / "history.jsonl"
-        hist.write_text(line + "\n")
+        hist.write_text("\n".join(lines) + "\n")
         assert main(["density", str(hist), "--center", "0.3,0,0.45",
                      "--kappa", "1e6"]) == 2
         assert "cannot read history" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("center,kappa", [
+        ("nan,0,0.05", "1e6"), ("0.3,0,inf", "1e6"), ("0.3,-inf,0.45", "1e6"),
+        ("0.3,0,0.45", "inf"), ("0.3,0,0.45", "nan")])
+    def test_non_finite_center_or_kappa_exits_2_before_reading(
+            self, tmp_path, capsys, center, kappa):
+        """The arguments are refused before the (missing) history is read."""
+        assert main(["density", str(tmp_path / "nonexistent.jsonl"),
+                     "--center", center, "--kappa", kappa]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read history" not in err
+        assert "--center" in err or "--kappa" in err

@@ -90,6 +90,14 @@ class TestReflectedDensity:
             reflected_density(corner_history, DENSITY_LINE, (0.0, 0.0, 0.5),
                               0.9, BIG_KAPPA)
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf])
+    def test_non_finite_radius_is_inadmissible(self, corner_history, r):
+        hist = _fresh(corner_history)
+        with pytest.raises(InadmissibleRadius):
+            reflected_density(hist, DENSITY_LINE, (0.0, 0.5, 0.3), r,
+                              BIG_KAPPA)
+        assert hist._densities == {}
+
     def test_kappa_too_large(self, corner_history):
         S = Circle((0.0, 0.0), 1.0)
         params = KernelParams(kappa=1.0, alpha=8.0, c1=2.0)

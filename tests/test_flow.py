@@ -1,7 +1,11 @@
+import base64
 import copy
 import dataclasses
+import json
 import math
+import os
 import pickle
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -10,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from fbmcf import flow
 from fbmcf.barrier import Circle, Line, ParametricBarrier
-from fbmcf.errors import ConfigError, InadmissibleTestFunction, StepTooLarge
+from fbmcf.errors import (ConfigError, InadmissibleTestFunction,
+                          OutOfHistory, StepTooLarge)
 from fbmcf.flow import (
-    Component, CurveState, SpacetimeTestFunction, dissipation_inequality_check,
+    Component, CurveState, FlowHistory, SpacetimeTestFunction,
+    dissipation_inequality_check,
     circle_curve, closed_stencil, detect_and_pop, graph_estimate_check,
     half_circle_curve, lasso_curve, mass_bound_check, orthogonality_residual,
     remesh, run, segment_curve, static_history, step, vertex_velocity,
@@ -924,6 +930,24 @@ _segment = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
                          (m[0] + m[2], m[1] + m[3])]))
 
 
+@st.composite
+def _smooth_component(draw):
+    """3 to 40 vertices on r = rho (1 + a sin(k theta + phi)) about a centre
+    in [-1.5, 1.5]^2: a closed star-shaped curve, which never crosses
+    itself, or an open arc of one, whose ends may nearly meet; components
+    stay apart, touch or cross."""
+    n = draw(st.integers(3, 40))
+    closed = draw(st.booleans())
+    rho, a = draw(st.floats(0.2, 1.0)), draw(st.floats(0.0, 0.6))
+    k, phi = draw(st.integers(1, 5)), draw(st.floats(0.0, 2.0 * np.pi))
+    span = 2.0 * np.pi if closed else draw(st.floats(0.5, 2.0 * np.pi))
+    th = np.linspace(0.0, span, n, endpoint=not closed)
+    r = rho * (1.0 + a * np.sin(k * th + phi))
+    cx, cy = draw(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+    return Component(np.stack([cx + r * np.cos(th), cy + r * np.sin(th)],
+                              axis=-1), closed=closed)
+
+
 class TestEllipseBarrierFlow:
     """A flow against a non-circular barrier: an arc inside the 1.5 x 1
     ellipse, both ends on S, bulging away from the minor axis."""
@@ -972,6 +996,15 @@ class TestCollision:
     def test_equals_dense_test(self, comps):
         """One- and two-component polylines, and loose segments, near and
         far apart in units of their longest segment."""
+        state = CurveState(comps)
+        assert _self_intersects(state) == _self_intersects_dense(state)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(_smooth_component(), min_size=1, max_size=3))
+    def test_smooth_curves_equal_dense_test(self, comps):
+        """Remeshed-like curves, where the k-d tree often finds only the
+        adjacent pairs and the narrow phase is skipped: open, closed and
+        several components, apart or crossing."""
         state = CurveState(comps)
         assert _self_intersects(state) == _self_intersects_dense(state)
 
@@ -1182,6 +1215,13 @@ class TestSliceAt:
         for t in (5e-10, -5e-10):
             assert hist.slice_at(t) is hist.snapshots[0]
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_out_of_history(self, t):
+        hist = static_history(segment_curve((-1.0, 0.0), (1.0, 0.0), n=8),
+                              0.0, 0.1, 3)
+        with pytest.raises(OutOfHistory):
+            hist.slice_at(t)
+
 
 class TestHistoryKeepsSnapshots:
     """Values kept on a history (its densities) read only its snapshots and
@@ -1202,6 +1242,39 @@ class TestHistoryKeepsSnapshots:
             assert h.barrier is LINE
 
 
+# finite floats, with the edge cases drawn often: signed zeros, the
+# smallest subnormal, a subnormal near the normal range and huge values
+_coordinate = st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                               1.1125369292536007e-308, 1.7e308, -1.7e308]) \
+    | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _history(draw):
+    """One to four snapshots of zero to three components of one to five
+    points each, open or closed, with events between the snapshots."""
+    times = sorted(draw(st.sets(st.floats(0.0, 10.0), min_size=1,
+                                max_size=4)))
+    snapshots = []
+    for t in times:
+        comps = []
+        for _ in range(draw(st.integers(0, 3))):
+            n = draw(st.integers(1, 5))
+            pts = draw(st.lists(st.tuples(_coordinate, _coordinate),
+                                min_size=n, max_size=n))
+            flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            comps.append(Component(np.array(pts, dtype=float).reshape(n, 2),
+                                   draw(st.booleans()), np.array(flags)))
+        snapshots.append(CurveState(comps, t))
+    events = [flow.FlowEvent(draw(st.sampled_from(times)),
+                             draw(st.sampled_from(["Pop", "Vanish",
+                                                   "Collision"])),
+                             np.array(draw(st.tuples(_coordinate, _coordinate))))
+              for _ in range(draw(st.integers(0, 3)))]
+    events.sort(key=lambda e: e.time)
+    return FlowHistory(snapshots, events, {"name": "h", "seed": 0})
+
+
 class TestSerialization:
     def test_jsonl_roundtrip(self, tmp_path, lasso_history):
         path = tmp_path / "hist.jsonl"
@@ -1209,9 +1282,39 @@ class TestSerialization:
         back = lasso_history.from_jsonl(path)
         assert len(back.snapshots) == len(lasso_history.snapshots)
         assert len(back.events) == len(lasso_history.events)
-        np.testing.assert_allclose(
-            back.snapshots[-1].all_points(),
-            lasso_history.snapshots[-1].all_points())
+        assert back.snapshots[-1].all_points().tobytes() == \
+            lasso_history.snapshots[-1].all_points().tobytes()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_history())
+    def test_roundtrip_keeps_every_bit(self, hist):
+        """Coordinates and event locations read back bit for bit, the sign
+        of zero included, and each ``points`` string decodes by the
+        two-line recipe of the README."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "history.jsonl")
+            hist.to_jsonl(path)
+            back = FlowHistory.from_jsonl(path, barrier=LINE)
+            with open(path) as f:
+                lines = [json.loads(line) for line in f]
+        assert lines[0] == {"config": hist.config,
+                            "format": flow.HISTORY_FORMAT}
+        assert back.config == hist.config
+        assert back.times.tobytes() == hist.times.tobytes()
+        for rec, a, b in zip(lines[1:], hist.snapshots, back.snapshots):
+            assert b.barrier is LINE
+            assert len(a.components) == len(b.components) == len(rec["points"])
+            for text, ca, cb in zip(rec["points"], a.components, b.components):
+                decoded = np.frombuffer(base64.b64decode(text),
+                                        "<f8").reshape(-1, 2)
+                assert decoded.tobytes() == ca.points.tobytes()
+                assert cb.points.tobytes() == ca.points.tobytes()
+                assert cb.closed == ca.closed
+                assert cb.on_s.tolist() == ca.on_s.tolist()
+        assert [(e.time, e.kind) for e in back.events] == \
+            [(e.time, e.kind) for e in hist.events]
+        for ea, eb in zip(hist.events, back.events):
+            assert eb.location.tobytes() == ea.location.tobytes()
 
     def test_summary_csv(self, tmp_path, circle_history):
         path = tmp_path / "summary.csv"
