@@ -33,13 +33,17 @@ the adjacent vertex so the one-sided quadratic tangent estimate meets the
 barrier orthogonally.  That estimate and solve run on plain floats with
 ``math``, so they do not depend on BLAS or SIMD dispatch; each component's
 barrier queries go out in one batch.  Components are immutable and measure
-their segment lengths once, so a step, the pop threshold, the remesh
+their segment lengths once, so a step, the pop band, the remesh
 trigger, the vanish test and the next step size share one measurement.
 
-Interior vertices that reach the barrier moving inward trigger a "pop": the
-touching vertex is duplicated into two boundary vertices placed on the
-barrier and the curve splits there.  Popping, vanishing (short components
-are deleted), and detected self-crossings are recorded as events.  Every
+A flow must pop upon tangential contact with the barrier, and a tangential
+contact is a local minimum of the signed depth along the curve: an
+unflagged vertex pops when its depth is below the previous vertex's and
+not above the next one's, and it has crossed the barrier or lies within
+half the shortest segment moving toward it.  The vertex is duplicated into
+two boundary vertices on the barrier and the curve splits there.  Popping,
+vanishing (short components are deleted), and detected self-crossings are
+recorded as events.  Every
 snapshot is checked for a crossing of two segments that share no vertex,
 in any component or between components; the last and first
 segments of a closed component are adjacent, the ends of an open chain
@@ -614,62 +618,54 @@ def step(state: CurveState, dt):
     return CurveState(new_comps, state.time + dt, state.barrier)
 
 
-def detect_and_pop(state: CurveState, pop_threshold=None):
-    """Split curves where an interior vertex reaches the barrier moving inward.
+def detect_and_pop(state: CurveState):
+    """Split curves where an interior vertex touches the barrier: it is a
+    local minimum of the signed depth and in contact.
 
-    Returns (new_state, events).  The touching vertex is duplicated into two
-    boundary-flagged vertices placed on the barrier.  Vertices that crossed
-    to the forbidden side are treated as touching (hard one-sidedness).
-    Simultaneous triggers are processed in ascending arc-length order;
-    adjacent triggered vertices are coalesced to the deepest one.  The
-    default threshold is half the shortest segment.  Components without a
-    trigger are passed on as they are.
+    Returns (new_state, events).  A local minimum is strictly below the
+    depth before it and not above the one after it (a run of equal minima
+    cuts at its first vertex); closed components wrap around, and an open
+    chain's missing outer neighbor counts as +inf.  Flagged vertices never
+    cut but count as neighbors, so beside a fresh end, where the depth
+    rises from zero, nothing pops.  Contact is having crossed to the
+    forbidden side (hard one-sidedness), or lying within half the shortest
+    segment and moving toward the barrier; a pinned free end pops only once
+    it has crossed.  A closed component of equal depths, with no first
+    minimum, cuts at its first vertex in contact.  Each cut becomes two
+    boundary-flagged vertices on its foot, in ascending arc-length order;
+    components without a cut are passed on as they are.
     """
     if state.barrier is None:
         return state, []
     S = state.barrier
-    thresh = pop_threshold if pop_threshold is not None \
-        else 0.5 * state.h_min()
+    band = 0.5 * state.h_min()
     events = []
     out = []
     for comp in state.components:
         pts = comp.points
         interior = ~comp.on_s
         depth = S.omega_signed(pts)
-        d = np.abs(depth)  # one-sided flows: |omega depth| = barrier distance
-        near = interior & ((d < thresh) | (depth < 0.0))
-        if not np.any(near):
+        if not np.any(interior & (depth < band)):
             out.append(comp)
             continue
         vel = vertex_velocity(comp, S)
         feet = S.project(pts)
         toward = np.sum(vel * (feet - pts), axis=1) > 0.0
-        trigger = interior & (((d < thresh) & toward) | (depth < 0.0))
-        idx = np.nonzero(trigger)[0]
+        contact = interior & ((depth < 0.0) | ((depth < band) & toward))
+        before, after = np.roll(depth, 1), np.roll(depth, -1)
+        if not comp.closed:
+            before[0] = after[-1] = np.inf
+        low = (depth < before) & (depth <= after)
+        idx = np.nonzero(contact & low)[0] if low.any() \
+            else np.nonzero(contact)[0][:1]
         if len(idx) == 0:
             out.append(comp)
             continue
-        idx = _coalesce_adjacent(idx, d, len(pts), comp.closed)
         pieces = _split_component(comp, idx, feet)
         for i in idx:
             events.append(FlowEvent(state.time, "Pop", feet[i].copy()))
         out.extend(pieces)
     return CurveState(out, state.time, state.barrier), events
-
-
-def _coalesce_adjacent(idx, d, m, closed):
-    """Keep only the deepest vertex of each run of adjacent triggers."""
-    if len(idx) <= 1:
-        return idx
-    groups = [[idx[0]]]
-    for i in idx[1:]:
-        if i - groups[-1][-1] == 1:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    if closed and len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == m - 1:
-        groups[0] = groups.pop() + groups[0]
-    return np.array(sorted(int(g[int(np.argmin(d[g]))]) for g in groups))
 
 
 def _split_component(comp: Component, cuts, feet):
@@ -872,18 +868,22 @@ _IMPLICIT_DT_H2 = 2.0
 _CFL = 0.4
 
 
-def check_run_params(t_end, h_target, snapshot_dt):
+def check_run_params(t_end, h_target, snapshot_dt, vanish_length):
     """Raise ConfigError unless a run with these values can end: all reals
-    with a finite float value, t_end >= 0, the others > 0 and h_target^2 a
-    normal float (remesh splits without end at h_target <= 0, the snapshot
-    grid and the implicit step divide by snapshot_dt, and the implicit step
-    divides by a zero h_target^2 and overflows on a subnormal one)."""
-    for key, value in (("t_end", t_end), ("h_target", h_target),
-                       ("snapshot_dt", snapshot_dt)):
-        bound = ">= 0" if key == "t_end" else "> 0"
+    with a finite float value, t_end and vanish_length (None for its
+    default) >= 0, the others > 0 and h_target^2 a normal float (remesh
+    splits without end at h_target <= 0, the snapshot grid and the implicit
+    step divide by snapshot_dt, and the implicit step divides by a zero
+    h_target^2 and overflows on a subnormal one)."""
+    for key, value, bound in (("t_end", t_end, ">= 0"),
+                              ("h_target", h_target, "> 0"),
+                              ("snapshot_dt", snapshot_dt, "> 0"),
+                              ("vanish_length", vanish_length, ">= 0")):
+        if value is None and key == "vanish_length":
+            continue
         if not (isinstance(value, numbers.Real)
                 and abs(value) <= sys.float_info.max
-                and (value >= 0 if key == "t_end" else value > 0)):
+                and (value >= 0 if bound == ">= 0" else value > 0)):
             raise ConfigError(f"flow.{key} must be finite and {bound}, "
                               f"got {value!r}")
     if h_target * h_target < sys.float_info.min:
@@ -923,12 +923,12 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     within both bounds, so the BDF2 step ratio stays near one.
 
     Components are values that measure their segment lengths once, so the
-    pop threshold, the remesh trigger, the vanish test and the next ``dt``
+    pop band, the remesh trigger, the vanish test and the next ``dt``
     share one measurement per component; snapshots share components with
     the running state instead of copying them, and a component that no
     pop or remesh replaced keeps its previous level for the next BDF2 step.
     """
-    check_run_params(t_end, h_target, snapshot_dt)
+    check_run_params(t_end, h_target, snapshot_dt, vanish_length)
     check_initial_curve(initial)
     state = CurveState(list(initial.components), initial.time,
                        barrier if barrier is not None else initial.barrier)

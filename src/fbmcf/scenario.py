@@ -90,10 +90,10 @@ def initial_curve_from_config(cfg):
 
 
 def flow_params_from_config(fc, h_default):
-    """(t_end, h_target, snapshot_dt) of a flow block, checked by
-    ``flow.check_run_params`` to let the run end."""
+    """(t_end, h_target, snapshot_dt, vanish_length) of a flow block,
+    checked by ``flow.check_run_params`` to let the run end."""
     params = (fc.get("t_end", 0.25), fc.get("h_target", h_default),
-              fc.get("snapshot_dt", 0.005))
+              fc.get("snapshot_dt", 0.005), fc.get("vanish_length"))
     check_run_params(*params)
     return params
 
@@ -170,6 +170,61 @@ _BLOCK_KEYS = {
     "kernel_checks": ("n_samples",),
     "regularize": ("epsilon", "R0", "tol", "t_max"),
 }
+
+
+def _real(v):
+    return isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max
+
+
+def _positive(v):
+    return _real(v) and v > 0
+
+
+def _count(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) \
+        and v >= 1
+
+
+def _reals(n, test):
+    """Check of a nonempty list (of n entries unless n is None) whose
+    entries pass test."""
+    return lambda v: isinstance(v, list) and len(v) > 0 \
+        and (n is None or len(v) == n) and all(map(test, v))
+
+
+# what each block value must be, checked when the config is read, so a
+# malformed value is refused before any work rather than where it is used
+_BLOCK_VALUES = {
+    ("density", "center"): (_reals(3, _real), "a list of 3 finite numbers"),
+    ("density", "radii"): (_reals(None, _positive),
+                           "a list of positive finite numbers"),
+    ("tangent", "center"): (_reals(3, _real), "a list of 3 finite numbers"),
+    ("tangent", "lambdas"): (
+        lambda v: _reals(None, _positive)(v) and sorted(v, reverse=True) == v,
+        "a decreasing list of positive finite numbers"),
+    ("tangent", "tol"): (_positive, "a positive finite number"),
+    ("varifold", "vertices"): (
+        lambda v: _reals(None, _reals(2, _real))(v) and len(v) >= 2,
+        "a list of at least 2 [x, y] pairs of finite numbers"),
+    ("varifold", "closed"): (lambda v: isinstance(v, bool), "true or false"),
+    ("varifold", "multiplicity"): (_count, "an integer >= 1"),
+    ("varifold", "n_fields"): (_count, "an integer >= 1"),
+    ("varifold", "tol"): (lambda v: v is None or _positive(v),
+                          "a positive finite number or null"),
+    ("kernel_checks", "n_samples"): (_count, "an integer >= 1"),
+    ("regularize", "epsilon"): (_positive, "a positive finite number"),
+    ("regularize", "R0"): (_positive, "a positive finite number"),
+    ("regularize", "tol"): (_reals(2, _positive),
+                            "a list of 2 positive finite numbers"),
+    ("regularize", "t_max"): (_positive, "a positive finite number"),
+}
+# the stages a pipeline lists, and the block value each stage cannot run
+# without
+_STAGES = ("flow", "density", "tangent", "varifold_checks", "kernel_checks",
+           "regularize")
+_STAGE_NEEDS = {"density": ("density", "center"),
+                "tangent": ("tangent", "center"),
+                "varifold_checks": ("varifold", "vertices")}
 # every key besides "kind" that a barrier or initial_curve block of each
 # kind may set, for the same reason
 _KIND_KEYS = {
@@ -205,10 +260,22 @@ def load_config(path):
     # null leaves a kernel value to be measured or calibrated; anything
     # else must be a finite number, since NaN passes every bound check
     for key, value in (cfg.get("kernels") or {}).items():
-        if value is not None and not (isinstance(value, numbers.Real)
-                                      and abs(value) <= sys.float_info.max):
+        if value is not None and not _real(value):
             raise ConfigError(f"kernels.{key} must be a finite number or "
                               f"null, got {value!r}")
+    for (block, key), (test, what) in _BLOCK_VALUES.items():
+        body = cfg.get(block) or {}
+        if key in body and not test(body[key]):
+            raise ConfigError(f"{block}.{key} must be {what}, "
+                              f"got {body[key]!r}")
+    pipeline = cfg.get("pipeline", ["flow"])
+    if not (isinstance(pipeline, list)
+            and all(stage in _STAGES for stage in pipeline)):
+        raise ConfigError(f"pipeline must be a list of stages from "
+                          f"{', '.join(_STAGES)}; got {pipeline!r}")
+    for stage, (block, key) in _STAGE_NEEDS.items():
+        if stage in pipeline and (cfg.get(block) or {}).get(key) is None:
+            raise ConfigError(f"the {stage} stage needs {block}.{key}")
     for block, kinds in _KIND_KEYS.items():
         body = cfg.get(block)
         kind = body.get("kind") if isinstance(body, dict) else None
@@ -245,9 +312,15 @@ def run_scenario(config_path, out_dir=None, seed=None):
         check_initial_curve(initial)  # before it is measured below
         n_pts = sum(len(c.points) for c in initial.components)
         h_default = initial.total_length() / max(n_pts - 1, 1)
-        t_end, h_target, snapshot_dt = flow_params_from_config(fc, h_default)
+        t_end, h_target, snapshot_dt, vanish_length = \
+            flow_params_from_config(fc, h_default)
     if "density" in pipeline or "kernel_checks" in pipeline:
         params = kernel_params_from_config(cfg.get("kernels"), barrier, seed)
+    if "regularize" in pipeline:
+        rc = cfg.get("regularize", {})
+        eps, R0 = rc.get("epsilon", 0.05), rc.get("R0", 1.0)
+        if not eps <= R0 / 2.0:
+            raise ConfigError("regularize.epsilon must be at most R0 / 2")
 
     out_root = out_dir or cfg.get("out", "out")
     art_dir = os.path.join(out_root, name)
@@ -262,7 +335,7 @@ def run_scenario(config_path, out_dir=None, seed=None):
     if runs_flow:
         history = run(initial, t_end=t_end, h_target=h_target,
                       snapshot_dt=snapshot_dt,
-                      vanish_length=fc.get("vanish_length"),
+                      vanish_length=vanish_length,
                       barrier=barrier,
                       config_echo={"name": name, "seed": seed,
                                    "barrier": barrier_to_config(barrier)})
@@ -275,11 +348,9 @@ def run_scenario(config_path, out_dir=None, seed=None):
     if "density" in pipeline:
         from .density import monotonicity_report
         dc = cfg.get("density", {})
-        center = dc.get("center")
-        if center is None:
-            raise ConfigError("density pipeline needs density.center")
         radii = dc.get("radii", [0.4, 0.2, 0.1, 0.05])
-        rep = monotonicity_report(history, barrier, center, params, radii)
+        rep = monotonicity_report(history, barrier, dc["center"], params,
+                                  radii)
         emit("density_profile.csv", rep.write_csv)
 
         emit("density_report.json", _json_writer(rep.to_dict()))
@@ -287,11 +358,8 @@ def run_scenario(config_path, out_dir=None, seed=None):
     if "tangent" in pipeline:
         from .tangent import extract_tangent_flow
         tc = cfg.get("tangent", {})
-        center = tc.get("center")
-        if center is None:
-            raise ConfigError("tangent pipeline needs tangent.center")
         lambdas = tc.get("lambdas", [0.5, 0.4, 0.3])
-        _, rep = extract_tangent_flow(history, center, lambdas,
+        _, rep = extract_tangent_flow(history, tc["center"], lambdas,
                                       tol=tc.get("tol", 1e-3),
                                       mesh_h=cfg.get("flow", {}).get("h_target"))
         emit("tangent_report.json", _json_writer({
@@ -308,8 +376,6 @@ def run_scenario(config_path, out_dir=None, seed=None):
         from .varifold import (DiscreteVarifold, certify_free_boundary,
                                tangential_family)
         vc = cfg.get("varifold", {})
-        if "vertices" not in vc:
-            raise ConfigError("varifold_checks needs varifold.vertices")
         V = DiscreteVarifold.from_polyline(
             np.asarray(vc["vertices"], dtype=float),
             closed=vc.get("closed", False),
@@ -334,11 +400,8 @@ def run_scenario(config_path, out_dir=None, seed=None):
     if "regularize" in pipeline:
         from .regularize import (solve_translator_profile, write_profile_csv,
                                  write_slices_csv)
-        rc = cfg.get("regularize", {})
-        eps = rc.get("epsilon", 0.05)
         prof = solve_translator_profile(
-            eps, rc.get("R0", 1.0),
-            tolerances=tuple(rc.get("tol", (1e-11, 1e-13))))
+            eps, R0, tolerances=tuple(rc.get("tol", (1e-11, 1e-13))))
         emit("profile.csv", lambda p: write_profile_csv(prof, p))
         t_grid = np.linspace(0.0, rc.get("t_max", 0.4), 81)
         emit("slices.csv", lambda p: write_slices_csv(prof, t_grid, p))

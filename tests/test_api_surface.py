@@ -18,7 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fbmcf"
 CALLER_DIRS = ("src", "tests", "demos", "bench")
-MAX_DEFAULTED = 80
+MAX_DEFAULTED = 79
 
 
 def _parse(path):

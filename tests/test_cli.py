@@ -334,6 +334,75 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("pipeline", [["flwo"], "flow", [["flow"]]])
+    def test_bad_pipeline_exits_2(self, tmp_path, capsys, pipeline):
+        """A pipeline that is not a list of stage names is refused, not run
+        as an empty one that writes only a manifest."""
+        cfg = {"name": "bad_pipeline", "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": 1.0, "n": 8},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005},
+               "pipeline": pipeline}
+        p = tmp_path / "bad_pipeline.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "pipeline must be a list of stages from flow, density" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage, block, key", [
+        ("density", "density", "center"), ("tangent", "tangent", "center"),
+        ("varifold_checks", "varifold", "vertices")])
+    def test_stage_without_its_input_exits_2(self, tmp_path, capsys, stage,
+                                             block, key):
+        """Refused before the flow runs and the artifact directory is made,
+        so no history is left behind without a manifest."""
+        cfg = {"name": "no_input",
+               "barrier": {"kind": "line", "normal": [0.0, -1.0]},
+               "initial_curve": {"kind": "half_circle", "n": 16},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005},
+               "kernels": {"kappa": 0.5, "alpha": 8.0, "c1": 2.0},
+               "pipeline": ["flow", stage]}
+        p = tmp_path / "no_input.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert f"the {stage} stage needs {block}.{key}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("block, body, stage", [
+        ("flow", {"t_end": 0.01, "snapshot_dt": 0.005,
+                  "vanish_length": "abc"}, "flow"),
+        ("tangent", {"center": [0.0, 0.5, 0.01], "lambdas": "abc"},
+         "tangent"),
+        ("regularize", {"epsilon": 5}, "regularize"),
+        ("varifold", {"vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+                      "n_fields": "x"}, "varifold_checks"),
+        ("kernel_checks", {"n_samples": -5}, "kernel_checks"),
+    ], ids=["vanish_length", "lambdas", "epsilon", "n_fields", "n_samples"])
+    def test_malformed_block_value_exits_2(self, tmp_path, capsys, block,
+                                           body, stage):
+        """A malformed value of a block is refused with a one-line message
+        when the config is read, before the flow runs or a stage's output
+        is written."""
+        cfg = {"name": "bad_value",
+               "barrier": {"kind": "line", "normal": [0.0, -1.0]},
+               "initial_curve": {"kind": "half_circle", "n": 16},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005},
+               "kernels": {"kappa": 0.5, "alpha": 8.0, "c1": 2.0},
+               block: body,
+               "pipeline": ["flow", stage]}
+        p = tmp_path / "bad_value.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        key = next(k for k in body if k not in ("t_end", "snapshot_dt",
+                                                 "center", "vertices"))
+        assert f"{block}.{key} must be" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_bundled_and_benchmark_configs_load(self, tmp_path, monkeypatch):
         """Every key the bundled scenarios and the benchmark's corner and
         lasso configs set is a setting."""

@@ -407,7 +407,7 @@ class TestComponentValue:
         pts = np.stack([np.sin(th), 1.003 - 0.3 * th ** 2], axis=-1)
         st = CurveState([Component(pts)], 0.0, Sc)
         st.components[0].segment_lengths()  # cache before the pop
-        st2, events = detect_and_pop(st, pop_threshold=0.01)
+        st2, events = detect_and_pop(st)
         assert events and len(st2.components) == 2
         for c in st2.components:
             np.testing.assert_array_equal(c.segment_lengths(),
@@ -527,6 +527,8 @@ class TestImplicitClosedStep:
         ({"h_target": 1e-160}, "h_target"),  # h_target^2 is subnormal
         ({"t_end": float("nan")}, "t_end"),
         ({"t_end": 10 ** 400}, "t_end"),  # no float value
+        ({"vanish_length": "abc"}, "vanish_length"),
+        ({"vanish_length": -1.0}, "vanish_length"),
     ])
     def test_run_rejects_values_that_cannot_end(self, monkeypatch, params,
                                                  key):
@@ -677,29 +679,35 @@ class TestImplicitOpenStep:
                                 0.0, LINE), dt).components[0]
         np.testing.assert_array_equal(stepped.points, fresh.points)
 
-    def test_tangential_touch_pops_and_pieces_restart(self, monkeypatch):
-        """A parabola touching the line at its vertex (1e-12 across it)
-        pops there; each piece restarts with one backward-Euler step, its
-        popped end stays on the line and turns orthogonal to it, and no
-        vertex crosses it."""
-        x = np.linspace(-1.0, 1.0, 41)
-        st0 = CurveState([Component(np.stack([x, x * x - 1e-12], axis=-1))],
-                         0.0, LINE)
+    @pytest.mark.parametrize("snapshot_dt", [0.0002, 0.001, 0.005])
+    @pytest.mark.parametrize("n", [21, 41, 81, 161])
+    @pytest.mark.parametrize("c", [1.0, 4.0])
+    def test_tangential_touch_pops_and_pieces_restart(self, monkeypatch, c,
+                                                      n, snapshot_dt):
+        """A parabola y = c x^2 touching the line at its vertex (1e-12
+        across it) pops there once: each piece restarts with one
+        backward-Euler step, its popped end stays on the line and turns
+        orthogonal to it, no vertex crosses it, and the neighbors of the
+        fresh ends, where the depth rises from zero, never pop."""
+        x = np.linspace(-1.0, 1.0, n)
+        st0 = CurveState([Component(np.stack([x, c * x * x - 1e-12],
+                                             axis=-1))], 0.0, LINE)
         popped, events = detect_and_pop(st0)
         assert [e.kind for e in events] == ["Pop"]
-        assert [c.on_s.nonzero()[0].tolist() for c in popped.components] \
-            == [[20], [0]]
+        assert [p.on_s.nonzero()[0].tolist() for p in popped.components] \
+            == [[n // 2], [0]]
         log = _recording_step(monkeypatch, closed=False)
-        hist = run(popped, t_end=0.05, h_target=0.05, snapshot_dt=0.005)
+        hist = run(popped, t_end=0.05, h_target=2.0 / (n - 1),
+                   snapshot_dt=snapshot_dt)
         assert log[0][1] and log[1][1]  # the two pieces' first step
+        assert [e.kind for e in hist.events] == []
         for s in hist.snapshots:
             assert len(s.components) == 2
-            for c in s.components:
-                assert c.on_s.sum() == 1
-                assert np.abs(LINE.omega_signed(c.points[c.on_s])).max() \
-                    <= 1e-12
-                assert LINE.omega_signed(c.points).min() >= -1e-12
-        assert not any(e.kind == "Collision" for e in hist.events)
+            for piece in s.components:
+                assert piece.on_s.sum() == 1
+                assert np.abs(LINE.omega_signed(
+                    piece.points[piece.on_s])).max() <= 1e-12
+                assert LINE.omega_signed(piece.points).min() >= -1e-12
         assert orthogonality_residual(hist.snapshots[-1]) < 1e-2
 
     def test_collapsed_end_is_merged(self):
@@ -842,28 +850,99 @@ class TestPop:
         assert np.abs(S.distance(boundary_pts)).max() <= 1e-8
 
     def test_pop_mass_budget(self):
-        """The pop itself changes the length by at most twice the threshold."""
+        """The pop itself changes the length by at most twice the band, half
+        the shortest segment."""
         Sc = Circle((0.0, 0.0), 1.0, omega_side="outside")
         # cap arc whose apex sits in the pop band over the barrier top and
         # whose curvature points down onto it
         th = np.linspace(-0.5, 0.5, 41)
         pts = np.stack([np.sin(th), 1.003 - 0.3 * th ** 2], axis=-1)
         st = CurveState([Component(pts)], 0.0, Sc)
-        thresh = 0.01
-        st2, events = detect_and_pop(st, pop_threshold=thresh)
+        band = 0.5 * st.h_min()
+        st2, events = detect_and_pop(st)
         assert len(events) >= 1
         drop = st.total_length() - st2.total_length()
-        assert abs(drop) <= 2.0 * thresh * len(events)
+        assert abs(drop) <= 2.0 * band * len(events)
 
     def test_crossing_vertex_pops(self):
         """A vertex placed beyond the barrier is popped onto it (hard one-sidedness)."""
         pts = np.array([[1.8, -0.4], [1.2, 0.0], [0.55, 0.4], [1.2, 0.8], [1.8, 1.2]])
         st = CurveState([Component(pts)], 0.0,
                         Circle((0.0, 0.0), 1.0, omega_side="outside"))
-        st2, events = detect_and_pop(st, pop_threshold=0.01)
+        st2, events = detect_and_pop(st)
         assert len(events) == 1
         assert all(np.all(np.atleast_1d(st2.barrier.omega_signed(c.points)) >= -1e-12)
                    for c in st2.components)
+
+    def test_two_touches_of_a_closed_curve_pop_twice(self):
+        """r = 1.003 + 0.3 sin^2 theta around the outside unit circle has
+        two depth minima, at theta = 0 and pi: one cut at each."""
+        th = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+        r = 1.003 + 0.3 * np.sin(th) ** 2
+        st = CurveState([Component(r[:, None] * np.stack(
+            [np.cos(th), np.sin(th)], axis=-1), True)], 0.0,
+            Circle((0.0, 0.0), 1.0, omega_side="outside"))
+        st2, events = detect_and_pop(st)
+        assert [e.kind for e in events] == ["Pop", "Pop"]
+        np.testing.assert_allclose([e.location for e in events],
+                                   [[1.0, 0.0], [-1.0, 0.0]], atol=1e-12)
+        assert [p.on_s.nonzero()[0].tolist() for p in st2.components] \
+            == [[0, 100], [0, 100]]
+
+    def test_crossed_vertex_beside_a_flagged_end_pops(self):
+        """A vertex 0.01 below the line next to a half circle's flagged
+        end is a depth minimum that has crossed: it pops onto the line."""
+        comp = half_circle_curve(radius=1.0, n=32).components[0]
+        pts = comp.points.copy()
+        pts[1, 1] = -0.01
+        st = CurveState([Component(pts, False, comp.on_s)], 0.0, LINE)
+        st2, events = detect_and_pop(st)
+        assert [e.kind for e in events] == ["Pop"]
+        np.testing.assert_array_equal(events[0].location, [pts[1, 0], 0.0])
+        (piece,) = st2.components
+        assert len(piece.points) == 32
+        assert piece.on_s.nonzero()[0].tolist() == [0, 31]
+
+    def test_equal_depth_octagon_pops_once_at_vertex_0(self):
+        """Every vertex of the octagon has the same depth, so there is no
+        first minimum: the ring cuts at its first vertex in contact."""
+        a, b = 1.1, 0.45
+        pts = np.array([[a, b], [b, a], [-b, a], [-a, b],
+                        [-a, -b], [-b, -a], [b, -a], [a, -b]])
+        Sc = Circle((0.0, 0.0), 1.0, omega_side="outside")
+        depth = Sc.omega_signed(pts)
+        assert np.all(depth == depth[0])
+        st2, events = detect_and_pop(CurveState([Component(pts, True)],
+                                                0.0, Sc))
+        assert [e.kind for e in events] == ["Pop"]
+        np.testing.assert_array_equal(events[0].location,
+                                      Sc.project(pts[:1])[0])
+        (piece,) = st2.components
+        assert not piece.closed and len(piece.points) == 9
+        assert piece.on_s.nonzero()[0].tolist() == [0, 8]
+
+    @pytest.mark.parametrize("height, pops", [(0.001, 0), (-0.001, 1)],
+                             ids=["above", "below"])
+    def test_free_end_pops_only_once_crossed(self, height, pops):
+        """An unflagged open end is pinned: in the band but not moving, it
+        pops only from across the line."""
+        x = np.linspace(0.0, 0.5, 6)
+        pts = np.stack([x, height + 0.5 * x], axis=-1)
+        st2, events = detect_and_pop(CurveState([Component(pts)], 0.0, LINE))
+        assert len(events) == pops
+        assert [p.on_s.nonzero()[0].tolist() for p in st2.components] \
+            == [[0] if pops else []]
+
+    def test_circle_shrinking_away_from_the_barrier_never_pops(self):
+        """A circle of radius 0.999 inside the unit circle lies in the band
+        but moves away from S."""
+        Sc = Circle((0.0, 0.0), 1.0, omega_side="inside")
+        st = circle_curve(radius=0.999, n=256)
+        st2, events = detect_and_pop(CurveState(st.components, 0.0, Sc))
+        assert events == [] and st2.components[0] is st.components[0]
+        hist = run(st, t_end=0.01, h_target=2.0 * np.pi / 256,
+                   snapshot_dt=0.005, barrier=Sc)
+        assert hist.events == []
 
 
 def _self_intersects_dense(state):
