@@ -47,9 +47,13 @@ recorded as events.  Every
 snapshot is checked for a crossing of two segments that share no vertex,
 in any component or between components; the last and first
 segments of a closed component are adjacent, the ends of an open chain
-are not.  The check pairs segments whose midpoints a k-d tree finds within
-one longest segment, so its time grows as M log M and its memory as M in
-the number M of segments while their lengths stay comparable, as
+are not.  A state of one component first tries an O(M) certificate in
+the number M of segments: a strictly convex ring (turns of one sign, a
+tangent that winds once) or a chain that is a graph over its chord cannot
+cross itself, with a margin of 1e-6 longest segments, 1000 times the
+crossing band.  Any other state builds a k-d tree of the segment midpoints
+and tests the pairs within one longest segment, so its time grows as
+M log M and its memory as M while the lengths stay comparable, as
 remeshing keeps them.
 """
 
@@ -68,8 +72,8 @@ import numpy as np
 from .barrier import Barrier, norm2, norm2_sq
 from .errors import (ConfigError, GraphFailure, InadmissibleTestFunction,
                      OutOfHistory, StepTooLarge)
-from .varifold import (Component, DiscreteVarifold, ball_masses,
-                       integrate_slice, turning_and_mass)
+from .varifold import (Component, DiscreteVarifold, ball_mass_terms,
+                       ball_masses, integrate_slice, turning_and_mass)
 
 
 @dataclass
@@ -791,6 +795,43 @@ def remesh(state: CurveState, h_target):
 # the crossing test's candidate radius over the longest segment: 1% above
 # the bound 1, which covers the parameter band's 2e-9 and rounding
 _PAIR_MARGIN = 1.01
+# the crossing band: segments meet at parameters t, u in (-eps, 1 - eps)
+_BAND = 1e-9
+# the certificate's separation over the longest segment, 1000 bands
+_CERTIFIED_GAP = 1e-6
+
+
+def _certified(comp: Component, l_max):
+    """Whether a component of at least one segment is certified free of
+    crossings, with gap = _CERTIFIED_GAP l_max for the longest segment l_max
+    of the state: a closed one of at least three segments whose turns
+    cross(d_k, d_{k+1}) all have one sign and exceed gap l_max in size,
+    with a tangent that winds once (a strictly convex polygon), or an open
+    chain whose segments all project by more than gap on its chord's
+    direction (a graph over it)."""
+    gap = _CERTIFIED_GAP * l_max
+    d = comp.segment_vectors()
+    dx, dy = d[:, 0], d[:, 1]
+    if not comp.closed:
+        vx, vy = float(dx.sum()), float(dy.sum())
+        return bool((dx * vx + dy * vy).min() > gap * math.hypot(vx, vy))
+    if len(d) < 3:
+        return False
+    turn = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
+    turn = np.append(turn, dx[-1] * dy[0] - dy[-1] * dx[0])
+    bound = gap * l_max
+    if turn.min() > bound:
+        y = dy
+    elif turn.max() < -bound:
+        y = -dy  # mirrored in the x axis, a clockwise polygon turns left
+    else:
+        return False
+    # direction angle in [0, pi): a left turn of less than pi comes there
+    # from [pi, 2 pi) only by passing angle 0, once per winding
+    upper = (y > 0.0) | ((y == 0.0) & (dx > 0.0))
+    wraps = np.count_nonzero(upper[1:] & ~upper[:-1]) \
+        + int(upper[0] and not upper[-1])
+    return wraps == 1
 
 
 def _self_intersects(state: CurveState):
@@ -799,20 +840,37 @@ def _self_intersects(state: CurveState):
     Segments are adjacent when they share a vertex: consecutive ones, and
     the last and first of a closed component (an open chain's ends are not
     adjacent).  Each vertex belongs to the segment it starts: segments meet
-    when their parameters t, u lie in the half-open band (-eps, 1 - eps), so
-    a curve that passes through one of its own vertices crosses there, and
-    two pieces that share only an end point do not.  Broad phase: a k-d
-    tree of the segment midpoints (Bentley, CACM 1975).  Two segments that
-    meet have midpoints at most (l_i + l_j) / 2 <= l_max apart, so only the
-    pairs it finds within _PAIR_MARGIN l_max are candidates; when they are
-    only the adjacent pairs, there is no crossing.  Narrow phase: the exact
-    parametric test on the candidates, which gives pair (i, j) the same bits
-    as an all-pairs test.  Memory is O(M + candidates).  Raises
-    StepTooLarge on a non-finite coordinate or segment length.
+    when their parameters t, u lie in the half-open band (-eps, 1 - eps),
+    eps = _BAND, so a curve that passes through one of its own vertices
+    crosses there, and two pieces that share only an end point do not.
+
+    Certificate, O(M) in the number M of segments and with no tree: a
+    state of one component that is ``_certified``, a strictly convex
+    polygon or a graph-like chain with the separation gap = _CERTIFIED_GAP
+    l_max, 1000 bands, has no crossing.  A polygon whose turns all have one
+    sign and whose tangent winds once is convex (Preparata & Shamos 1985):
+    every vertex off segment k lies on one side of the line of k and more
+    than gap from it, the two next to it by the turn bound
+    |cross(d, d')| / l_k > gap and the others by convexity.  The segments
+    of a chain project on its chord in order, each by more than gap, so
+    segments k and j > k + 1 are more than gap apart along it.  The band
+    lengthens a segment by at most eps l_max, a thousandth of gap, so no
+    non-adjacent pair of a certified component has t and u in the band.
+    On a ring that holds for the computed t and u too, as a segment's ends
+    lie far beyond rounding from the other's line.  On a chain, two
+    segments parallel to within rounding give the narrow phase t and u
+    that are quotients of rounding noise and may fall in the band; there
+    the certificate answers for the geometry.
+
+    Otherwise, broad phase: a k-d tree of the segment midpoints (Bentley,
+    CACM 1975).  Two segments that meet have midpoints at most
+    (l_i + l_j) / 2 <= l_max apart, so only the pairs it finds within
+    _PAIR_MARGIN l_max are candidates; when they are only the adjacent
+    pairs, there is no crossing.  Narrow phase: the exact parametric test
+    on the candidates, which gives pair (i, j) the same bits as an
+    all-pairs test.  Memory is O(M + candidates).  Raises StepTooLarge on a
+    non-finite coordinate or segment length.
     """
-    # imported here, as scipy.linalg is in _solve_definite: importing the
-    # module does not load scipy.spatial
-    from scipy.spatial import cKDTree
     comps = [c for c in state.components if len(c.segment_lengths())]
     n_seg = np.array([len(c.segment_lengths()) for c in comps], dtype=int)
     M = int(n_seg.sum())
@@ -824,8 +882,11 @@ def _self_intersects(state: CurveState):
     if not math.isfinite(l_max):
         raise StepTooLarge("the crossing test met a non-finite coordinate "
                            "or segment length")
-    if l_max == 0.0:
+    if l_max == 0.0 or (len(comps) == 1 and _certified(comps[0], l_max)):
         return False
+    # imported here, as scipy.linalg is in _solve_definite: importing the
+    # module does not load scipy.spatial
+    from scipy.spatial import cKDTree
     P0 = np.concatenate([c.segments()[0] for c in comps])
     d = np.concatenate([c.segment_vectors() for c in comps])
     i, j = cKDTree(P0 + 0.5 * d).query_pairs(
@@ -855,7 +916,7 @@ def _self_intersects(state: CurveState):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = (rx * dyj - ry * dxj) / denom
         u = (rx * dyi - ry * dxi) / denom
-    eps = 1e-9
+    eps = _BAND
     hit = (np.abs(denom) > 1e-300) & (t > -eps) & (t < 1 - eps) & \
           (u > -eps) & (u < 1 - eps)
     return bool(np.any(hit))
@@ -1234,10 +1295,45 @@ def state_ball_mass(state: CurveState, center, r):
     return 0.0 if V is None else V.ball_mass(center, r)
 
 
-# snapshots whose initial-slice ball masses mass_bound_check takes in one
-# call: it bounds the (snapshots, segments) arrays, while a call per
-# snapshot would repeat the per-call overhead
+# snapshots whose ball masses mass_bound_check takes in one pass: it bounds
+# the (snapshots, segments) arrays, while a call per snapshot would repeat
+# the per-call overhead
 _MASS_BLOCK = 64
+
+
+def _masses_and_reach(states, z, r):
+    """Each state's mu(B_r(z)), with the bits of ``state_ball_mass``, and
+    the largest |x - z| over its vertices (0.0 without one), as lists.
+
+    _MASS_BLOCK states at a time: one varifold of the block's components
+    with a segment (so a zero-length segment raises its ValueError), one
+    ``ball_mass_terms`` pass over its stacked segments, and each state's
+    mass is the sum of its own contiguous slice.
+    """
+    masses, reach = np.zeros(len(states)), np.zeros(len(states))
+    radius = np.array([r], dtype=float)
+    for lo in range(0, len(states), _MASS_BLOCK):
+        chains, points, seg_ends, point_ends = [], [], [], []
+        n_seg = n_points = 0
+        for s in states[lo:lo + _MASS_BLOCK]:
+            for c in s.components:
+                points.append(c.points)
+                n_points += len(c.points)
+                if len(c.points) > 1:
+                    chains.append(c)
+                    n_seg += len(c.points) - (not c.closed)
+            seg_ends.append(n_seg)
+            point_ends.append(n_points)
+        terms = ball_mass_terms(*DiscreteVarifold(chains).segments(), z,
+                                radius)[0] if chains else ()
+        dist = norm2(np.concatenate(points) - z) if points else ()
+        a = p = 0
+        for k, (b, q) in enumerate(zip(seg_ends, point_ends), start=lo):
+            masses[k] = np.sum(terms[a:b])
+            if q > p:
+                reach[k] = dist[p:q].max()
+            a, p = b, q
+    return masses.tolist(), reach.tolist()
 
 
 @dataclass
@@ -1255,18 +1351,18 @@ def mass_bound_check(history: FlowHistory, z, r, kappa):
     Also reports the smallest support constant with
     max |x - z| on spt mu(t) <= R_0 + kappa + c t / kappa.
 
-    Each snapshot's mass in B_r(z) is measured once; the initial slice's
-    masses in the balls B_R(t)(z) of a grid value are taken _MASS_BLOCK
-    snapshots at a time, and a value is refused at its first failing block.
+    Each snapshot's mass in B_r(z) and its reach max |x - z| come from one
+    pass, _MASS_BLOCK snapshots at a time; the initial slice's masses in
+    the balls B_R(t)(z) of a grid value are taken _MASS_BLOCK snapshots at
+    a time too, and a value is refused at its first failing block.
     """
     z = np.asarray(z, dtype=float)
     c_grid = np.concatenate([[1.0], np.arange(1.1, 8.01, 0.1)])
     t0 = history.times[0]
-    mu0 = history.snapshots[0]
-    V0 = _varifold(mu0)
+    V0 = _varifold(history.snapshots[0])
     segments0 = None if V0 is None else V0.segments()
     ts = [s.time - t0 for s in history.snapshots]
-    lhs = [state_ball_mass(s, z, r) for s in history.snapshots]
+    lhs, reach = _masses_and_reach(history.snapshots, z, r)
 
     def holds(c, lo):
         """The bound at grid value c on the block of snapshots from lo."""
@@ -1283,15 +1379,12 @@ def mass_bound_check(history: FlowHistory, z, r, kappa):
             found = float(c)
             break
     # support containment constant
-    pts0 = mu0.all_points()
-    R0 = float(norm2(pts0 - z).max()) if len(pts0) else 0.0
+    R0 = reach[0]
     support_c = 0.0
-    for s in history.snapshots[1:]:
-        t = s.time - t0
+    for s, t, far in zip(history.snapshots[1:], ts[1:], reach[1:]):
         if t <= 0 or not s.components:
             continue
-        reach = float(norm2(s.all_points() - z).max())
-        need = (reach - R0 - kappa) * kappa / t
+        need = (far - R0 - kappa) * kappa / t
         support_c = max(support_c, need)
     return MassBoundReport(holds=found is not None,
                            c=found if found is not None else np.inf,

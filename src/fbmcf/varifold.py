@@ -204,6 +204,14 @@ def ball_masses(starts, ends, mult, center, radii):
     """mu(B_r(center)) of segments [starts, ends] with multiplicities mult,
     from exact chord-ball clipping, for every r in radii (K,).  Each radius
     sums its own row, so a mass has the bits of a one-radius call."""
+    return np.sum(ball_mass_terms(starts, ends, mult, center, radii), axis=1)
+
+
+def ball_mass_terms(starts, ends, mult, center, radii):
+    """The (K, segments) terms that ``ball_masses`` sums along each row: mult
+    times the length of each segment inside B_r(center), for every r in
+    radii (K,).  Elementwise, so a term has the same bits however the
+    segments are stacked."""
     a = starts - center
     d = ends - starts
     # |a + s d|^2 = r^2 solved for s in [0, 1]
@@ -217,7 +225,7 @@ def ball_masses(starts, ends, mult, center, radii):
     lo = np.clip((-Bq - root) / (2.0 * A), 0.0, 1.0)
     hi = np.clip((-Bq + root) / (2.0 * A), 0.0, 1.0)
     inside = np.where(pos, np.maximum(hi - lo, 0.0), 0.0)
-    return np.sum(mult * inside * L, axis=1)
+    return mult * inside * L
 
 
 @dataclass

@@ -1027,6 +1027,124 @@ def _smooth_component(draw):
                               axis=-1), closed=closed)
 
 
+# exact symmetries of the plane: a quarter turn and a reflection keep every
+# coordinate's bits, so a straight chain stays exactly straight
+_SYMMETRY = st.sampled_from([((1, 0), (0, 1)), ((0, -1), (1, 0)),
+                             ((-1, 0), (0, -1)), ((0, 1), (-1, 0)),
+                             ((1, 0), (0, -1)), ((0, 1), (1, 0))])
+
+
+@st.composite
+def _convex_points(draw, min_n=3):
+    """3 to 24 vertices of a strictly convex polygon on an ellipse about a
+    centre in [-1.5, 1.5]^2, at angles whose gaps differ by up to 100
+    times, in either orientation."""
+    n = draw(st.integers(min_n, 24))
+    gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n + 1,
+                                  max_size=n + 1)))
+    th = 2.0 * np.pi * np.cumsum(gaps)[:-1] / gaps.sum()
+    a, b = draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))
+    cx, cy = draw(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+    pts = np.stack([cx + a * np.cos(th), cy + b * np.sin(th)], axis=-1)
+    return pts[::-1] if draw(st.booleans()) else pts
+
+
+@st.composite
+def _reflex_polygon(draw):
+    """A convex polygon with one vertex pushed toward the centroid, past it
+    or short of it: a reflex turn, or a crossing when pushed far."""
+    pts = draw(_convex_points(min_n=4))
+    k = draw(st.integers(0, len(pts) - 1))
+    centre = pts.mean(axis=0)
+    pts[k] = centre + draw(st.floats(-0.8, 0.99)) * (pts[k] - centre)
+    return Component(pts, closed=True)
+
+
+@st.composite
+def _star_polygon(draw):
+    """The star polygon {n/m} with m >= 2 on radii jittered by up to 10%,
+    either orientation: its tangent winds m times, and when m and n share
+    a factor g, a star of n/g vertices is run g times over."""
+    n = draw(st.integers(5, 30))
+    m = draw(st.integers(2, (n - 1) // 2))
+    th = 2.0 * np.pi * m * np.arange(n) / n + draw(st.floats(0.0, 6.0))
+    r = np.array(draw(st.lists(st.floats(0.9, 1.1), min_size=n, max_size=n)))
+    pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+    return Component(pts[::-1] if draw(st.booleans()) else pts, closed=True)
+
+
+@st.composite
+def _duplicate_vertex_polygon(draw):
+    """A convex polygon with one vertex repeated, exactly or moved by 1e-12
+    to 1e-4 at an angle phi from the side it starts: a zero-length or tiny
+    segment, with a convex turn for a small phi of the polygon's sense."""
+    pts = draw(_convex_points())
+    k = draw(st.integers(0, len(pts) - 1))
+    size = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-4]))
+    side = pts[(k + 1) % len(pts)] - pts[k]
+    phi = draw(st.floats(-np.pi, np.pi)) + np.arctan2(side[1], side[0])
+    extra = pts[k] + size * np.array([np.cos(phi), np.sin(phi)])
+    return Component(np.insert(pts, k + 1, extra, axis=0), closed=True)
+
+
+@st.composite
+def _graph_points(draw):
+    """3 to 24 vertices of a graph y(x), x from -2 in steps of 0.01 to 0.5
+    and slopes in [-0.9, 0.9], so every segment projects forward on the
+    chord, turned by an exact symmetry."""
+    n = draw(st.integers(3, 24))
+    x = np.cumsum(draw(st.lists(st.floats(0.01, 0.5), min_size=n,
+                                max_size=n))) - 2.0
+    slopes = draw(st.lists(st.floats(-0.9, 0.9), min_size=n - 1,
+                           max_size=n - 1))
+    y = np.concatenate([[0.0], np.cumsum(slopes * np.diff(x))])
+    return np.stack([x, y], axis=-1) @ np.array(draw(_SYMMETRY)).T
+
+
+@st.composite
+def _defective_chain(draw):
+    """A graph chain with one extra vertex after vertex k, at an angle up to
+    1.5 from the chord's direction: a tiny segment (1e-12 to 1e-4 long, so
+    on either side of the certificate's margin), a zero-length one, or a
+    step back against the chord."""
+    pts = draw(_graph_points())
+    k = draw(st.integers(0, len(pts) - 1))
+    kind = draw(st.sampled_from(["tiny", "zero", "backward"]))
+    if kind == "tiny":
+        size = draw(st.sampled_from([1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4]))
+    else:
+        size = 0.0 if kind == "zero" else draw(st.floats(0.01, 1.0))
+    chord = pts[-1] - pts[0]
+    phi = np.arctan2(chord[1], chord[0]) + draw(st.floats(-1.5, 1.5)) \
+        + (np.pi if kind == "backward" else 0.0)
+    extra = pts[k] + size * np.array([np.cos(phi), np.sin(phi)])
+    return Component(np.insert(pts, k + 1, extra, axis=0))
+
+
+@st.composite
+def _certifiable(draw):
+    """A strictly convex ring or a graph chain."""
+    if draw(st.booleans()):
+        return Component(draw(_convex_points()), closed=True)
+    return Component(draw(_graph_points()))
+
+
+@st.composite
+def _two_components(draw):
+    """Two certifiable components, the second moved along x or y so that
+    its bounding box starts a fraction of the longest segment beyond the
+    first's (apart, about 1e-6 apart, touching) or overlaps it."""
+    a, b = draw(_certifiable()), draw(_certifiable())
+    axis = draw(st.integers(0, 1))
+    l_max = max(a.segment_lengths().max(), b.segment_lengths().max())
+    gap = draw(st.sampled_from([-0.5, -1e-3, 0.0, 5e-7, 2e-6, 1e-3, 0.5]))
+    shift = np.zeros(2)
+    shift[axis] = a.points[:, axis].max() - b.points[:, axis].min() \
+        + gap * l_max
+    shift[1 - axis] = draw(st.floats(-1.0, 1.0))
+    return [a, Component(b.points + shift, closed=b.closed)]
+
+
 class TestEllipseBarrierFlow:
     """A flow against a non-circular barrier: an arc inside the 1.5 x 1
     ellipse, both ends on S, bulging away from the minor axis."""
@@ -1126,6 +1244,95 @@ class TestCollision:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
+
+    def test_memory_bound_on_the_tree_path(self):
+        """A non-convex ring r = 1 + 0.3 sin 5 theta of 2048 segments fails
+        the certificate, so the k-d tree runs, within the same 8 MB."""
+        th = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+        r = 1.0 + 0.3 * np.sin(5.0 * th)
+        comp = Component(np.stack([r * np.cos(th), r * np.sin(th)], axis=-1),
+                         closed=True)
+        assert not flow._certified(comp, comp.segment_lengths().max())
+        tracemalloc.start()
+        try:
+            assert not _self_intersects(CurveState([comp]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_reflex_polygon() | _duplicate_vertex_polygon()
+           | _defective_chain())
+    def test_certificate_edges_equal_dense_test(self, comp):
+        """Convex rings with a reflex turn or a repeated vertex, and graph
+        chains with a tiny, zero-length or backward segment: either the
+        certificate holds or the tree decides, with the dense answer."""
+        state = CurveState([comp])
+        assert _self_intersects(state) == _self_intersects_dense(state)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_star_polygon())
+    def test_star_polygons_are_not_certified(self, comp):
+        """The tangent winds at least twice, so no star is certified, even
+        where every turn has one sign."""
+        assert not flow._certified(comp, comp.segment_lengths().max())
+        state = CurveState([comp])
+        assert _self_intersects(state) == _self_intersects_dense(state)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_two_components())
+    def test_two_certifiable_components_equal_dense_test(self, comps):
+        """Only a state of one component is certified, so a pair of
+        certifiable components with boxes apart, touching or overlapping
+        takes the tree path, with the dense answer."""
+        state = CurveState(comps)
+        assert _self_intersects(state) == _self_intersects_dense(state)
+
+    def test_certificate_cases(self):
+        """What the certificate accepts and refuses, one case each."""
+        def certified(comp):
+            return flow._certified(comp, comp.segment_lengths().max())
+
+        ring = circle_curve(n=64).components[0]
+        square = Component([(0, 0), (1, 0), (1, 1), (0, 1)], closed=True)
+        arc = half_circle_curve(n=32).components[0]
+        assert certified(ring)
+        assert certified(Component(ring.points[::-1], closed=True))
+        assert certified(square)  # horizontal sides: dy is exactly 0
+        assert certified(arc)
+        # a reflex turn, a repeated vertex, a doubly run square and a
+        # pentagram, which winds twice
+        assert not certified(Component([(0, 0), (1, 0), (0.5, 0.2), (1, 1),
+                                        (0, 1)], closed=True))
+        assert not certified(Component(np.insert(ring.points, 3,
+                                                 ring.points[3], axis=0),
+                                       closed=True))
+        assert not certified(Component(np.vstack([square.points] * 2),
+                                       closed=True))
+        th = 4.0 * np.pi * np.arange(5) / 5
+        assert not certified(Component(np.stack([np.cos(th), np.sin(th)], -1),
+                                       closed=True))
+        # a chain folding back
+        assert not certified(Component([(0, 0), (1, 0), (0.5, 0.1)]))
+
+    def test_certified_states_build_no_tree(self, monkeypatch):
+        """A circle and a half circle return without a k-d tree; the lasso
+        fails the certificate and still builds one."""
+        import scipy.spatial
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a k-d tree was built")
+
+        real = scipy.spatial.cKDTree
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
+        assert not _self_intersects(circle_curve(n=256))
+        assert not _self_intersects(half_circle_curve(n=128))
+        lasso = lasso_curve()
+        with pytest.raises(AssertionError, match="k-d tree"):
+            _self_intersects(lasso)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", real)
+        assert _self_intersects(lasso) == _self_intersects_dense(lasso)
 
     @staticmethod
     def _bowtie():

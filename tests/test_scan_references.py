@@ -3,8 +3,9 @@
 ``reflected_truncated_kernel`` evaluates the direct and mirror images in one
 stacked pass, ``DiscreteVarifold.ball_mass`` clips every segment without
 masks and takes many radii at once, and ``mass_bound_check`` measures each
-snapshot once.  The references below evaluate the same quantities the plain
-way, with numpy's norm reductions; every result must have the same bits.
+snapshot once, in blocks of stacked snapshots.  The references below
+evaluate the same quantities the plain way, one snapshot at a time and with
+numpy's norm reductions; every result must have the same bits.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 from fbmcf.barrier import Circle, Line
 from fbmcf.flow import (Component, CurveState, FlowHistory, circle_curve,
-                        half_circle_curve, mass_bound_check, run)
+                        half_circle_curve, mass_bound_check, run,
+                        _masses_and_reach)
 from fbmcf.kernels import KernelParams, reflected_truncated_kernel
 from fbmcf.varifold import DiscreteVarifold, ball_masses
 
@@ -274,3 +276,51 @@ def test_mass_bound_histories_cover_each_outcome():
     assert 1.0 < c["second_block"] < np.inf
     assert c["no_grid_value"] == np.inf
     assert len(HISTORIES["second_block"].snapshots) > 64
+
+
+# -- per-snapshot scans of stored histories -----------------------------------
+
+def _masses_and_reach_per_snapshot(history, z, r):
+    """Reference for ``flow._masses_and_reach``: a new varifold, a masked
+    ball mass and a norm reduction for each snapshot on its own."""
+    masses, reach = [], []
+    for s in history.snapshots:
+        comps = [c for c in s.components if len(c.points) > 1]
+        masses.append(_ball_mass_masked(DiscreteVarifold(comps), z, r)
+                      if comps else 0.0)
+        pts = s.all_points()
+        reach.append(float(np.linalg.norm(pts - z, axis=1).max())
+                     if len(pts) else 0.0)
+    return masses, reach
+
+
+@pytest.fixture(params=["corner", "pop"])
+def stored_history(request, corner_history, pop_history):
+    """(history, centre): the half circle flowed into its corner on a line,
+    1,000 snapshots, about the corner, and the lasso that pops on a circle
+    into several components, about its waist."""
+    return {"corner": (corner_history, np.array([0.0, 0.0])),
+            "pop": (pop_history, np.array([0.05, 1.05]))}[request.param]
+
+
+def test_pop_history_has_several_components(pop_history):
+    assert max(len(s.components) for s in pop_history.snapshots) >= 2
+
+
+@pytest.mark.parametrize("r", [0.1, 0.3, 0.5])
+def test_block_masses_equal_per_snapshot_masses(stored_history, r):
+    history, z = stored_history
+    new = _masses_and_reach(history.snapshots, z, r)
+    ref = _masses_and_reach_per_snapshot(history, z, r)
+    assert np.array(new).tobytes() == np.array(ref).tobytes()
+
+
+def test_block_masses_keep_the_zero_length_error():
+    """A zero-length segment in any snapshot raises the ValueError of
+    ``DiscreteVarifold``, as a varifold per snapshot did."""
+    good = Component([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    bad = Component([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0)])
+    hist = FlowHistory([CurveState([good], 0.0), CurveState([good], 0.1),
+                        CurveState([good, bad], 0.2)])
+    with pytest.raises(ValueError, match="zero length"):
+        mass_bound_check(hist, (0.0, 0.0), 0.5, 0.3)
