@@ -19,8 +19,9 @@ Flat barriers have infinite scales; they are reported as a configurable cap.
 Barriers are immutable values: the constructor stores array attributes as
 read-only copies, assigning an attribute afterwards raises, and
 ``transformed`` returns a new barrier.  What depends on S alone -- the
-global reflection scale r_S and the reflection constant c1 of
-``measured_c1`` -- is therefore measured once per barrier and kept on it.
+global reflection scale r_S, the reflection constant c1 of ``measured_c1``
+and a parametric barrier's k-d tree over its table -- is therefore built
+once per barrier and kept on it.
 """
 
 from __future__ import annotations
@@ -555,10 +556,13 @@ class ParametricBarrier(Barrier):
         on the squared distance from the eight nearest table samples of each
         point, all starts in lockstep; a start stops once its step is below
         1e-14, and the closest of a point's eight results wins."""
+        from scipy.spatial import cKDTree
+
         shape = np.shape(pts)[:-1]
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        d2 = norm2_sq(self.points[None, :, :] - pts[:, None, :])
-        th = self.theta[np.argsort(d2, axis=1)[:, :8]].ravel()
+        # the k-d tree over the table is built on first use and kept
+        tree = self._measured("sample_tree", lambda: cKDTree(self.points))
+        th = self.theta[tree.query(pts, 8)[1]].ravel()
         x = np.repeat(pts, 8, axis=0).T
         active = np.arange(len(th))
         for _ in range(60):

@@ -1244,18 +1244,25 @@ def dissipation_inequality_check(history: FlowHistory, phi: SpacetimeTestFunctio
 
 
 def _effective_velocities(state: CurveState):
-    """Per-vertex velocities of the discrete dynamics (one probe step).
+    """Per-vertex velocities of the discrete dynamics, read from the state.
 
-    Equals the curvature velocity away from the barrier and additionally
-    captures the projection and orthogonality enforcement at contacts.
+    An implicit component moves by its curvature velocity, the limit of its
+    linearly implicit step as dt -> 0 from any previous level, so a history
+    gives the same velocities in memory and reloaded.  Explicit chains take
+    one probe step, which also captures the projection and orthogonality
+    enforcement at their contacts.
     """
     h = state.h_min()
     if not np.isfinite(h):
         return [np.zeros_like(c.points) for c in state.components]
+    S = state.barrier
+    explicit = [c for c in state.components if not _implicit(c, S)]
     dt = 0.2 * _CFL * h * h
-    probe = step(state, dt)
-    return [(cb.points - ca.points) / dt
-            for ca, cb in zip(state.components, probe.components)]
+    probe = iter(step(CurveState(explicit, state.time, S), dt).components
+                 if explicit else ())
+    return [vertex_velocity(c, S) if _implicit(c, S)
+            else (next(probe).points - c.points) / dt
+            for c in state.components]
 
 
 def _dissipation_integral(history, phi, a, b):

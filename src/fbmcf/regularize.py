@@ -18,7 +18,9 @@ at eps = 0.05), so the solver integrates the swapped parametrization
 w(r) = dz/dr outward from the axis instead: smooth closure pins
 w = -r/(2 eps) - r^3/(32 eps^3) + O(r^5) there, the profile is monotone so
 w(r) is global, and the march is stable.  The equivalent initial slope
-r'(0) = 1/w(R0) is reported on the profile.
+r'(0) = 1/w(R0) is reported on the profile, which is the solver's table of
+heights z and slopes w at uniform radii: areas are one Simpson pass over it
+in r, and slice radii interpolate it linearly in z.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from .errors import FbmcfError, OutOfRange, ShootingFailure, StiffnessFailure
 
@@ -38,29 +38,20 @@ class TranslatorProfile:
 
     epsilon: float
     R0: float
-    z: np.ndarray        # increasing, 0 to just below z_max (graph region)
-    r: np.ndarray        # strictly positive, decreasing
-    rp: np.ndarray       # dr/dz at the samples
-    cap_r: np.ndarray    # axis cap parametrized by radius (ascending)
-    cap_z: np.ndarray    # heights of the cap samples (flow coordinates)
-    cap_w: np.ndarray    # dz/dr on the cap
-    z_max: float
-    shoot_slope: float   # the slope r'(0) a shooting solve would search for
-    full_r: np.ndarray   # uniform r grid
-    full_w: np.ndarray   # dz/dr on it
+    r: np.ndarray        # uniform radii, ascending, from just off the axis to R0
+    z: np.ndarray        # heights at r, descending to z(R0) = 0
+    w: np.ndarray        # dz/dr at r, negative
+    z_max: float         # height of the axis point
 
     @property
-    def samples(self):
-        """(z_k, r_k) table over the whole profile including the cap."""
-        zz = np.concatenate([self.z, self.cap_z[::-1], [self.z_max]])
-        rr = np.concatenate([self.r, self.cap_r[::-1], [0.0]])
-        keep = np.concatenate([[True], np.diff(zz) > 0])
-        return zz[keep], rr[keep]
+    def shoot_slope(self):
+        """The slope r'(0) a shooting solve would search for."""
+        return float(1.0 / self.w[-1])
 
     def radius_at(self, z):
-        zz, rr = self.samples
-        interp = PchipInterpolator(zz, rr)
-        return interp(z)
+        """Slice radius at heights z in [0, z_max]: R0 at 0, 0 at z_max."""
+        return np.interp(z, np.append(self.z[::-1], self.z_max),
+                         np.append(self.r[::-1], 0.0))
 
     def soliton_residual(self):
         """max pointwise deviation from kappa_1 + kappa_2 = -r'/(eps sqrt(1+r'^2)).
@@ -73,7 +64,7 @@ class TranslatorProfile:
         from five-point central differences of the stored uniform-in-r
         samples, independently of the integrator's own derivative values.
         """
-        r, w = self.full_r, self.full_w
+        r, w = self.r, self.w
         dr = r[1] - r[0]
         wm2, wm1, w0, wp1, wp2 = w[:-4], w[1:-3], w[2:-2], w[3:-1], w[4:]
         wp = (wm2 - 8 * wm1 + 8 * wp1 - wp2) / (12.0 * dr)
@@ -90,8 +81,10 @@ def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
     The augmented system (w, z)(r) starts on the smooth-closure asymptote at
     a tiny radius and marches outward; the profile is then shifted so the
     radius-R0 slice sits at height zero.  The solution is sampled at 48,000
-    uniform radii and the graph region resampled at 12,000 uniform heights.
+    uniform radii.
     """
+    from scipy.integrate import solve_ivp  # imported here: slow to load
+
     if not (0.0 < epsilon <= R0 / 2.0):
         raise ValueError("need 0 < epsilon <= R0 / 2")
     rtol, atol = tolerances
@@ -117,51 +110,24 @@ def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
             f"axis-regular branch stopped at r = {sol.t[-1]:.6g} < R0")
 
     z_max = float(-sol.y[1][-1])  # height of the axis above the z = 0 slice
-
-    # graph region: |dz/dr| not too small, i.e. |r'| = |1/w| <= slope cap
-    n_dense = 12000
-    r_dense = np.linspace(r0, R0, 4 * n_dense)
-    w_dense, z_dense = sol.sol(r_dense)
-    z_dense = z_dense + z_max  # flow coordinates, z(R0) = 0
-    slope_cap = 50.0
-    graphical = np.abs(1.0 / w_dense) <= slope_cap
-    r_graph = r_dense[graphical]
-    z_graph = z_dense[graphical]
-    w_graph = w_dense[graphical]
-    order = np.argsort(z_graph)
-    z_grid = np.linspace(z_graph[order][0], z_graph[order][-1], n_dense)
-    r_interp = PchipInterpolator(z_graph[order], r_graph[order])
-    rp_interp = PchipInterpolator(z_graph[order], 1.0 / w_graph[order])
-    cap_sel = ~graphical
-    if not np.any(cap_sel):
-        cap_sel = r_dense <= r_dense[0] * 2.0
-    return TranslatorProfile(
-        epsilon=eps, R0=float(R0),
-        z=z_grid, r=np.asarray(r_interp(z_grid)),
-        rp=np.asarray(rp_interp(z_grid)),
-        cap_r=r_dense[cap_sel], cap_z=z_dense[cap_sel], cap_w=w_dense[cap_sel],
-        z_max=z_max, shoot_slope=float(1.0 / w_dense[-1]),
-        full_r=r_dense, full_w=w_dense)
+    r = np.linspace(r0, R0, 48000)
+    w, z = sol.sol(r)
+    return TranslatorProfile(epsilon=eps, R0=float(R0), r=r, z=z + z_max,
+                             w=w, z_max=z_max)
 
 
-def _weighted_area_elements(profile: TranslatorProfile, weight):
-    """Integrals of weight(z) dA over the graph region and the axis cap."""
+def _weighted_area(profile: TranslatorProfile, weight):
+    """Integral of weight(z) dA over the profile surface."""
     from scipy.integrate import simpson
-    z, r, rp = profile.z, profile.r, profile.rp
-    integrand = weight(z) * 2.0 * np.pi * r * np.sqrt(1.0 + rp ** 2)
-    main = float(simpson(integrand, x=z))
-    # cap in the r parametrization: dA = 2 pi r sqrt(1 + w^2) dr
-    rr, zz, ww = profile.cap_r, profile.cap_z, profile.cap_w
-    cap_integrand = weight(zz) * 2.0 * np.pi * rr * np.sqrt(1.0 + ww ** 2)
-    cap = float(simpson(cap_integrand, x=rr))
-    return main, cap
+    r, w = profile.r, profile.w
+    integrand = weight(profile.z) * 2.0 * np.pi * r * np.sqrt(1.0 + w ** 2)
+    return float(simpson(integrand, x=r))
 
 
 def i_epsilon(profile: TranslatorProfile):
     """(1/eps) int e^(-z/eps) dA over the profile surface."""
     eps = profile.epsilon
-    main, cap = _weighted_area_elements(profile, lambda z: np.exp(-z / eps))
-    return (main + cap) / eps
+    return _weighted_area(profile, lambda z: np.exp(-z / eps)) / eps
 
 
 def i_epsilon_of_table(z, r, epsilon):
@@ -183,8 +149,7 @@ def slab_mass(profile: TranslatorProfile, interval):
     def w(z):
         return ((z >= a) & (z <= b)).astype(float)
 
-    main, cap = _weighted_area_elements(profile, w)
-    mass = main + cap
+    mass = _weighted_area(profile, w)
     bound = ((b - a) + profile.epsilon) * (2.0 * np.pi * profile.R0)
     if mass > bound * (1.0 + 1e-9):
         raise FbmcfError(
@@ -200,25 +165,21 @@ def translate_slices(profile: TranslatorProfile, t_grid):
         raise OutOfRange("translate time exceeds the profile height")
     if np.any(zz < 0.0):
         raise OutOfRange("translate times must be nonnegative")
-    return np.asarray(profile.radius_at(np.minimum(zz, profile.z_max)))
+    return profile.radius_at(zz)
 
 
 def meridian_polyline(profile: TranslatorProfile, n=400):
     """The (x, z) section through the axis on the x >= 0 side."""
     z_grid = np.linspace(0.0, profile.z_max, n)
-    r_grid = np.clip(np.asarray(profile.radius_at(z_grid)), 0.0, None)
-    return np.stack([r_grid, z_grid], axis=-1)
+    return np.stack([profile.radius_at(z_grid), z_grid], axis=-1)
 
 
 def write_profile_csv(profile: TranslatorProfile, path):
     """400 uniform heights of the profile with its soliton residual."""
     resid = profile.soliton_residual()
-    zz, rr = profile.samples
-    z_grid = np.linspace(zz[0], zz[-1], 400)
-    r_grid = profile.radius_at(z_grid)
     with open(path, "w") as f:
         f.write("z,r,residual\n")
-        for z, r in zip(z_grid, r_grid):
+        for r, z in meridian_polyline(profile):
             f.write("%.17g,%.17g,%.17g\n" % (z, r, resid))
 
 

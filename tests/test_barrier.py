@@ -679,6 +679,52 @@ class TestParametric:
         assert len(calls) <= 3 * 60 + 1
         assert feet.shape == (n_points, 2)
 
+    @pytest.mark.parametrize("make", [lambda: ellipse_parametric(1.5, 1.0),
+                                      lambda: unit_circle_parametric(64),
+                                      lambda: spline_parametric(64)],
+                             ids=["ellipse", "circle", "spline"])
+    def test_tree_seeds_match_dense_seeds(self, make):
+        """The k-d tree's eight nearest samples give the feet that the
+        eight nearest by a full sort of all sample distances give, on a
+        cloud, on the table samples and on the symmetry axes, where
+        samples tie."""
+
+        class DenseSeeds:
+            def __init__(self, points):
+                self.points = points
+
+            def query(self, pts, k):
+                d2 = norm2_sq(self.points[None, :, :] - pts[:, None, :])
+                return None, np.argsort(d2, axis=1)[:, :k]
+
+        S, dense = make(), make()
+        dense._measured("sample_tree", lambda: DenseSeeds(dense.points))
+        rng = np.random.default_rng(8)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 1000)
+        rho = 1.0 + rng.uniform(-0.2, 0.2, 1000)
+        axis = np.linspace(-1.8, 1.8, 37)
+        axis = axis[np.abs(axis) > 0.3]
+        zero = np.zeros_like(axis)
+        pts = np.concatenate([
+            rho[:, None] * np.stack([1.5 * np.cos(ang), np.sin(ang)], axis=-1),
+            S.points, np.stack([axis, zero], axis=-1),
+            np.stack([zero, axis], axis=-1)])
+        for got, want in zip(S._foot_parameter(pts),
+                             dense._foot_parameter(pts)):
+            assert np.array_equal(got, want)
+
+    def test_foot_query_memory_is_linear_in_points(self):
+        """4,096 points on a 256-sample table hold O(points) at a time."""
+        import tracemalloc
+        S = ellipse_parametric(1.5, 1.0, 256)
+        pts = near_unit_circle(4096, seed=9) * [1.5, 1.0]
+        S.project(pts[:2])
+        tracemalloc.start()
+        S.project(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 12e6
+
     def test_spline_matches_circle(self):
         S, C = spline_parametric(256), Circle((0.0, 0.0), 1.0)
         x = near_unit_circle(500, seed=4)

@@ -1455,6 +1455,23 @@ class TestDissipationInequality:
         rep = dissipation_inequality_check(half_circle_history, phi, 0.05, 0.35)
         assert rep.passed
 
+    @pytest.mark.parametrize("name", ["circle_history", "half_circle_history"])
+    def test_reloaded_history_gives_the_same_report(self, name, request,
+                                                    tmp_path):
+        """Snapshots in memory keep the integrator's previous level and
+        reloaded ones do not; the report reads neither."""
+        hist = request.getfixturevalue(name)
+        path = tmp_path / "history.jsonl"
+        hist.to_jsonl(path)
+        reloaded = FlowHistory.from_jsonl(path, barrier=hist.barrier)
+        phi = SpacetimeTestFunction(
+            lambda p, t: 1.0 + p[:, 1] ** 2 * np.exp(-t),
+            lambda p, t: np.stack([np.zeros(len(p)),
+                                   2.0 * p[:, 1] * np.exp(-t)], axis=-1),
+            lambda p, t: -p[:, 1] ** 2 * np.exp(-t))
+        assert dissipation_inequality_check(hist, phi, 0.05, 0.35) \
+            == dissipation_inequality_check(reloaded, phi, 0.05, 0.35)
+
 
 class TestMassBounds:
     def test_static_segment_c_is_one(self):

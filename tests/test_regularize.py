@@ -28,17 +28,27 @@ class TestSolve:
         assert profile_005.z_max == pytest.approx(0.5 / 0.05, rel=0.05)
 
     def test_initial_radius(self, profile_005):
-        zz, rr = profile_005.samples
-        assert rr[0] == pytest.approx(1.0, abs=1e-9)
-        assert zz[0] == pytest.approx(0.0, abs=1e-9)
+        assert profile_005.r[-1] == pytest.approx(1.0, abs=1e-9)
+        assert profile_005.z[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_profile_monotone(self, profile_005):
-        zz, rr = profile_005.samples
-        assert np.all(np.diff(rr) <= 1e-12)
+        """Uniform radii with heights falling from the axis to the rim."""
+        p = profile_005
+        assert np.all(np.diff(p.r) > 0.0)
+        assert np.all(np.diff(p.z) < 0.0) and np.all(p.w < 0.0)
+        assert np.ptp(np.diff(p.r)) <= 1e-12
 
     def test_closure_on_axis(self, profile_005):
-        zz, rr = profile_005.samples
-        assert rr[-1] == pytest.approx(0.0, abs=1e-6)
+        p = profile_005
+        assert p.r[0] == pytest.approx(0.0, abs=1e-6)
+        assert p.z[0] == pytest.approx(p.z_max, abs=1e-6)
+
+    def test_radius_at_endpoints_and_monotone(self, profile_005):
+        p = profile_005
+        assert p.radius_at(0.0) == p.R0
+        assert p.radius_at(p.z_max) == 0.0
+        r = p.radius_at(np.linspace(0.0, p.z_max, 5001))
+        assert np.all(np.diff(r) < 0.0)
 
     def test_slope_matches_circle_law(self, profile_005):
         # slices track r(t) = sqrt(1 - 2t): r'(0) in z equals -eps/R0
@@ -61,10 +71,9 @@ class TestSolve:
         """(eps, R0) -> (2 eps, 2 R0) dilates the profile by two."""
         pa = solve_translator_profile(0.1, 1.0)
         pb = solve_translator_profile(0.2, 2.0)
-        za, ra = pa.samples
-        zb, rb = pb.samples
-        rb_on = np.interp(2.0 * za, zb, rb)
-        assert np.abs(rb_on - 2.0 * ra).max() <= 1e-6
+        za = np.linspace(0.0, pa.z_max, 2001)
+        assert np.abs(pb.radius_at(2.0 * za)
+                      - 2.0 * pa.radius_at(za)).max() <= 1e-6
 
 
 class TestWeightedArea:
@@ -112,10 +121,16 @@ class TestWeightedArea:
 
 
 class TestSlabs:
-    def test_cylinder_slab_trivial(self):
-        eps = 0.1
-        # the slab bound for the unit cylinder over [0, 1]
-        assert TWO_PI * 1.0 <= (1.0 + eps) * TWO_PI
+    def test_slab_masses_add_up(self, profile_010):
+        """Slabs split at a table height add up to the whole surface, and the
+        lower one is at least the cylinder of its height at its smallest
+        radius (the meridian is longer than the height it climbs)."""
+        p = profile_010
+        cut = p.z[-5001]
+        low, high = slab_mass(p, (0.0, cut)), slab_mass(p, (cut, p.z_max))
+        whole = slab_mass(p, (0.0, p.z_max))
+        assert abs(low + high - whole) <= 2e-4 * whole
+        assert TWO_PI * p.radius_at(cut) * cut <= low
 
     def test_slab_near_cap_small(self, profile_005):
         m = slab_mass(profile_005, (profile_005.z_max - 0.05,
