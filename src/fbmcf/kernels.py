@@ -221,6 +221,7 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
 
     Returns a list of :class:`HeatOperatorSample` with both the raw operator
     value and the parabolically normalized value (raw * kappa^(1/2) tau^(3/4)).
+    A sample's ``x`` (kernel-frame position) is a read-only row of its batch.
     """
     rng = np.random.default_rng(seed)
     kappa = params.kappa
@@ -293,13 +294,17 @@ def sample_heat_operator_cases(S: Barrier, params: KernelParams, n_samples=10_00
             def phi_reflected(p, t):
                 return phi(2.0 * S.project(p) - p, t)
 
+            xb, tb = x_world[idx], tau[idx]
+            # the batch's kernel-frame positions, shared read-only by the
+            # samples of both cutoffs: each sample's x is a row of it
+            rel = xb - c
+            rel.flags.writeable = False
+            taus = tb.tolist()
             for fn in (phi, phi_reflected):
-                vals = heat_operator(fn, x_world[idx], -tau[idx], dirs, kappa)
-                scaled = vals * kappa ** 0.5 * tau[idx] ** 0.75
-                for j, i in enumerate(idx):
-                    out.append(HeatOperatorSample(
-                        case=case, x=(x_world[i] - centers[i]), tau=float(tau[i]),
-                        value=float(vals[j]), value_scaled=float(scaled[j])))
+                vals = heat_operator(fn, xb, -tb, dirs, kappa)
+                scaled = vals * kappa ** 0.5 * tb ** 0.75
+                out.extend(HeatOperatorSample(case, x, t, v, s) for x, t, v, s
+                           in zip(rel, taus, vals.tolist(), scaled.tolist()))
             collected += len(idx)
         if collected < n_samples:
             raise CalibrationFailure(f"could not draw enough case-{case} samples")

@@ -19,8 +19,10 @@ w(r) = dz/dr outward from the axis instead: smooth closure pins
 w = -r/(2 eps) - r^3/(32 eps^3) + O(r^5) there, the profile is monotone so
 w(r) is global, and the march is stable.  The equivalent initial slope
 r'(0) = 1/w(R0) is reported on the profile, which is the solver's table of
-heights z and slopes w at uniform radii: areas are one Simpson pass over it
-in r, and slice radii interpolate it linearly in z.
+heights z, slopes w and cumulative areas at uniform radii.  The weighted
+area I_eps is one Simpson pass over the table in r; a slab's area is the
+difference of the cumulative area (one trapezoid pass at solve time) at
+the slab's two end radii; slice radii interpolate the table linearly in z.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class TranslatorProfile:
     r: np.ndarray        # uniform radii, ascending, from just off the axis to R0
     z: np.ndarray        # heights at r, descending to z(R0) = 0
     w: np.ndarray        # dz/dr at r, negative
+    area: np.ndarray     # surface area between radii r[0] and r, ascending
     z_max: float         # height of the axis point
 
     @property
@@ -81,7 +84,8 @@ def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
     The augmented system (w, z)(r) starts on the smooth-closure asymptote at
     a tiny radius and marches outward; the profile is then shifted so the
     radius-R0 slice sits at height zero.  The solution is sampled at 48,000
-    uniform radii.
+    uniform radii, and the area element 2 pi r sqrt(1 + w^2) dr is summed
+    along them by the trapezoid rule.
     """
     from scipy.integrate import solve_ivp  # imported here: slow to load
 
@@ -95,8 +99,8 @@ def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
     z0 = -r0 ** 2 / (4.0 * eps)  # height relative to the axis point on top
 
     def rhs(r, y):
-        w = y[0]
-        return [-(w ** 3 + w) / r - (w * w + 1.0) / eps, w]
+        w = float(y[0])
+        return np.array([-(w ** 3 + w) / r - (w * w + 1.0) / eps, w])
 
     blow = lambda r, y: y[0] + 1e6
     blow.terminal = True
@@ -112,22 +116,21 @@ def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
     z_max = float(-sol.y[1][-1])  # height of the axis above the z = 0 slice
     r = np.linspace(r0, R0, 48000)
     w, z = sol.sol(r)
+    dA = 2.0 * np.pi * r * np.sqrt(1.0 + w ** 2)
+    area = np.concatenate([[0.0], np.cumsum(0.5 * (dA[1:] + dA[:-1])
+                                            * np.diff(r))])
     return TranslatorProfile(epsilon=eps, R0=float(R0), r=r, z=z + z_max,
-                             w=w, z_max=z_max)
-
-
-def _weighted_area(profile: TranslatorProfile, weight):
-    """Integral of weight(z) dA over the profile surface."""
-    from scipy.integrate import simpson
-    r, w = profile.r, profile.w
-    integrand = weight(profile.z) * 2.0 * np.pi * r * np.sqrt(1.0 + w ** 2)
-    return float(simpson(integrand, x=r))
+                             w=w, area=area, z_max=z_max)
 
 
 def i_epsilon(profile: TranslatorProfile):
-    """(1/eps) int e^(-z/eps) dA over the profile surface."""
-    eps = profile.epsilon
-    return _weighted_area(profile, lambda z: np.exp(-z / eps)) / eps
+    """(1/eps) int e^(-z/eps) dA over the profile surface, by Simpson's rule
+    in r."""
+    from scipy.integrate import simpson
+    eps, r, w = profile.epsilon, profile.r, profile.w
+    integrand = (np.exp(-profile.z / eps) * 2.0 * np.pi * r
+                 * np.sqrt(1.0 + w ** 2))
+    return float(simpson(integrand, x=r)) / eps
 
 
 def i_epsilon_of_table(z, r, epsilon):
@@ -141,15 +144,18 @@ def i_epsilon_of_table(z, r, epsilon):
 
 def slab_mass(profile: TranslatorProfile, interval):
     """Surface area over z in [a, b]; checks the slab bound
-    ||P(A)|| <= (|A| + eps) ||Sigma|| with ||Sigma|| = 2 pi R0."""
+    ||P(A)|| <= (|A| + eps) ||Sigma|| with ||Sigma|| = 2 pi R0.
+
+    The profile is monotone, so the slab is the part of the surface between
+    the radii r(b) <= r(a), and its area is the difference of the cumulative
+    area table there."""
     a, b = float(interval[0]), float(interval[1])
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise OutOfRange("slab ends must be finite")
     if b < a:
         a, b = b, a
-
-    def w(z):
-        return ((z >= a) & (z <= b)).astype(float)
-
-    mass = _weighted_area(profile, w)
+    lo, hi = np.interp(profile.radius_at([b, a]), profile.r, profile.area)
+    mass = float(hi - lo)
     bound = ((b - a) + profile.epsilon) * (2.0 * np.pi * profile.R0)
     if mass > bound * (1.0 + 1e-9):
         raise FbmcfError(
@@ -160,6 +166,8 @@ def slab_mass(profile: TranslatorProfile, interval):
 def translate_slices(profile: TranslatorProfile, t_grid):
     """Slice radii of the downward translates: r_eps(t) = r(t / eps)."""
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.isfinite(t_grid).all():
+        raise OutOfRange("translate times must be finite")
     zz = t_grid / profile.epsilon
     if np.any(zz > profile.z_max * (1.0 + 1e-12)):
         raise OutOfRange("translate time exceeds the profile height")

@@ -243,15 +243,16 @@ def first_variation(V: DiscreteVarifold, X):
     Orders 8 and 16 are evaluated, and the order-16 value is accepted when
     the two agree to 1e-10 relative to the mass; otherwise order 32 is used.
     """
-    val = _first_variation_at_order(V, X, 8)
-    val2 = _first_variation_at_order(V, X, 16)
+    segments = V.segments()
+    val = _first_variation_at_order(segments, X, 8)
+    val2 = _first_variation_at_order(segments, X, 16)
     if abs(val2 - val) > 1e-10 * (1.0 + V.total_mass):
-        return _first_variation_at_order(V, X, 32)
+        return _first_variation_at_order(segments, X, 32)
     return val2
 
 
-def _first_variation_at_order(V, X, order):
-    starts, ends, mult = V.segments()
+def _first_variation_at_order(segments, X, order):
+    starts, ends, mult = segments
     pts, L, weights = segment_quadrature(starts, ends, order)
     e = (ends - starts) / L[:, None]
     jac = X.jacobian(pts.reshape(-1, 2)).reshape(len(L), order, 2, 2)
@@ -526,33 +527,39 @@ class TestField:
 
 
 class Poly2:
-    """Bivariate polynomial with exact gradient, coefficients c[i, j] x^i y^j."""
+    """Bivariate polynomial with exact gradient, coefficients c[i, j] x^i y^j.
+
+    The value and both partial derivatives are the three columns of one
+    coefficient matrix over the power table x^i y^j (i, j below the shape
+    of c), so any of them costs one table and one matrix product."""
 
     def __init__(self, coeffs):
         self.c = np.asarray(coeffs, dtype=float)
+        n, m = self.c.shape
+        dx, dy = np.zeros((n, m)), np.zeros((n, m))
+        dx[:-1] = np.arange(1, n)[:, None] * self.c[1:]
+        dy[:, :-1] = np.arange(1, m) * self.c[:, 1:]
+        self._columns = np.stack([self.c, dx, dy], axis=-1).reshape(n * m, 3)
 
     def __call__(self, pts):
-        x, y = pts[:, 0], pts[:, 1]
-        out = np.zeros(len(pts))
-        for i in range(self.c.shape[0]):
-            for j in range(self.c.shape[1]):
-                if self.c[i, j] != 0.0:
-                    out += self.c[i, j] * x ** i * y ** j
-        return out
+        return self.value_and_grad(pts)[0]
 
     def grad(self, pts):
-        x, y = pts[:, 0], pts[:, 1]
-        gx = np.zeros(len(pts))
-        gy = np.zeros(len(pts))
-        for i in range(self.c.shape[0]):
-            for j in range(self.c.shape[1]):
-                if self.c[i, j] == 0.0:
-                    continue
-                if i > 0:
-                    gx += i * self.c[i, j] * x ** (i - 1) * y ** j
-                if j > 0:
-                    gy += j * self.c[i, j] * x ** i * y ** (j - 1)
-        return np.stack([gx, gy], axis=-1)
+        return self.value_and_grad(pts)[1]
+
+    def value_and_grad(self, pts):
+        """p (N,) and its gradient (N, 2) from one power table."""
+        n, m = self.c.shape
+        # powers[:, c, k] is the k-th power of coordinate c, by repeated
+        # multiplication
+        powers = np.empty((len(pts), 2, max(n, m)))
+        powers[..., 0] = 1.0
+        powers[..., 1:] = pts[:, :, None]
+        np.multiply.accumulate(powers, axis=2, out=powers)
+        table = (powers[:, 0, :n, None]
+                 * powers[:, 1, None, :m]).reshape(len(pts), n * m)
+        out = table @ self._columns
+        return out[:, 0], out[:, 1:]
 
 
 def polynomial_field(cx, cy):
@@ -584,8 +591,8 @@ def rotational_field(p: Poly2, center):
     def jacobian(pts):
         rel = pts - c
         rot = rel @ R.T
-        g = p.grad(pts)
-        return rot[:, :, None] * g[:, None, :] + p(pts)[:, None, None] * R
+        v, g = p.value_and_grad(pts)
+        return rot[:, :, None] * g[:, None, :] + v[:, None, None] * R
 
     return TestField(value, jacobian)
 
@@ -605,7 +612,8 @@ def vanishing_factor_field(S: Barrier, q: Poly2, direction):
     def jacobian(pts):
         g = S.omega_signed(pts)
         grad_g = -S.normal(pts)
-        total = g[:, None] * q.grad(pts) + q(pts)[:, None] * grad_g
+        qv, qg = q.value_and_grad(pts)
+        total = g[:, None] * qg + qv[:, None] * grad_g
         return w[None, :, None] * total[:, None, :]
 
     return TestField(value, jacobian)
@@ -624,8 +632,8 @@ def line_tangential_field(P: Line, a: Poly2, b: Poly2):
 
     def jacobian(pts):
         ga = a.grad(pts)
-        gb = b.grad(pts)
-        term = lvl(pts)[:, None] * gb + b(pts)[:, None] * nu
+        bv, gb = b.value_and_grad(pts)
+        term = lvl(pts)[:, None] * gb + bv[:, None] * nu
         return t[None, :, None] * ga[:, None, :] + nu[None, :, None] * term[:, None, :]
 
     return TestField(value, jacobian)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +233,23 @@ class TestHeatOperator:
         samples = sample_heat_operator_cases(S, p, n_samples=300, seed=9)
         worst = max(s.value_scaled for s in samples)
         assert worst <= 1e-8
+
+    def test_samples_are_pinned_bits(self):
+        """The samples, their order and their bits are pinned: sha256 over
+        each sample's case, x, tau, value and value_scaled."""
+        S = Circle((0.0, 0.0), 1.0, omega_side="outside")
+        samples = sample_heat_operator_cases(S, KernelParams.for_barrier(S),
+                                             n_samples=300, seed=9)
+        h = hashlib.sha256()
+        for s in samples:
+            h.update(s.case.encode())
+            h.update(np.asarray(s.x, dtype=float).tobytes())
+            h.update(np.array([s.tau, s.value, s.value_scaled]).tobytes())
+        assert len(samples) == 1800
+        assert h.hexdigest() == ("daf756a3f7bb334cbcabb846d9c46396"
+                                 "ba75949cf4c6cce3d0f3f534d3ded9f2")
+        with pytest.raises(ValueError):
+            samples[0].x[0] = 0.0
 
 
 class TestCalibration:

@@ -129,8 +129,32 @@ class TestSlabs:
         cut = p.z[-5001]
         low, high = slab_mass(p, (0.0, cut)), slab_mass(p, (cut, p.z_max))
         whole = slab_mass(p, (0.0, p.z_max))
-        assert abs(low + high - whole) <= 2e-4 * whole
+        assert abs(low + high - whole) <= 1e-12 * whole
         assert TWO_PI * p.radius_at(cut) * cut <= low
+
+    def test_random_slabs_match_adaptive_quadrature(self, profile_010):
+        """Each slab is the area between its two end radii of the surface
+        whose slope interpolates the table: within 1e-6 of adaptive
+        quadrature of that area element."""
+        from scipy.integrate import quad
+        p = profile_010
+
+        def element(rho):
+            return TWO_PI * rho * np.sqrt(1.0 + np.interp(rho, p.r, p.w) ** 2)
+
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            a, b = np.sort(rng.uniform(0.0, p.z_max, 2))
+            r_a, r_b = p.radius_at([a, b])
+            ref, _ = quad(element, max(r_b, p.r[0]), r_a, limit=500,
+                          epsabs=1e-11, epsrel=1e-11)
+            assert abs(slab_mass(p, (a, b)) - ref) <= 1e-6
+
+    @pytest.mark.parametrize("interval", [(np.nan, 1.0), (0.0, np.inf),
+                                          (-np.inf, 1.0)])
+    def test_non_finite_slab_refused(self, profile_010, interval):
+        with pytest.raises(OutOfRange):
+            slab_mass(profile_010, interval)
 
     def test_slab_near_cap_small(self, profile_005):
         m = slab_mass(profile_005, (profile_005.z_max - 0.05,
@@ -173,6 +197,10 @@ class TestSlices:
     def test_out_of_range(self, profile_005):
         with pytest.raises(OutOfRange):
             translate_slices(profile_005, [0.05 * profile_005.z_max * 1.5])
+
+    def test_nan_time_refused(self, profile_005):
+        with pytest.raises(OutOfRange):
+            translate_slices(profile_005, [0.1, np.nan])
 
 
 class TestHalving:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbmcf.barrier import Circle, Line, ParametricBarrier
 from fbmcf.varifold import (
@@ -122,6 +123,50 @@ class TestFirstVariation:
             errs.append(abs(first_variation(kgon(k), X) - exact))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 1.8
+
+
+def _poly2_double_loop(c, pts):
+    """p, dp/dx, dp/dy term by term, and the sums of the terms' magnitudes."""
+    x, y = pts[:, 0], pts[:, 1]
+    sums = np.zeros((3, len(pts)))
+    mags = np.zeros((3, len(pts)))
+    for i in range(c.shape[0]):
+        for j in range(c.shape[1]):
+            if c[i, j] == 0.0:
+                continue
+            terms = [c[i, j] * x ** i * y ** j]
+            terms.append(i * c[i, j] * x ** (i - 1) * y ** j if i > 0 else 0.0)
+            terms.append(j * c[i, j] * x ** i * y ** (j - 1) if j > 0 else 0.0)
+            for k, t in enumerate(terms):
+                sums[k] += t
+                mags[k] += np.abs(t)
+    return sums, mags
+
+
+# coordinates and coefficients below 1e-30 in magnitude are zero, so no
+# term underflows, where its two groupings of factors would round apart
+_COORD = st.floats(-3.0, 3.0).map(lambda v: v if abs(v) > 1e-30 else 0.0)
+_COEFF = st.floats(-1.0, 1.0).map(lambda v: v if abs(v) > 1e-30 else 0.0)
+
+
+class TestPoly2:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(0, 3), st.sampled_from([0, 1, 7]), st.data())
+    def test_matches_term_by_term_loop(self, degree, n, data):
+        """Value and gradient from the power table agree with summing the
+        terms one by one to 4 ulps of the sum of the terms' magnitudes."""
+        size = (degree + 1) ** 2
+        c = np.array(data.draw(st.lists(_COEFF, min_size=size, max_size=size)))
+        keep = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        c = np.where(keep, c, 0.0).reshape(degree + 1, degree + 1)
+        pts = np.array(data.draw(st.lists(_COORD, min_size=2 * n,
+                                          max_size=2 * n))).reshape(n, 2)
+        p = Poly2(c)
+        value, grad = p(pts), p.grad(pts)
+        assert value.shape == (n,) and grad.shape == (n, 2)
+        sums, mags = _poly2_double_loop(c, pts)
+        got = np.vstack([value, grad.T])
+        assert np.all(np.abs(got - sums) <= 4.0 * np.spacing(mags))
 
 
 class TestCertification:
