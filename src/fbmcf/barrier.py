@@ -149,6 +149,11 @@ class Barrier:
         """Signed depth into Omega: >= 0 on the closed admissible side."""
         raise NotImplementedError
 
+    def magnitude(self):
+        """Size of the numbers that define the barrier, which sets the
+        rounding of its depths together with the query's coordinates."""
+        raise NotImplementedError
+
     def local_chart(self, y) -> LocalChart:
         raise NotImplementedError
 
@@ -388,6 +393,9 @@ class Line(Barrier):
     def omega_signed(self, x):
         return self.offset - self._height(np.asarray(x, dtype=float))
 
+    def magnitude(self):
+        return abs(self.offset)
+
     def distance_hessian(self, x):
         return np.zeros(np.shape(x) + (2,))
 
@@ -444,6 +452,9 @@ class Circle(Barrier):
     def omega_signed(self, x):
         rr = norm2(np.asarray(x, dtype=float) - self.center)
         return self.radius - rr if self.omega_side == "inside" else rr - self.radius
+
+    def magnitude(self):
+        return float(norm2(self.center)) + self.radius
 
     def distance_hessian(self, x):
         rel, rr = self._radial(x)
@@ -603,6 +614,9 @@ class ParametricBarrier(Barrier):
         th, feet = self._foot_parameter(x)
         rel, n = feet - x, self._normal_at(th)
         return rel[..., 0] * n[..., 0] + rel[..., 1] * n[..., 1]
+
+    def magnitude(self):
+        return float(np.abs(self.points).max())
 
     def local_chart(self, y):
         th0, base = self._foot_parameter(y)

@@ -75,11 +75,13 @@ class NoFiniteA(FbmcfError):
 # -- elliptic regularization --------------------------------------------------
 
 class ShootingFailure(FbmcfError):
-    """No bracket for the translator shooting parameter was found."""
+    """The axis-regular translator branch blew up (dz/dr below -1e6) before
+    reaching R0."""
 
 
 class StiffnessFailure(FbmcfError):
-    """Translator ODE became too stiff for the tolerance budget."""
+    """The translator march needed a step below 10 ulps of r or more than
+    its cap of attempted steps."""
 
 
 class OutOfRange(FbmcfError):

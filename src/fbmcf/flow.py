@@ -622,22 +622,28 @@ def step(state: CurveState, dt):
     return CurveState(new_comps, state.time + dt, state.barrier)
 
 
+# ulps of the coordinates' size below which two depths count as equal
+_DEPTH_ULPS = 4
+
+
 def detect_and_pop(state: CurveState):
     """Split curves where an interior vertex touches the barrier: it is a
     local minimum of the signed depth and in contact.
 
-    Returns (new_state, events).  A local minimum is strictly below the
-    depth before it and not above the one after it (a run of equal minima
-    cuts at its first vertex); closed components wrap around, and an open
+    Returns (new_state, events).  A local minimum is below the depth before
+    it and not above the one after it, both beyond the depths' rounding: a
+    few ulps of the largest of the component's coordinates and the
+    barrier's ``magnitude`` (so a run of minima equal up to rounding cuts
+    at its first vertex); closed components wrap around, and an open
     chain's missing outer neighbor counts as +inf.  Flagged vertices never
     cut but count as neighbors, so beside a fresh end, where the depth
     rises from zero, nothing pops.  Contact is having crossed to the
     forbidden side (hard one-sidedness), or lying within half the shortest
     segment and moving toward the barrier; a pinned free end pops only once
-    it has crossed.  A closed component of equal depths, with no first
-    minimum, cuts at its first vertex in contact.  Each cut becomes two
-    boundary-flagged vertices on its foot, in ascending arc-length order;
-    components without a cut are passed on as they are.
+    it has crossed.  A closed component of depths equal up to rounding,
+    with no first minimum, cuts at its first vertex in contact.  Each cut
+    becomes two boundary-flagged vertices on its foot, in ascending
+    arc-length order; components without a cut are passed on as they are.
     """
     if state.barrier is None:
         return state, []
@@ -659,7 +665,9 @@ def detect_and_pop(state: CurveState):
         before, after = np.roll(depth, 1), np.roll(depth, -1)
         if not comp.closed:
             before[0] = after[-1] = np.inf
-        low = (depth < before) & (depth <= after)
+        tol = _DEPTH_ULPS * np.spacing(max(float(np.abs(pts).max()),
+                                           S.magnitude()))
+        low = (depth < before - tol) & (depth <= after + tol)
         idx = np.nonzero(contact & low)[0] if low.any() \
             else np.nonzero(contact)[0][:1]
         if len(idx) == 0:
@@ -927,6 +935,9 @@ def _self_intersects(state: CurveState):
 _IMPLICIT_DT_H2 = 2.0
 # an explicit chain's step, at most this many h_min^2 of the explicit chains
 _CFL = 0.4
+# the most vertex-steps ``run`` takes on; the largest runs of the package
+# (the n = 1024 circle and the peanut) estimate about 2e7 and 8e6
+_MAX_WORK = 1e9
 
 
 def check_run_params(t_end, h_target, snapshot_dt, vanish_length):
@@ -965,6 +976,32 @@ def check_initial_curve(state: CurveState):
                           "segment lengths")
 
 
+def _implicit_dt(h_target, snapshot_dt):
+    """An implicit component's step: it divides the snapshot cadence and is
+    at most 2 h_target^2 and half the cadence."""
+    return snapshot_dt / math.ceil(
+        snapshot_dt / min(_IMPLICIT_DT_H2 * h_target ** 2, 0.5 * snapshot_dt))
+
+
+def check_run_work(state: CurveState, t_end, h_target, snapshot_dt):
+    """Raise ConfigError unless the run's estimated work, vertices times
+    steps, is at most ``_MAX_WORK``: remesh keeps about n + L / (0.5
+    h_target) vertices, and the run takes at least one step per snapshot
+    and steps of the implicit dt, or of 0.1 h_target^2 when an explicit
+    chain is present (0.4 h_min^2 with h_min near 0.5 h_target)."""
+    vertices = sum(len(c.points) for c in state.components) \
+        + state.total_length() / (0.5 * h_target)
+    explicit = any(not _implicit(c, state.barrier) for c in state.components)
+    dt = 0.1 * h_target * h_target if explicit \
+        else _implicit_dt(h_target, snapshot_dt)
+    span = max(t_end - state.time, 0.0)
+    work = vertices * max(span / snapshot_dt, span / dt)
+    if work > _MAX_WORK:
+        raise ConfigError(
+            f"the run would take about {work:.2g} vertex-steps, more than "
+            f"{_MAX_WORK:.0e}: raise flow.h_target or lower flow.t_end")
+
+
 def run(initial: CurveState, t_end, h_target, snapshot_dt,
         vanish_length=None, barrier=None, config_echo=None):
     """Drive the flow: step, pop, remesh, snapshot on an exact cadence grid.
@@ -974,8 +1011,9 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     (an open chain's ends are not adjacent).  ``vanish_length`` (default
     10 h_target) deletes components shorter than the threshold, recording a
     Vanish event.  Raises ConfigError, before any step, on values with which
-    the run could not end (``check_run_params``) and on an initial curve
-    with a non-finite coordinate or segment length (``check_initial_curve``).
+    the run could not end (``check_run_params``), on an initial curve
+    with a non-finite coordinate or segment length (``check_initial_curve``)
+    and on an estimated work beyond ``_MAX_WORK`` (``check_run_work``).
 
     Open chains against a curved barrier bound the step by 0.4 h_min^2,
     their h_min only.  An implicit component's step is snapshot_dt /
@@ -994,8 +1032,8 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     state = CurveState(list(initial.components), initial.time,
                        barrier if barrier is not None else initial.barrier)
     vanish_len = 10.0 * h_target if vanish_length is None else vanish_length
-    implicit_dt = snapshot_dt / math.ceil(
-        snapshot_dt / min(_IMPLICIT_DT_H2 * h_target ** 2, 0.5 * snapshot_dt))
+    check_run_work(state, t_end, h_target, snapshot_dt)
+    implicit_dt = _implicit_dt(h_target, snapshot_dt)
     t0 = state.time
     n_snap = int(round((t_end - t0) / snapshot_dt))
     snap_times = t0 + snapshot_dt * np.arange(n_snap + 1)

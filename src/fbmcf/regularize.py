@@ -17,17 +17,26 @@ ill-conditioned (slope perturbations grow like e^(z/eps), a factor e^200
 at eps = 0.05), so the solver integrates the swapped parametrization
 w(r) = dz/dr outward from the axis instead: smooth closure pins
 w = -r/(2 eps) - r^3/(32 eps^3) + O(r^5) there, the profile is monotone so
-w(r) is global, and the march is stable.  The equivalent initial slope
-r'(0) = 1/w(R0) is reported on the profile, which is the solver's table of
-heights z, slopes w and cumulative areas at uniform radii.  The weighted
-area I_eps is one Simpson pass over the table in r; a slab's area is the
-difference of the cumulative area (one trapezoid pass at solve time) at
-the slab's two end radii; slice radii interpolate the table linearly in z.
+w(r) is global, and the march is stable.  The march is the Dormand-Prince
+5(4) pair (J. Comput. Appl. Math. 6, 1980) with the step control of
+scipy's RK45, written out on Python floats; each accepted step keeps its
+stage values, which give the coefficients of Shampine's quartic dense
+output (Math. Comp. 46, 1986), and one vectorised Horner pass samples
+that at uniform radii.  The equivalent initial slope r'(0) = 1/w(R0) is
+reported on the profile, which is the table of heights z, slopes w and
+cumulative areas at those radii.  The weighted area I_eps is one Simpson
+pass over the table in r; a slab's area is the difference of the
+cumulative area (one trapezoid pass at solve time) at the slab's two end
+radii; slice radii interpolate the table linearly in z.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from array import array
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -78,48 +87,126 @@ class TranslatorProfile:
         return float(resid.max())
 
 
+# attempted steps (accepted or rejected) before the translator march gives
+# up; the largest solve the package runs (R0 = 1, eps = 0.05) takes 612
+_MAX_STEPS = 100_000
+
+
 def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
     """Integrate the axis-regular translator branch out to radius R0.
 
     The augmented system (w, z)(r) starts on the smooth-closure asymptote at
-    a tiny radius and marches outward; the profile is then shifted so the
-    radius-R0 slice sits at height zero.  The solution is sampled at 48,000
-    uniform radii, and the area element 2 pi r sqrt(1 + w^2) dr is summed
-    along them by the trapezoid rule.
+    a tiny radius and marches outward by Dormand-Prince 5(4) with RK45's
+    tableau and step control (initial step rule, safety 0.9, step factors
+    in [0.2, 10], none above 1 right after a rejection, RMS error norm,
+    rtol at least 100 machine epsilons), on Python floats; the z stages are
+    the w stage values, since z' = w.  Each accepted step keeps its start,
+    length, (w, z) and stage values; after the march, Q = K P gives every
+    step's quartic dense output, evaluated at 48,000 uniform radii by
+    Horner's rule.  The profile is then shifted so the radius-R0 slice sits
+    at height zero, and the area element 2 pi r sqrt(1 + w^2) dr is summed
+    along the radii by the trapezoid rule.
+
+    Raises ShootingFailure if w = dz/dr reaches -1e6, and StiffnessFailure
+    if a step falls below 10 ulps of r or the march attempts more than
+    ``_MAX_STEPS`` steps.
     """
-    from scipy.integrate import solve_ivp  # imported here: slow to load
+    from scipy.integrate import RK45  # its tableau only; slow to load
 
     if not (0.0 < epsilon <= R0 / 2.0):
         raise ValueError("need 0 < epsilon <= R0 / 2")
-    rtol, atol = tolerances
-    eps = float(epsilon)
+    eps, R0 = float(epsilon), float(R0)
+    rtol = max(float(tolerances[0]), 100.0 * sys.float_info.epsilon)
+    atol = float(tolerances[1])
+    A, B, C, E = (getattr(RK45, k).tolist() for k in "ABCE")
+    expo = -1.0 / (RK45.error_estimator_order + 1)
 
     r0 = max(1e-7 * R0, 1e-5 * eps)
     w0 = -r0 / (2.0 * eps) - r0 ** 3 / (32.0 * eps ** 3)
     z0 = -r0 ** 2 / (4.0 * eps)  # height relative to the axis point on top
 
-    def rhs(r, y):
-        w = float(y[0])
-        return np.array([-(w ** 3 + w) / r - (w * w + 1.0) / eps, w])
+    def f(r, w):  # w'
+        return -(w ** 3 + w) / r - (w * w + 1.0) / eps
 
-    blow = lambda r, y: y[0] + 1e6
-    blow.terminal = True
-    blow.direction = -1
-    sol = solve_ivp(rhs, (r0, R0), [w0, z0], method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True, events=[blow])
-    if not sol.success:
-        raise StiffnessFailure(f"profile integration failed: {sol.message}")
-    if sol.t[-1] < R0 * (1.0 - 1e-9):
-        raise ShootingFailure(
-            f"axis-regular branch stopped at r = {sol.t[-1]:.6g} < R0")
+    def rms(a, b):
+        return math.sqrt(0.5 * (a * a + b * b))
 
-    z_max = float(-sol.y[1][-1])  # height of the axis above the z = 0 slice
+    # scipy's select_initial_step: the two scales, then a trial Euler step
+    t, w, z, k = r0, w0, z0, f(r0, w0)
+    sw, sz = atol + abs(w) * rtol, atol + abs(z) * rtol
+    d0, d1 = rms(w / sw, z / sz), rms(k / sw, w / sz)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, R0 - t)
+    w1 = w + h0 * k
+    d2 = rms((f(t + h0, w1) - k) / sw, (w1 - w) / sz) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
+        else (0.01 / max(d1, d2)) ** (-expo)
+    h_abs = min(100.0 * h0, h1, R0 - t)
+
+    table = array("d")  # per accepted step: t, h, w, z and w', w at stages
+    attempts = 0
+    while t < R0:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            attempts += 1
+            if h_abs < min_step or attempts > _MAX_STEPS:
+                raise StiffnessFailure(
+                    f"translator march stalled at r = {t:.6g} after "
+                    f"{attempts - 1} steps (step {h_abs:.3g})")
+            t_new = min(t + h_abs, R0)
+            h = h_abs = t_new - t
+            K, V = [k], [w]  # w' and w (= z') at the stages
+            for a, c in zip(A[1:], C[1:]):
+                v = w + sum(map(mul, a, K)) * h
+                V.append(v)
+                K.append(f(t + c * h, v))
+            w_new = w + h * sum(map(mul, B, K))
+            z_new = z + h * sum(map(mul, B, V))
+            K.append(f(t + h, w_new))
+            V.append(w_new)
+            err = rms(h * sum(map(mul, E, K))
+                      / (atol + max(abs(w), abs(w_new)) * rtol),
+                      h * sum(map(mul, E, V))
+                      / (atol + max(abs(z), abs(z_new)) * rtol))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** expo)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** expo)
+            rejected = True
+        table.extend((t, h, w, z, *K, *V))
+        t, w, z, k = t_new, w_new, z_new, K[-1]
+        if w <= -1e6:
+            raise ShootingFailure(f"axis-regular branch stopped at r = "
+                                  f"{t:.6g}: dz/dr reached -1e6")
+
+    z_max = -z  # height of the axis above the z = 0 slice
+    steps = np.frombuffer(table).reshape(-1, 18)
     r = np.linspace(r0, R0, 48000)
-    w, z = sol.sol(r)
+    # how many radii each step covers; one on a step boundary belongs to
+    # the step that ends there, as in scipy's OdeSolution
+    ends = np.searchsorted(r, steps[1:, 0], side="right")
+    covered = np.diff(ends, prepend=0, append=len(r))
+
+    def at_r(column):  # a per-step column, repeated over the step's radii
+        return np.repeat(column, covered)
+
+    h = at_r(steps[:, 1])
+    x = (r - at_r(steps[:, 0])) / h
+
+    def dense(i, stages):  # column i at r, from its step's quartic Q = K P
+        Q = steps[:, stages] @ RK45.P
+        q = at_r(Q[:, 3])
+        for j in (2, 1, 0):
+            q = at_r(Q[:, j]) + x * q
+        return at_r(steps[:, i]) + h * (x * q)
+
+    w, z = dense(2, slice(4, 11)), dense(3, slice(11, 18))
     dA = 2.0 * np.pi * r * np.sqrt(1.0 + w ** 2)
     area = np.concatenate([[0.0], np.cumsum(0.5 * (dA[1:] + dA[:-1])
                                             * np.diff(r))])
-    return TranslatorProfile(epsilon=eps, R0=float(R0), r=r, z=z + z_max,
+    return TranslatorProfile(epsilon=eps, R0=R0, r=r, z=z + z_max,
                              w=w, area=area, z_max=z_max)
 
 

@@ -23,7 +23,8 @@ from .kernels import (KernelParams, calibrate_alpha, measured_c1,
                       write_heat_operator_csv)
 from . import flow as flow_mod
 from .flow import (CurveState, check_initial_curve, check_run_params,
-                   circle_curve, half_circle_curve, lasso_curve, run)
+                   check_run_work, circle_curve, half_circle_curve,
+                   lasso_curve, run)
 
 
 def barrier_from_config(cfg):
@@ -314,6 +315,10 @@ def run_scenario(config_path, out_dir=None, seed=None):
         h_default = initial.total_length() / max(n_pts - 1, 1)
         t_end, h_target, snapshot_dt, vanish_length = \
             flow_params_from_config(fc, h_default)
+        check_run_work(CurveState(initial.components, initial.time,
+                                  barrier if barrier is not None
+                                  else initial.barrier),
+                       t_end, h_target, snapshot_dt)
     if "density" in pipeline or "kernel_checks" in pipeline:
         params = kernel_params_from_config(cfg.get("kernels"), barrier, seed)
     if "regularize" in pipeline:

@@ -115,6 +115,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "kappa" in err and "r_S/c1" in err
 
+    def test_stiff_translator_exits_3(self, tmp_path, capsys):
+        """A translator the march cannot finish within its step cap fails
+        as a numerical failure instead of running for a minute."""
+        cfg = {"name": "stiff_translator", "barrier": None,
+               "regularize": {"R0": 1000, "epsilon": 0.5},
+               "pipeline": ["regularize"]}
+        p = tmp_path / "stiff.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "translator march stalled" in err and "Traceback" not in err
+
     def test_malformed_config_exits_2(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -173,6 +185,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"flow.{key} must be finite" in err
         assert "Traceback" not in err
+
+    def test_flow_block_with_unbounded_work_exits_2(self, tmp_path, capsys):
+        """An h_target that lets the run end only after about 6e10
+        vertex-steps is refused before the artifact directory is made."""
+        cfg = {"name": "bad_flow", "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": 1.0, "n": 8},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005,
+                        "h_target": 1e-4}}
+        p = tmp_path / "bad_flow.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "raise flow.h_target or lower flow.t_end" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("block, key", [("flow", "cfl"),
                                             ("flow", "pop_threshold"),

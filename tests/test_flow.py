@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -555,6 +556,25 @@ class TestImplicitClosedStep:
             run(CurveState([Component(pts, closed=True)]), t_end=0.01,
                 h_target=0.1, snapshot_dt=0.005)
 
+    @pytest.mark.parametrize("barrier, h_target", [
+        (None, 1e-4),  # implicit: 1.2e5 vertices times 5e5 steps of 2e-8
+        (Circle((0.0, 0.0), 4.0), 5e-4)])  # explicit: 1.1e4 times 4e5
+    def test_run_refuses_unbounded_work(self, monkeypatch, barrier, h_target):
+        """A small h_target that passes ``check_run_params`` is refused
+        before the first step, in well under a second, when vertices times
+        steps exceeds the work bound."""
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(flow, "step", no_step)
+        initial = circle_curve(n=8) if barrier is None \
+            else CurveState([_orthogonal_arc(4.0, 1.0, 16)])
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="vertex-steps, more than 1e"):
+            run(initial, t_end=0.01, h_target=h_target, snapshot_dt=0.005,
+                barrier=barrier)
+        assert time.perf_counter() - start < 1.0
+
 
 def _dense_open_step(comp, dt, S):
     """Reference for an open chain's implicit step: a dense solve per frame
@@ -920,6 +940,23 @@ class TestPop:
         (piece,) = st2.components
         assert not piece.closed and len(piece.points) == 9
         assert piece.on_s.nonzero()[0].tolist() == [0, 8]
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (30.0, -20.0)])
+    @pytest.mark.parametrize("n", [64, 256, 512, 1024])
+    def test_concentric_ring_pops_once(self, center, n):
+        """A ring of radius 1.003 around the outside unit circle has equal
+        depths up to rounding, whose noise makes no minimum: it pops once,
+        at vertex 0, and leaves one open chain."""
+        Sc = Circle(center, 1.0, omega_side="outside")
+        st = circle_curve(center=center, radius=1.003, n=n)
+        depth = Sc.omega_signed(st.components[0].points)
+        assert np.ptp(depth) > 0.0  # the rounding noise is there
+        st2, events = detect_and_pop(CurveState(st.components, 0.0, Sc))
+        assert [e.kind for e in events] == ["Pop"]
+        np.testing.assert_array_equal(
+            events[0].location, Sc.project(st.components[0].points[:1])[0])
+        (piece,) = st2.components
+        assert not piece.closed and len(piece.points) == n + 1
 
     @pytest.mark.parametrize("height, pops", [(0.001, 0), (-0.001, 1)],
                              ids=["above", "below"])

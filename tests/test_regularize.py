@@ -1,7 +1,12 @@
+import sys
+import time
+from array import array
+
 import numpy as np
 import pytest
 
-from fbmcf.errors import FbmcfError, OutOfRange
+from fbmcf import regularize
+from fbmcf.errors import FbmcfError, OutOfRange, StiffnessFailure
 from fbmcf.regularize import (
     i_epsilon, i_epsilon_of_table, meridian_polyline, slab_mass,
     solve_translator_profile, translate_slices,
@@ -74,6 +79,70 @@ class TestSolve:
         za = np.linspace(0.0, pa.z_max, 2001)
         assert np.abs(pb.radius_at(2.0 * za)
                       - 2.0 * pa.radius_at(za)).max() <= 1e-6
+
+    def test_stiff_march_stops_typed(self):
+        """At R0 = 1000 the branch is stiff (w' has slope about -r/eps^2
+        in w), so an explicit march needs millions of steps: it is refused
+        at the step cap instead of running for a minute."""
+        start = time.perf_counter()
+        with pytest.raises(StiffnessFailure, match="after 100000 steps"):
+            solve_translator_profile(0.5, 1000.0)
+        assert time.perf_counter() - start < 30.0
+
+
+def rk45_oracle(eps):
+    """The translator solve at R0 = 1 as scipy's ``solve_ivp`` does it:
+    accepted step count and (r, z, w, z_max) on the same 48,000 radii."""
+    from scipy.integrate import solve_ivp
+
+    R0 = 1.0
+    r0 = max(1e-7 * R0, 1e-5 * eps)
+    w0 = -r0 / (2.0 * eps) - r0 ** 3 / (32.0 * eps ** 3)
+    z0 = -r0 ** 2 / (4.0 * eps)
+
+    def rhs(r, y):
+        w = float(y[0])
+        return np.array([-(w ** 3 + w) / r - (w * w + 1.0) / eps, w])
+
+    blow = lambda r, y: y[0] + 1e6
+    blow.terminal = True
+    blow.direction = -1
+    sol = solve_ivp(rhs, (r0, R0), [w0, z0], method="RK45", rtol=1e-11,
+                    atol=1e-13, dense_output=True, events=[blow])
+    assert sol.success and sol.t[-1] == R0
+    z_max = -sol.y[1][-1]
+    r = np.linspace(r0, R0, 48000)
+    w, z = sol.sol(r)
+    return len(sol.t) - 1, r, z + z_max, w, z_max
+
+
+class TestMarch:
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_matches_rk45(self, eps, monkeypatch):
+        """As many accepted steps as scipy's RK45, and the same profile to
+        1e-12 of each quantity's scale."""
+        tables = []
+
+        def recorded(typecode):  # the march's table: per accepted step
+            tables.append(array(typecode))  # t, h, w, z, 7 w' and 7 w
+            return tables[-1]
+
+        monkeypatch.setattr(regularize, "array", recorded)
+        p = solve_translator_profile(eps, 1.0)
+        steps, r, z, w, z_max = rk45_oracle(eps)
+        assert [len(table) for table in tables] == [18 * steps]
+        for mine, ref in ((p.r, r), (p.z, z), (p.w, w)):
+            assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert abs(p.z_max - z_max) <= 1e-12 * z_max
+
+    def test_rtol_floor(self):
+        """rtol is raised to 100 machine epsilons, as scipy's RK45 does."""
+        low = solve_translator_profile(0.2, 1.0, tolerances=(1e-20, 1e-22))
+        floor = solve_translator_profile(
+            0.2, 1.0, tolerances=(100 * sys.float_info.epsilon, 1e-22))
+        for key in ("r", "z", "w", "area"):
+            assert np.array_equal(getattr(low, key), getattr(floor, key))
+        assert low.z_max == floor.z_max
 
 
 class TestWeightedArea:
