@@ -40,7 +40,8 @@ from operator import mul
 
 import numpy as np
 
-from .errors import FbmcfError, OutOfRange, ShootingFailure, StiffnessFailure
+from .errors import (ConfigError, FbmcfError, OutOfRange, ShootingFailure,
+                     StiffnessFailure)
 
 
 @dataclass
@@ -92,6 +93,24 @@ class TranslatorProfile:
 _MAX_STEPS = 100_000
 
 
+def check_translator_params(epsilon, R0):
+    """Raise ConfigError unless eps^3 and r0^3 are normal floats, where
+    r0 = max(1e-7 R0, 1e-5 eps) is the radius the march starts from (the
+    closure asymptote there divides by eps^3 and cubes r0); returns r0."""
+    r0 = max(1e-7 * float(R0), 1e-5 * float(epsilon))
+    for what, value in (("epsilon", float(epsilon)), ("start radius", r0)):
+        try:
+            cube = value ** 3
+        except OverflowError:
+            cube = math.inf
+        if not sys.float_info.min <= cube <= sys.float_info.max:
+            raise ConfigError(
+                f"regularize: epsilon {epsilon!r} with R0 {R0!r} has no "
+                f"representable start: the cube of the {what} {value!r} is "
+                "not a normal float")
+    return r0
+
+
 def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
     """Integrate the axis-regular translator branch out to radius R0.
 
@@ -107,21 +126,22 @@ def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
     at height zero, and the area element 2 pi r sqrt(1 + w^2) dr is summed
     along the radii by the trapezoid rule.
 
-    Raises ShootingFailure if w = dz/dr reaches -1e6, and StiffnessFailure
-    if a step falls below 10 ulps of r or the march attempts more than
-    ``_MAX_STEPS`` steps.
+    Raises ConfigError when ``check_translator_params`` finds no
+    representable start, ShootingFailure if w = dz/dr reaches -1e6, and
+    StiffnessFailure if a step falls below 10 ulps of r or the march
+    attempts more than ``_MAX_STEPS`` steps.
     """
-    from scipy.integrate import RK45  # its tableau only; slow to load
-
     if not (0.0 < epsilon <= R0 / 2.0):
         raise ValueError("need 0 < epsilon <= R0 / 2")
+    r0 = check_translator_params(epsilon, R0)
+    from scipy.integrate import RK45  # its tableau only; slow to load
+
     eps, R0 = float(epsilon), float(R0)
     rtol = max(float(tolerances[0]), 100.0 * sys.float_info.epsilon)
     atol = float(tolerances[1])
     A, B, C, E = (getattr(RK45, k).tolist() for k in "ABCE")
     expo = -1.0 / (RK45.error_estimator_order + 1)
 
-    r0 = max(1e-7 * R0, 1e-5 * eps)
     w0 = -r0 / (2.0 * eps) - r0 ** 3 / (32.0 * eps ** 3)
     z0 = -r0 ** 2 / (4.0 * eps)  # height relative to the axis point on top
 

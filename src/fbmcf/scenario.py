@@ -12,6 +12,7 @@ import hashlib
 import json
 import numbers
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -295,6 +296,8 @@ def run_scenario(config_path, out_dir=None, seed=None):
 
     Environment variable FBMCF_SEED (or the ``seed`` argument) overrides the
     config seed.  Every written file lands in the manifest with its hash.
+    A run that raises removes the artifact directory if this call made it;
+    a directory that was there before keeps its files.
     """
     cfg = load_config(config_path)
     name = cfg["name"]
@@ -326,96 +329,106 @@ def run_scenario(config_path, out_dir=None, seed=None):
         eps, R0 = rc.get("epsilon", 0.05), rc.get("R0", 1.0)
         if not eps <= R0 / 2.0:
             raise ConfigError("regularize.epsilon must be at most R0 / 2")
+        from .regularize import check_translator_params
+        check_translator_params(eps, R0)
 
     out_root = out_dir or cfg.get("out", "out")
     art_dir = os.path.join(out_root, name)
+    made = not os.path.exists(art_dir)
     os.makedirs(art_dir, exist_ok=True)
-    written = []
+    try:
+        written = []
 
-    def emit(fname, writer):
-        _write_atomic(os.path.join(art_dir, fname), writer)
-        written.append(fname)
+        def emit(fname, writer):
+            _write_atomic(os.path.join(art_dir, fname), writer)
+            written.append(fname)
 
-    history = None
-    if runs_flow:
-        history = run(initial, t_end=t_end, h_target=h_target,
-                      snapshot_dt=snapshot_dt,
-                      vanish_length=vanish_length,
-                      barrier=barrier,
-                      config_echo={"name": name, "seed": seed,
-                                   "barrier": barrier_to_config(barrier)})
-        emit("history.jsonl", history.to_jsonl)
-        emit("summary.csv", history.write_summary_csv)
-        if history.events:
-            emit("events.json",
-                 _json_writer([e.to_dict() for e in history.events]))
+        history = None
+        if runs_flow:
+            history = run(initial, t_end=t_end, h_target=h_target,
+                          snapshot_dt=snapshot_dt,
+                          vanish_length=vanish_length,
+                          barrier=barrier,
+                          config_echo={"name": name, "seed": seed,
+                                       "barrier": barrier_to_config(barrier)})
+            emit("history.jsonl", history.to_jsonl)
+            emit("summary.csv", history.write_summary_csv)
+            if history.events:
+                emit("events.json",
+                     _json_writer([e.to_dict() for e in history.events]))
 
-    if "density" in pipeline:
-        from .density import monotonicity_report
-        dc = cfg.get("density", {})
-        radii = dc.get("radii", [0.4, 0.2, 0.1, 0.05])
-        rep = monotonicity_report(history, barrier, dc["center"], params,
-                                  radii)
-        emit("density_profile.csv", rep.write_csv)
+        if "density" in pipeline:
+            from .density import monotonicity_report
+            dc = cfg.get("density", {})
+            radii = dc.get("radii", [0.4, 0.2, 0.1, 0.05])
+            rep = monotonicity_report(history, barrier, dc["center"], params,
+                                      radii)
+            emit("density_profile.csv", rep.write_csv)
 
-        emit("density_report.json", _json_writer(rep.to_dict()))
+            emit("density_report.json", _json_writer(rep.to_dict()))
 
-    if "tangent" in pipeline:
-        from .tangent import extract_tangent_flow
-        tc = cfg.get("tangent", {})
-        lambdas = tc.get("lambdas", [0.5, 0.4, 0.3])
-        _, rep = extract_tangent_flow(history, tc["center"], lambdas,
-                                      tol=tc.get("tol", 1e-3),
-                                      mesh_h=cfg.get("flow", {}).get("h_target"))
-        emit("tangent_report.json", _json_writer({
-            "lambdas": rep.lambdas,
-            "hausdorff_gaps": rep.hausdorff_gaps,
-            "residuals": rep.residuals,
-            "converged": rep.converged,
-            "floor_hit": rep.floor_hit,
-            "limit_slice": [c.points.tolist()
-                            for c in rep.limit_slice.components],
-        }))
+        if "tangent" in pipeline:
+            from .tangent import extract_tangent_flow
+            tc = cfg.get("tangent", {})
+            lambdas = tc.get("lambdas", [0.5, 0.4, 0.3])
+            _, rep = extract_tangent_flow(
+                history, tc["center"], lambdas, tol=tc.get("tol", 1e-3),
+                mesh_h=cfg.get("flow", {}).get("h_target"))
+            emit("tangent_report.json", _json_writer({
+                "lambdas": rep.lambdas,
+                "hausdorff_gaps": rep.hausdorff_gaps,
+                "residuals": rep.residuals,
+                "converged": rep.converged,
+                "floor_hit": rep.floor_hit,
+                "limit_slice": [c.points.tolist()
+                                for c in rep.limit_slice.components],
+            }))
 
-    if "varifold_checks" in pipeline:
-        from .varifold import (DiscreteVarifold, certify_free_boundary,
-                               tangential_family)
-        vc = cfg.get("varifold", {})
-        V = DiscreteVarifold.from_polyline(
-            np.asarray(vc["vertices"], dtype=float),
-            closed=vc.get("closed", False),
-            multiplicity=vc.get("multiplicity", 1))
-        fields = tangential_family(barrier, n_fields=vc.get("n_fields", 40),
-                                   seed=seed)
-        rep = certify_free_boundary(V, barrier, fields,
-                                    tol=vc.get("tol"))
-        emit("varifold_report.json", _json_writer({
-            "residual": rep.residual,
-            "fitted_H": rep.fitted_curvature.tolist(),
-            "is_free_boundary": rep.is_free_boundary,
-        }))
+        if "varifold_checks" in pipeline:
+            from .varifold import (DiscreteVarifold, certify_free_boundary,
+                                   tangential_family)
+            vc = cfg.get("varifold", {})
+            V = DiscreteVarifold.from_polyline(
+                np.asarray(vc["vertices"], dtype=float),
+                closed=vc.get("closed", False),
+                multiplicity=vc.get("multiplicity", 1))
+            fields = tangential_family(
+                barrier, n_fields=vc.get("n_fields", 40), seed=seed)
+            rep = certify_free_boundary(V, barrier, fields,
+                                        tol=vc.get("tol"))
+            emit("varifold_report.json", _json_writer({
+                "residual": rep.residual,
+                "fitted_H": rep.fitted_curvature.tolist(),
+                "is_free_boundary": rep.is_free_boundary,
+            }))
 
-    if "kernel_checks" in pipeline:
-        kc = cfg.get("kernel_checks", {})
-        samples = sample_heat_operator_cases(
-            barrier, params, n_samples=kc.get("n_samples", 1000), seed=seed)
-        emit("heat_operator_samples.csv",
-             lambda p: write_heat_operator_csv(samples, p))
+        if "kernel_checks" in pipeline:
+            kc = cfg.get("kernel_checks", {})
+            samples = sample_heat_operator_cases(
+                barrier, params, n_samples=kc.get("n_samples", 1000),
+                seed=seed)
+            emit("heat_operator_samples.csv",
+                 lambda p: write_heat_operator_csv(samples, p))
 
-    if "regularize" in pipeline:
-        from .regularize import (solve_translator_profile, write_profile_csv,
-                                 write_slices_csv)
-        prof = solve_translator_profile(
-            eps, R0, tolerances=tuple(rc.get("tol", (1e-11, 1e-13))))
-        emit("profile.csv", lambda p: write_profile_csv(prof, p))
-        t_grid = np.linspace(0.0, rc.get("t_max", 0.4), 81)
-        emit("slices.csv", lambda p: write_slices_csv(prof, t_grid, p))
+        if "regularize" in pipeline:
+            from .regularize import (solve_translator_profile,
+                                     write_profile_csv, write_slices_csv)
+            prof = solve_translator_profile(
+                eps, R0, tolerances=tuple(rc.get("tol", (1e-11, 1e-13))))
+            emit("profile.csv", lambda p: write_profile_csv(prof, p))
+            t_grid = np.linspace(0.0, rc.get("t_max", 0.4), 81)
+            emit("slices.csv", lambda p: write_slices_csv(prof, t_grid, p))
 
-    manifest = {
-        "scenario": name,
-        "seed": seed,
-        "files": {f: _sha256(os.path.join(art_dir, f)) for f in sorted(written)},
-    }
-    _write_atomic(os.path.join(art_dir, "manifest.json"),
-                  _json_writer(manifest))
+        manifest = {
+            "scenario": name,
+            "seed": seed,
+            "files": {f: _sha256(os.path.join(art_dir, f))
+                      for f in sorted(written)},
+        }
+        _write_atomic(os.path.join(art_dir, "manifest.json"),
+                      _json_writer(manifest))
+    except BaseException:
+        if made:
+            shutil.rmtree(art_dir, ignore_errors=True)
+        raise
     return art_dir

@@ -3,19 +3,20 @@ reflection doubling, and the two-radius boundary monotonicity identity.
 
 A varifold here is a weighted collection of straight segments (usually the
 edges of one or more polylines, with integer multiplicities).  Its first
-variation against a C^1 field X is
+variation against a C^1 field X is exact from X's values at the vertices:
 
-    delta V(X) = sum_segments  mult * int_segment <D_e X, e> dl,
+    delta V(X) = sum_segments  mult * int_segment <D_e X, e> dl
+               = sum_segments  mult * e . (X(end) - X(start)),
 
-computed by fixed-order Gauss-Legendre quadrature per segment
-(``segment_quadrature``, which density integrals and the flow's dissipation
-check share).  The polyline type ``Component`` is the same one the flow
-evolves, so a flow slice is a varifold without conversion.  The atomic
-decomposition of delta V -- turning vectors at interior vertices, conormals
-at chain endpoints -- is what the boundary monotonicity identity pairs
-against, which makes that identity exact for polylines up to quadrature.
-The turning is also the flow's stencil: over the lumped vertex mass it is
-the curvature vector H = turning / mass (``turning_and_mass``).
+since <D_e X, e> is the derivative of e . X along a segment of direction e.
+By vertex, the sum is the atomic decomposition -- turning vectors at
+interior vertices, conormals at chain endpoints -- that the boundary
+monotonicity identity also pairs against.  Integrals over segments go by
+fixed-order Gauss-Legendre quadrature (``segment_quadrature``, shared by
+the free-boundary fit, density integrals and the dissipation check).  The
+polyline type ``Component`` is the one the flow evolves, so a flow slice is
+a varifold without conversion.  Over the lumped vertex mass the turning is
+the flow's curvature vector H = turning / mass (``turning_and_mass``).
 """
 
 from __future__ import annotations
@@ -238,27 +239,11 @@ class FreeBoundaryReport:
 
 
 def first_variation(V: DiscreteVarifold, X):
-    """delta V(X) = int div_V X dmu by per-segment Gauss-Legendre quadrature.
-
-    Orders 8 and 16 are evaluated, and the order-16 value is accepted when
-    the two agree to 1e-10 relative to the mass; otherwise order 32 is used.
-    """
-    segments = V.segments()
-    val = _first_variation_at_order(segments, X, 8)
-    val2 = _first_variation_at_order(segments, X, 16)
-    if abs(val2 - val) > 1e-10 * (1.0 + V.total_mass):
-        return _first_variation_at_order(segments, X, 32)
-    return val2
-
-
-def _first_variation_at_order(segments, X, order):
-    starts, ends, mult = segments
-    pts, L, weights = segment_quadrature(starts, ends, order)
-    e = (ends - starts) / L[:, None]
-    jac = X.jacobian(pts.reshape(-1, 2)).reshape(len(L), order, 2, 2)
-    div = np.einsum("ka,kqab,kb->kq", e, jac, e)
-    integrals = 0.5 * L * (div @ weights)
-    return float(np.sum(mult * integrals))
+    """delta V(X) = int div_V X dmu = - sum vectors . X(positions) over the
+    atoms, exact for a polygonal varifold (Buet, Leonardi & Masnou, ARMA
+    226, 2017); it takes X's values at the vertices, never its Jacobian."""
+    pos, vec = V.atoms()
+    return -float(np.sum(np.vecdot(vec, X.value(pos))))
 
 
 def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None):
@@ -270,9 +255,10 @@ def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None):
     the fit can explain: conormal atoms that are not barrier-normal leave a
     residual no segment-constant field can absorb.
 
-    Order-8 Gauss-Legendre quadrature evaluates every field.  Singular
-    directions the family senses at below 1e-3 of the leading scale are
-    excluded from the fit (they carry no information and would
+    Order-8 Gauss-Legendre nodes give every field's segment integrals and
+    its C^1 norm; ``first_variation`` takes its values at the vertices.
+    Singular directions the family senses at below 1e-3 of the leading
+    scale are excluded from the fit (they carry no information and would
     otherwise amplify quadrature noise into the recovered curvature).
     """
     if tol is None:
@@ -287,11 +273,13 @@ def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None):
     b = np.empty(len(fields))
     norms = np.empty(len(fields))
     for i, X in enumerate(fields):
-        vals = X.value(pts).reshape(nseg, order, 2)
-        seg_int = 0.5 * L[:, None] * np.einsum("kqc,q->kc", vals, weights)
+        vals = X.value(pts)
+        seg_int = 0.5 * L[:, None] * np.einsum(
+            "kqc,q->kc", vals.reshape(nseg, order, 2), weights)
         A[i] = (-mult[:, None] * seg_int).reshape(-1)
         b[i] = first_variation(V, X)
-        norms[i] = X.c1_norm(pts)
+        # X.c1_norm(pts), from the values already in hand
+        norms[i] = np.abs(vals).max() + np.abs(X.jacobian(pts)).max()
 
     rank = np.linalg.matrix_rank(A, tol=1e-12 * max(1.0, np.abs(A).max()))
     if rank < min(len(fields), 2 * nseg) // 4 + 1:

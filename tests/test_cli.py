@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fbmcf.cli import main
+from fbmcf.errors import ConfigError
 from fbmcf.flow import HISTORY_FORMAT, FlowHistory
 from fbmcf.scenario import _write_atomic, load_config, run_scenario
 
@@ -126,6 +127,53 @@ class TestRun:
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "translator march stalled" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_stage_removes_only_a_directory_it_made(self, tmp_path,
+                                                           existing):
+        """A stage that fails (exit 3) takes the artifact directory with it
+        when the run made it; one that was there keeps its files."""
+        cfg = {"name": "stiff_translator", "barrier": None,
+               "regularize": {"R0": 1000, "epsilon": 0.5},
+               "pipeline": ["regularize"]}
+        p = tmp_path / "stiff.json"
+        p.write_text(json.dumps(cfg))
+        art = tmp_path / "out" / "stiff_translator"
+        if existing:
+            art.mkdir(parents=True)
+            (art / "notes.txt").write_text("kept")
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+        if existing:
+            assert [f.name for f in art.iterdir()] == ["notes.txt"]
+            assert (art / "notes.txt").read_text() == "kept"
+        else:
+            assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("block", [
+        {"epsilon": 1e-300}, {"R0": 1e300, "epsilon": 1e150}],
+        ids=["eps_cube_underflows", "cubes_overflow"])
+    def test_unrepresentable_translator_start_exits_2(self, tmp_path, capsys,
+                                                      block):
+        """Refused with one line before the artifact directory is made."""
+        cfg = {"name": "tiny_eps", "barrier": None, "regularize": block,
+               "pipeline": ["regularize"]}
+        p = tmp_path / "tiny_eps.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no representable start" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_scenario_refuses_unrepresentable_translator_start(
+            self, tmp_path):
+        cfg = {"name": "tiny_eps", "barrier": None,
+               "regularize": {"epsilon": 1e-300}, "pipeline": ["regularize"]}
+        p = tmp_path / "tiny_eps.json"
+        p.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match="cube of the epsilon"):
+            run_scenario(str(p), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_exits_2(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -558,9 +606,9 @@ class TestAtomicWrites:
         p.write_text(json.dumps(cfg))
         with pytest.raises(RuntimeError):
             run_scenario(str(p), str(tmp_path / "out"))
-        # written before the failure: history; after it: nothing
-        assert [f.name for f in (tmp_path / "out" / "tiny").iterdir()] \
-            == ["history.jsonl"]
+        # the history written before the failure goes with the directory
+        # the run made
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestVerify:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fbmcf import regularize
-from fbmcf.errors import FbmcfError, OutOfRange, StiffnessFailure
+from fbmcf.errors import (ConfigError, FbmcfError, OutOfRange,
+                          StiffnessFailure)
 from fbmcf.regularize import (
     i_epsilon, i_epsilon_of_table, meridian_polyline, slab_mass,
     solve_translator_profile, translate_slices,
@@ -62,6 +63,21 @@ class TestSolve:
     def test_epsilon_range_enforced(self):
         with pytest.raises(ValueError):
             solve_translator_profile(0.6, 1.0)
+
+    @pytest.mark.parametrize("eps, R0, what", [
+        (1e-300, 1.0, "epsilon"), (1e150, 1e300, "epsilon"),
+        (1.0, 1e110, "start radius"), (1e-99, 1e-98, "start radius")])
+    def test_unrepresentable_start_is_a_config_error(self, eps, R0, what):
+        """eps^3 or r0^3 outside the normal floats (it underflows or
+        overflows) is refused before the march, with a typed error."""
+        with pytest.raises(ConfigError, match=f"cube of the {what} "):
+            solve_translator_profile(eps, R0)
+        with pytest.raises(ConfigError, match=f"cube of the {what} "):
+            regularize.check_translator_params(eps, R0)
+
+    def test_representable_start_returns_the_start_radius(self):
+        assert regularize.check_translator_params(0.05, 1.0) == 1e-5 * 0.05
+        assert regularize.check_translator_params(1e-3, 1.0) == 1e-7
 
     def test_residual_refines_with_tolerance(self):
         res = {}
