@@ -109,8 +109,6 @@ def _cmd_density(args):
         raise ConfigError("history carries no barrier; reflected densities "
                           "need one")
     history.barrier = barrier
-    for s in history.snapshots:
-        s.barrier = barrier
     params = KernelParams.for_barrier(barrier, kappa=args.kappa)
     rep = monotonicity_report(history, barrier, (x, y, t), params, radii)
     print(json.dumps(rep.to_dict(), sort_keys=True, indent=1))

@@ -17,6 +17,15 @@ keeps its values on the ``FlowHistory``, keyed by the barrier object, the
 them at ``_DENSITY_MEMO_CAP`` entries.  So ``density_at_point``,
 ``classify_regular`` and ``monotonicity_report`` at one centre and the same
 radii integrate each slice once between them.
+
+Each centre takes one kernel pass: ``density_at_point`` and
+``monotonicity_report`` first integrate every radius the memo lacks in one
+``reflected_truncated_kernel`` call over the stacked slices (a call per
+group of about ``flow._SCAN_BLOCK`` quadrature points when the radii are
+many, or their slices' segment counts differ), then read each value through
+``reflected_density``, which stays the one-radius entry point and
+integrates on its own whatever the pass left out.  ``_branch`` alone picks
+the kernel a centre integrates, for both.
 """
 
 from __future__ import annotations
@@ -27,9 +36,9 @@ import numpy as np
 
 from .barrier import Barrier
 from .errors import InadmissibleRadius, KappaTooLarge, NoFiniteA, OutOfHistory
-from .flow import FlowHistory, state_ball_mass
+from .flow import _SCAN_BLOCK, FlowHistory, state_ball_mass
 from .kernels import KernelParams, cutoff, heat_kernel, reflected_truncated_kernel
-from .varifold import integrate_slice
+from .varifold import integrate_slice, segment_quadrature
 
 
 def gaussian_density(history: FlowHistory, X0, r):
@@ -66,13 +75,8 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
     """
     x0 = np.asarray(X0[:2], dtype=float)
     t0 = float(X0[2])
-    bound = S.global_reflection_scale() / params.c1
-    if params.kappa > bound * (1 + 1e-12):
-        raise KappaTooLarge(
-            f"kappa={params.kappa:.6g} exceeds the admissible bound {bound:.6g}")
-    t_start = history.times[0]
-    # written so that a NaN r fails it too
-    if not (r > 0 and r * r <= min(params.tau0, t0 - t_start) * (1 + 1e-9)):
+    _check_kappa(S, params)
+    if not _admissible(history, t0, r, params):
         raise InadmissibleRadius(
             f"need r^2 <= min(tau0, t0 - t_start); got r={r:.6g}")
     coords = np.array([x0[0], x0[1], t0, r], dtype=float)
@@ -81,7 +85,7 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
     if key in memo:
         return memo[key]
     state = history.slice_at(t0 - r * r)
-    d0 = float(S.distance(x0))
+    branch = _branch(S, x0, params)
 
     def near(p):
         return reflected_truncated_kernel(S, np.concatenate([x0, [t0]]),
@@ -91,21 +95,117 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
         rel = p - x0
         return cutoff(rel, -r * r, params) * heat_kernel(rel, -r * r)
 
-    if abs(d0 - params.kappa / 10.0) <= 1e-6 * params.kappa:
+    if branch == "both":
         theta = integrate_slice(state, near)
         b = integrate_slice(state, interior)
         if abs(theta - b) > 1e-4 * max(1.0, abs(theta)):
             raise InadmissibleRadius(
                 "density branches disagree at the switch distance")
-    elif d0 <= params.kappa / 10.0:
+    elif branch == "near":
         theta = integrate_slice(state, near)
     else:
         theta = integrate_slice(state, interior)
     if not np.isnan(coords).any():
-        if len(memo) >= _DENSITY_MEMO_CAP:
-            memo.clear()
-        memo[key] = theta
+        _keep(memo, key, theta)
     return theta
+
+
+def _check_kappa(S: Barrier, params: KernelParams):
+    """Raise KappaTooLarge when kappa exceeds the barrier's admissible
+    bound, its global reflection scale over c1."""
+    bound = S.global_reflection_scale() / params.c1
+    if params.kappa > bound * (1 + 1e-12):
+        raise KappaTooLarge(
+            f"kappa={params.kappa:.6g} exceeds the admissible bound {bound:.6g}")
+
+
+def _branch(S: Barrier, x0, params: KernelParams):
+    """The kernel the density at centre x0 integrates: "near", the reflected
+    truncated kernel, within the switch distance kappa / 10 of the barrier;
+    "interior", the truncated kernel alone, farther inside; and "both",
+    compared, within 1e-6 kappa of the switch distance."""
+    d0 = float(S.distance(x0))
+    if abs(d0 - params.kappa / 10.0) <= 1e-6 * params.kappa:
+        return "both"
+    return "near" if d0 <= params.kappa / 10.0 else "interior"
+
+
+def _admissible(history, t0, r, params):
+    # written so that a NaN r fails it too
+    return bool(r > 0 and r * r <= min(params.tau0, t0 - history.times[0])
+                * (1 + 1e-9))
+
+
+def _keep(memo, key, theta):
+    if len(memo) >= _DENSITY_MEMO_CAP:
+        memo.clear()
+    memo[key] = theta
+
+
+def _integrate_radii(history: FlowHistory, S: Barrier, X0, radii,
+                     params: KernelParams):
+    """Keep in the memo the densities at X0 that ``reflected_density`` would
+    integrate with the reflected truncated kernel (``_branch`` "near") and
+    has not kept yet, with the bits of its one-radius integration.
+
+    Consecutive radii whose slices have one segment count form a group of
+    at most ``_SCAN_BLOCK`` quadrature points (or one radius), which takes
+    one ``segment_quadrature`` and one ``reflected_truncated_kernel`` call:
+    the slices' order-8 points stacked (radii, points, 2) against the times
+    (radii, 1), each component of each slice summed as ``integrate_slice``
+    sums it.  Radii that ``reflected_density`` would refuse or whose slice
+    is out of history are left to it, as is every radius when fewer than
+    two remain or when the centre takes another branch.  Raises
+    KappaTooLarge as ``reflected_density`` would on the first radius.
+    """
+    x0 = np.asarray(X0[:2], dtype=float)
+    t0 = float(X0[2])
+    memo = history._densities
+    pending = []  # (r, memo key) of the radii left to integrate
+    for r in radii:
+        key = (S, params, np.array([x0[0], x0[1], t0, r], float).tobytes())
+        if key not in memo and _admissible(history, t0, r, params):
+            pending.append((r, key))
+    if len(pending) < 2 or not np.isfinite([*x0, t0]).all():
+        return
+    _check_kappa(S, params)
+    if _branch(S, x0, params) != "near":
+        return
+    centre = np.concatenate([x0, [t0]])
+    group, n_seg = [], 0  # (key, t, components with a segment) of one count
+    for r, key in pending:
+        try:
+            state = history.slice_at(t0 - r * r)
+        except OutOfHistory:
+            continue
+        comps = [c for c in state.components if len(c.points) > 1]
+        n = sum(len(c.points) - (not c.closed) for c in comps)
+        if group and (n != n_seg or 8 * n * (len(group) + 1) > _SCAN_BLOCK):
+            _integrate_group(S, centre, group, params, memo)
+            group = []
+        if n > 0:
+            group.append((key, t0 - r * r, comps))
+            n_seg = n
+    if group:
+        _integrate_group(S, centre, group, params, memo)
+
+
+def _integrate_group(S, centre, group, params, memo):
+    """The memo entries of ``_integrate_radii`` for one group of slices."""
+    chains = [c for _, _, comps in group for c in comps]
+    pts, L, weights = segment_quadrature(
+        *map(np.concatenate, zip(*(c.segments() for c in chains))), 8)
+    vals = reflected_truncated_kernel(
+        S, centre, pts.reshape(len(group), -1, 2),
+        np.array([[t] for _, t, _ in group]), params).reshape(-1, 8)
+    start = 0
+    for key, _, comps in group:
+        theta = 0.0
+        for c in comps:
+            rows = slice(start, start + len(c.points) - (not c.closed))
+            theta += float(np.sum(0.5 * L[rows] * (vals[rows] @ weights)))
+            start = rows.stop
+        _keep(memo, key, theta)
 
 
 @dataclass
@@ -156,6 +256,7 @@ def monotonicity_report(history: FlowHistory, S: Barrier, X0,
     radii = np.sort(np.asarray(radius_grid, dtype=float))
     x0 = np.asarray(X0[:2], dtype=float)
     t0 = float(X0[2])
+    _integrate_radii(history, S, X0, radii, params)
     thetas = np.array([reflected_density(history, S, X0, r, params)
                        for r in radii])
     M = _mass_bound(history, x0, t0, params)
@@ -228,6 +329,8 @@ def density_at_point(history: FlowHistory, S, X0, params=None, radii=None):
         r0 = 0.75 * np.sqrt(tau_cap)
         radii = r0 * 0.5 ** np.arange(4)
     radii = np.asarray(radii, dtype=float)
+    if S is not None:
+        _integrate_radii(history, S, X0, radii, params)
     thetas = []
     used = []
     for r in radii:

@@ -55,16 +55,24 @@ crossing band.  Any other state builds a k-d tree of the segment midpoints
 and tests the pairs within one longest segment, so its time grows as
 M log M and its memory as M while the lengths stay comparable, as
 remeshing keeps them.
+
+A run's snapshots go into a ``FlowHistory`` as columns: one read-only
+coordinate array and one flag array over every vertex of every snapshot,
+with offsets per component and per snapshot.  Slices, summaries, the mass
+scan, parabolic rescaling and the file layout ``fbmcf-history/3`` (one
+base64 block of coordinates and the flagged vertex indices per snapshot)
+work on the columns; ``snapshots`` are views of them, built on demand.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 import math
 import numbers
 import sys
-from dataclasses import FrozenInstanceError, dataclass, field
+from collections.abc import Sequence
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,7 +81,8 @@ from .barrier import Barrier, norm2, norm2_sq
 from .errors import (ConfigError, GraphFailure, InadmissibleTestFunction,
                      OutOfHistory, StepTooLarge)
 from .varifold import (Component, DiscreteVarifold, ball_mass_terms,
-                       ball_masses, integrate_slice, turning_and_mass)
+                       ball_masses, integrate_slice, lumped_mass,
+                       turning_and_mass)
 
 
 @dataclass
@@ -116,64 +125,132 @@ class FlowEvent:
 
 # the header marker of the history file layout that FlowHistory.to_jsonl
 # writes and from_jsonl reads
-HISTORY_FORMAT = "fbmcf-history/2"
+HISTORY_FORMAT = "fbmcf-history/3"
+
+# vertices a scan over a history takes in one pass (a longer snapshot goes
+# alone): it bounds the transient arrays, while a pass per snapshot would
+# repeat the per-call overhead
+_SCAN_BLOCK = 1 << 14
 
 
-def _decode_components(rec):
-    """The components of one history line; ValueError on a malformed one."""
-    points, flags, closed = rec["points"], rec["flags"], rec["closed"]
-    if not len(points) == len(flags) == len(closed):
-        raise ValueError(f"{len(points)} components with {len(flags)} flag "
-                         f"lists and {len(closed)} closed flags")
-    comps = []
-    for text, fl, cl in zip(points, flags, closed):
-        raw = base64.b64decode(text, validate=True)
-        if len(raw) % 16:
-            raise ValueError(f"{len(raw)} coordinate bytes, not a multiple "
-                             "of 16")
-        p = np.frombuffer(raw, "<f8").reshape(-1, 2)
-        if len(fl) != len(p):
-            raise ValueError(f"{len(fl)} flags for {len(p)} points")
-        if not np.isfinite(p).all():
-            raise ValueError("a non-finite coordinate")
-        comps.append(Component(p, cl, np.asarray(fl, bool)))
-    return comps
+def _offsets(counts):
+    """(len(counts) + 1,) int64 running totals from 0."""
+    return np.cumsum([0, *counts], dtype=np.int64)
 
 
-# FlowHistory attributes fixed at construction
-_KEPT = ("snapshots", "times")
+def _decode_line(rec):
+    """(t, counts, closed, flagged, coordinate bytes) of one history line;
+    ValueError on a malformed one."""
+    t, counts, closed, flagged = (rec["t"], rec["counts"], rec["closed"],
+                                  rec["flagged"])
+    if not math.isfinite(t):
+        raise ValueError(f"a snapshot at time {t}")
+    if not (isinstance(counts, list) and isinstance(closed, list)
+            and isinstance(flagged, list) and len(counts) == len(closed)):
+        raise ValueError(f"counts {counts!r} with closed flags {closed!r}")
+    raw = binascii.a2b_base64(rec["points"], strict_mode=True)
+    if len(raw) != 16 * sum(counts):
+        raise ValueError(f"{len(raw)} coordinate bytes for {sum(counts)} "
+                         "points")
+    return float(t), counts, closed, flagged, raw
 
 
-@dataclass
+class _Snapshots(Sequence):
+    """A history's snapshots (``FlowHistory._state``), each built when it is
+    first read: a length or a few reads build no more."""
+
+    def __init__(self, history):
+        self._history = history
+
+    def __len__(self):
+        return len(self._history.times)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._history._state,
+                             range(*i.indices(len(self)))))
+        return self._history._state(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._history._state, range(len(self)))
+
+
+# FlowHistory's column attributes, fixed at construction
+_COLUMNS = ("_points", "_flags", "_vertex_offsets", "_closed",
+            "_component_offsets", "times")
+_KEPT = ("snapshots",) + _COLUMNS
+
+
 class FlowHistory:
-    """Time-ordered snapshots (a tuple) plus the events between them; the
-    read-only array ``times`` of snapshot times is built at construction.
+    """Time-ordered snapshots plus the events between them, kept as columns
+    of read-only arrays:
 
-    ``snapshots`` and ``times`` cannot be reassigned or deleted afterwards
+    - ``_points`` (N, 2) and ``_flags`` (N,): the coordinates and barrier
+      flags of every vertex, snapshot after snapshot and component after
+      component;
+    - ``_vertex_offsets`` (C + 1,) and ``_closed`` (C,): where each of the C
+      components starts in them, and whether it is closed;
+    - ``_component_offsets`` (S + 1,) and ``times`` (S,): where each of the
+      S snapshots starts among the components, and its time.
+
+    Components have multiplicity one.  ``snapshots`` is a read-only
+    sequence of ``CurveState``s on the history's ``barrier`` whose
+    components are read-only views of the columns, each built when first
+    read and then kept, which measure their segments when first asked.
+    ``slice_at`` builds only the snapshots around its time, and
+    ``summary_rows``, the file layout, ``tangent.rescale`` and the mass
+    scan of ``mass_bound_check`` read the columns alone.
+
+    ``snapshots`` and the columns cannot be reassigned or deleted
     (``FrozenInstanceError``), so values computed from them and kept on the
     history, the reflected densities of ``density.reflected_density``, stay
     valid.  ``barrier`` may be reassigned: no kept value reads it.  A copy
-    or an unpickled history is built through the constructor too.
+    or an unpickled history is built from the columns again.
     """
 
-    snapshots: tuple
-    events: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-    barrier: Barrier | None = None
+    def __init__(self, snapshots, events=(), config=None, barrier=None):
+        states = tuple(snapshots)
+        comps = [c for s in states for c in s.components]
+        if any(c.multiplicity != 1 for c in comps):
+            raise ValueError("a history's components have multiplicity one")
+        columns = (
+            np.concatenate([c.points for c in comps]) if comps
+            else np.zeros((0, 2)),
+            np.concatenate([c.on_s for c in comps]) if comps
+            else np.zeros(0, bool),
+            _offsets([len(c.points) for c in comps]),
+            np.array([c.closed for c in comps], bool),
+            _offsets([len(s.components) for s in states]),
+            np.array([s.time for s in states], float))
+        self._init(columns, list(events), {} if config is None else config,
+                   barrier)
 
-    def __post_init__(self):
-        object.__setattr__(self, "snapshots", tuple(self.snapshots))
-        times = np.array([s.time for s in self.snapshots])
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
+    @classmethod
+    def _from_columns(cls, columns, events, config, barrier):
+        history = object.__new__(cls)
+        history._init(columns, events, config, barrier)
+        return history
+
+    def _init(self, columns, events, config, barrier):
+        for name, a in zip(_COLUMNS, columns):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        self.events, self.config, self.barrier = events, config, barrier
+        times = self.times
         self._dt_grid = np.diff(times).max() if len(times) > 1 else 0.0
         self._densities = {}  # see density.reflected_density
+        # the offsets, closed flags and times as Python numbers, for _state
+        self._lists = (self._component_offsets.tolist(),
+                       self._vertex_offsets.tolist(), self._closed.tolist(),
+                       times.tolist())
 
     def __setattr__(self, name, value):
-        if name in _KEPT and name in self.__dict__:
+        if name in _KEPT:
             raise FrozenInstanceError(
                 f"cannot assign to {name!r}: a FlowHistory keeps its snapshots")
         object.__setattr__(self, name, value)
+        if name == "barrier":  # built snapshots carry the old one
+            object.__setattr__(self, "_states", [None] * len(self.times))
 
     def __delattr__(self, name):
         if name in _KEPT:
@@ -182,10 +259,36 @@ class FlowHistory:
         object.__delattr__(self, name)
 
     def __reduce__(self):
-        # a copy or an unpickled history is built anew: read-only times and
+        # a copy or an unpickled history is built anew: read-only columns and
         # an empty density memo
-        return (type(self), (self.snapshots, self.events, self.config,
-                             self.barrier))
+        return (FlowHistory._from_columns,
+                (tuple(getattr(self, name) for name in _COLUMNS),
+                 self.events, self.config, self.barrier))
+
+    def _with_points(self, points, times, barrier):
+        """The same components at new coordinates and times, on barrier,
+        with no events and a copy of the config."""
+        return FlowHistory._from_columns(
+            (points, self._flags, self._vertex_offsets, self._closed,
+             self._component_offsets, times), [], dict(self.config), barrier)
+
+    @property
+    def snapshots(self):
+        return _Snapshots(self)
+
+    def _state(self, i):
+        """Snapshot i as a CurveState over views of the columns, built once
+        (for each barrier the history is given)."""
+        state = self._states[i]
+        if state is None:
+            comp, vert, closed, times = self._lists
+            points, flags = self._points, self._flags
+            state = self._states[i] = CurveState(
+                [Component._view(points[vert[k]:vert[k + 1]], closed[k],
+                                 flags[vert[k]:vert[k + 1]])
+                 for k in range(comp[i], comp[i + 1])],
+                times[i], self.barrier)
+        return state
 
     def slice_at(self, t):
         """State at time t: exact snapshot, vertexwise interpolation when the
@@ -201,11 +304,11 @@ class FlowHistory:
                                f"[{times[0]}, {times[-1]}]")
         i = int(np.argmin(np.abs(times - t)))
         if abs(times[i] - t) < 1e-12 or t < times[0] or t > times[-1]:
-            return self.snapshots[i]
+            return self._state(i)
         lo = int(np.searchsorted(times, t) - 1)
         lo = max(0, min(lo, len(times) - 2))
         hi = lo + 1
-        a, b = self.snapshots[lo], self.snapshots[hi]
+        a, b = self._state(lo), self._state(hi)
         lam = (t - times[lo]) / (times[hi] - times[lo])
         if len(a.components) != len(b.components) or any(
                 ca.closed != cb.closed
@@ -226,50 +329,90 @@ class FlowHistory:
                     flags[0] = ca.on_s[0] and cb.on_s[0]
                     flags[-1] = ca.on_s[-1] and cb.on_s[-1]
             comps.append(Component((1 - lam) * pa + lam * pb, ca.closed, flags))
-        return CurveState(comps, t, a.barrier)
+        return CurveState(comps, t, self.barrier)
 
     def events_in(self, a, b):
         return [e for e in self.events if a <= e.time <= b]
 
+    def _blocks(self):
+        """(lo, hi) ranges of consecutive snapshots whose vertices total at
+        most ``_SCAN_BLOCK`` (or one longer snapshot), covering the history."""
+        starts = self._vertex_offsets[self._component_offsets]
+        lo, n = 0, len(self.times)
+        while lo < n:
+            hi = int(np.searchsorted(starts, starts[lo] + _SCAN_BLOCK,
+                                     side="right")) - 1
+            hi = min(max(hi, lo + 1), n)
+            yield lo, hi
+            lo = hi
+
+    def _segments(self, lo, hi):
+        """Vertex indices (starts, ends) of the segments of snapshots lo to
+        hi - 1, component after component in the order of
+        ``Component.segments`` (a closed component's wrap-around segment
+        last; one vertex makes no segment), and the segment offsets of
+        their components, from 0 (one more entry than components)."""
+        ka, kb = self._component_offsets[[lo, hi]]
+        ends = self._vertex_offsets[ka:kb + 1]
+        count = np.diff(ends)
+        closed = self._closed[ka:kb] & (count > 1)
+        last = ends[1:] - 1 - ends[0]  # within the block; meaningless if empty
+        following = np.arange(ends[0] + 1, ends[-1] + 1)
+        following[last[closed]] = ends[:-1][closed]
+        has_next = np.ones(len(following), bool)
+        has_next[last[(count > 0) & ~closed]] = False
+        starts = np.flatnonzero(has_next)
+        n_seg = np.where(closed, count, np.maximum(count - 1, 0))
+        return starts + ends[0], following[starts], _offsets(n_seg)
+
     def to_jsonl(self, path):
         """A header line ``{"config": ..., "format": HISTORY_FORMAT}``, then
-        one snapshot per line: ``{"t", "points", "flags", "closed",
-        "events"}``, one entry of ``points``, ``flags`` and ``closed`` per
-        component.  A component's ``points`` is the base64 text of its
-        coordinates as little-endian float64 in row-major order (x0, y0, x1,
-        y1, ...), so every bit reads back, -0.0 included."""
+        one snapshot per line: ``{"closed", "counts", "events", "flagged",
+        "points", "t"}``.  ``counts`` and ``closed`` hold each component's
+        vertex count and closed flag, ``flagged`` the indices of the
+        snapshot's vertices on the barrier (counted over its components in
+        order), and ``points`` is the base64 text of the snapshot's
+        coordinates as little-endian float64 in row-major order (x0, y0,
+        x1, y1, ...), component after component, so every bit reads back,
+        -0.0 included."""
+        points = self._points.astype("<f8", copy=False)
+        comps, verts, closed, times = self._lists
         with open(path, "w") as f:
             f.write(json.dumps({"config": self.config,
                                 "format": HISTORY_FORMAT}, sort_keys=True)
                     + "\n")
             prev_t = -np.inf
-            for s in self.snapshots:
-                evs = [e.to_dict() for e in self.events if prev_t < e.time <= s.time]
+            for i, t in enumerate(times):
+                a, b = comps[i], comps[i + 1]
+                lo, hi = verts[a], verts[b]
                 rec = {
-                    "t": s.time,
-                    "points": [
-                        base64.b64encode(c.points.astype("<f8", copy=False)
-                                         .tobytes()).decode("ascii")
-                        for c in s.components],
-                    "flags": [c.on_s.astype(int).tolist() for c in s.components],
-                    "closed": [c.closed for c in s.components],
-                    "events": evs,
+                    "t": t,
+                    "counts": [verts[k + 1] - verts[k] for k in range(a, b)],
+                    "closed": closed[a:b],
+                    "flagged": np.flatnonzero(self._flags[lo:hi]).tolist(),
+                    "points": binascii.b2a_base64(
+                        points[lo:hi].tobytes(), newline=False).decode("ascii"),
+                    "events": [e.to_dict() for e in self.events
+                               if prev_t < e.time <= t],
                 }
                 f.write(json.dumps(rec, sort_keys=True) + "\n")
-                prev_t = s.time
+                prev_t = t
 
     @classmethod
     def from_jsonl(cls, path, barrier=None):
-        """The history ``to_jsonl`` wrote to path, its states on ``barrier``.
+        """The history ``to_jsonl`` wrote to path, on ``barrier``.
 
         Raises ConfigError ("cannot read history ...") when the file cannot
         be opened or parsed, when its header lacks the ``HISTORY_FORMAT``
-        marker (as every older layout does), and on invalid base64, a
-        coordinate byte count that is not a multiple of 16, ``flags`` or
-        ``closed`` that do not match the components, or a non-finite
-        coordinate or snapshot time.
+        marker (as every older layout does), and on invalid base64, vertex
+        counts or closed flags that are not lists of non-negative integers
+        and of booleans of one length, a coordinate byte count other than
+        16 per vertex, a flagged index that is not an integer of the
+        snapshot's vertices, or a non-finite coordinate or snapshot time.
         """
-        snapshots, events = [], []
+        times, counts, closed, flagged, events = [], [], [], [], []
+        n_comps, n_points, n_flagged = [], [], []
+        raw = bytearray()
         try:
             with open(path) as f:
                 header = json.loads(f.readline())
@@ -280,22 +423,67 @@ class FlowHistory:
                         "; an older history is rebuilt by fbmcf run")
                 for line in f:
                     rec = json.loads(line)
-                    if not math.isfinite(rec["t"]):
-                        raise ValueError(f"a snapshot at time {rec['t']}")
-                    snapshots.append(CurveState(_decode_components(rec),
-                                                rec["t"], barrier))
+                    t, c, cl, fl, coords = _decode_line(rec)
+                    times.append(t)
+                    counts += c
+                    closed += cl
+                    flagged += fl
+                    n_comps.append(len(c))
+                    n_points.append(len(coords) // 16)
+                    n_flagged.append(len(fl))
+                    raw += coords
                     events.extend(FlowEvent(e["time"], e["kind"],
                                             np.asarray(e["location"]))
                                   for e in rec["events"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            if set(map(type, counts)) - {int} or min(counts, default=0) < 0 \
+                    or set(map(type, closed)) - {bool}:
+                raise ValueError("vertex counts that are not non-negative "
+                                 "integers or closed flags that are not "
+                                 "booleans")
+            if set(map(type, flagged)) - {int}:
+                raise ValueError("flagged indices that are not integers")
+            points = np.frombuffer(raw, "<f8").reshape(-1, 2)
+            if not np.isfinite(points).all():
+                raise ValueError("a non-finite coordinate")
+            index = np.array(flagged, np.int64)
+            first = _offsets(n_points)
+            if not (0 <= index).all() or not (
+                    index < np.repeat(n_points, n_flagged)).all():
+                raise ValueError("a flagged index beyond its snapshot")
+            flags = np.zeros(len(points), bool)
+            flags[index + np.repeat(first[:-1], n_flagged)] = True
+        except (OSError, ValueError, KeyError, TypeError,
+                OverflowError) as exc:
             raise ConfigError(f"cannot read history {path}: {exc}") from exc
-        return cls(snapshots, events, header.get("config", {}), barrier)
+        columns = (points, flags, _offsets(counts), np.array(closed, bool),
+                   _offsets(n_comps), np.array(times, float))
+        return cls._from_columns(columns, events, header.get("config", {}),
+                                 barrier)
 
     def summary_rows(self):
-        rows = []
-        for s in self.snapshots:
-            rows.append((s.time, s.total_length(), s.min_barrier_distance(),
-                         len(s.components)))
+        """(t, total length, least barrier distance, component count) of
+        every snapshot, with the bits of ``CurveState.total_length`` and
+        ``min_barrier_distance`` (inf without a barrier or a vertex): each
+        component's lengths are summed on their own, the distances are
+        taken a block of snapshots at a time."""
+        rows, points, S = [], self._points, self.barrier
+        comp, _, _, times = self._lists
+        first = self._vertex_offsets[self._component_offsets]
+        for lo, hi in self._blocks():
+            starts, ends, seg = self._segments(lo, hi)
+            lengths = norm2(points[ends] - points[starts])
+            seg = seg.tolist()
+            dmin = np.full(hi - lo, np.inf)
+            own = np.flatnonzero(first[lo + 1:hi + 1] > first[lo:hi])
+            if S is not None and len(own):
+                dmin[own] = np.minimum.reduceat(
+                    S.distance(points[first[lo]:first[hi]]),
+                    first[lo:hi][own] - first[lo])
+            for i, d in zip(range(lo, hi), dmin.tolist()):
+                a, b = comp[i] - comp[lo], comp[i + 1] - comp[lo]
+                length = sum(float(lengths[seg[k]:seg[k + 1]].sum())
+                             for k in range(a, b))
+                rows.append((times[i], length, d, b - a))
         return rows
 
     def write_summary_csv(self, path):
@@ -1002,6 +1190,13 @@ def check_run_work(state: CurveState, t_end, h_target, snapshot_dt):
             f"{_MAX_WORK:.0e}: raise flow.h_target or lower flow.t_end")
 
 
+def _kept(state: CurveState):
+    """The snapshot of a running state: views of its components' arrays,
+    without the level they were stepped from."""
+    return CurveState([Component._view(c.points, c.closed, c.on_s)
+                       for c in state.components], state.time)
+
+
 def run(initial: CurveState, t_end, h_target, snapshot_dt,
         vanish_length=None, barrier=None, config_echo=None):
     """Drive the flow: step, pop, remesh, snapshot on an exact cadence grid.
@@ -1023,9 +1218,13 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
 
     Components are values that measure their segment lengths once, so the
     pop band, the remesh trigger, the vanish test and the next ``dt``
-    share one measurement per component; snapshots share components with
-    the running state instead of copying them, and a component that no
-    pop or remesh replaced keeps its previous level for the next BDF2 step.
+    share one measurement per component, and a component that no pop or
+    remesh replaced keeps its previous level for the next BDF2 step.  A
+    snapshot shares the running state's coordinate, flag, segment vector
+    and length arrays and keeps nothing else of its components, so their
+    previous levels are freed as the run goes on; the history copies the
+    coordinates and flags into its columns at the end and keeps the
+    measurements for its snapshots.
     """
     check_run_params(t_end, h_target, snapshot_dt, vanish_length)
     check_initial_curve(initial)
@@ -1038,7 +1237,7 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     n_snap = int(round((t_end - t0) / snapshot_dt))
     snap_times = t0 + snapshot_dt * np.arange(n_snap + 1)
     events = []
-    snapshots = [state]
+    snapshots = [_kept(state)]
     halted = False
 
     for k in range(1, n_snap + 1):
@@ -1067,7 +1266,7 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
             if not state.components:
                 break
         state = CurveState(state.components, t_next, state.barrier)
-        snapshots.append(state)
+        snapshots.append(_kept(state))
         if not state.components:
             break
         if _self_intersects(state):
@@ -1316,8 +1515,7 @@ def _dissipation_integral(history, phi, a, b):
         rate = 0.0
         vels = _effective_velocities(s)
         for comp, vel in zip(s.components, vels):
-            _, w = turning_and_mass(comp.segment_vectors(),
-                                    comp.segment_lengths(), comp.closed)
+            w = lumped_mass(comp.segment_lengths(), comp.closed)
             pv = phi.value(comp.points, t)
             gv = phi.grad(comp.points, t)
             rate += float(np.sum(w * (-norm2_sq(vel) * pv
@@ -1340,44 +1538,37 @@ def state_ball_mass(state: CurveState, center, r):
     return 0.0 if V is None else V.ball_mass(center, r)
 
 
-# snapshots whose ball masses mass_bound_check takes in one pass: it bounds
-# the (snapshots, segments) arrays, while a call per snapshot would repeat
-# the per-call overhead
-_MASS_BLOCK = 64
-
-
-def _masses_and_reach(states, z, r):
-    """Each state's mu(B_r(z)), with the bits of ``state_ball_mass``, and
+def _masses_and_reach(history: FlowHistory, z, r):
+    """Each snapshot's mu(B_r(z)), with the bits of ``state_ball_mass``, and
     the largest |x - z| over its vertices (0.0 without one), as lists.
 
-    _MASS_BLOCK states at a time: one varifold of the block's components
-    with a segment (so a zero-length segment raises its ValueError), one
-    ``ball_mass_terms`` pass over its stacked segments, and each state's
-    mass is the sum of its own contiguous slice.
+    A block of snapshots at a time (``FlowHistory._blocks``): one
+    ``ball_mass_terms`` pass over the segments of the block's components,
+    and each snapshot's mass is the sum of its own contiguous slice.  A
+    zero-length segment raises the ValueError of ``DiscreteVarifold``.
     """
-    masses, reach = np.zeros(len(states)), np.zeros(len(states))
+    n = len(history.times)
+    masses, reach = np.zeros(n), np.zeros(n)
     radius = np.array([r], dtype=float)
-    for lo in range(0, len(states), _MASS_BLOCK):
-        chains, points, seg_ends, point_ends = [], [], [], []
-        n_seg = n_points = 0
-        for s in states[lo:lo + _MASS_BLOCK]:
-            for c in s.components:
-                points.append(c.points)
-                n_points += len(c.points)
-                if len(c.points) > 1:
-                    chains.append(c)
-                    n_seg += len(c.points) - (not c.closed)
-            seg_ends.append(n_seg)
-            point_ends.append(n_points)
-        terms = ball_mass_terms(*DiscreteVarifold(chains).segments(), z,
-                                radius)[0] if chains else ()
-        dist = norm2(np.concatenate(points) - z) if points else ()
-        a = p = 0
-        for k, (b, q) in enumerate(zip(seg_ends, point_ends), start=lo):
-            masses[k] = np.sum(terms[a:b])
-            if q > p:
-                reach[k] = dist[p:q].max()
-            a, p = b, q
+    points, comp = history._points, history._lists[0]
+    # each snapshot's first vertex, then the end
+    first = history._vertex_offsets[history._component_offsets]
+    for lo, hi in history._blocks():
+        starts, ends, seg = history._segments(lo, hi)
+        p0, p1 = points[starts], points[ends]
+        if (norm2(p1 - p0) <= 0.0).any():
+            raise ValueError("degenerate (zero length) segment")
+        terms = ball_mass_terms(p0, p1, 1, z, radius)[0]
+        seg = seg.tolist()
+        for i in range(lo, hi):
+            masses[i] = terms[seg[comp[i] - comp[lo]]:
+                              seg[comp[i + 1] - comp[lo]]].sum()
+        # the largest distance of each snapshot with a vertex
+        own = np.flatnonzero(first[lo + 1:hi + 1] > first[lo:hi])
+        if len(own):
+            dist = norm2(points[first[lo]:first[hi]] - z)
+            reach[lo + own] = np.maximum.reduceat(
+                dist, first[lo:hi][own] - first[lo])
     return masses.tolist(), reach.tolist()
 
 
@@ -1397,21 +1588,25 @@ def mass_bound_check(history: FlowHistory, z, r, kappa):
     max |x - z| on spt mu(t) <= R_0 + kappa + c t / kappa.
 
     Each snapshot's mass in B_r(z) and its reach max |x - z| come from one
-    pass, _MASS_BLOCK snapshots at a time; the initial slice's masses in
-    the balls B_R(t)(z) of a grid value are taken _MASS_BLOCK snapshots at
-    a time too, and a value is refused at its first failing block.
+    pass over the history's columns (``_masses_and_reach``).  The initial
+    slice's masses in the balls B_R(t)(z) of a grid value are taken for as
+    many radii at a time as keep the (radii, segments) arrays within
+    ``_SCAN_BLOCK`` entries, and a value is refused at its first failing
+    group.
     """
     z = np.asarray(z, dtype=float)
     c_grid = np.concatenate([[1.0], np.arange(1.1, 8.01, 0.1)])
     t0 = history.times[0]
-    V0 = _varifold(history.snapshots[0])
+    V0 = _varifold(history._state(0))
     segments0 = None if V0 is None else V0.segments()
-    ts = [s.time - t0 for s in history.snapshots]
-    lhs, reach = _masses_and_reach(history.snapshots, z, r)
+    ts = history.times - t0
+    lhs, reach = _masses_and_reach(history, z, r)
+    n0 = 0 if V0 is None else len(segments0[0])
+    group = _SCAN_BLOCK // max(n0, 1) + 1
 
     def holds(c, lo):
-        """The bound at grid value c on the block of snapshots from lo."""
-        hi = lo + _MASS_BLOCK
+        """The bound at grid value c on the group of snapshots from lo."""
+        hi = lo + group
         radii = np.array([r + kappa + c * t / kappa for t in ts[lo:hi]])
         mass0 = np.zeros(len(radii)) if segments0 is None \
             else ball_masses(*segments0, z, radii)
@@ -1420,14 +1615,15 @@ def mass_bound_check(history: FlowHistory, z, r, kappa):
 
     found = None
     for c in c_grid:
-        if all(holds(c, lo) for lo in range(0, len(ts), _MASS_BLOCK)):
+        if all(holds(c, lo) for lo in range(0, len(ts), group)):
             found = float(c)
             break
     # support containment constant
     R0 = reach[0]
     support_c = 0.0
-    for s, t, far in zip(history.snapshots[1:], ts[1:], reach[1:]):
-        if t <= 0 or not s.components:
+    n_comps = np.diff(history._component_offsets)
+    for n, t, far in zip(n_comps[1:], ts[1:], reach[1:]):
+        if t <= 0 or not n:
             continue
         need = (far - R0 - kappa) * kappa / t
         support_c = max(support_c, need)
@@ -1452,7 +1648,7 @@ def graph_estimate_check(history: FlowHistory, x, window):
     |du/dt| sqrt(t) should stay bounded as t -> 0 for smooth initial data.
     """
     x = np.asarray(x, dtype=float)
-    init = history.snapshots[0]
+    init = history._state(0)
     t_init = init.time
     best = None
     for comp in init.components:

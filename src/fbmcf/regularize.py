@@ -128,8 +128,9 @@ def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
 
     Raises ConfigError when ``check_translator_params`` finds no
     representable start, ShootingFailure if w = dz/dr reaches -1e6, and
-    StiffnessFailure if a step falls below 10 ulps of r or the march
-    attempts more than ``_MAX_STEPS`` steps.
+    StiffnessFailure if a step falls below 10 ulps of r, the march
+    attempts more than ``_MAX_STEPS`` steps, or w at the start or at a
+    stage is too large to cube in floats (tiny epsilons).
     """
     if not (0.0 < epsilon <= R0 / 2.0):
         raise ValueError("need 0 < epsilon <= R0 / 2")
@@ -146,7 +147,12 @@ def solve_translator_profile(epsilon, R0=1.0, tolerances=(1e-11, 1e-13)):
     z0 = -r0 ** 2 / (4.0 * eps)  # height relative to the axis point on top
 
     def f(r, w):  # w'
-        return -(w ** 3 + w) / r - (w * w + 1.0) / eps
+        try:
+            return -(w ** 3 + w) / r - (w * w + 1.0) / eps
+        except OverflowError:  # w^3 beyond the floats: no step can follow
+            raise StiffnessFailure(
+                f"translator march left the floats at r = {r:.6g}: "
+                f"w = {w:.3g} cannot be cubed") from None
 
     def rms(a, b):
         return math.sqrt(0.5 * (a * a + b * b))

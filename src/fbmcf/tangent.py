@@ -118,7 +118,8 @@ def rescale(history: FlowHistory, X0, lam) -> FlowHistory:
     point X0 = (x0, t0).
 
     Masses rescale by 1/lam (lengths divide by lam) and the barrier maps to
-    (S - x0)/lam.
+    (S - x0)/lam.  One array operation on the history's coordinates and
+    one on its times; the rescaled history shares the flags and offsets.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -126,12 +127,10 @@ def rescale(history: FlowHistory, X0, lam) -> FlowHistory:
     t0 = float(X0[2])
     barrier = history.barrier.transformed(x0, lam) if history.barrier is not None \
         else None
-    snaps = []
-    for s in history.snapshots:
-        comps = [Component((c.points - x0) / lam, c.closed, c.on_s)
-                 for c in s.components]
-        snaps.append(CurveState(comps, (s.time - t0) / lam ** 2, barrier))
-    return FlowHistory(snaps, [], dict(history.config), barrier)
+    points = history._points - x0
+    points /= lam
+    return history._with_points(points, (history.times - t0) / lam ** 2,
+                                barrier)
 
 
 @dataclass

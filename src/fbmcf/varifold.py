@@ -34,33 +34,43 @@ _GL_CACHE = {}
 _ZERO = np.zeros(1)
 
 
+def _gauss_legendre(order):
+    if order not in _GL_CACHE:
+        _GL_CACHE[order] = leggauss(order)
+    return _GL_CACHE[order]
+
+
+def _nodes(starts, d, order):
+    """start + s d at the ``order`` Gauss-Legendre nodes s of every segment,
+    (segments, order, 2); one coordinate at a time, so numpy loops over the
+    nodes rather than over the two coordinates of each."""
+    s = 0.5 * (_gauss_legendre(order)[0] + 1.0)
+    pts = np.empty((len(d), order, 2))
+    for c in range(2):
+        np.add(starts[:, c, None], s * d[:, c, None], out=pts[..., c])
+    return pts
+
+
 def segment_quadrature(starts, ends, order):
     """Gauss-Legendre nodes of the given order on every segment.
 
     Returns (points, lengths, weights) with points shaped (segments, order, 2);
     the integral of f over segment k is 0.5 * lengths[k] * (f(points[k]) @ weights).
     """
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    nodes, weights = _GL_CACHE[order]
     d = ends - starts
-    s = 0.5 * (nodes + 1.0)
-    # start + s d one coordinate at a time, so numpy loops over the nodes
-    # rather than over the two coordinates of each
-    pts = np.empty((len(d), order, 2))
-    for c in range(2):
-        np.add(starts[:, c, None], s * d[:, c, None], out=pts[..., c])
-    return pts, norm2(d), weights
+    return _nodes(starts, d, order), norm2(d), _gauss_legendre(order)[1]
 
 
 def integrate_slice(state, fn, order=8):
     """int fn dmu over a flow slice (a ``CurveState``), ``order``-point
-    Gauss-Legendre per segment."""
-    total = 0.0
+    Gauss-Legendre per segment, on each component's own segment vectors
+    and lengths (measured once per component)."""
+    total, weights = 0.0, _gauss_legendre(order)[1]
     for comp in state.components:
         if len(comp.points) < 2:
             continue
-        pts, L, weights = segment_quadrature(*comp.segments(), order)
+        d, L = comp.segment_vectors(), comp.segment_lengths()
+        pts = _nodes(comp.points[:len(d)], d, order)
         vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(len(L), order)
         total += float(np.sum(0.5 * L * (vals @ weights)))
     return total
@@ -75,11 +85,17 @@ def turning_and_mass(vectors, lengths, closed):
     u = vectors / lengths[:, None]
     if closed:  # pad with the segment before the first vertex
         u = np.concatenate([u[-1:], u])
-        lengths = np.concatenate([lengths[-1:], lengths])
-    else:  # repeated end directions turn by zero, zero lengths halve masses
+    else:  # repeated end directions turn by zero
         u = np.concatenate([u[:1], u, u[-1:]])
-        lengths = np.concatenate([_ZERO, lengths, _ZERO])
-    return u[1:] - u[:-1], 0.5 * (lengths[1:] + lengths[:-1])
+    return u[1:] - u[:-1], lumped_mass(lengths, closed)
+
+
+def lumped_mass(lengths, closed):
+    """(l_i + l_{i-1}) / 2 at every vertex of a polyline, the mass of
+    ``turning_and_mass``: an open chain's ends get half their one segment."""
+    lengths = np.concatenate([lengths[-1:], lengths]) if closed \
+        else np.concatenate([_ZERO, lengths, _ZERO])
+    return 0.5 * (lengths[1:] + lengths[:-1])
 
 
 def _read_only_copy(a, dtype):
@@ -118,6 +134,16 @@ class Component:
             else self.on_s
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "on_s", _read_only_copy(on_s, bool))
+
+    @classmethod
+    def _view(cls, points, closed, on_s):
+        """A component of multiplicity one over read-only (n, 2) float and
+        (n,) bool arrays, kept as they are rather than copied (a history's
+        snapshots are views of its columns)."""
+        comp = object.__new__(cls)
+        comp.__dict__.update(points=points, closed=closed, on_s=on_s,
+                             _vectors=None, _lengths=None)
+        return comp
 
     def segments(self):
         """(starts, ends) of every segment."""
@@ -242,7 +268,11 @@ def first_variation(V: DiscreteVarifold, X):
     """delta V(X) = int div_V X dmu = - sum vectors . X(positions) over the
     atoms, exact for a polygonal varifold (Buet, Leonardi & Masnou, ARMA
     226, 2017); it takes X's values at the vertices, never its Jacobian."""
-    pos, vec = V.atoms()
+    return _atomic_first_variation(V.atoms(), X)
+
+
+def _atomic_first_variation(atoms, X):
+    pos, vec = atoms
     return -float(np.sum(np.vecdot(vec, X.value(pos))))
 
 
@@ -256,7 +286,9 @@ def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None):
     residual no segment-constant field can absorb.
 
     Order-8 Gauss-Legendre nodes give every field's segment integrals and
-    its C^1 norm; ``first_variation`` takes its values at the vertices.
+    its C^1 norm, from one ``value_and_jacobian`` evaluation per field; the
+    first variations take each field's values at the atoms, which are
+    built once.
     Singular directions the family senses at below 1e-3 of the leading
     scale are excluded from the fit (they carry no information and would
     otherwise amplify quadrature noise into the recovered curvature).
@@ -269,17 +301,18 @@ def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None):
     nseg = len(L)
     pts = pts.reshape(-1, 2)
 
+    atoms = V.atoms()
     A = np.empty((len(fields), 2 * nseg))
     b = np.empty(len(fields))
     norms = np.empty(len(fields))
     for i, X in enumerate(fields):
-        vals = X.value(pts)
+        vals, jac = X.value_and_jacobian(pts)
         seg_int = 0.5 * L[:, None] * np.einsum(
             "kqc,q->kc", vals.reshape(nseg, order, 2), weights)
         A[i] = (-mult[:, None] * seg_int).reshape(-1)
-        b[i] = first_variation(V, X)
+        b[i] = _atomic_first_variation(atoms, X)
         # X.c1_norm(pts), from the values already in hand
-        norms[i] = np.abs(vals).max() + np.abs(X.jacobian(pts)).max()
+        norms[i] = np.abs(vals).max() + np.abs(jac).max()
 
     rank = np.linalg.matrix_rank(A, tol=1e-12 * max(1.0, np.abs(A).max()))
     if rank < min(len(fields), 2 * nseg) // 4 + 1:
@@ -504,14 +537,18 @@ def _tube_integrals(S, h, q0, q1, order):
 @dataclass(frozen=True)
 class TestField:
     """C^1 vector field with an exact Jacobian: ``value`` maps points (N, 2)
-    to (N, 2) and ``jacobian`` maps them to (N, 2, 2)."""
+    to (N, 2), and ``value_and_jacobian`` maps them to the same values and
+    the Jacobians (N, 2, 2) from one evaluation of the terms they share."""
 
     value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    value_and_jacobian: Callable[[np.ndarray], tuple]
+
+    def jacobian(self, pts):
+        return self.value_and_jacobian(pts)[1]
 
     def c1_norm(self, pts):
-        return float(np.abs(self.value(pts)).max()
-                     + np.abs(self.jacobian(pts)).max())
+        value, jac = self.value_and_jacobian(pts)
+        return float(np.abs(value).max() + np.abs(jac).max())
 
 
 class Poly2:
@@ -531,9 +568,6 @@ class Poly2:
 
     def __call__(self, pts):
         return self.value_and_grad(pts)[0]
-
-    def grad(self, pts):
-        return self.value_and_grad(pts)[1]
 
     def value_and_grad(self, pts):
         """p (N,) and its gradient (N, 2) from one power table."""
@@ -556,14 +590,14 @@ def polynomial_field(cx, cy):
     def value(pts):
         return np.stack([px(pts), py(pts)], axis=-1)
 
-    def jacobian(pts):
-        gx, gy = px.grad(pts), py.grad(pts)
+    def value_and_jacobian(pts):
+        (vx, gx), (vy, gy) = px.value_and_grad(pts), py.value_and_grad(pts)
         j = np.empty((len(pts), 2, 2))
         j[:, 0, :] = gx
         j[:, 1, :] = gy
-        return j
+        return np.stack([vx, vy], axis=-1), j
 
-    return TestField(value, jacobian)
+    return TestField(value, value_and_jacobian)
 
 
 def rotational_field(p: Poly2, center):
@@ -576,13 +610,14 @@ def rotational_field(p: Poly2, center):
         rot = rel @ R.T
         return p(pts)[:, None] * rot
 
-    def jacobian(pts):
+    def value_and_jacobian(pts):
         rel = pts - c
         rot = rel @ R.T
         v, g = p.value_and_grad(pts)
-        return rot[:, :, None] * g[:, None, :] + v[:, None, None] * R
+        return (v[:, None] * rot,
+                rot[:, :, None] * g[:, None, :] + v[:, None, None] * R)
 
-    return TestField(value, jacobian)
+    return TestField(value, value_and_jacobian)
 
 
 def vanishing_factor_field(S: Barrier, q: Poly2, direction):
@@ -597,14 +632,14 @@ def vanishing_factor_field(S: Barrier, q: Poly2, direction):
         g = S.omega_signed(pts)
         return (q(pts) * g)[:, None] * w
 
-    def jacobian(pts):
+    def value_and_jacobian(pts):
         g = S.omega_signed(pts)
         grad_g = -S.normal(pts)
         qv, qg = q.value_and_grad(pts)
         total = g[:, None] * qg + qv[:, None] * grad_g
-        return w[None, :, None] * total[:, None, :]
+        return (qv * g)[:, None] * w, w[None, :, None] * total[:, None, :]
 
-    return TestField(value, jacobian)
+    return TestField(value, value_and_jacobian)
 
 
 def line_tangential_field(P: Line, a: Poly2, b: Poly2):
@@ -618,13 +653,15 @@ def line_tangential_field(P: Line, a: Poly2, b: Poly2):
     def value(pts):
         return a(pts)[:, None] * t + (b(pts) * lvl(pts))[:, None] * nu
 
-    def jacobian(pts):
-        ga = a.grad(pts)
-        bv, gb = b.value_and_grad(pts)
-        term = lvl(pts)[:, None] * gb + bv[:, None] * nu
-        return t[None, :, None] * ga[:, None, :] + nu[None, :, None] * term[:, None, :]
+    def value_and_jacobian(pts):
+        (av, ga), (bv, gb) = a.value_and_grad(pts), b.value_and_grad(pts)
+        level = lvl(pts)
+        term = level[:, None] * gb + bv[:, None] * nu
+        return (av[:, None] * t + (bv * level)[:, None] * nu,
+                t[None, :, None] * ga[:, None, :]
+                + nu[None, :, None] * term[:, None, :])
 
-    return TestField(value, jacobian)
+    return TestField(value, value_and_jacobian)
 
 
 def bump_window(center, width):
@@ -655,11 +692,13 @@ def windowed_field(X: TestField, center, width):
     def value(pts):
         return bval(pts)[:, None] * X.value(pts)
 
-    def jacobian(pts):
-        return (bval(pts)[:, None, None] * X.jacobian(pts)
-                + X.value(pts)[:, :, None] * bgrad(pts)[:, None, :])
+    def value_and_jacobian(pts):
+        v, jac = X.value_and_jacobian(pts)
+        b = bval(pts)
+        return (b[:, None] * v, b[:, None, None] * jac
+                + v[:, :, None] * bgrad(pts)[:, None, :])
 
-    return TestField(value, jacobian)
+    return TestField(value, value_and_jacobian)
 
 
 def tangential_family(S: Barrier, n_fields=40, seed=0, window=None,
@@ -714,10 +753,11 @@ def transformed_field(X: TestField, rotation, shift):
     def value(pts):
         return X.value((pts - b) @ R) @ R.T
 
-    def jacobian(pts):
-        return np.einsum("ab,qbc,dc->qad", R, X.jacobian((pts - b) @ R), R)
+    def value_and_jacobian(pts):
+        v, jac = X.value_and_jacobian((pts - b) @ R)
+        return v @ R.T, np.einsum("ab,qbc,dc->qad", R, jac, R)
 
-    return TestField(value, jacobian)
+    return TestField(value, value_and_jacobian)
 
 
 def check_tangential(X: TestField, S: Barrier, n_samples=1000):

@@ -165,6 +165,21 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("epsilon", [1e-13, 1e-20, 1e-99])
+    def test_translator_beyond_the_floats_exits_3(self, tmp_path, capsys,
+                                                  epsilon):
+        """A tiny epsilon whose march would cube a w beyond the floats is a
+        numerical failure: one line, no traceback, no directory."""
+        cfg = {"name": "tiny_eps", "barrier": None,
+               "regularize": {"epsilon": epsilon}, "pipeline": ["regularize"]}
+        p = tmp_path / "tiny_eps.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "translator march left the floats" in err
+        assert "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_run_scenario_refuses_unrepresentable_translator_start(
             self, tmp_path):
         cfg = {"name": "tiny_eps", "barrier": None,
@@ -653,10 +668,12 @@ def _b64(*coords):
     return base64.b64encode(np.array(coords, "<f8").tobytes()).decode("ascii")
 
 
-def _snapshot(points, flags=([0, 0],), closed=(False,), t=0.0):
-    """One history line with one component's coordinates in ``points``."""
-    return json.dumps({"t": t, "points": [points], "flags": list(flags),
-                       "closed": list(closed), "events": []})
+def _snapshot(points, counts=(2,), flagged=(), closed=(False,), t=0.0):
+    """One history line whose components hold ``counts`` vertices, with the
+    snapshot's coordinates in ``points``."""
+    return json.dumps({"t": t, "points": points, "counts": list(counts),
+                       "flagged": list(flagged), "closed": list(closed),
+                       "events": []})
 
 
 class TestDensityCommand:
@@ -708,23 +725,63 @@ class TestDensityCommand:
         [_header("fbmcf-history/1"), _snapshot(_b64(0.0, 0.0, 1.0, 0.0))],
         [_header(), _snapshot("AAAA!AAA")],
         [_header(), _snapshot(_b64(0.0, 0.0, 1.0))],
-        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flags=[[0, 0], [0]])],
-        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flags=[[0]])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flagged=[[0]])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flagged=[2])],
         [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0),
                               closed=[False, True])],
         [_header(), _snapshot(_b64(0.0, 0.0, 1.0, np.nan))],
         [_header(), _snapshot(_b64(0.0, 0.0, np.inf, 0.0))],
         [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), t=np.nan)],
+        # the layout before this one: a base64 text and flag list per component
+        [_header("fbmcf-history/2"), json.dumps(
+            {"t": 0.0, "points": [_b64(0.0, 0.0, 1.0, 0.0)],
+             "flags": [[0, 0]], "closed": [False], "events": []})],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), counts=[3])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), counts=[3, -1],
+                              closed=[False, False])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), counts=[2.0])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), counts=[True, 1],
+                              closed=[False, False])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), closed=[1])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flagged=[-1])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flagged=[0.0])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flagged=[True])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flagged=[0, True])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0), flagged=[2**70])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0)),
+         _snapshot(_b64(0.0, 0.0), counts=[1], flagged=[1], t=0.1)],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0)[:-1])],
+        [_header(), _snapshot(_b64(0.0, 0.0, 1.0, 0.0) + "=")],
     ], ids=["not-json", "no-components", "old-layout", "unknown-marker",
             "invalid-base64", "bytes-not-multiple-of-16", "flag-lists",
             "flags-per-point", "closed-flags", "nan-coordinate",
-            "inf-coordinate", "nan-time"])
+            "inf-coordinate", "nan-time", "layout-2", "count-too-large",
+            "negative-count", "float-count", "bool-count", "int-closed-flag",
+            "negative-flag-index", "float-flag-index", "bool-flag-index",
+            "mixed-bool-flag-index", "huge-flag-index", "flag-beyond-its-snapshot",
+            "truncated-base64", "extra-padding"])
     def test_malformed_history_exits_2(self, tmp_path, lines, capsys):
         hist = tmp_path / "history.jsonl"
         hist.write_text("\n".join(lines) + "\n")
         assert main(["density", str(hist), "--center", "0.3,0,0.45",
                      "--kappa", "1e6"]) == 2
         assert "cannot read history" in capsys.readouterr().err
+
+    def test_wellformed_history_line_reads(self, tmp_path):
+        """The line the malformed cases above spoil, read as it is."""
+        hist = tmp_path / "history.jsonl"
+        hist.write_text("\n".join([
+            _header(), _snapshot(_b64(0.0, -0.0, 1.0, 0.0), flagged=[1]),
+            _snapshot(_b64(0.0, 0.0, 0.5, 0.0, 1.0, 0.0, 2.0, 2.0),
+                      counts=[3, 1], closed=[True, False], t=0.1)]) + "\n")
+        back = FlowHistory.from_jsonl(hist)
+        first, (ring, dot) = back.snapshots[0].components, \
+            back.snapshots[1].components
+        assert first[0].points.tobytes() == np.array(
+            [[0.0, -0.0], [1.0, 0.0]]).tobytes()
+        assert first[0].on_s.tolist() == [False, True]
+        assert ring.closed and len(ring.points) == 3 and not dot.closed
+        assert back.times.tolist() == [0.0, 0.1]
 
     @pytest.mark.parametrize("center,kappa", [
         ("nan,0,0.05", "1e6"), ("0.3,0,inf", "1e6"), ("0.3,-inf,0.45", "1e6"),

@@ -127,14 +127,21 @@ def _fresh(history):
 
 @pytest.fixture
 def slice_times(monkeypatch):
-    """Times of the slices ``density`` integrates during the test."""
+    """Times of the slices ``density`` integrates during the test, one radius
+    at a time or in the one kernel pass of a centre (times (radii, 1))."""
     times = []
 
     def counting(state, fn, *args):
         times.append(state.time)
         return varifold.integrate_slice(state, fn, *args)
 
+    def counting_pass(S, X0, x, t, params):
+        if np.ndim(t) == 2:
+            times.extend(np.ravel(t))
+        return kernels.reflected_truncated_kernel(S, X0, x, t, params)
+
     monkeypatch.setattr(density, "integrate_slice", counting)
+    monkeypatch.setattr(density, "reflected_truncated_kernel", counting_pass)
     return times
 
 
@@ -257,7 +264,8 @@ class TestDensityMemo:
     def test_smooth_point_integrates_each_radius_once(self, corner_history,
                                                       slice_times):
         """density_at_point, classify_regular and monotonicity_report at one
-        centre and four radii integrate four slices between them."""
+        centre and four radii integrate four slices between them, in one
+        kernel pass."""
         hist = _fresh(corner_history)
         radii = [0.2, 0.1, 0.05, 0.025]
         X = (0.3, 0.7, 0.3)

@@ -1495,8 +1495,9 @@ class TestDissipationInequality:
     @pytest.mark.parametrize("name", ["circle_history", "half_circle_history"])
     def test_reloaded_history_gives_the_same_report(self, name, request,
                                                     tmp_path):
-        """Snapshots in memory keep the integrator's previous level and
-        reloaded ones do not; the report reads neither."""
+        """A history is its columns in memory as after a reload (no
+        snapshot keeps the integrator's previous level), so both give one
+        report."""
         hist = request.getfixturevalue(name)
         path = tmp_path / "history.jsonl"
         hist.to_jsonl(path)
@@ -1581,6 +1582,31 @@ class TestHistoryKeepsSnapshots:
             h.barrier = LINE  # densities never read the history's barrier
             assert h.barrier is LINE
 
+    def test_components_have_multiplicity_one(self):
+        comp = Component([(0.0, 0.0), (1.0, 0.0)], multiplicity=2)
+        with pytest.raises(ValueError, match="multiplicity one"):
+            FlowHistory([CurveState([comp], 0.0)])
+
+    def test_snapshots_are_built_when_read(self):
+        """``snapshots`` is a sequence that builds a snapshot when it is
+        first read and keeps it; a new barrier gives new snapshots."""
+        hist = static_history(segment_curve((-1.0, 0.0), (1.0, 0.0), n=8),
+                              0.0, 0.1, 3)
+        snaps = hist.snapshots
+        assert len(snaps) == 3 and hist._states == [None] * 3
+        assert snaps[-1] is snaps[2] and snaps[-1].time == 0.1
+        assert hist._states[:2] == [None] * 2
+        assert [s.time for s in snaps[:2]] == [0.0, 0.05]
+        assert snaps[0] is hist.slice_at(0.0)
+        with pytest.raises(IndexError):
+            snaps[3]
+        assert snaps[0].barrier is None
+        hist.barrier = LINE
+        assert hist.snapshots[0].barrier is LINE
+        assert hist.slice_at(0.02).barrier is LINE
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hist._points = hist._points[:1]
+
 
 # finite floats, with the edge cases drawn often: signed zeros, the
 # smallest subnormal, a subnormal near the normal range and huge values
@@ -1629,8 +1655,9 @@ class TestSerialization:
     @given(_history())
     def test_roundtrip_keeps_every_bit(self, hist):
         """Coordinates and event locations read back bit for bit, the sign
-        of zero included, and each ``points`` string decodes by the
-        two-line recipe of the README."""
+        of zero included, with the flags, closed flags and events, and
+        each line decodes into its components by the recipe of the
+        README."""
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "history.jsonl")
             hist.to_jsonl(path)
@@ -1643,11 +1670,16 @@ class TestSerialization:
         assert back.times.tobytes() == hist.times.tobytes()
         for rec, a, b in zip(lines[1:], hist.snapshots, back.snapshots):
             assert b.barrier is LINE
-            assert len(a.components) == len(b.components) == len(rec["points"])
-            for text, ca, cb in zip(rec["points"], a.components, b.components):
-                decoded = np.frombuffer(base64.b64decode(text),
-                                        "<f8").reshape(-1, 2)
-                assert decoded.tobytes() == ca.points.tobytes()
+            xy = np.frombuffer(base64.b64decode(rec["points"]),
+                               "<f8").reshape(-1, 2)
+            decoded = np.split(xy, np.cumsum(rec["counts"], dtype=int))[:-1]
+            assert len(a.components) == len(b.components) == len(decoded) \
+                == len(rec["closed"])
+            flags = np.concatenate([c.on_s for c in a.components]) \
+                if a.components else np.zeros(0, bool)
+            assert rec["flagged"] == np.flatnonzero(flags).tolist()
+            for xy_c, ca, cb in zip(decoded, a.components, b.components):
+                assert xy_c.tobytes() == ca.points.tobytes()
                 assert cb.points.tobytes() == ca.points.tobytes()
                 assert cb.closed == ca.closed
                 assert cb.on_s.tolist() == ca.on_s.tolist()

@@ -96,6 +96,16 @@ class TestSolve:
         assert np.abs(pb.radius_at(2.0 * za)
                       - 2.0 * pa.radius_at(za)).max() <= 1e-6
 
+    @pytest.mark.parametrize("eps", [1e-13, 1e-14, 1e-20, 1e-50, 1e-99])
+    def test_w_beyond_the_floats_stops_typed(self, eps):
+        """Tiny admitted epsilons start (1e-99) or take a trial stage (1e-13)
+        at a w whose cube is not a float: a StiffnessFailure at once, not
+        an OverflowError."""
+        start = time.perf_counter()
+        with pytest.raises(StiffnessFailure, match="left the floats"):
+            solve_translator_profile(eps, 1.0)
+        assert time.perf_counter() - start < 1.0
+
     def test_stiff_march_stops_typed(self):
         """At R0 = 1000 the branch is stiff (w' has slope about -r/eps^2
         in w), so an explicit march needs millions of steps: it is refused

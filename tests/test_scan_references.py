@@ -3,20 +3,29 @@
 ``reflected_truncated_kernel`` evaluates the direct and mirror images in one
 stacked pass, ``DiscreteVarifold.ball_mass`` clips every segment without
 masks and takes many radii at once, and ``mass_bound_check`` measures each
-snapshot once, in blocks of stacked snapshots.  The references below
-evaluate the same quantities the plain way, one snapshot at a time and with
-numpy's norm reductions; every result must have the same bits.
+snapshot once, a block of a history's columns at a time.  ``slice_at``,
+``tangent.rescale`` and ``summary_rows`` read a history's columns, and a
+density centre integrates its radii in one kernel pass.  The references
+below evaluate the same quantities the plain way, one snapshot or one
+radius at a time and with numpy's norm reductions; every result must have
+the same bits.
 """
+
+import base64
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fbmcf import density, tangent
 from fbmcf.barrier import Circle, Line
+from fbmcf.errors import InadmissibleRadius, KappaTooLarge, OutOfHistory
 from fbmcf.flow import (Component, CurveState, FlowHistory, circle_curve,
-                        half_circle_curve, mass_bound_check, run,
-                        _masses_and_reach)
+                        half_circle_curve, mass_bound_check, resample_uniform,
+                        run, _masses_and_reach)
 from fbmcf.kernels import KernelParams, reflected_truncated_kernel
-from fbmcf.varifold import DiscreteVarifold, ball_masses
+from fbmcf.varifold import DiscreteVarifold, ball_masses, integrate_slice
 
 
 def same_bits(a, b):
@@ -310,7 +319,7 @@ def test_pop_history_has_several_components(pop_history):
 @pytest.mark.parametrize("r", [0.1, 0.3, 0.5])
 def test_block_masses_equal_per_snapshot_masses(stored_history, r):
     history, z = stored_history
-    new = _masses_and_reach(history.snapshots, z, r)
+    new = _masses_and_reach(history, z, r)
     ref = _masses_and_reach_per_snapshot(history, z, r)
     assert np.array(new).tobytes() == np.array(ref).tobytes()
 
@@ -324,3 +333,302 @@ def test_block_masses_keep_the_zero_length_error():
                         CurveState([good, bad], 0.2)])
     with pytest.raises(ValueError, match="zero length"):
         mass_bound_check(hist, (0.0, 0.0), 0.5, 0.3)
+
+
+# -- columnar histories against per-snapshot references ---------------------------
+
+@pytest.fixture(scope="module")
+def decoded(corner_history, pop_history, tmp_path_factory):
+    """name -> (history, its snapshots as ``CurveState``s decoded from its
+    file by the README's recipe, apart from the history's own columns)."""
+    out = {}
+    for name, history in (("corner", corner_history), ("pop", pop_history)):
+        path = tmp_path_factory.mktemp(name) / "history.jsonl"
+        history.to_jsonl(path)
+        states = []
+        with open(path) as f:
+            next(f)
+            for line in f:
+                rec = json.loads(line)
+                xy = np.frombuffer(base64.b64decode(rec["points"]),
+                                   "<f8").reshape(-1, 2)
+                flags = np.zeros(len(xy), bool)
+                flags[rec["flagged"]] = True
+                ends = np.cumsum(rec["counts"], dtype=int)
+                states.append(CurveState(
+                    [Component(p, c, fl) for p, fl, c in zip(
+                        np.split(xy, ends)[:-1], np.split(flags, ends)[:-1],
+                        rec["closed"])], rec["t"], history.barrier))
+        out[name] = (history, states)
+    return out
+
+
+def _slice_at_per_snapshot(states, t):
+    """Reference for ``FlowHistory.slice_at``: the bracketing snapshots
+    interpolated component by component."""
+    times = np.array([s.time for s in states])
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) < 1e-12 or t < times[0] or t > times[-1]:
+        return states[i]
+    lo = max(0, min(int(np.searchsorted(times, t) - 1), len(times) - 2))
+    a, b = states[lo], states[lo + 1]
+    lam = (t - times[lo]) / (times[lo + 1] - times[lo])
+    if len(a.components) != len(b.components) or any(
+            ca.closed != cb.closed
+            for ca, cb in zip(a.components, b.components)):
+        return a if abs(times[lo] - t) <= abs(times[lo + 1] - t) else b
+    comps = []
+    for ca, cb in zip(a.components, b.components):
+        pa, pb = ca.points, cb.points
+        flags = ca.on_s & cb.on_s if len(pa) == len(pb) else None
+        if len(pa) != len(pb):
+            n_seg = max(len(pa), len(pb)) - (not ca.closed)
+            pa, pb = resample_uniform(ca, n_seg), resample_uniform(cb, n_seg)
+            flags = np.zeros(len(pa), dtype=bool)
+            if not ca.closed:
+                flags[0] = ca.on_s[0] and cb.on_s[0]
+                flags[-1] = ca.on_s[-1] and cb.on_s[-1]
+        comps.append(Component((1 - lam) * pa + lam * pb, ca.closed, flags))
+    return CurveState(comps, t, a.barrier)
+
+
+def _state_bits(state):
+    return (state.time, [(c.points.tobytes(), c.on_s.tobytes(), c.closed)
+                         for c in state.components])
+
+
+def _bracket_kinds(states):
+    """Per pair of neighbouring snapshots: 'components' when their
+    component counts or closed flags differ, 'vertices' when a component's
+    vertex count does, else 'same'."""
+    kinds = []
+    for a, b in zip(states[:-1], states[1:]):
+        if len(a.components) != len(b.components) or any(
+                ca.closed != cb.closed
+                for ca, cb in zip(a.components, b.components)):
+            kinds.append("components")
+        elif any(len(ca.points) != len(cb.points)
+                 for ca, cb in zip(a.components, b.components)):
+            kinds.append("vertices")
+        else:
+            kinds.append("same")
+    return np.array(kinds)
+
+
+@pytest.mark.parametrize("name", ["corner", "pop"])
+def test_slice_at_equals_per_snapshot_slices(name, decoded):
+    """Seeded times, snapshot times and the middles of every bracket where
+    a remesh changed a vertex count or a pop changed the components."""
+    history, states = decoded[name]
+    times = history.times
+    kinds = _bracket_kinds(states)
+    special = np.flatnonzero(kinds != "same")
+    rng = np.random.default_rng(17)
+    ts = np.concatenate([rng.uniform(times[0], times[-1], 200), times[::41],
+                         0.5 * (times[special] + times[special + 1]),
+                         times[special] + 1e-13, [times[-1] + 1e-10]])
+    if name == "pop":
+        assert {"vertices", "components"} <= set(kinds)
+    for t in ts:
+        assert _state_bits(history.slice_at(t)) \
+            == _state_bits(_slice_at_per_snapshot(states, t))
+
+
+def _rescale_per_snapshot(states, X0, lam):
+    """Reference for ``tangent.rescale``: new components snapshot by
+    snapshot."""
+    x0, t0 = np.asarray(X0[:2], dtype=float), float(X0[2])
+    return [CurveState([Component((c.points - x0) / lam, c.closed, c.on_s)
+                        for c in s.components], (s.time - t0) / lam ** 2)
+            for s in states]
+
+
+@pytest.mark.parametrize("name", ["corner", "pop"])
+def test_rescale_equals_per_snapshot_rescale(name, decoded):
+    """A rescaling, and a rescaling of it."""
+    history, states = decoded[name]
+    X0 = {"corner": (0.0, 0.0, 0.5), "pop": (0.05, 1.05, 0.2)}[name]
+    once = tangent.rescale(history, X0, 0.4)
+    twice = tangent.rescale(once, (0.01, -0.02, 0.3), 0.7)
+    ref_once = _rescale_per_snapshot(states, X0, 0.4)
+    ref_twice = _rescale_per_snapshot(ref_once, (0.01, -0.02, 0.3), 0.7)
+    for new, ref in ((once, ref_once), (twice, ref_twice)):
+        assert new.times.tobytes() == np.array([s.time for s in ref]).tobytes()
+        assert [_state_bits(s)[1] for s in new.snapshots] \
+            == [_state_bits(s)[1] for s in ref]
+        assert new.events == [] and new.config == history.config
+    # the rescaled history shares the flags and offsets, not the points
+    assert once._flags is history._flags
+    assert not np.shares_memory(once._points, history._points)
+
+
+@pytest.mark.parametrize("name", ["corner", "pop"])
+def test_summary_rows_equal_per_snapshot_rows(name, decoded):
+    history, states = decoded[name]
+    ref = [(s.time, s.total_length(), s.min_barrier_distance(),
+            len(s.components)) for s in states]
+    assert np.array(history.summary_rows()).tobytes() == np.array(ref).tobytes()
+
+
+def test_summary_rows_of_empty_and_one_vertex_components():
+    """No barrier, an empty snapshot, a closed component of one vertex
+    (one zero-length segment) and of two, and an open one of one vertex."""
+    one = Component([(0.5, 0.5)], closed=True)
+    pair = Component([(0.0, 0.0), (3.0, 4.0)], closed=True)
+    dot = Component([(1.0, 1.0)])
+    hist = FlowHistory([CurveState([one, pair], 0.0), CurveState([], 0.1),
+                        CurveState([dot, pair, one], 0.2)])
+    ref = [(s.time, s.total_length(), s.min_barrier_distance(),
+            len(s.components)) for s in hist.snapshots]
+    assert hist.summary_rows() == ref
+    assert hist.summary_rows()[0][1] == 10.0
+
+
+def test_columnar_scans_build_no_snapshots(tmp_path, corner_history):
+    """Slices, rescaling, the mass scan, the summary and the file layout
+    read the columns: they build the snapshots they use (the initial one
+    and the two around the slice time) and no other."""
+    path = tmp_path / "history.jsonl"
+    corner_history.to_jsonl(path)
+    hist = FlowHistory.from_jsonl(path, barrier=corner_history.barrier)
+    hist.slice_at(0.2501)
+    tangent.rescale(hist, (0.0, 0.0, 0.5), 0.3).slice_at(-1.0)
+    mass_bound_check(hist, (0.0, 0.0), 0.5, 0.3)
+    hist.summary_rows()
+    hist.to_jsonl(tmp_path / "again.jsonl")
+    assert [i for i, s in enumerate(hist._states) if s is not None] \
+        == [0, 500, 501]
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+    assert len(hist.snapshots) == len(hist.times)
+    # the snapshots are views of the columns, not copies
+    assert np.shares_memory(hist.snapshots[7].components[0].points,
+                            hist._points)
+
+
+def test_mass_scan_memory_is_bounded(corner_history):
+    """The mass scan goes a block of snapshots at a time: a pass over all
+    of the corner's 513,000 vertices at once would hold about 50 MB."""
+    tracemalloc.start()
+    try:
+        _masses_and_reach(corner_history, np.zeros(2), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(corner_history._points) > 500_000
+    assert peak < 6e6
+
+
+# -- one kernel pass per density centre -------------------------------------------
+
+def _density_cases(corner_history, pop_history):
+    """(history, barrier, params, centre, radii): smooth points of the
+    corner on its line, one with an inadmissible radius and one with radii
+    out of history, and points on the pop's circle, one across the pop."""
+    line = corner_history.barrier
+    big = KernelParams(kappa=1e6, alpha=8.0, c1=2.0)
+    circle = pop_history.barrier
+    small = KernelParams(kappa=0.15, alpha=8.0, c1=2.0)  # tau0 about 4e-7
+    t_end = float(corner_history.times[-1])
+    after_pop = pop_history.times[np.searchsorted(
+        pop_history.times, pop_history.events[0].time)]
+    return [
+        (corner_history, line, big, (0.6, 0.3, 0.25), [0.2, 0.1, 0.05, 0.025]),
+        (corner_history, line, big, (0.3, 0.0, 0.1), [0.4, 0.2, 0.1, 0.05]),
+        (corner_history, line, big, (0.0, 0.2, t_end + 0.003),
+         [0.1, 0.07, 0.04, 0.02]),
+        (pop_history, circle, small, (0.0, 1.0, after_pop + 2e-7),
+         [6e-4, 4e-4, 2e-4, 1e-4]),
+        (pop_history, circle, small, (0.3, 0.96, 0.1), [6e-4, 3e-4, 1e-4]),
+    ]
+
+
+def _memo_bits(history):
+    return {key: np.float64(v).tobytes()
+            for key, v in history._densities.items()}
+
+
+@pytest.mark.parametrize("case", range(5), ids=[
+    "line", "line-inadmissible", "line-out-of-history", "circle-pop",
+    "circle"])
+def test_one_pass_densities_equal_per_radius_densities(
+        case, corner_history, pop_history, monkeypatch):
+    """``density_at_point`` and ``monotonicity_report`` with the pass keep
+    the memo entries, and return the values, of the per-radius path."""
+    history, S, params, X, radii = _density_cases(corner_history,
+                                                  pop_history)[case]
+    calls = []
+
+    def counted(state, fn):
+        calls.append(state.time)
+        return integrate_slice(state, fn)
+
+    monkeypatch.setattr(density, "integrate_slice", counted)
+    results = {}
+    for one_pass in (True, False):
+        if not one_pass:
+            monkeypatch.setattr(density, "_integrate_radii",
+                                lambda *args: None)
+        fresh = FlowHistory(history.snapshots, history.events,
+                            history.config, history.barrier)
+        calls.clear()
+        point = density.density_at_point(fresh, S, X, params, radii=radii)
+        try:
+            rep = density.monotonicity_report(fresh, S, X, params, radii)
+            thetas = rep.theta_values.tobytes()
+        except (OutOfHistory, InadmissibleRadius) as exc:
+            thetas = type(exc)
+        results[one_pass] = (point, thetas, _memo_bits(fresh), len(calls))
+    assert results[True][:3] == results[False][:3]
+    n_kept = len(results[False][2])
+    assert n_kept >= 2
+    if case != 3:  # the pop's slices differ in segment count
+        assert results[True][3] == 0
+    assert results[False][3] == n_kept
+    if case in (1, 2):
+        assert n_kept < len(radii)
+
+
+def test_density_pass_memory_is_bounded(corner_history):
+    """A long radius list goes through the kernel in groups of about
+    ``_SCAN_BLOCK`` points: 200 radii on the corner's 512-segment slices in
+    one call would hold about 80 MB.  Every value keeps the bits of the
+    per-radius path."""
+    line = corner_history.barrier
+    params = KernelParams(kappa=1e6, alpha=8.0, c1=2.0)
+    X = (0.6, 0.3, 0.25)
+    radii = np.linspace(0.01, 0.45, 200)
+    fresh = FlowHistory(corner_history.snapshots, [], {}, line)
+    tracemalloc.start()
+    try:
+        density._integrate_radii(fresh, line, X, radii, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+    assert len(fresh._densities) == len(radii)
+    ref = FlowHistory(corner_history.snapshots, [], {}, line)
+    for r in radii:
+        assert same_bits(density.reflected_density(fresh, line, X, r, params),
+                         density.reflected_density(ref, line, X, r, params))
+
+
+def test_one_radius_integration_is_left_to_reflected_density(corner_history):
+    """A centre with one radius to integrate and one farther than kappa / 10
+    from the barrier: the pass keeps nothing.  A kappa too large raises in
+    the pass as in ``reflected_density``, and keeps nothing either."""
+    line = corner_history.barrier
+    X = (0.6, 0.3, 0.25)
+    for params, radii in [
+            (KernelParams(kappa=1e6, alpha=8.0, c1=2.0), [0.1]),
+            (KernelParams(kappa=1.0, alpha=8.0, c1=2.0), [0.2, 0.1])]:
+        fresh = FlowHistory(corner_history.snapshots, [], {}, line)
+        density._integrate_radii(fresh, line, X, np.asarray(radii), params)
+        assert fresh._densities == {}
+    params = KernelParams(kappa=1e9, alpha=8.0, c1=2.0)
+    fresh = FlowHistory(corner_history.snapshots, [], {}, line)
+    with pytest.raises(KappaTooLarge):
+        density._integrate_radii(fresh, line, X, np.asarray([0.2, 0.1]),
+                                 params)
+    assert fresh._densities == {}
+    with pytest.raises(KappaTooLarge):
+        density.density_at_point(fresh, line, X, params, radii=[0.2, 0.1])

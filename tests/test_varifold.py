@@ -238,7 +238,7 @@ class TestPoly2:
         pts = np.array(data.draw(st.lists(_COORD, min_size=2 * n,
                                           max_size=2 * n))).reshape(n, 2)
         p = Poly2(c)
-        value, grad = p(pts), p.grad(pts)
+        value, grad = p(pts), p.value_and_grad(pts)[1]
         assert value.shape == (n,) and grad.shape == (n, 2)
         sums, mags = _poly2_double_loop(c, pts)
         got = np.vstack([value, grad.T])
@@ -301,6 +301,63 @@ class TestCertification:
         assert rep0.is_free_boundary == rep1.is_free_boundary
         assert rep1.residual <= 2.0 * rep0.residual + 1e-12
         assert rep0.residual <= 2.0 * rep1.residual + 1e-12
+
+
+    def test_atoms_built_once_and_each_field_evaluated_once(self,
+                                                            monkeypatch):
+        """One ``atoms()`` per call; per field one ``value_and_jacobian`` at
+        the nodes and one ``value`` at the atoms, whose bits are those of
+        ``first_variation``."""
+        S = Circle((0.0, 0.0), 1.0)
+        V = kgon(12)
+        fields = tangential_family(S, n_fields=12, seed=2)
+        calls = {"atoms": 0, "value": 0, "both": 0}
+        atoms = DiscreteVarifold.atoms
+
+        def counted_atoms(self):
+            calls["atoms"] += 1
+            return atoms(self)
+
+        def counted(X):
+            def value(p):
+                calls["value"] += 1
+                return X.value(p)
+
+            def value_and_jacobian(p):
+                calls["both"] += 1
+                return X.value_and_jacobian(p)
+
+            return VectorField(value, value_and_jacobian)
+
+        monkeypatch.setattr(DiscreteVarifold, "atoms", counted_atoms)
+        rep = certify_free_boundary(V, S, [counted(X) for X in fields])
+        assert calls == {"atoms": 1, "value": 12, "both": 12}
+        monkeypatch.setattr(DiscreteVarifold, "atoms", atoms)
+        assert rep.fitted_curvature.tobytes() == certify_free_boundary(
+            V, S, fields).fitted_curvature.tobytes()
+
+    @pytest.mark.parametrize("S", [LINE, Circle((0.3, -0.2), 1.2)],
+                             ids=["line", "circle"])
+    def test_fields_share_one_evaluation(self, S, monkeypatch):
+        """``value_and_jacobian`` gives the bits of ``value``, and a windowed
+        field evaluates its inner polynomials once for both."""
+        from fbmcf.varifold import transformed_field, windowed_field
+        pts = np.random.default_rng(3).uniform(-2.0, 2.0, (200, 2))
+        fields = tangential_family(S, n_fields=16, seed=7)
+        fields += [polynomial_field([[0.1, 0.2], [0.3, 0.0]], [[0.5]])]
+        fields += [transformed_field(X, [[0.0, -1.0], [1.0, 0.0]], (0.2, 0.1))
+                   for X in fields[:4]]
+        for X in fields:
+            value, jac = X.value_and_jacobian(pts)
+            assert value.tobytes() == X.value(pts).tobytes()
+            assert jac.tobytes() == X.jacobian(pts).tobytes()
+        calls = []
+        grad = Poly2.value_and_grad
+        monkeypatch.setattr(Poly2, "value_and_grad",
+                            lambda self, p: calls.append(1) or grad(self, p))
+        windowed_field(polynomial_field([[1.0]], [[0.0, 1.0]]), (0.0, 0.0),
+                       0.5).value_and_jacobian(pts)
+        assert len(calls) == 2
 
 
 class TestReflection:
