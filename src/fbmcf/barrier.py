@@ -363,6 +363,8 @@ class Line(Barrier):
 
     def __init__(self, normal=(0.0, -1.0), offset=0.0, scale_cap=FLAT_SCALE_CAP):
         n = np.asarray(normal, dtype=float)
+        if n.shape != (2,):
+            raise ValueError(f"line normal must be 2 numbers, got {normal}")
         with np.errstate(over="ignore"):  # an overflow is reported below
             norm = np.linalg.norm(n)
         if not 0.0 < norm < np.inf:
@@ -424,11 +426,13 @@ class Circle(Barrier):
     def __init__(self, center=(0.0, 0.0), radius=1.0, omega_side="inside"):
         if not 0 < radius < np.inf:
             raise ValueError("circle radius must be positive and finite")
-        if not np.isfinite(center).all():
-            raise ValueError("circle center must be finite")
+        center = np.asarray(center, dtype=float)
+        if center.shape != (2,) or not np.isfinite(center).all():
+            raise ValueError(f"circle center must be 2 finite numbers, got "
+                             f"{center}")
         if omega_side not in ("inside", "outside"):
             raise ValueError("omega_side must be 'inside' or 'outside'")
-        self._init(center=np.asarray(center, dtype=float), radius=float(radius),
+        self._init(center=center, radius=float(radius),
                    omega_side=omega_side, reach=float(radius))
 
     def _radial(self, x):
@@ -519,9 +523,12 @@ class ParametricBarrier(Barrier):
         from scipy.interpolate import CubicSpline
 
         points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 2 or len(points) < 8:
+            raise ValueError(f"parametric barrier points must be (m, 2) with "
+                             f"m >= 8, got shape {points.shape}")
         m = len(points)
-        if m < 8:
-            raise ValueError("parametric barrier needs at least 8 samples")
+        if omega_side not in ("inside", "outside"):
+            raise ValueError("omega_side must be 'inside' or 'outside'")
         if not np.isfinite(points).all():
             raise ValueError("parametric barrier points must be finite")
         theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)

@@ -11,21 +11,15 @@ The truncated quantity differs from the plain Gaussian by an
 O(sqrt(r/kappa)) factor at finite r, so the pointwise density is obtained by
 polynomial extrapolation in sqrt(r) over the smallest admissible radii.
 
-Each reflected density is computed once per history: ``reflected_density``
-keeps its values on the ``FlowHistory``, keyed by the barrier object, the
-``KernelParams`` value and the float64 bits of (x0, y0, t0, r), and clears
-them at ``_DENSITY_MEMO_CAP`` entries.  So ``density_at_point``,
-``classify_regular`` and ``monotonicity_report`` at one centre and the same
-radii integrate each slice once between them.
-
-Each centre takes one kernel pass: ``density_at_point`` and
-``monotonicity_report`` first integrate every radius the memo lacks in one
-``reflected_truncated_kernel`` call over the stacked slices (a call per
-group of about ``flow._SCAN_BLOCK`` quadrature points when the radii are
-many, or their slices' segment counts differ), then read each value through
-``reflected_density``, which stays the one-radius entry point and
-integrates on its own whatever the pass left out.  ``_branch`` alone picks
-the kernel a centre integrates, for both.
+A reflected density integrates ``reflected_truncated_kernel`` at every
+centre through one path, ``_integrate_group``: the stacked order-8 points of
+a group of slices go through one kernel call.  Each value is computed once
+per history (``reflected_density`` keeps it on the ``FlowHistory``).
+``density_at_point`` and ``monotonicity_report`` first integrate every
+radius the memo lacks as one pass (a group per ``flow._SCAN_BLOCK``
+quadrature points, or per run of slices with one segment count), then read
+each value through ``reflected_density``, which integrates a radius it does
+not find as a group of one.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ import numpy as np
 from .barrier import Barrier
 from .errors import InadmissibleRadius, KappaTooLarge, NoFiniteA, OutOfHistory
 from .flow import _SCAN_BLOCK, FlowHistory, state_ball_mass
-from .kernels import KernelParams, cutoff, heat_kernel, reflected_truncated_kernel
+from .kernels import KernelParams, heat_kernel, reflected_truncated_kernel
 from .varifold import integrate_slice, segment_quadrature
 
 
@@ -58,12 +52,11 @@ _DENSITY_MEMO_CAP = 4096
 
 def reflected_density(history: FlowHistory, S: Barrier, X0, r,
                       params: KernelParams):
-    """Truncated/reflected Gaussian density at scale r.
-
-    Centers within kappa/10 of the barrier integrate the reflected truncated
-    kernel; centers farther inside integrate the truncated kernel alone.
-    The two branches agree across the switch distance (asserted when the
-    center sits within 1e-6 kappa of it).
+    """Truncated/reflected Gaussian density at scale r: the integral of
+    ``reflected_truncated_kernel`` over the slice at t0 - r^2.  For an
+    admissible r the cutoff lies in B_{kappa/20}, so at a centre in Omega
+    farther than kappa/10 from the barrier the mirror term is exactly zero;
+    a centre on the far side of the barrier sees the mirrored flow.
 
     The value is kept on ``history`` and a repeated query returns it without
     integrating again.  The key is the barrier object, the kernel parameters
@@ -84,27 +77,8 @@ def reflected_density(history: FlowHistory, S: Barrier, X0, r,
     memo = history._densities
     if key in memo:
         return memo[key]
-    state = history.slice_at(t0 - r * r)
-    branch = _branch(S, x0, params)
-
-    def near(p):
-        return reflected_truncated_kernel(S, np.concatenate([x0, [t0]]),
-                                          p, t0 - r * r, params)
-
-    def interior(p):
-        rel = p - x0
-        return cutoff(rel, -r * r, params) * heat_kernel(rel, -r * r)
-
-    if branch == "both":
-        theta = integrate_slice(state, near)
-        b = integrate_slice(state, interior)
-        if abs(theta - b) > 1e-4 * max(1.0, abs(theta)):
-            raise InadmissibleRadius(
-                "density branches disagree at the switch distance")
-    elif branch == "near":
-        theta = integrate_slice(state, near)
-    else:
-        theta = integrate_slice(state, interior)
+    (theta,) = _integrate_group(S, coords[:3], [_slice(history, t0 - r * r)],
+                                params)
     if not np.isnan(coords).any():
         _keep(memo, key, theta)
     return theta
@@ -119,17 +93,6 @@ def _check_kappa(S: Barrier, params: KernelParams):
             f"kappa={params.kappa:.6g} exceeds the admissible bound {bound:.6g}")
 
 
-def _branch(S: Barrier, x0, params: KernelParams):
-    """The kernel the density at centre x0 integrates: "near", the reflected
-    truncated kernel, within the switch distance kappa / 10 of the barrier;
-    "interior", the truncated kernel alone, farther inside; and "both",
-    compared, within 1e-6 kappa of the switch distance."""
-    d0 = float(S.distance(x0))
-    if abs(d0 - params.kappa / 10.0) <= 1e-6 * params.kappa:
-        return "both"
-    return "near" if d0 <= params.kappa / 10.0 else "interior"
-
-
 def _admissible(history, t0, r, params):
     # written so that a NaN r fails it too
     return bool(r > 0 and r * r <= min(params.tau0, t0 - history.times[0])
@@ -142,22 +105,18 @@ def _keep(memo, key, theta):
     memo[key] = theta
 
 
+def _slice(history, t):
+    """(t, the components with a segment of the slice at t)."""
+    return t, [c for c in history.slice_at(t).components if len(c.points) > 1]
+
+
 def _integrate_radii(history: FlowHistory, S: Barrier, X0, radii,
                      params: KernelParams):
-    """Keep in the memo the densities at X0 that ``reflected_density`` would
-    integrate with the reflected truncated kernel (``_branch`` "near") and
-    has not kept yet, with the bits of its one-radius integration.
-
-    Consecutive radii whose slices have one segment count form a group of
-    at most ``_SCAN_BLOCK`` quadrature points (or one radius), which takes
-    one ``segment_quadrature`` and one ``reflected_truncated_kernel`` call:
-    the slices' order-8 points stacked (radii, points, 2) against the times
-    (radii, 1), each component of each slice summed as ``integrate_slice``
-    sums it.  Radii that ``reflected_density`` would refuse or whose slice
-    is out of history are left to it, as is every radius when fewer than
-    two remain or when the centre takes another branch.  Raises
-    KappaTooLarge as ``reflected_density`` would on the first radius.
-    """
+    """Keep in the memo the densities at X0 that ``reflected_density``
+    would integrate, a group of consecutive radii whose slices have one
+    segment count (at most ``_SCAN_BLOCK`` quadrature points, or one radius)
+    at a time.  Radii it would refuse, out of history or at a non-finite
+    centre are left to it.  Raises KappaTooLarge as it would."""
     x0 = np.asarray(X0[:2], dtype=float)
     t0 = float(X0[2])
     memo = history._densities
@@ -166,46 +125,56 @@ def _integrate_radii(history: FlowHistory, S: Barrier, X0, radii,
         key = (S, params, np.array([x0[0], x0[1], t0, r], float).tobytes())
         if key not in memo and _admissible(history, t0, r, params):
             pending.append((r, key))
-    if len(pending) < 2 or not np.isfinite([*x0, t0]).all():
+    if not pending or not np.isfinite([*x0, t0]).all():
         return
     _check_kappa(S, params)
-    if _branch(S, x0, params) != "near":
-        return
-    centre = np.concatenate([x0, [t0]])
-    group, n_seg = [], 0  # (key, t, components with a segment) of one count
+    centre = np.array([x0[0], x0[1], t0])
+    # one group's memo keys, (t, components) pairs and segment count
+    keys, group, n_seg = [], [], 0
+
+    def flush():
+        for k, theta in zip(keys, _integrate_group(S, centre, group, params)):
+            _keep(memo, k, theta)
+        keys.clear()
+        group.clear()
+
     for r, key in pending:
         try:
-            state = history.slice_at(t0 - r * r)
+            t, comps = _slice(history, t0 - r * r)
         except OutOfHistory:
             continue
-        comps = [c for c in state.components if len(c.points) > 1]
         n = sum(len(c.points) - (not c.closed) for c in comps)
         if group and (n != n_seg or 8 * n * (len(group) + 1) > _SCAN_BLOCK):
-            _integrate_group(S, centre, group, params, memo)
-            group = []
-        if n > 0:
-            group.append((key, t0 - r * r, comps))
-            n_seg = n
-    if group:
-        _integrate_group(S, centre, group, params, memo)
+            flush()
+        keys.append(key)
+        group.append((t, comps))
+        n_seg = n
+    flush()
 
 
-def _integrate_group(S, centre, group, params, memo):
-    """The memo entries of ``_integrate_radii`` for one group of slices."""
-    chains = [c for _, _, comps in group for c in comps]
+def _integrate_group(S, centre, group, params):
+    """The densities at ``centre`` over a group of slices (t, components
+    with a segment), all with one segment count: one ``segment_quadrature``
+    and one ``reflected_truncated_kernel`` call, the slices' order-8 points
+    stacked (slices, points, 2) against the times (slices, 1), each
+    component of each slice summed as ``integrate_slice`` sums it."""
+    chains = [c for _, comps in group for c in comps]
+    if not chains:
+        return [0.0] * len(group)
     pts, L, weights = segment_quadrature(
         *map(np.concatenate, zip(*(c.segments() for c in chains))), 8)
     vals = reflected_truncated_kernel(
         S, centre, pts.reshape(len(group), -1, 2),
-        np.array([[t] for _, t, _ in group]), params).reshape(-1, 8)
-    start = 0
-    for key, _, comps in group:
+        np.array([[t] for t, _ in group]), params).reshape(-1, 8)
+    thetas, start = [], 0
+    for _, comps in group:
         theta = 0.0
         for c in comps:
             rows = slice(start, start + len(c.points) - (not c.closed))
             theta += float(np.sum(0.5 * L[rows] * (vals[rows] @ weights)))
             start = rows.stop
-        _keep(memo, key, theta)
+        thetas.append(theta)
+    return thetas
 
 
 @dataclass
@@ -317,9 +286,12 @@ def density_at_point(history: FlowHistory, S, X0, params=None, radii=None):
     admissible radii (by default four halvings down from 0.75 sqrt(tau_cap)).
 
     With S None the plain Gaussian density is extrapolated; else the
-    reflected/truncated one.  Returns (theta, error_estimate).
+    reflected/truncated one, which needs ``params``.  Returns (theta,
+    error_estimate).
     """
-    x0 = np.asarray(X0[:2], dtype=float)
+    if S is not None and params is None:
+        raise ValueError("a reflected density needs KernelParams; got "
+                         "params=None with a barrier")
     t0 = float(X0[2])
     t_start = history.times[0]
     if radii is None:

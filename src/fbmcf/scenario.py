@@ -80,12 +80,21 @@ def initial_curve_from_config(cfg):
                                n=cfg.get("n", 384))
         if kind == "polyline":
             pts = np.asarray(cfg["points"], dtype=float)
-            flags = np.asarray(cfg.get("flags", np.zeros(len(pts))), dtype=bool)
-            if flags.shape != (len(pts),):
+            if pts.ndim != 2 or pts.shape[1:] != (2,) or len(pts) < 2:
+                raise ConfigError(f"polyline points must be at least 2 [x, "
+                                  f"y] pairs, got shape {pts.shape}")
+            closed = cfg.get("closed", False)
+            flags = cfg.get("flags", [False] * len(pts))
+            if not (isinstance(closed, bool) and isinstance(flags, list)
+                    and all(f in (0, 1) for f in flags)):
+                raise ConfigError(f"polyline closed must be true or false and "
+                                  f"flags a list of true, false, 0 or 1; got "
+                                  f"closed={closed!r}, flags={flags!r}")
+            if len(flags) != len(pts):
                 raise ConfigError(f"polyline has {len(pts)} points but "
-                                  f"{flags.size} flags")
+                                  f"{len(flags)} flags")
             return CurveState([flow_mod.Component(
-                pts, cfg.get("closed", False), flags)])
+                pts, closed, np.array(flags, dtype=bool))])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad initial_curve block: {exc}") from exc
     raise ConfigError(f"unknown initial curve kind {cfg.get('kind')!r}")
@@ -246,8 +255,15 @@ def load_config(path):
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if "name" not in cfg:
-        raise ConfigError("config needs a 'name'")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got "
+                          f"{type(cfg).__name__}")
+    name = cfg.get("name")  # the artifact directory's one path component
+    if not (isinstance(name, str) and name not in ("", ".", "..")
+            and os.path.basename(name) == name and "\0" not in name):
+        raise ConfigError(f"config needs a 'name' naming one directory: a "
+                          f"nonempty string without a path separator or "
+                          f"NUL, not '.' or '..'; got {name!r}")
     for block, keys in _BLOCK_KEYS.items():
         body = cfg.get(block) or {}
         if not isinstance(body, dict):
@@ -312,6 +328,8 @@ def run_scenario(config_path, out_dir=None, seed=None):
     barrier = barrier_from_config(cfg.get("barrier"))
     if runs_flow:
         fc = cfg.get("flow", {})
+        if cfg.get("initial_curve") is None:
+            raise ConfigError("the flow needs an initial_curve block")
         initial = initial_curve_from_config(cfg["initial_curve"])
         check_initial_curve(initial)  # before it is measured below
         n_pts = sum(len(c.points) for c in initial.components)

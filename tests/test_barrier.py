@@ -453,6 +453,37 @@ class TestFrozen:
         assert center.flags.writeable and points.flags.writeable
 
 
+class TestConstructorChecks:
+    """Coordinates of the wrong shape and unknown sides raise ValueError,
+    which a scenario config reports as a config error."""
+
+    @pytest.mark.parametrize("normal", [(0.0, -1.0, 0.0), (1.0,), [[0.0, 1.0]]])
+    def test_line_normal_needs_two_numbers(self, normal):
+        with pytest.raises(ValueError, match="normal must be 2 numbers"):
+            Line(normal=normal)
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (1.0,), 0.0])
+    def test_circle_center_needs_two_numbers(self, center):
+        with pytest.raises(ValueError, match="center must be 2 finite numbers"):
+            Circle(center=center, radius=1.0)
+
+    @pytest.mark.parametrize("points", [np.zeros((8, 3)), np.zeros(16),
+                                        np.zeros((8, 2, 1))])
+    def test_parametric_points_need_two_columns(self, points):
+        with pytest.raises(ValueError, match=r"must be \(m, 2\)"):
+            ParametricBarrier(points)
+
+    @pytest.mark.parametrize("make", [
+        lambda side: Circle(radius=1.0, omega_side=side),
+        lambda side: ParametricBarrier(
+            np.stack([np.cos(TH64), np.sin(TH64)], axis=-1), omega_side=side)],
+        ids=["circle", "parametric"])
+    def test_unknown_omega_side_raises(self, make):
+        with pytest.raises(ValueError, match="omega_side"):
+            make("bogus")
+        assert make("outside").omega_side == "outside"
+
+
 class TestMeasuredOnce:
     """r_S and c1 are measured on first use and kept on the barrier."""
 

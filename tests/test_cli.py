@@ -1,13 +1,17 @@
 import base64
 import concurrent.futures
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbmcf.cli import main
 from fbmcf.errors import ConfigError
@@ -190,10 +194,23 @@ class TestRun:
             run_scenario(str(p), str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
-    def test_malformed_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "{not json", '["name"]', "5", '"name"', "null",
+        '{"name": ["a"]}', '{"name": 5}', '{"name": ""}', '{"name": "."}',
+        '{"name": ".."}', '{"name": "a/b"}', '{"name": "/abs"}',
+        '{"name": "a\\u0000b"}',
+    ], ids=["not_json", "list", "number", "string", "null", "list_name",
+            "number_name", "empty_name", "dot_name", "dotdot_name",
+            "nested_name", "absolute_name", "nul_name"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+        """A config that is not a JSON object, or whose name does not name
+        one directory, is refused before any directory is made."""
         p = tmp_path / "broken.json"
-        p.write_text("{not json")
-        assert main(["run", str(p)]) == 2
+        p.write_text(text)
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["broken.json"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FBMCF_SEED", "7")
@@ -355,6 +372,43 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "non_finite" / "history.jsonl").exists()
 
+    @pytest.mark.parametrize("block, body, match", [
+        ("barrier", {"kind": "line", "normal": [0, -1, 0]}, "normal"),
+        ("barrier", {"kind": "circle", "radius": 2.0, "center": [0, 0, 0]},
+         "center"),
+        ("barrier", {"kind": "parametric",
+                     "points": np.eye(8, 3).tolist()}, "points"),
+        ("barrier", {"kind": "parametric", "omega_side": "bogus",
+                     "points": [[np.cos(a), np.sin(a)] for a in
+                                np.linspace(0, 6, 8)]}, "omega_side"),
+        ("initial_curve", {"kind": "polyline", "points": []}, "points"),
+        ("initial_curve", {"kind": "polyline", "points": [0, 1, 2]},
+         "points"),
+        ("initial_curve", {"kind": "polyline", "points": [[0, 0, 0]]},
+         "points"),
+        ("initial_curve", {"kind": "polyline", "closed": "yes",
+                           "points": [[0, 0], [1, 0], [0, 1]]}, "closed"),
+        ("initial_curve", {"kind": "polyline", "flags": ["no", 0, 1],
+                           "points": [[0, 0], [1, 0], [0, 1]]}, "flags"),
+    ], ids=["line_normal_3d", "circle_center_3d", "parametric_points_3d",
+            "parametric_bogus_side", "polyline_empty", "polyline_flat",
+            "polyline_3d", "polyline_closed_string", "polyline_flag_string"])
+    def test_malformed_coordinates_exit_2(self, tmp_path, capsys, block, body,
+                                          match):
+        """A coordinate of the wrong shape or a flag that is not a bool in a
+        barrier or initial-curve block is refused before any directory is
+        made."""
+        cfg = {"name": "bad_shape", "barrier": None,
+               "initial_curve": {"kind": "circle", "radius": 0.5, "n": 8},
+               "flow": {"t_end": 0.01, "snapshot_dt": 0.005}, block: body}
+        p = tmp_path / "bad_shape.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert match in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_barrier_kind_leaves_no_directory(self, tmp_path, capsys):
         """The barrier and the initial curve are built before the artifact
         directory is made."""
@@ -461,6 +515,19 @@ class TestRun:
         assert f"the {stage} stage needs {block}.{key}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stage", ["flow", "density", "tangent"])
+    def test_flow_without_an_initial_curve_exits_2(self, tmp_path, capsys,
+                                                   stage):
+        cfg = {"name": "no_curve", "pipeline": [stage],
+               "density": {"center": [0.0, 0.0, 0.1]},
+               "tangent": {"center": [0.0, 0.0, 0.1]}}
+        p = tmp_path / "no_curve.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err == "config error: the flow needs an initial_curve block\n"
+
     @pytest.mark.parametrize("block, body, stage", [
         ("flow", {"t_end": 0.01, "snapshot_dt": 0.005,
                   "vanish_length": "abc"}, "flow"),
@@ -560,6 +627,109 @@ class TestRun:
                 (out / "circle_shrinker" / "history.jsonl").read_bytes())
         assert outs[0] == outs[1]
         assert histories[0] == histories[1]
+
+
+_PAIR = st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2)
+_RING = st.integers(8, 12).map(lambda m: [
+    [np.cos(a), 0.7 * np.sin(a)] for a in np.linspace(0, 6.2, m)])
+_SIDE = st.sampled_from(["inside", "outside"])
+# the well-formed value of each part of a config
+_VALID = {
+    "name": st.just("ok"),
+    "barrier": st.one_of(
+        st.none(),
+        st.fixed_dictionaries({"kind": st.just("line"), "normal": _PAIR}),
+        st.fixed_dictionaries({"kind": st.just("circle"), "center": _PAIR,
+                               "radius": st.floats(0.2, 2.0),
+                               "omega_side": _SIDE}),
+        st.fixed_dictionaries({"kind": st.just("parametric"),
+                               "points": _RING, "omega_side": _SIDE})),
+    "initial_curve": st.one_of(
+        st.fixed_dictionaries({"kind": st.just("circle"), "center": _PAIR,
+                               "radius": st.floats(0.1, 1.0),
+                               "n": st.integers(3, 16)}),
+        st.fixed_dictionaries({"kind": st.just("polyline"), "points": _RING,
+                               "closed": st.booleans()})),
+}
+_JUNK = st.one_of(st.just(float("nan")), st.text(max_size=2), st.none())
+_BAD_VECTOR = st.one_of(st.lists(st.floats(-2.0, 2.0), max_size=4)
+                        .filter(lambda v: len(v) != 2),
+                        st.lists(_JUNK, min_size=2, max_size=2), _JUNK,
+                        st.lists(_PAIR, min_size=1, max_size=2))
+_BAD_POINTS = st.one_of(
+    st.lists(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+             max_size=10),
+    st.lists(st.floats(-2.0, 2.0), max_size=4),
+    st.lists(st.lists(_PAIR, min_size=1, max_size=2), max_size=3),
+    st.lists(st.lists(_JUNK, min_size=2, max_size=2), max_size=3))
+_BAD_SIDE = st.sampled_from(["bogus", 1, None])
+# a malformed value of each part, one of which an example takes
+_MALFORMED = {
+    "top": st.one_of(st.lists(st.text(max_size=3), max_size=2),
+                     st.integers(), st.text(max_size=3), st.none(),
+                     st.booleans()),
+    "name": st.one_of(st.sampled_from(["", ".", "..", "a/b", "/x", "a\0"]),
+                      st.integers(), st.lists(st.text(max_size=1),
+                                              max_size=1), st.none()),
+    "barrier": st.one_of(
+        st.fixed_dictionaries({"kind": st.just("line"),
+                               "normal": _BAD_VECTOR}),
+        st.fixed_dictionaries({"kind": st.just("circle"),
+                               "center": _BAD_VECTOR}),
+        st.fixed_dictionaries({"kind": st.just("circle"),
+                               "omega_side": _BAD_SIDE, "radius": st.just(1)}),
+        st.fixed_dictionaries({"kind": st.just("parametric"),
+                               "points": _BAD_POINTS}),
+        st.fixed_dictionaries({"kind": st.just("parametric"),
+                               "points": _RING, "omega_side": _BAD_SIDE})),
+    "initial_curve": st.one_of(
+        st.fixed_dictionaries({"kind": st.just("circle"),
+                               "center": _BAD_VECTOR}),
+        st.fixed_dictionaries({"kind": st.just("polyline"),
+                               "points": _BAD_POINTS}),
+        st.fixed_dictionaries({"kind": st.just("polyline"), "points": _RING,
+                               "closed": st.sampled_from(
+                                   ["yes", 0, 1, None, [True]])}),
+        st.fixed_dictionaries({"kind": st.just("polyline"), "points": _RING,
+                               "flags": st.lists(st.sampled_from(
+                                   ["no", 0.5, None, True]), max_size=12)}),
+        st.none()),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A config with at most one malformed part (None leaves the key out),
+    and a t_end that is tiny or short."""
+    bad = draw(st.sampled_from([None, *_MALFORMED]))
+    if bad == "top":
+        return draw(_MALFORMED["top"])
+    cfg = {key: draw(_MALFORMED[key] if key == bad else valid)
+           for key, valid in _VALID.items()}
+    cfg = {key: value for key, value in cfg.items() if value is not None}
+    cfg["flow"] = {"t_end": draw(st.sampled_from([1e-300, 1e-9, 0.004])),
+                   "snapshot_dt": 0.002}
+    return cfg
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(cfg=_configs())
+def test_malformed_configs_exit_with_a_code_and_one_line(cfg):
+    """Over configs of every shape, ``main`` returns 0, 2 or 3, lets no
+    exception out, writes at most the one line of its error to standard
+    error, and leaves no artifact directory when it fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", path, "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3)
+        assert err.getvalue().count("\n") == (code != 0), err.getvalue()
+        assert os.path.isdir(os.path.join(tmp, "out", "ok")) == (code == 0)
 
 
 class TestAuxPipelines:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbmcf import density, kernels, varifold
 from fbmcf.barrier import Circle, Line
@@ -8,7 +9,8 @@ from fbmcf.density import (
     classify_regular, density_at_point, euclidean_density, gaussian_density,
     monotonicity_report, reflected_density,
 )
-from fbmcf.flow import FlowHistory, circle_curve, segment_curve, static_history
+from fbmcf.flow import (CurveState, FlowHistory, circle_curve, segment_curve,
+                        static_history)
 from fbmcf.kernels import KernelParams
 from fbmcf.varifold import Component, DiscreteVarifold
 from conftest import DENSITY_LINE
@@ -75,15 +77,50 @@ class TestReflectedDensity:
         trunc = reflected_density(hist, wide, (0.0, 50.0, 0.0), r, params)
         assert trunc == pytest.approx(plain, abs=1e-4)
 
-    def test_branch_agreement_at_switch(self):
-        """Centers at the kappa/10 distance give matching branch values."""
-        params = KernelParams(kappa=10.0, alpha=8.0, c1=2.0)
-        y0 = params.kappa / 10.0  # exactly the switch distance
-        st = segment_curve((-12.0, y0), (12.0, y0), n=2400)
-        hist = static_history(st, -1.0, 0.1, 12)
-        r = 1e-3
-        th = reflected_density(hist, DENSITY_LINE, (0.0, y0, 0.0), r, params)
-        assert np.isfinite(th)
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(case=st.sampled_from(["line", "circle-inside", "circle-outside"]),
+           excess=st.floats(1e-9, 1.0), along=st.floats(-np.pi, np.pi),
+           shift=st.floats(-1.0, 1.0), t0=st.floats(0.0, 0.1),
+           frac=st.floats(0.5, 1.0))
+    def test_mirror_term_vanishes_far_inside(self, case, excess, along, shift,
+                                             t0, frac):
+        """At a centre in Omega farther than kappa/10 from the barrier, the
+        mirror term is 0 at every quadrature node: the density is the
+        truncated kernel's integral alone at tau = t - t0, bit for bit."""
+        params = (KernelParams(kappa=1.0, alpha=8.0, c1=2.0) if case == "line"
+                  else SMALL_KAPPA)
+        kappa = params.kappa
+        if case == "line":
+            S = DENSITY_LINE  # Omega = {y >= 0}
+            frame = lambda u, v: np.stack([u, v], axis=-1)  # noqa: E731
+        else:
+            side = case.split("-")[1]
+            S = Circle((0.0, 0.0), 1.0, omega_side=side)
+            sign = -1.0 if side == "inside" else 1.0
+            frame = lambda u, v: ((1.0 + sign * v)[..., None]  # noqa: E731
+                                  * np.stack([np.cos(u), np.sin(u)], axis=-1))
+        d = 0.1 * kappa * (1.0 + excess)  # the centre's distance to S
+        u = along + np.linspace(-kappa / 20, kappa / 20, 201)
+        arc = frame(u, np.full_like(u, d + shift * kappa / 100))
+        hist = static_history(CurveState([Component(arc, closed=False)]),
+                              -1.0, 0.1, 12)
+        x0 = frame(np.array(along), np.array(d))
+        r = frac * np.sqrt(params.tau0)
+        t = t0 - r * r
+        theta = reflected_density(hist, S, (x0[0], x0[1], t0), r, params)
+        state = hist.slice_at(t)
+        for c in state.components:
+            nodes = varifold.segment_quadrature(*c.segments(), 8)[0]
+            mirror, inside = kernels._tube_mirror(S, nodes)
+            m = mirror - x0
+            term = kernels.cutoff(m, t - t0, params) \
+                * kernels.heat_kernel(m, t - t0)
+            assert (np.where(inside, term, 0.0) == 0.0).all()
+        direct = varifold.integrate_slice(
+            state, lambda p: kernels.cutoff(p - x0, t - t0, params)
+            * kernels.heat_kernel(p - x0, t - t0))
+        assert theta > 0.0
+        assert np.float64(theta).tobytes() == np.float64(direct).tobytes()
 
     def test_inadmissible_radius(self, corner_history):
         with pytest.raises(InadmissibleRadius):
@@ -127,21 +164,15 @@ def _fresh(history):
 
 @pytest.fixture
 def slice_times(monkeypatch):
-    """Times of the slices ``density`` integrates during the test, one radius
-    at a time or in the one kernel pass of a centre (times (radii, 1))."""
+    """Times of the slices ``density`` integrates during the test: the rows
+    of its kernel calls, whose times are shaped (slices, 1)."""
     times = []
 
-    def counting(state, fn, *args):
-        times.append(state.time)
-        return varifold.integrate_slice(state, fn, *args)
-
-    def counting_pass(S, X0, x, t, params):
-        if np.ndim(t) == 2:
-            times.extend(np.ravel(t))
+    def counting(S, X0, x, t, params):
+        times.extend(np.ravel(t))
         return kernels.reflected_truncated_kernel(S, X0, x, t, params)
 
-    monkeypatch.setattr(density, "integrate_slice", counting)
-    monkeypatch.setattr(density, "reflected_truncated_kernel", counting_pass)
+    monkeypatch.setattr(density, "reflected_truncated_kernel", counting)
     return times
 
 
@@ -150,11 +181,12 @@ SMALL_KAPPA = KernelParams(kappa=0.15, alpha=8.0, c1=2.0)
 
 
 def _memo_case(name, corner_history):
-    """(history, barrier, params, centres) with every centre on one branch."""
-    if name == "line-near":  # kappa/10 = 1e6: the reflected kernel
+    """(history, barrier, params, centres), the centres all within or all
+    farther than kappa/10 from the barrier."""
+    if name == "line-near":  # kappa/10 = 1e6
         return (corner_history, DENSITY_LINE, BIG_KAPPA,
                 [(0.0, 0.0, 0.5), (0.6, 0.0, 0.2), (0.3, 0.7, 0.3)])
-    if name == "line-interior":  # farther than kappa/10 = 0.1 from the line
+    if name == "line-interior":  # farther than kappa/10 = 0.1: no mirror term
         return (corner_history, DENSITY_LINE,
                 KernelParams(kappa=1.0, alpha=8.0, c1=2.0),
                 [(0.0, 0.8, 0.2), (0.5, 0.5, 0.3)])
@@ -223,23 +255,6 @@ class TestDensityMemo:
             with pytest.raises(InadmissibleRadius):
                 reflected_density(hist, DENSITY_LINE, X, 0.9, BIG_KAPPA)
         assert hist._densities == {}
-
-    def test_branch_disagreement_is_not_kept(self, monkeypatch):
-        params = KernelParams(kappa=10.0, alpha=8.0, c1=2.0)
-        y0 = params.kappa / 10.0  # exactly the switch distance
-        hist = static_history(segment_curve((-12.0, y0), (12.0, y0), n=2400),
-                              -1.0, 0.1, 12)
-        X = (0.0, y0, 0.0)
-        with monkeypatch.context() as m:
-            # a doubled cutoff makes the interior branch disagree
-            m.setattr(density, "cutoff",
-                      lambda *a: 2.0 * kernels.cutoff(*a))
-            for _ in range(2):
-                with pytest.raises(InadmissibleRadius, match="disagree"):
-                    reflected_density(hist, DENSITY_LINE, X, 1e-3, params)
-        th = reflected_density(hist, DENSITY_LINE, X, 1e-3, params)
-        ref = reflected_density(_fresh(hist), DENSITY_LINE, X, 1e-3, params)
-        assert np.float64(th).tobytes() == np.float64(ref).tobytes()
 
     def test_cap_clears_and_keeps_results(self, corner_history, monkeypatch,
                                           slice_times):
@@ -383,6 +398,13 @@ class TestClassification:
                                    BIG_KAPPA, eta=0.1,
                                    radii=[0.08, 0.04, 0.02, 0.01])
         assert verdict == "Suspect"
+
+    def test_barrier_without_params_raises(self, corner_history):
+        """A reflected density needs KernelParams: a barrier with params
+        None raises ValueError naming them, not an AttributeError."""
+        for call in (density_at_point, classify_regular):
+            with pytest.raises(ValueError, match="KernelParams"):
+                call(corner_history, DENSITY_LINE, (0.6, 0.3, 0.25))
 
     def test_classification_matches_graph_fit(self, corner_history):
         """Regular verdicts coincide with a successful local graph fit."""

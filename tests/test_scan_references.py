@@ -523,7 +523,8 @@ def test_mass_scan_memory_is_bounded(corner_history):
 def _density_cases(corner_history, pop_history):
     """(history, barrier, params, centre, radii): smooth points of the
     corner on its line, one with an inadmissible radius and one with radii
-    out of history, and points on the pop's circle, one across the pop."""
+    out of history, points on the pop's circle, one across the pop, and
+    points of both farther than kappa / 10 from the barrier."""
     line = corner_history.barrier
     big = KernelParams(kappa=1e6, alpha=8.0, c1=2.0)
     circle = pop_history.barrier
@@ -531,6 +532,9 @@ def _density_cases(corner_history, pop_history):
     t_end = float(corner_history.times[-1])
     after_pop = pop_history.times[np.searchsorted(
         pop_history.times, pop_history.events[0].time)]
+    # a vertex of the lasso 0.05 or more from the circle, at t = 0.05
+    lasso = pop_history.slice_at(0.05).all_points()
+    far = lasso[np.argmax(circle.distance(lasso) >= 0.05)]
     return [
         (corner_history, line, big, (0.6, 0.3, 0.25), [0.2, 0.1, 0.05, 0.025]),
         (corner_history, line, big, (0.3, 0.0, 0.1), [0.4, 0.2, 0.1, 0.05]),
@@ -539,7 +543,20 @@ def _density_cases(corner_history, pop_history):
         (pop_history, circle, small, (0.0, 1.0, after_pop + 2e-7),
          [6e-4, 4e-4, 2e-4, 1e-4]),
         (pop_history, circle, small, (0.3, 0.96, 0.1), [6e-4, 3e-4, 1e-4]),
+        (corner_history, line, KernelParams(kappa=1.0, alpha=8.0, c1=2.0),
+         (0.3, 0.5568, 0.3), [4e-3, 2e-3, 1e-3, 5e-4]),
+        (pop_history, circle, small, (far[0], far[1], 0.05),
+         [6e-4, 4e-4, 2e-4, 1e-4]),
     ]
+
+
+def _reflected_density_per_slice(history, S, X0, r, params):
+    """Reference for a reflected density: the reflected truncated kernel at
+    the slice's points through ``integrate_slice``, one slice at a time."""
+    t0 = float(X0[2])
+    return integrate_slice(history.slice_at(t0 - r * r), lambda p:
+                           reflected_truncated_kernel(S, X0, p, t0 - r * r,
+                                                      params))
 
 
 def _memo_bits(history):
@@ -547,23 +564,40 @@ def _memo_bits(history):
             for key, v in history._densities.items()}
 
 
-@pytest.mark.parametrize("case", range(5), ids=[
+@pytest.mark.parametrize("case", range(7), ids=[
     "line", "line-inadmissible", "line-out-of-history", "circle-pop",
-    "circle"])
+    "circle", "line-interior", "circle-interior"])
 def test_one_pass_densities_equal_per_radius_densities(
         case, corner_history, pop_history, monkeypatch):
-    """``density_at_point`` and ``monotonicity_report`` with the pass keep
-    the memo entries, and return the values, of the per-radius path."""
+    """``density_at_point`` and ``monotonicity_report``, with the pass of
+    all a centre's radii and with one radius at a time, keep the memo
+    entries, and return the values, of the per-slice reference."""
     history, S, params, X, radii = _density_cases(corner_history,
                                                   pop_history)[case]
+    X = tuple(map(float, X))
+    ref = {}  # memo key: reference value, of the admissible radii in history
+    for r in radii:
+        if r * r > min(params.tau0, X[2] - history.times[0]):
+            continue
+        try:
+            theta = _reflected_density_per_slice(history, S, X, r, params)
+        except OutOfHistory:
+            continue
+        ref[(S, params, np.array([*X, r]).tobytes())] = theta
+    assert len(ref) >= 2
+    if case in (1, 2):
+        assert len(ref) < len(radii)
+    used = [r for r in radii
+            if (S, params, np.array([*X, r]).tobytes()) in ref]
+    point = density._extrapolate_sqrt(np.array(used),
+                                      np.array(list(ref.values())))
     calls = []
 
-    def counted(state, fn):
-        calls.append(state.time)
-        return integrate_slice(state, fn)
+    def counted(*args):
+        calls.append(args[3])
+        return reflected_truncated_kernel(*args)
 
-    monkeypatch.setattr(density, "integrate_slice", counted)
-    results = {}
+    monkeypatch.setattr(density, "reflected_truncated_kernel", counted)
     for one_pass in (True, False):
         if not one_pass:
             monkeypatch.setattr(density, "_integrate_radii",
@@ -571,21 +605,23 @@ def test_one_pass_densities_equal_per_radius_densities(
         fresh = FlowHistory(history.snapshots, history.events,
                             history.config, history.barrier)
         calls.clear()
-        point = density.density_at_point(fresh, S, X, params, radii=radii)
+        assert density.density_at_point(fresh, S, X, params,
+                                        radii=radii) == point
         try:
             rep = density.monotonicity_report(fresh, S, X, params, radii)
-            thetas = rep.theta_values.tobytes()
-        except (OutOfHistory, InadmissibleRadius) as exc:
-            thetas = type(exc)
-        results[one_pass] = (point, thetas, _memo_bits(fresh), len(calls))
-    assert results[True][:3] == results[False][:3]
-    n_kept = len(results[False][2])
-    assert n_kept >= 2
-    if case != 3:  # the pop's slices differ in segment count
-        assert results[True][3] == 0
-    assert results[False][3] == n_kept
-    if case in (1, 2):
-        assert n_kept < len(radii)
+            assert same_bits(rep.theta_values,
+                             np.array(list(ref.values()))[np.argsort(used)]
+                             [::-1])
+        except (OutOfHistory, InadmissibleRadius):
+            assert case in (1, 2)
+        assert _memo_bits(fresh) == {k: np.float64(v).tobytes()
+                                     for k, v in ref.items()}
+        # one kernel call for all radii, unless the pop's slices differ in
+        # segment count; else one per radius
+        if one_pass and case != 3:
+            assert len(calls) == 1
+        if not one_pass:
+            assert len(calls) == len(ref)
 
 
 def test_density_pass_memory_is_bounded(corner_history):
@@ -612,18 +648,11 @@ def test_density_pass_memory_is_bounded(corner_history):
                          density.reflected_density(ref, line, X, r, params))
 
 
-def test_one_radius_integration_is_left_to_reflected_density(corner_history):
-    """A centre with one radius to integrate and one farther than kappa / 10
-    from the barrier: the pass keeps nothing.  A kappa too large raises in
-    the pass as in ``reflected_density``, and keeps nothing either."""
+def test_kappa_too_large_raises_in_the_pass(corner_history):
+    """A kappa too large raises in the pass as in ``reflected_density``, and
+    keeps nothing."""
     line = corner_history.barrier
     X = (0.6, 0.3, 0.25)
-    for params, radii in [
-            (KernelParams(kappa=1e6, alpha=8.0, c1=2.0), [0.1]),
-            (KernelParams(kappa=1.0, alpha=8.0, c1=2.0), [0.2, 0.1])]:
-        fresh = FlowHistory(corner_history.snapshots, [], {}, line)
-        density._integrate_radii(fresh, line, X, np.asarray(radii), params)
-        assert fresh._densities == {}
     params = KernelParams(kappa=1e9, alpha=8.0, c1=2.0)
     fresh = FlowHistory(corner_history.snapshots, [], {}, line)
     with pytest.raises(KappaTooLarge):
