@@ -43,7 +43,9 @@ class IllConditionedFit(FbmcfError):
 # -- flow ---------------------------------------------------------------------
 
 class StepTooLarge(FbmcfError):
-    """Requested time step violates the explicit stability bound."""
+    """An implicit step met a system that is not definite, a remesh would
+    change the length by more than 1e-3, or the crossing test met a
+    non-finite coordinate or segment length."""
 
 
 class InadmissibleTestFunction(FbmcfError):

@@ -14,27 +14,27 @@ cyclic tridiagonal operator on a closed component, and on an open chain a
 tridiagonal one whose end rows, against a line, are exactly the mirror
 ghost (a Neumann row along the line).
 
-Closed components, and open chains with no barrier or a flat one, advance
-by linearly implicit BDF2 with variable steps (Dziuk, M3AS 1994; Akrivis,
-Li & Lubich, Math. Comp. 2017): the lengths are frozen at the extrapolation
+Every component of at least three vertices advances by linearly implicit
+BDF2 with variable steps (Dziuk, M3AS 1994; Akrivis, Li & Lubich, Math.
+Comp. 2017): the lengths are frozen at the extrapolation
 l* = (1 + w) l^n - w l^{n-1}, w = dt_n / dt_{n-1}, and one tridiagonal
 solve gives the new level, shared by x and y on a closed component and by
-the two coordinates of the line's frame on an open chain.  A component
-without a previous level (new, split, popped or remeshed), or whose
-extrapolated lengths are not all positive, restarts with one backward-Euler
-step.  The step has no stability bound; ``run`` sizes it from
-``h_target`` and the snapshot cadence.  Flagged ends are re-projected onto
-the line after each step.
-
-Open chains against a curved barrier take an explicit Euler step bounded
-by 0.4 h_min^2 over those chains.  Their boundary vertices are re-projected
-onto the barrier after each step, and a single Gauss-Seidel pass rotates
-the adjacent vertex so the one-sided quadratic tangent estimate meets the
-barrier orthogonally.  That estimate and solve run on plain floats with
-``math``, so they do not depend on BLAS or SIMD dispatch; each component's
-barrier queries go out in one batch.  Components are immutable and measure
-their segment lengths once, so a step, the pop band, the remesh
-trigger, the vanish test and the next step size share one measurement.
+the two coordinates of the line's frame on an open chain with no barrier
+or a flat one.  On an open chain against a curved barrier a flagged end
+moves along the tangent line at its current point, with the line's end row
+projected on it, and the chain's coordinates in the frame of that tangent
+order into one tridiagonal solve too.  A component without a previous
+level (new, split, popped or remeshed), or whose extrapolated lengths are
+not all positive, restarts with one backward-Euler step.  The step has no
+stability bound; ``run`` sizes it from ``h_target`` and the snapshot
+cadence.  Flagged ends are re-projected onto the barrier after each step.
+On a curved barrier a single Gauss-Seidel pass then rotates the vertex next
+to each flagged end so the one-sided quadratic tangent estimate meets the
+barrier orthogonally, and ``remesh`` merges the chain's short segments.
+That estimate and solve run on plain floats with ``math``, so they do not
+depend on BLAS or SIMD dispatch.  Components are immutable and measure
+their segment lengths once, so a step, the pop band, the remesh trigger
+and the vanish test share one measurement.
 
 A flow must pop upon tangential contact with the barrier, and a tangential
 contact is a local minimum of the signed depth along the curve: an
@@ -292,8 +292,10 @@ class FlowHistory:
 
     def slice_at(self, t):
         """State at time t: exact snapshot, vertexwise interpolation when the
-        bracketing snapshots are compatible, else the nearest snapshot.
-        Raises OutOfHistory for a t outside the stored range or not finite."""
+        bracketing snapshots are compatible, else the snapshot on t's side of
+        the first Pop or Vanish event between them (the nearer snapshot
+        when there is none).  Raises OutOfHistory for a t outside the stored
+        range or not finite."""
         times = self.times
         if len(times) == 0:
             raise OutOfHistory("empty history")
@@ -313,7 +315,11 @@ class FlowHistory:
         if len(a.components) != len(b.components) or any(
                 ca.closed != cb.closed
                 for ca, cb in zip(a.components, b.components)):
-            return a if abs(times[lo] - t) <= abs(times[hi] - t) else b
+            jump = min((e.time for e in self.events
+                        if e.kind in ("Pop", "Vanish")
+                        and times[lo] < e.time <= times[hi]),
+                       default=0.5 * (times[lo] + times[hi]))
+            return a if t < jump else b
         comps = []
         for ca, cb in zip(a.components, b.components):
             pa, pb = ca.points, cb.points
@@ -530,12 +536,11 @@ def vertex_velocity(comp: Component, barrier: Barrier | None):
 
 # -- implicit components: linearly implicit BDF2 -------------------------------
 
-def _implicit(comp: Component, barrier: Barrier | None):
-    """Whether ``step`` advances the component implicitly: components of at
-    least three vertices that are closed, or open with no barrier or a flat
-    one (a ``Line``)."""
-    return len(comp.points) > 2 and (comp.closed or barrier is None
-                                     or barrier.is_flat())
+def _curved(comp: Component, barrier: Barrier | None):
+    """Whether the component is an open chain against a curved barrier:
+    ``step`` turns its flagged ends orthogonal by a Gauss-Seidel pass and
+    ``remesh`` merges its short interior segments."""
+    return not comp.closed and barrier is not None and not barrier.is_flat()
 
 
 def closed_stencil(lengths):
@@ -551,7 +556,8 @@ def closed_stencil(lengths):
 
 
 def _implicit_step(comp: Component, dt, barrier: Barrier | None):
-    """New vertices of an implicit component after one step of size dt.
+    """New vertices of a component of at least three vertices after one
+    step of size dt.
 
     BDF2 from the previous level kept on the component, with step ratio
     w = dt / dt_prev and lengths frozen at (1 + w) l^n - w l^{n-1}:
@@ -575,6 +581,8 @@ def _implicit_step(comp: Component, dt, barrier: Barrier | None):
             frozen = extrapolated
     if comp.closed:
         return _closed_solve(a, rhs, frozen, dt)
+    if _curved(comp, barrier):
+        return _curved_solve(comp, a, rhs, frozen, dt, barrier)
     return _open_solve(comp, a, rhs, frozen, dt, barrier)
 
 
@@ -616,6 +624,21 @@ def _closed_solve(a, rhs, frozen, dt):
     return y[:2].T
 
 
+def _open_stencil(a, frozen, dt):
+    """(coupling, mass, diagonal) of a M - dt K on an open chain with
+    segment lengths frozen: dt K_{i,i+1} = dt / l_i, the lumped masses of
+    ``turning_and_mass`` (half a segment at each end) and a M_ii - dt K_ii.
+    """
+    coupling = dt / frozen
+    mass = np.zeros(len(frozen) + 1)
+    mass[:-1] = 0.5 * frozen
+    mass[1:] += 0.5 * frozen
+    diagonal = a * mass
+    diagonal[:-1] += coupling
+    diagonal[1:] += coupling
+    return coupling, mass, diagonal
+
+
 def _open_solve(comp: Component, a, rhs, frozen, dt, barrier):
     """Solution of (a M - dt K) X' = M rhs on an open chain.
 
@@ -629,15 +652,9 @@ def _open_solve(comp: Component, a, rhs, frozen, dt, barrier):
     coordinates stack into one definite tridiagonal system of 2m rows.
     """
     m = len(rhs)
-    coupling = dt / frozen  # dt K_{i,i+1}
-    mass = np.zeros(m)
-    mass[:-1] = 0.5 * frozen
-    mass[1:] += 0.5 * frozen
+    coupling, mass, diagonal = _open_stencil(a, frozen, dt)
     d = np.empty(2 * m)  # the s rows, then the z rows
-    d[:m] = a * mass
-    d[:m - 1] += coupling
-    d[1:m] += coupling
-    d[m:] = d[:m]
+    d[:m] = d[m:] = diagonal
     e = np.zeros(2 * m - 1)  # e[m - 1] = 0 splits s and z
     e[:m - 1] = e[m:] = -coupling
     # rows: the line's tangent and normal, or x and y without a barrier
@@ -657,6 +674,68 @@ def _open_solve(comp: Component, a, rhs, frozen, dt, barrier):
             b[k * m + nb] -= e[edge] * value
             e[edge] = 0.0
     return _solve_definite(d, e, b[None])[0].reshape(2, m).T @ frame
+
+
+def _curved_solve(comp: Component, a, rhs, frozen, dt, barrier):
+    """Solution of (a M - dt K) X' = M rhs on an open chain against a curved
+    barrier, M and K as in ``_open_solve``.
+
+    A flagged end j moves by s_j along the tangent line tau_j of the barrier
+    at its current point, X'_j = X_j + s_j tau_j, and keeps its stencil row
+    (the line's Neumann row) projected on tau_j; a free end is pinned
+    (tau_j = 0, s_j = 0).  The unknowns [s_0, x_1, y_1, ..., s_{m-1}] form a
+    symmetric positive definite system.  The interior vertices take
+    coordinates (x', y') in the orthonormal frame whose first axis is the
+    first moving end's tangent (the x axis when none moves), so that end
+    couples to x' of its neighbor alone; ordered [s_0, x'_1, ..., x'_{m-2},
+    s_{m-1}, y'_{m-2}, ..., y'_1] the system is tridiagonal, of 2m - 2 rows.
+    On a line it gives ``_open_solve``'s result to rounding, at about 1.5
+    times its cost per step, so flat barriers keep that solve.
+    """
+    X, m = comp.points, len(rhs)
+    coupling, mass, diagonal = _open_stencil(a, frozen, dt)
+    tau = [(0.0, 0.0), (0.0, 0.0)]  # zero at a pinned end
+    moving = [j for j in (0, m - 1) if comp.on_s[j]]
+    if moving:
+        for j, (nx, ny) in zip(moving, barrier.normal(X[moving]).tolist()):
+            tau[j > 0] = (-ny, nx)
+    ex, ey = tau[moving[0] > 0] if moving else (1.0, 0.0)
+    frame = np.array([[ex, ey], [ey, -ex]])  # rows: the x' and y' axes
+    # in the order of the unknowns, the rows of s_0 and s_{m-1} where x'_0
+    # and y'_{m-1} would be
+    d = np.concatenate((diagonal[:-1], diagonal[:0:-1]))
+    e = -np.concatenate((coupling, coupling[-1:0:-1]))
+    local = (rhs @ frame.T).T * mass
+    b = np.concatenate((local[0, :-1], local[1, :0:-1]))
+    ends = []
+    # end j: its row k, the rows of its neighbor's x' and y', its tangent
+    # tau_j and its point in the frame, (t, n) and (px, py)
+    for j, (k, near_x, near_y), (tx, ty), (px, py) in zip(
+            (0, -1), ((0, 1, -1), (m - 1, m - 2, m)), tau,
+            (X[[0, -1]] @ frame.T).tolist()):
+        c = coupling.item(j)
+        t, n = tx * ex + ty * ey, tx * ey - ty * ex
+        b[near_x] += c * px
+        b[near_y] += c * py
+        if t or n:
+            b[k] = t * (local.item(0, j) - d.item(k) * px) \
+                + n * (local.item(1, j) - d.item(k) * py)
+        else:
+            d[k], b[k] = 1.0, 0.0
+        # s_j's couplings to its neighbor's x' and y'; at the first end n is
+        # exactly 0, its tangent being the frame's first axis or zero
+        e[min(k, near_x)] *= t
+        if k:
+            e[k] *= n
+        ends.append((k, px, py, t, n))
+    u = _solve_definite(d, e, b[None])[0]
+    w = np.empty((2, m))  # the x' and y' of every vertex
+    w[0, :-1] = u[:m - 1]
+    w[1, :0:-1] = u[m - 1:]
+    for j, (k, px, py, t, n) in zip((0, -1), ends):
+        s = u.item(k)
+        w[0, j], w[1, j] = px + s * t, py + s * n
+    return w.T @ frame
 
 
 # -- boundary vertices ----------------------------------------------------------
@@ -760,52 +839,36 @@ def _gauss_seidel_orthogonality(pts, ends, targets):
         pts[nb] = rotated(theta1)
 
 
-def _explicit_h_min(state: CurveState):
-    """Shortest segment of the components ``step`` advances explicitly."""
-    lens = [c.segment_lengths().min() for c in state.components
-            if not _implicit(c, state.barrier) and len(c.points) > 1]
-    return min(lens) if lens else np.inf
-
-
 def step(state: CurveState, dt):
     """One time step of curvature motion.
 
-    An implicit component (closed, or open with no barrier or a flat one)
-    takes a linearly implicit BDF2 step from the level it keeps, or a
-    backward-Euler step when it has none (it is new, split, popped or
-    remeshed); the new component keeps this level.  Its flagged ends obey
-    the mirror condition exactly and are re-projected onto the line.  Open
-    chains against a curved barrier take an explicit Euler step, and dt may
-    not exceed 0.4 h_min^2 over them: interior vertices move by the discrete
-    curvature vector; boundary vertices move tangentially and are
-    re-projected onto the barrier, then one Gauss-Seidel pass restores
-    orthogonality at the contact.  Each new component is built from its
-    final point array.
+    A component of at least three vertices takes a linearly implicit BDF2
+    step from the level it keeps, or a backward-Euler step when it has none
+    (it is new, split, popped or remeshed); the new component keeps this
+    level.  Its flagged ends obey the mirror condition on the tangent line
+    at their current point and are re-projected onto the barrier; on an
+    open chain against a curved barrier one Gauss-Seidel pass then restores
+    orthogonality at the contact.  A component of fewer than three vertices
+    is passed on as it is (``run`` deletes it as vanished).  Each new
+    component is built from its final point array.
     """
-    h = _explicit_h_min(state)
-    if dt > _CFL * h * h * (1.0 + 1e-9):
-        raise StepTooLarge(f"dt={dt:.3g} exceeds {_CFL:.2f} h_min^2 = "
-                           f"{_CFL * h * h:.3g}")
     S = state.barrier
     new_comps = []
     for comp in state.components:
-        implicit = _implicit(comp, S)
-        if implicit:
-            pts = _implicit_step(comp, dt, S)
-        else:
-            pts = comp.points + dt * vertex_velocity(comp, S)
+        if len(comp.points) < 3:
+            new_comps.append(comp)
+            continue
+        pts = _implicit_step(comp, dt, S)
         if S is not None and np.any(comp.on_s):
             flagged = np.nonzero(comp.on_s)[0]
             pts[flagged] = S.project(pts[flagged])
-            ends = _boundary_ends(comp) \
-                if not implicit and len(pts) > 2 else []
+            ends = _boundary_ends(comp) if _curved(comp, S) else []
             if ends:
                 targets = (-S.normal(pts[[j for j, _, _ in ends]])).tolist()
                 _gauss_seidel_orthogonality(pts, ends, targets)
         new = Component(pts, comp.closed, comp.on_s)
-        if implicit:
-            object.__setattr__(new, "_previous",
-                               (comp.points, comp.segment_lengths(), dt))
+        object.__setattr__(new, "_previous",
+                           (comp.points, comp.segment_lengths(), dt))
         new_comps.append(new)
     return CurveState(new_comps, state.time + dt, state.barrier)
 
@@ -890,15 +953,16 @@ def _split_component(comp: Component, cuts, feet):
     return pieces
 
 
-def _mergeable(comp: Component, lo, implicit):
-    """Mask of the segments ``remesh`` may merge away: on an explicit chain
-    those shorter than lo.  An implicit component's step has no bound that
-    short segments would shrink, and a merge costs it its previous level, so
-    only a flagged end of an implicit open chain that slid under its
+def _mergeable(comp: Component, lo, curved):
+    """Mask of the segments ``remesh`` may merge away: on an open chain
+    against a curved barrier (``_curved``) those shorter than lo, so the
+    segments next to a contact that the Gauss-Seidel pass turns do not
+    collapse.  Elsewhere a merge costs the component its previous level and
+    buys nothing, so only a flagged end of an open chain that slid under its
     neighbor, as after a pop at a tangential touch, is merged: its segment
     is shorter than lo and than half the next one."""
     lens = comp.segment_lengths()
-    if not implicit:
+    if curved:
         return lens < lo
     mask = np.zeros(len(lens), dtype=bool)
     if not comp.closed:
@@ -909,18 +973,18 @@ def _mergeable(comp: Component, lo, implicit):
 
 def remesh(state: CurveState, h_target):
     """Split segments longer than 1.5 h and merge the ``_mergeable``
-    segments shorter than 0.5 h, interior vertices on explicit chains and
-    collapsed flagged ends on implicit ones; boundary flags are preserved
-    and the total length changes by at most 1e-3 of itself.
+    segments shorter than 0.5 h, every one on an open chain against a
+    curved barrier and collapsed flagged ends elsewhere; boundary flags are
+    preserved and the total length changes by at most 1e-3 of itself.
 
     Components that need no change are passed on as they are, and the state
     itself is returned when none does.
     """
     lo, hi = 0.5 * h_target, 1.5 * h_target
-    implicit = [_implicit(c, state.barrier) for c in state.components]
+    curved = [_curved(c, state.barrier) for c in state.components]
     fine = [len(c.points) > 1 and c.segment_lengths().max() <= hi
-            and not _mergeable(c, lo, imp).any()
-            for c, imp in zip(state.components, implicit)]
+            and not _mergeable(c, lo, cur).any()
+            for c, cur in zip(state.components, curved)]
     if all(fine):
         return state
     new_comps = []
@@ -928,7 +992,7 @@ def remesh(state: CurveState, h_target):
                        for c in state.components)
     budget = 1e-3 * max(total_before, 1e-12)
     spent = 0.0
-    for comp, ok, imp in zip(state.components, fine, implicit):
+    for comp, ok, cur in zip(state.components, fine, curved):
         if ok:
             new_comps.append(comp)
             continue
@@ -940,7 +1004,7 @@ def remesh(state: CurveState, h_target):
         while changed and len(pts) > 3:
             changed = False
             order = np.argsort(lens)
-            for si in order[_mergeable(comp, lo, imp)[order]]:
+            for si in order[_mergeable(comp, lo, cur)[order]]:
                 i, j = si, si + 1
                 if flags[i] and flags[j]:
                     continue
@@ -1118,11 +1182,9 @@ def _self_intersects(state: CurveState):
     return bool(np.any(hit))
 
 
-# an implicit component's step, at most this many h_target^2 and half the
-# snapshot cadence, dividing the cadence
+# the step, at most this many h_target^2 and half the snapshot cadence,
+# dividing the cadence
 _IMPLICIT_DT_H2 = 2.0
-# an explicit chain's step, at most this many h_min^2 of the explicit chains
-_CFL = 0.4
 # the most vertex-steps ``run`` takes on; the largest runs of the package
 # (the n = 1024 circle and the peanut) estimate about 2e7 and 8e6
 _MAX_WORK = 1e9
@@ -1165,8 +1227,8 @@ def check_initial_curve(state: CurveState):
 
 
 def _implicit_dt(h_target, snapshot_dt):
-    """An implicit component's step: it divides the snapshot cadence and is
-    at most 2 h_target^2 and half the cadence."""
+    """The step of a run: it divides the snapshot cadence and is at most
+    2 h_target^2 and half the cadence."""
     return snapshot_dt / math.ceil(
         snapshot_dt / min(_IMPLICIT_DT_H2 * h_target ** 2, 0.5 * snapshot_dt))
 
@@ -1174,16 +1236,11 @@ def _implicit_dt(h_target, snapshot_dt):
 def check_run_work(state: CurveState, t_end, h_target, snapshot_dt):
     """Raise ConfigError unless the run's estimated work, vertices times
     steps, is at most ``_MAX_WORK``: remesh keeps about n + L / (0.5
-    h_target) vertices, and the run takes at least one step per snapshot
-    and steps of the implicit dt, or of 0.1 h_target^2 when an explicit
-    chain is present (0.4 h_min^2 with h_min near 0.5 h_target)."""
+    h_target) vertices, and the run takes steps of ``_implicit_dt``."""
     vertices = sum(len(c.points) for c in state.components) \
         + state.total_length() / (0.5 * h_target)
-    explicit = any(not _implicit(c, state.barrier) for c in state.components)
-    dt = 0.1 * h_target * h_target if explicit \
-        else _implicit_dt(h_target, snapshot_dt)
     span = max(t_end - state.time, 0.0)
-    work = vertices * max(span / snapshot_dt, span / dt)
+    work = vertices * span / _implicit_dt(h_target, snapshot_dt)
     if work > _MAX_WORK:
         raise ConfigError(
             f"the run would take about {work:.2g} vertex-steps, more than "
@@ -1210,16 +1267,15 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     with a non-finite coordinate or segment length (``check_initial_curve``)
     and on an estimated work beyond ``_MAX_WORK`` (``check_run_work``).
 
-    Open chains against a curved barrier bound the step by 0.4 h_min^2,
-    their h_min only.  An implicit component's step is snapshot_dt /
-    ceil(snapshot_dt / min(2 h_target^2, snapshot_dt / 2)); while one is
-    present, the rest of each snapshot interval is cut into equal steps
-    within both bounds, so the BDF2 step ratio stays near one.
+    The step is snapshot_dt / ceil(snapshot_dt / min(2 h_target^2,
+    snapshot_dt / 2)) (``_implicit_dt``), for every component: the rest of
+    each snapshot interval is cut into equal steps of at most that size,
+    so the BDF2 step ratio stays near one.
 
     Components are values that measure their segment lengths once, so the
-    pop band, the remesh trigger, the vanish test and the next ``dt``
-    share one measurement per component, and a component that no pop or
-    remesh replaced keeps its previous level for the next BDF2 step.  A
+    pop band, the remesh trigger and the vanish test share one measurement
+    per component, and a component that no pop or remesh replaced keeps
+    its previous level for the next BDF2 step.  A
     snapshot shares the running state's coordinate, flag, segment vector
     and length arrays and keeps nothing else of its components, so their
     previous levels are freed as the run goes on; the history copies the
@@ -1243,13 +1299,8 @@ def run(initial: CurveState, t_end, h_target, snapshot_dt,
     for k in range(1, n_snap + 1):
         t_next = snap_times[k]
         while state.time < t_next - 1e-14:
-            h = _explicit_h_min(state)
             rest = t_next - state.time
-            if any(_implicit(c, state.barrier) for c in state.components):
-                cap = min(_CFL * h * h, implicit_dt)
-                dt = rest / math.ceil(rest / cap * (1.0 - 1e-9))
-            else:
-                dt = min(_CFL * h * h, rest)
+            dt = rest / math.ceil(rest / implicit_dt * (1.0 - 1e-9))
             state = step(state, dt)
             state, pop_events = detect_and_pop(state)
             events.extend(pop_events)
@@ -1480,26 +1531,36 @@ def dissipation_inequality_check(history: FlowHistory, phi: SpacetimeTestFunctio
                         passed=bool(all_pass))
 
 
-def _effective_velocities(state: CurveState):
+def _effective_velocities(state: CurveState, config):
     """Per-vertex velocities of the discrete dynamics, read from the state.
 
-    An implicit component moves by its curvature velocity, the limit of its
-    linearly implicit step as dt -> 0 from any previous level, so a history
-    gives the same velocities in memory and reloaded.  Explicit chains take
-    one probe step, which also captures the projection and orthogonality
-    enforcement at their contacts.
+    A component moves by its curvature velocity, the limit of its linearly
+    implicit step as dt -> 0 from any previous level, so a history gives
+    the same velocities in memory and reloaded.  That limit misses the
+    Gauss-Seidel pass, which turns the neighbor of a flagged end on an open
+    chain against a curved barrier by an angle that does not shrink with
+    dt: such a chain is probed with one ``step`` of the run's own size,
+    ``_implicit_dt`` of the ``h_target`` and ``snapshot_dt`` in the run's
+    config.  A snapshot keeps no previous level, so the probe is the same
+    backward-Euler step in memory and reloaded.
     """
-    h = state.h_min()
-    if not np.isfinite(h):
-        return [np.zeros_like(c.points) for c in state.components]
     S = state.barrier
-    explicit = [c for c in state.components if not _implicit(c, S)]
-    dt = 0.2 * _CFL * h * h
-    probe = iter(step(CurveState(explicit, state.time, S), dt).components
-                 if explicit else ())
-    return [vertex_velocity(c, S) if _implicit(c, S)
-            else (next(probe).points - c.points) / dt
-            for c in state.components]
+    turned = [_curved(c, S) and bool(_boundary_ends(c))
+              and len(c.points) > 2 for c in state.components]
+    if not any(turned):
+        return [vertex_velocity(c, S) for c in state.components]
+    try:
+        dt = _implicit_dt(config["h_target"], config["snapshot_dt"])
+    except (KeyError, TypeError) as exc:
+        raise ConfigError("the dissipation check of a chain against a "
+                          "curved barrier needs the h_target and "
+                          "snapshot_dt of its run in the history's "
+                          "config") from exc
+    probe = iter(step(CurveState([c for c, t in zip(state.components, turned)
+                                  if t], state.time, S), dt).components)
+    return [(next(probe).points - c.points) / dt if t
+            else vertex_velocity(c, S)
+            for c, t in zip(state.components, turned)]
 
 
 def _dissipation_integral(history, phi, a, b):
@@ -1513,7 +1574,7 @@ def _dissipation_integral(history, phi, a, b):
     for t in snap_times:
         s = history.slice_at(t)
         rate = 0.0
-        vels = _effective_velocities(s)
+        vels = _effective_velocities(s, history.config)
         for comp, vel in zip(s.components, vels):
             w = lumped_mass(comp.segment_lengths(), comp.closed)
             pv = phi.value(comp.points, t)

@@ -206,6 +206,8 @@ def _reals(n, test):
 # what each block value must be, checked when the config is read, so a
 # malformed value is refused before any work rather than where it is used
 _BLOCK_VALUES = {
+    ("initial_curve", "center"): (_reals(2, _real),
+                                  "a list of 2 finite numbers"),
     ("density", "center"): (_reals(3, _real), "a list of 3 finite numbers"),
     ("density", "radii"): (_reals(None, _positive),
                            "a list of positive finite numbers"),

@@ -381,6 +381,8 @@ class TestRun:
         ("barrier", {"kind": "parametric", "omega_side": "bogus",
                      "points": [[np.cos(a), np.sin(a)] for a in
                                 np.linspace(0, 6, 8)]}, "omega_side"),
+        ("initial_curve", {"kind": "circle", "radius": 0.5, "n": 8,
+                           "center": [0, 0, 0]}, "center"),
         ("initial_curve", {"kind": "polyline", "points": []}, "points"),
         ("initial_curve", {"kind": "polyline", "points": [0, 1, 2]},
          "points"),
@@ -391,7 +393,8 @@ class TestRun:
         ("initial_curve", {"kind": "polyline", "flags": ["no", 0, 1],
                            "points": [[0, 0], [1, 0], [0, 1]]}, "flags"),
     ], ids=["line_normal_3d", "circle_center_3d", "parametric_points_3d",
-            "parametric_bogus_side", "polyline_empty", "polyline_flat",
+            "parametric_bogus_side", "circle_initial_center_3d",
+            "polyline_empty", "polyline_flat",
             "polyline_3d", "polyline_closed_string", "polyline_flag_string"])
     def test_malformed_coordinates_exit_2(self, tmp_path, capsys, block, body,
                                           match):

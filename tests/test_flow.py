@@ -18,7 +18,7 @@ from fbmcf.barrier import Circle, Line, ParametricBarrier
 from fbmcf.errors import (ConfigError, InadmissibleTestFunction,
                           OutOfHistory, StepTooLarge)
 from fbmcf.flow import (
-    Component, CurveState, FlowHistory, SpacetimeTestFunction,
+    Component, CurveState, FlowEvent, FlowHistory, SpacetimeTestFunction,
     dissipation_inequality_check,
     circle_curve, closed_stencil, detect_and_pop, graph_estimate_check,
     half_circle_curve, lasso_curve, mass_bound_check, orthogonality_residual,
@@ -77,15 +77,33 @@ class TestStep:
             assert radii.std() <= 0.002
 
     def test_step_too_large(self):
-        """Only open chains against a curved barrier bound the step; closed
-        components and chains on a line are implicit."""
-        st = lasso_curve(barrier_radius=1.0, n=64)
-        st = CurveState(st.components, 0.0,
-                        Circle((0.0, 0.0), 1.0, omega_side="outside"))
-        with pytest.raises(StepTooLarge):
-            step(st, 1.0)
-        step(CurveState(half_circle_curve(radius=1.0, n=64).components, 0.0,
-                        LINE), 1.0)
+        """No step size is too large: every component of three vertices or
+        more is implicit, open chains against a curved barrier too, so a
+        step of 1.0 (about 150 h_min^2 on the lasso) gives finite points
+        with the flagged ends on the barrier."""
+        Sc = Circle((0.0, 0.0), 1.0, omega_side="outside")
+        for S, st0 in ((Sc, lasso_curve(barrier_radius=1.0, n=64)),
+                       (LINE, half_circle_curve(radius=1.0, n=64))):
+            (comp,) = step(CurveState(st0.components, 0.0, S), 1.0).components
+            assert np.isfinite(comp.points).all()
+            assert np.abs(S.distance(comp.points[comp.on_s])).max() <= 1e-12
+
+    @pytest.mark.parametrize("closed, flags", [
+        (False, [True, False]), (False, [True, True]), (True, [False, False])])
+    def test_two_vertex_component_is_passed_on(self, closed, flags):
+        """A component of fewer than three vertices is not stepped; ``run``
+        deletes it as vanished after its first step."""
+        Sc = Circle((0.0, 0.0), 1.0, omega_side="outside")
+        comp = Component(np.array([[0.0, 1.0], [0.3, 1.5]]), closed,
+                         np.array(flags))
+        out = step(CurveState([comp], 0.0, Sc), 1e-3)
+        assert out.components[0] is comp and out.time == 1e-3
+        # 10 h_target deletes it; 1.5 h_target splits no segment first
+        hist = run(CurveState([comp]), t_end=0.01, h_target=1.0,
+                   snapshot_dt=0.005, barrier=Sc)
+        assert [e.kind for e in hist.events] == ["Vanish"]
+        assert hist.events[0].time == pytest.approx(0.0025)
+        assert [len(s.components) for s in hist.snapshots] == [1, 0]
 
     def test_boundary_vertices_stay_on_barrier(self, half_circle_history):
         for s in half_circle_history.snapshots:
@@ -496,12 +514,10 @@ class TestImplicitClosedStep:
         dts = np.array([dt for dt, _ in log])
         np.testing.assert_allclose(dts, 0.005, rtol=1e-9)
 
-    def test_mixed_state_varies_the_step_ratio(self, monkeypatch):
-        """A circle beside an open chain against a curved barrier steps at
-        the chain's explicit bound, which shrinks with that chain, so a
-        snapshot interval now and then needs one more equal step: BDF2 runs
-        at step ratios away from one, and the circle stays at least as close
-        to its radius law as when it flows alone."""
+    def test_mixed_state_keeps_the_radius_law(self, monkeypatch):
+        """A circle beside an open chain against a curved barrier takes the
+        run's one step size, restarts once and stays at least as close to
+        its radius law as when it flows alone."""
         h = np.pi / 128
         center = (0.0, 0.0)
         circle = circle_curve(center=center, radius=1.0, n=256)
@@ -513,9 +529,8 @@ class TestImplicitClosedStep:
                     barrier=Circle((0.0, 0.0), 4.0))
         assert mixed.events == []
         assert all(len(s.components) == 2 for s in mixed.snapshots)
-        dts = np.array([dt for dt, _ in log])
-        ratios = dts[1:] / dts[:-1]
-        assert ratios.min() < 0.9 and 1.1 < ratios.max() < 1.0 + np.sqrt(2.0)
+        np.testing.assert_allclose([dt for dt, _ in log],
+                                   flow._implicit_dt(h, 0.005), rtol=1e-9)
         assert [restart for _, restart in log].count(True) == 1
         assert _circle_radius_error(mixed, center) <= \
             _circle_radius_error(alone, center)
@@ -557,8 +572,8 @@ class TestImplicitClosedStep:
                 h_target=0.1, snapshot_dt=0.005)
 
     @pytest.mark.parametrize("barrier, h_target", [
-        (None, 1e-4),  # implicit: 1.2e5 vertices times 5e5 steps of 2e-8
-        (Circle((0.0, 0.0), 4.0), 5e-4)])  # explicit: 1.1e4 times 4e5
+        (None, 1e-4),  # 1.2e5 vertices times 5e5 steps of 2e-8
+        (Circle((0.0, 0.0), 4.0), 2e-4)])  # 2.7e4 times 1.25e5 of 8e-8
     def test_run_refuses_unbounded_work(self, monkeypatch, barrier, h_target):
         """A small h_target that passes ``check_run_params`` is refused
         before the first step, in well under a second, when vertices times
@@ -643,7 +658,110 @@ def _open_chain(draw):
     return comp, S, dt
 
 
+def _bdf2_data(comp, dt):
+    """(a, rhs, frozen) of ``_implicit_step``'s BDF2 step, or of its
+    backward-Euler step without a previous level or a positive
+    extrapolation, recomputed."""
+    X, lengths = comp.points, comp.segment_lengths()
+    if comp._previous is None:
+        return 1.0, X, lengths
+    X_old, lengths_old, dt_old = comp._previous
+    w = dt / dt_old
+    frozen = (1.0 + w) * lengths - w * lengths_old
+    if frozen.min() <= 0.0:
+        return 1.0, X, lengths
+    return ((1.0 + 2.0 * w) / (1.0 + w),
+            (1.0 + w) * X - (w * w / (1.0 + w)) * X_old, frozen)
+
+
+def _dense_curved_step(comp, dt, S):
+    """Reference for the implicit step of an open chain against a curved
+    barrier: the dense Galerkin solve of (a M - dt K) X' = M rhs, per x and
+    y, over X' = X + P u with u the interior coordinates and, at each
+    flagged end, the displacement along the barrier's tangent there (a free
+    end is pinned)."""
+    X, m = comp.points, len(comp.points)
+    a, rhs, frozen = _bdf2_data(comp, dt)
+    M = np.diag(_reference_masses(Component(
+        np.cumsum(np.concatenate([[0.0], frozen]))[:, None] * [1.0, 0.0])))
+    K = np.zeros((m, m))
+    for i, length in enumerate(frozen):
+        K[np.ix_([i, i + 1], [i, i + 1])] += np.array([[-1.0, 1.0],
+                                                       [1.0, -1.0]]) / length
+    A = np.kron(a * M - dt * K, np.eye(2))  # rows x_0, y_0, x_1, ...
+    base = np.zeros(2 * m)
+    columns = []
+    for j in range(m):
+        if 0 < j < m - 1:
+            columns += [np.eye(2 * m)[2 * j], np.eye(2 * m)[2 * j + 1]]
+            continue
+        base[2 * j:2 * j + 2] = X[j]
+        if comp.on_s[j]:
+            tangent = np.zeros(2 * m)
+            tangent[2 * j:2 * j + 2] = S.tangent(X[j])
+            columns.append(tangent)
+    P = np.array(columns).T
+    f = np.kron(M, np.eye(2)) @ rhs.ravel()
+    u = np.linalg.solve(P.T @ A @ P, P.T @ (f - A @ base))
+    return (base + P @ u).reshape(m, 2)
+
+
+@st.composite
+def _curved_chain(draw):
+    """A random open chain, flags, optionally a previous level, and a
+    curved barrier on which the flagged ends lie: a circle through the
+    first vertex, or the ellipse with the flagged ends projected on it."""
+    comp, _, dt = draw(_open_chain())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = comp.points.copy()
+    if draw(st.booleans()):
+        radius = rng.uniform(0.5, 3.0)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        S = Circle(pts[0] + radius * np.array([np.cos(phi), np.sin(phi)]),
+                   radius, omega_side=draw(st.sampled_from(["inside",
+                                                            "outside"])))
+    else:
+        S = _ellipse()
+    pts[comp.on_s] = S.project(pts[comp.on_s])
+    new = Component(pts, False, comp.on_s)
+    if comp._previous is not None:
+        object.__setattr__(new, "_previous", comp._previous)
+    return new, S, dt
+
+
 class TestImplicitOpenStep:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_curved_chain())
+    def test_curved_step_is_the_dense_solve(self, drawn):
+        """Against a curved barrier a flagged end moves along the tangent
+        line at its point with the Neumann row projected on it; free ends
+        are pinned; the tridiagonal solve in the end's frame is the dense
+        Galerkin solve in x and y."""
+        comp, S, dt = drawn
+        got = flow._implicit_step(comp, dt, S)
+        expected = _dense_curved_step(comp, dt, S)
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-11 * max(1.0, abs(expected).max()))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_open_chain())
+    def test_curved_solve_on_a_line_is_the_frame_solve(self, drawn):
+        """On a line, with the flagged ends on it, the tangent-line ends of
+        the curved solve give the line's frame solve to rounding."""
+        comp, S, dt = drawn
+        if S is None:
+            S = Line(normal=(0.6, 0.8), offset=float(comp.points[0]
+                                                      @ [0.6, 0.8]))
+        pts = comp.points.copy()
+        pts[comp.on_s] = S.project(pts[comp.on_s])
+        chain = Component(pts, False, comp.on_s)
+        object.__setattr__(chain, "_previous", comp._previous)
+        a, rhs, frozen = _bdf2_data(chain, dt)
+        got = flow._curved_solve(chain, a, rhs, frozen, dt, S)
+        frame = flow._open_solve(chain, a, rhs, frozen, dt, S)
+        np.testing.assert_allclose(got, frame, rtol=0,
+                                   atol=1e-13 * max(1.0, abs(frame).max()))
+
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(_open_chain())
     def test_step_is_the_dense_solve(self, drawn):
@@ -847,6 +965,32 @@ class TestPop:
         assert len(boundary_pts) == 4
         assert np.abs(np.atleast_1d(Sc.distance(boundary_pts))).max() <= 1e-8
         assert orthogonality_residual(s) < 1e-2
+
+    def test_circle_lasso_takes_the_implicit_step(self, monkeypatch):
+        """The n = 192 lasso against a Circle steps at the run's one step
+        size, pops once before t = 0.16, and at the first snapshot after
+        the pop has its four ends on S and orthogonal to it and a
+        dissipation gap >= 0."""
+        Sc = Circle((0.0, 0.0), 1.0, omega_side="outside")
+        st0 = lasso_curve(barrier_radius=1.0, n=192)
+        h = st0.total_length() / 192
+        log = _recording_step(monkeypatch, closed=False)
+        hist = run(st0, t_end=0.18, h_target=h, snapshot_dt=0.002,
+                   barrier=Sc)
+        np.testing.assert_allclose([dt for dt, _ in log],
+                                   flow._implicit_dt(h, 0.002), rtol=1e-9)
+        pops = [e for e in hist.events if e.kind == "Pop"]
+        assert [e.kind for e in hist.events] == ["Pop"]
+        assert pops[0].time < 0.16
+        post = next(s for s in hist.snapshots if s.time > pops[0].time)
+        assert len(post.components) == 2
+        ends = np.vstack([c.points[c.on_s] for c in post.components])
+        assert len(ends) == 4 and Sc.distance(ends).max() <= 1e-8
+        assert orthogonality_residual(post) <= 1e-2
+        rep = dissipation_inequality_check(
+            hist, SpacetimeTestFunction.constant(1.0), pops[0].time - 0.02,
+            pops[0].time + 0.02)
+        assert rep.passed and rep.gap >= 0.0
 
     def test_lasso_pops_against_parametric_circle(self):
         """The lasso against the unit circle given as a ParametricBarrier
@@ -1474,6 +1618,16 @@ class TestDissipationInequality:
         # mass drops through the pop, so the inequality is strict
         assert rep.lhs < 0
 
+    def test_curved_chain_needs_its_run_config(self, lasso_history):
+        """A chain against a curved barrier is probed with the step of the
+        run that made the history, read from its config: without it the
+        check raises ConfigError."""
+        bare = FlowHistory(lasso_history.snapshots, lasso_history.events,
+                           {}, lasso_history.barrier)
+        with pytest.raises(ConfigError, match="h_target and snapshot_dt"):
+            dissipation_inequality_check(
+                bare, SpacetimeTestFunction.constant(1.0), 0.02, 0.04)
+
     def test_admissibility_enforced(self, half_circle_history):
         bad = SpacetimeTestFunction(
             lambda p, t: 1.0 + p[:, 1],
@@ -1555,6 +1709,25 @@ class TestSliceAt:
         assert len(hist.snapshots) == 1
         for t in (5e-10, -5e-10):
             assert hist.slice_at(t) is hist.snapshots[0]
+
+    @pytest.mark.parametrize("kind", ["Pop", "Vanish"])
+    def test_jump_late_in_an_interval_keeps_the_earlier_snapshot(self, kind):
+        """Between snapshots of different components, a time before the
+        first Pop or Vanish in the interval reads the snapshot before it,
+        also when the later snapshot is nearer; a Collision is no jump, and
+        without a jump the nearer snapshot is read."""
+        one = circle_curve(n=16)
+        two = CurveState(one.components + circle_curve((3.0, 0.0), 1.0,
+                                                       16).components)
+        states = [CurveState(s.components, t) for s, t in
+                  ((one, 0.0), (two, 1.0), (one, 2.0))]
+        hist = FlowHistory(states, [FlowEvent(0.8, kind, np.zeros(2)),
+                                    FlowEvent(1.9, "Collision",
+                                              np.zeros(2))])
+        snaps = hist.snapshots
+        for t, i in ((0.3, 0), (0.7, 0), (0.8, 1), (0.9, 1), (1.2, 1),
+                     (1.7, 2)):
+            assert hist.slice_at(t) is snaps[i], t
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_is_out_of_history(self, t):

@@ -340,16 +340,21 @@ def test_block_masses_keep_the_zero_length_error():
 @pytest.fixture(scope="module")
 def decoded(corner_history, pop_history, tmp_path_factory):
     """name -> (history, its snapshots as ``CurveState``s decoded from its
-    file by the README's recipe, apart from the history's own columns)."""
+    file by the README's recipe, apart from the history's own columns, and
+    per snapshot the time of the first Pop or Vanish event its line
+    records, the first since the snapshot before, or None)."""
     out = {}
     for name, history in (("corner", corner_history), ("pop", pop_history)):
         path = tmp_path_factory.mktemp(name) / "history.jsonl"
         history.to_jsonl(path)
-        states = []
+        states, jumps = [], []
         with open(path) as f:
             next(f)
             for line in f:
                 rec = json.loads(line)
+                jumps.append(min((e["time"] for e in rec["events"]
+                                  if e["kind"] in ("Pop", "Vanish")),
+                                 default=None))
                 xy = np.frombuffer(base64.b64decode(rec["points"]),
                                    "<f8").reshape(-1, 2)
                 flags = np.zeros(len(xy), bool)
@@ -359,13 +364,15 @@ def decoded(corner_history, pop_history, tmp_path_factory):
                     [Component(p, c, fl) for p, fl, c in zip(
                         np.split(xy, ends)[:-1], np.split(flags, ends)[:-1],
                         rec["closed"])], rec["t"], history.barrier))
-        out[name] = (history, states)
+        out[name] = (history, states, jumps)
     return out
 
 
-def _slice_at_per_snapshot(states, t):
+def _slice_at_per_snapshot(states, jumps, t):
     """Reference for ``FlowHistory.slice_at``: the bracketing snapshots
-    interpolated component by component."""
+    interpolated component by component, or, when their components differ,
+    the one on t's side of the first jump between them (of their middle
+    when there is none)."""
     times = np.array([s.time for s in states])
     i = int(np.argmin(np.abs(times - t)))
     if abs(times[i] - t) < 1e-12 or t < times[0] or t > times[-1]:
@@ -376,7 +383,10 @@ def _slice_at_per_snapshot(states, t):
     if len(a.components) != len(b.components) or any(
             ca.closed != cb.closed
             for ca, cb in zip(a.components, b.components)):
-        return a if abs(times[lo] - t) <= abs(times[lo + 1] - t) else b
+        jump = jumps[lo + 1]
+        if jump is None:
+            jump = 0.5 * (times[lo] + times[lo + 1])
+        return a if t < jump else b
     comps = []
     for ca, cb in zip(a.components, b.components):
         pa, pb = ca.points, cb.points
@@ -417,21 +427,24 @@ def _bracket_kinds(states):
 
 @pytest.mark.parametrize("name", ["corner", "pop"])
 def test_slice_at_equals_per_snapshot_slices(name, decoded):
-    """Seeded times, snapshot times and the middles of every bracket where
-    a remesh changed a vertex count or a pop changed the components."""
-    history, states = decoded[name]
+    """Seeded times, snapshot times, the middles of every bracket where a
+    remesh changed a vertex count or a pop changed the components, and the
+    times of the pops and vanishes and just before them."""
+    history, states, jumps = decoded[name]
     times = history.times
     kinds = _bracket_kinds(states)
     special = np.flatnonzero(kinds != "same")
     rng = np.random.default_rng(17)
     ts = np.concatenate([rng.uniform(times[0], times[-1], 200), times[::41],
                          0.5 * (times[special] + times[special + 1]),
-                         times[special] + 1e-13, [times[-1] + 1e-10]])
+                         times[special] + 1e-13, [times[-1] + 1e-10],
+                         [j - d for j in jumps if j is not None
+                          for d in (1e-7, 0.0)]])
     if name == "pop":
         assert {"vertices", "components"} <= set(kinds)
     for t in ts:
         assert _state_bits(history.slice_at(t)) \
-            == _state_bits(_slice_at_per_snapshot(states, t))
+            == _state_bits(_slice_at_per_snapshot(states, jumps, t))
 
 
 def _rescale_per_snapshot(states, X0, lam):
@@ -446,7 +459,7 @@ def _rescale_per_snapshot(states, X0, lam):
 @pytest.mark.parametrize("name", ["corner", "pop"])
 def test_rescale_equals_per_snapshot_rescale(name, decoded):
     """A rescaling, and a rescaling of it."""
-    history, states = decoded[name]
+    history, states, _ = decoded[name]
     X0 = {"corner": (0.0, 0.0, 0.5), "pop": (0.05, 1.05, 0.2)}[name]
     once = tangent.rescale(history, X0, 0.4)
     twice = tangent.rescale(once, (0.01, -0.02, 0.3), 0.7)
@@ -464,7 +477,7 @@ def test_rescale_equals_per_snapshot_rescale(name, decoded):
 
 @pytest.mark.parametrize("name", ["corner", "pop"])
 def test_summary_rows_equal_per_snapshot_rows(name, decoded):
-    history, states = decoded[name]
+    history, states, _ = decoded[name]
     ref = [(s.time, s.total_length(), s.min_barrier_distance(),
             len(s.components)) for s in states]
     assert np.array(history.summary_rows()).tobytes() == np.array(ref).tobytes()
