@@ -7,13 +7,13 @@ curve), ``kernels`` (truncated/reflected Gaussian kernels), ``varifold``
 (parabolic rescaling), ``regularize`` (translator profiles), and ``cli``.
 """
 
-from .barrier import Barrier, Circle, Line, ParametricBarrier, ReflectionData
+from .barrier import Barrier, Circle, Line, ParametricBarrier
 from .kernels import KernelParams
 from .varifold import DiscreteVarifold
 from .flow import CurveState, FlowHistory
 
 __all__ = [
-    "Barrier", "Circle", "Line", "ParametricBarrier", "ReflectionData",
+    "Barrier", "Circle", "Line", "ParametricBarrier",
     "KernelParams", "DiscreteVarifold", "CurveState", "FlowHistory",
 ]
 

@@ -3,8 +3,8 @@
 A barrier is an embedded oriented curve S in the plane.  The orienting unit
 normal ``nu_S`` always points *out of* the closed admissible side Omega.  All
 queries (distance ``d``, nearest-point projection ``zeta``, point reflection
-``x~ = 2 zeta(x) - x``, vector reflection) are closed form for lines and
-circles and Newton-based for generic parametric curves.
+``x~ = 2 zeta(x) - x``) are closed form for lines and circles and
+Newton-based for generic parametric curves.
 
 Two quantitative scales are attached to every barrier point:
 
@@ -26,7 +26,7 @@ once per barrier and kept on it.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -45,17 +45,6 @@ def norm2(v):
     """|v| over a last axis of length 2: the bits of
     ``np.linalg.norm(v, axis=-1)``, several times faster on short arrays."""
     return np.sqrt(norm2_sq(v))
-
-
-@dataclass(frozen=True)
-class ReflectionData:
-    """One reflection query: base point, foot, mirror image and local scale."""
-
-    base: np.ndarray
-    foot: np.ndarray
-    mirror: np.ndarray
-    distance: float
-    local_scale: float
 
 
 class LocalChart:
@@ -192,14 +181,6 @@ class Barrier:
         self._check_reach(x, feet)
         return 2.0 * feet - x
 
-    def reflect_vector(self, x, v):
-        """Linear reflection of v across the tangent line at zeta(x)."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        self._check_reach(x, self.project(x))
-        n = self.normal(x)
-        return v - 2.0 * np.sum(v * n, axis=-1, keepdims=True) * n
-
     def distance_gradient(self, x):
         """Gradient of the (unsigned) distance: (x - zeta(x)) / d(x)."""
         x = np.asarray(x, dtype=float)
@@ -218,15 +199,6 @@ class Barrier:
             gm = self.distance_gradient(x - h * ek)
             out[..., k] = (gp - gm) / (2.0 * h)
         return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-    def reflection_data(self, x) -> ReflectionData:
-        x = np.asarray(x, dtype=float)
-        foot = self.project(x)
-        mirror = self.reflect_point(x)
-        return ReflectionData(
-            base=x, foot=foot, mirror=mirror,
-            distance=float(np.linalg.norm(x - foot)),
-            local_scale=self.reflection_regularity_scale(foot))
 
     def affine_reflection(self, foot):
         """The affine reflection about the tangent line at a fixed foot point."""

@@ -11,9 +11,11 @@ The truncated quantity differs from the plain Gaussian by an
 O(sqrt(r/kappa)) factor at finite r, so the pointwise density is obtained by
 polynomial extrapolation in sqrt(r) over the smallest admissible radii.
 
-A reflected density integrates ``reflected_truncated_kernel`` at every
-centre through one path, ``_integrate_group``: the stacked order-8 points of
-a group of slices go through one kernel call.  Each value is computed once
+Plain and reflected densities integrate over slices by one sum,
+``varifold.integrate_slices``: ``gaussian_density`` through
+``integrate_slice`` on one slice, and a reflected density through
+``_integrate_group``, whose group of slices puts its stacked order-8 points
+through one ``reflected_truncated_kernel`` call.  Each value is computed once
 per history (``reflected_density`` keeps it on the ``FlowHistory``).
 ``density_at_point`` and ``monotonicity_report`` first integrate every
 radius the memo lacks as one pass (a group per ``flow._SCAN_BLOCK``
@@ -32,7 +34,7 @@ from .barrier import Barrier
 from .errors import InadmissibleRadius, KappaTooLarge, NoFiniteA, OutOfHistory
 from .flow import _SCAN_BLOCK, FlowHistory, state_ball_mass
 from .kernels import KernelParams, heat_kernel, reflected_truncated_kernel
-from .varifold import integrate_slice, segment_quadrature
+from .varifold import integrate_slice, integrate_slices
 
 
 def gaussian_density(history: FlowHistory, X0, r):
@@ -43,7 +45,7 @@ def gaussian_density(history: FlowHistory, X0, r):
         raise InadmissibleRadius("radius must be positive")
     state = history.slice_at(t0 - r * r)
     return integrate_slice(
-        state, lambda p: heat_kernel(p - x0, -r * r))
+        state, lambda p: heat_kernel(p - x0, -r * r), 8)
 
 
 # entries a history's density memo holds before it is cleared
@@ -154,27 +156,13 @@ def _integrate_radii(history: FlowHistory, S: Barrier, X0, radii,
 
 def _integrate_group(S, centre, group, params):
     """The densities at ``centre`` over a group of slices (t, components
-    with a segment), all with one segment count: one ``segment_quadrature``
-    and one ``reflected_truncated_kernel`` call, the slices' order-8 points
-    stacked (slices, points, 2) against the times (slices, 1), each
-    component of each slice summed as ``integrate_slice`` sums it."""
-    chains = [c for _, comps in group for c in comps]
-    if not chains:
-        return [0.0] * len(group)
-    pts, L, weights = segment_quadrature(
-        *map(np.concatenate, zip(*(c.segments() for c in chains))), 8)
-    vals = reflected_truncated_kernel(
-        S, centre, pts.reshape(len(group), -1, 2),
-        np.array([[t] for t, _ in group]), params).reshape(-1, 8)
-    thetas, start = [], 0
-    for _, comps in group:
-        theta = 0.0
-        for c in comps:
-            rows = slice(start, start + len(c.points) - (not c.closed))
-            theta += float(np.sum(0.5 * L[rows] * (vals[rows] @ weights)))
-            start = rows.stop
-        thetas.append(theta)
-    return thetas
+    with a segment), all with one segment count: ``integrate_slices`` with
+    one ``reflected_truncated_kernel`` call on the slices' stacked order-8
+    points (slices, points, 2) against the times (slices, 1)."""
+    times = np.array([[t] for t, _ in group])
+    return integrate_slices(
+        [comps for _, comps in group],
+        lambda p: reflected_truncated_kernel(S, centre, p, times, params), 8)
 
 
 @dataclass
@@ -325,11 +313,3 @@ def classify_regular(history: FlowHistory, S, X, params=None, eta=0.05,
     """'Regular' when the pointwise density sits below 1 + eta, else 'Suspect'."""
     theta, _ = density_at_point(history, S, X, params, radii=radii)
     return "Regular" if theta < 1.0 + eta else "Suspect"
-
-
-def euclidean_density(V, x, r):
-    """mu_V(B_r(x)) / (omega_1 r) with omega_1 = 2, so a line through x
-    has density one at every scale."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    return V.ball_mass(np.asarray(x, dtype=float), r) / (2.0 * r)

@@ -106,11 +106,6 @@ class CurveState:
         return np.vstack([c.points for c in self.components]) if self.components \
             else np.zeros((0, 2))
 
-    def min_barrier_distance(self):
-        if self.barrier is None or not self.components:
-            return np.inf
-        return float(np.min(self.barrier.distance(self.all_points())))
-
 
 @dataclass
 class FlowEvent:
@@ -468,10 +463,10 @@ class FlowHistory:
 
     def summary_rows(self):
         """(t, total length, least barrier distance, component count) of
-        every snapshot, with the bits of ``CurveState.total_length`` and
-        ``min_barrier_distance`` (inf without a barrier or a vertex): each
-        component's lengths are summed on their own, the distances are
-        taken a block of snapshots at a time."""
+        every snapshot, the length with the bits of
+        ``CurveState.total_length`` and the distance inf without a barrier
+        or a vertex: each component's lengths are summed on their own, the
+        distances are taken a block of snapshots at a time."""
         rows, points, S = [], self._points, self.barrier
         comp, _, _, times = self._lists
         first = self._vertex_offsets[self._component_offsets]
@@ -567,7 +562,9 @@ def _implicit_step(comp: Component, dt, barrier: Barrier | None):
     or backward Euler, X' - X^n = dt D(l^n) X', without one or when the
     extrapolated lengths are not all positive (a collapsing segment, such
     as an end sliding under its neighbor).  Multiplied by the masses the
-    system is symmetric and positive definite.
+    system is symmetric and positive definite.  Raises StepTooLarge when a
+    frozen length is zero or NaN (a zero-length or non-finite segment),
+    where the stencil's coupling dt / l would not be finite.
     """
     X, lengths = comp.points, comp.segment_lengths()
     a, rhs, frozen = 1.0, X, lengths
@@ -579,6 +576,9 @@ def _implicit_step(comp: Component, dt, barrier: Barrier | None):
             a = (1.0 + 2.0 * w) / (1.0 + w)
             rhs = (1.0 + w) * X - (w * w / (1.0 + w)) * X_old
             frozen = extrapolated
+    if not frozen.min() > 0.0:  # a NaN fails the comparison too
+        raise StepTooLarge("an implicit step met a zero-length or non-finite "
+                           "segment")
     if comp.closed:
         return _closed_solve(a, rhs, frozen, dt)
     if _curved(comp, barrier):
@@ -595,10 +595,11 @@ def _solve_definite(d, e, b):
     from scipy.linalg.lapack import dptsv
     # b.T is Fortran-ordered: solved uncopied
     _, _, y, info = dptsv(d, e, b.T, overwrite_d=1, overwrite_b=1)
-    if info != 0:  # the frozen lengths are positive, so not definite means
-        # a zero-length or non-finite segment
-        raise StepTooLarge("an implicit step met a zero-length or non-finite "
-                           "segment")
+    if info != 0:  # the frozen lengths are positive (``_implicit_step``
+        # checks them), so only rounding or overflow can leave a pivot
+        # that is not positive
+        raise StepTooLarge("an implicit step met a system that is not "
+                           "definite in floating point")
     return y.T
 
 

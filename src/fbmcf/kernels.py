@@ -133,16 +133,6 @@ def _tube_mirror(S: Barrier, x):
     return 2.0 * feet - x, inside
 
 
-def reflected_cutoff(S: Barrier, x, t, params: KernelParams):
-    """phi~(x, t) = phi(x~, t); zero where x leaves the reflection tube.
-
-    Outside the reach tube the reflected support cannot contain the mirror
-    image for admissible (kappa, tau), so the zero extension is exact there.
-    """
-    mirror, inside = _tube_mirror(S, x)
-    return np.where(inside, cutoff(mirror, t, params), 0.0)
-
-
 def reflected_truncated_kernel(S: Barrier, X0, x, t, params: KernelParams):
     """f(x, t) = phi rho (x - x0, t - t0) + phi rho (x~ - x0, t - t0).
 

@@ -56,11 +56,6 @@ class TranslatorProfile:
     area: np.ndarray     # surface area between radii r[0] and r, ascending
     z_max: float         # height of the axis point
 
-    @property
-    def shoot_slope(self):
-        """The slope r'(0) a shooting solve would search for."""
-        return float(1.0 / self.w[-1])
-
     def radius_at(self, z):
         """Slice radius at heights z in [0, z_max]: R0 at 0, 0 at z_max."""
         return np.interp(z, np.append(self.z[::-1], self.z_max),
@@ -244,15 +239,6 @@ def i_epsilon(profile: TranslatorProfile):
     integrand = (np.exp(-profile.z / eps) * 2.0 * np.pi * r
                  * np.sqrt(1.0 + w ** 2))
     return float(simpson(integrand, x=r)) / eps
-
-
-def i_epsilon_of_table(z, r, epsilon):
-    """Weighted area of an arbitrary competitor profile table (z, r(z))."""
-    z = np.asarray(z, dtype=float)
-    r = np.asarray(r, dtype=float)
-    rp = np.gradient(r, z)
-    integrand = np.exp(-z / epsilon) * 2.0 * np.pi * r * np.sqrt(1.0 + rp ** 2)
-    return float(np.trapezoid(integrand, z)) / epsilon
 
 
 def slab_mass(profile: TranslatorProfile, interval):

@@ -1,5 +1,5 @@
-"""Discrete integral 1-varifolds: first variation, free-boundary certification,
-reflection doubling, and the two-radius boundary monotonicity identity.
+"""Discrete integral 1-varifolds: first variation, free-boundary certification
+and the two-radius boundary monotonicity identity.
 
 A varifold here is a weighted collection of straight segments (usually the
 edges of one or more polylines, with integer multiplicities).  Its first
@@ -12,8 +12,9 @@ since <D_e X, e> is the derivative of e . X along a segment of direction e.
 By vertex, the sum is the atomic decomposition -- turning vectors at
 interior vertices, conormals at chain endpoints -- that the boundary
 monotonicity identity also pairs against.  Integrals over segments go by
-fixed-order Gauss-Legendre quadrature (``segment_quadrature``, shared by
-the free-boundary fit, density integrals and the dissipation check).  The
+fixed-order Gauss-Legendre quadrature (``segment_quadrature``).  Integrals
+over flow slices go through one sum, ``integrate_slices``: the plain and
+reflected Gaussian densities and the dissipation check all use it.  The
 polyline type ``Component`` is the one the flow evolves, so a flow slice is
 a varifold without conversion.  Over the lumped vertex mass the turning is
 the flow's curvature vector H = turning / mass (``turning_and_mass``).
@@ -40,39 +41,53 @@ def _gauss_legendre(order):
     return _GL_CACHE[order]
 
 
-def _nodes(starts, d, order):
-    """start + s d at the ``order`` Gauss-Legendre nodes s of every segment,
-    (segments, order, 2); one coordinate at a time, so numpy loops over the
-    nodes rather than over the two coordinates of each."""
-    s = 0.5 * (_gauss_legendre(order)[0] + 1.0)
-    pts = np.empty((len(d), order, 2))
-    for c in range(2):
-        np.add(starts[:, c, None], s * d[:, c, None], out=pts[..., c])
-    return pts
-
-
 def segment_quadrature(starts, ends, order):
     """Gauss-Legendre nodes of the given order on every segment.
 
     Returns (points, lengths, weights) with points shaped (segments, order, 2);
     the integral of f over segment k is 0.5 * lengths[k] * (f(points[k]) @ weights).
+    The points start + s (end - start) are formed one coordinate at a time,
+    so numpy loops over the nodes rather than over the two coordinates of each.
     """
+    nodes, weights = _gauss_legendre(order)
+    s = 0.5 * (nodes + 1.0)
     d = ends - starts
-    return _nodes(starts, d, order), norm2(d), _gauss_legendre(order)[1]
+    pts = np.empty((len(d), order, 2))
+    for c in range(2):
+        np.add(starts[:, c, None], s * d[:, c, None], out=pts[..., c])
+    return pts, norm2(d), weights
 
 
-def integrate_slice(state, fn, order=8):
+def integrate_slices(slices, fn, order):
+    """int fn dmu over each of a group of slices, each a list of components
+    with a segment, all with one segment count: one ``segment_quadrature``
+    over their stacked segments and one call of fn on its points, shaped
+    (slices, points per slice, 2).  Each component's sum of 0.5 l (f @ w)
+    is taken on its own and added to its slice's total in component order."""
+    chains = [c for comps in slices for c in comps]
+    if not chains:
+        return [0.0] * len(slices)
+    pts, L, weights = segment_quadrature(
+        *map(np.concatenate, zip(*(c.segments() for c in chains))), order)
+    vals = np.asarray(fn(pts.reshape(len(slices), -1, 2))).reshape(-1, order)
+    totals, start = [], 0
+    for comps in slices:
+        total = 0.0
+        for c in comps:
+            rows = slice(start, start + len(c.points) - (not c.closed))
+            total += float(np.sum(0.5 * L[rows] * (vals[rows] @ weights)))
+            start = rows.stop
+        totals.append(total)
+    return totals
+
+
+def integrate_slice(state, fn, order):
     """int fn dmu over a flow slice (a ``CurveState``), ``order``-point
-    Gauss-Legendre per segment, on each component's own segment vectors
-    and lengths (measured once per component)."""
-    total, weights = 0.0, _gauss_legendre(order)[1]
-    for comp in state.components:
-        if len(comp.points) < 2:
-            continue
-        d, L = comp.segment_vectors(), comp.segment_lengths()
-        pts = _nodes(comp.points[:len(d)], d, order)
-        vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(len(L), order)
-        total += float(np.sum(0.5 * L * (vals @ weights)))
+    Gauss-Legendre per segment: ``integrate_slices`` over its components
+    with a segment, fn taking points (N, 2)."""
+    (total,) = integrate_slices(
+        [[c for c in state.components if len(c.points) > 1]],
+        lambda p: fn(p.reshape(-1, 2)), order)
     return total
 
 
@@ -328,15 +343,6 @@ def certify_free_boundary(V: DiscreteVarifold, S: Barrier, fields, tol=None):
         field_count=len(fields))
 
 
-def reflect_varifold(V: DiscreteVarifold, P: Line):
-    """V + (mirror of V across the line P); multiplicities unchanged."""
-    chains = list(V.chains)
-    for c in V.chains:
-        chains.append(Component(P.reflect_point(c.points), c.closed,
-                                multiplicity=c.multiplicity))
-    return DiscreteVarifold(chains)
-
-
 # -- scalar fields and the boundary monotonicity identity ----------------------
 
 @dataclass(frozen=True)
@@ -584,22 +590,6 @@ class Poly2:
         return out[:, 0], out[:, 1:]
 
 
-def polynomial_field(cx, cy):
-    px, py = Poly2(cx), Poly2(cy)
-
-    def value(pts):
-        return np.stack([px(pts), py(pts)], axis=-1)
-
-    def value_and_jacobian(pts):
-        (vx, gx), (vy, gy) = px.value_and_grad(pts), py.value_and_grad(pts)
-        j = np.empty((len(pts), 2, 2))
-        j[:, 0, :] = gx
-        j[:, 1, :] = gy
-        return np.stack([vx, vy], axis=-1), j
-
-    return TestField(value, value_and_jacobian)
-
-
 def rotational_field(p: Poly2, center):
     """p(x) * rot90(x - center): tangent to every circle about the center."""
     c = np.asarray(center, dtype=float)
@@ -743,26 +733,3 @@ def tangential_family(S: Barrier, n_fields=40, seed=0, window=None,
             X = windowed_field(X, c, w)
         fields.append(X)
     return fields
-
-
-def transformed_field(X: TestField, rotation, shift):
-    """Pushforward of X under the rigid motion x -> R x + shift."""
-    R = np.asarray(rotation, dtype=float)
-    b = np.asarray(shift, dtype=float)
-
-    def value(pts):
-        return X.value((pts - b) @ R) @ R.T
-
-    def value_and_jacobian(pts):
-        v, jac = X.value_and_jacobian((pts - b) @ R)
-        return v @ R.T, np.einsum("ab,qbc,dc->qad", R, jac, R)
-
-    return TestField(value, value_and_jacobian)
-
-
-def check_tangential(X: TestField, S: Barrier, n_samples=1000):
-    """max |X . nu_S| over barrier samples (should be ~0 for tangential fields)."""
-    pts = S.boundary_samples(n_samples)
-    vals = X.value(pts)
-    normals = S.normal(pts)
-    return float(np.abs(np.sum(vals * normals, axis=-1)).max())

@@ -1,4 +1,4 @@
-"""Guard against options that no caller sets.
+"""Guard against options that no caller sets and names that only tests use.
 
 An AST scan of ``src/fbmcf`` collects every parameter with a default value
 and every defaulted field of a public dataclass. A second scan of the call
@@ -8,17 +8,29 @@ name they use (``f(...)``, ``obj.f(...)``, ``Cls(...)``), so a call sets a
 parameter of every definition with that name. A default that no call
 overrides is a constant in disguise: it doubles the configurations the
 acceptance rows would have to cover and may guard a branch no run reaches.
+
+A third scan collects every public top-level function and class and every
+public method of a public class under ``src/fbmcf``, and looks for its name
+outside its own definition in ``src/``, ``demos/`` and ``bench/`` (as a
+name, an attribute, or a word of a string that is not a docstring, such
+as ``__all__`` or the tracer's targets), in ``README.md`` and in
+``pyproject.toml``. A public name that only tests use is code kept for the
+tests' sake: move it into the test that needs it.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fbmcf"
 CALLER_DIRS = ("src", "tests", "demos", "bench")
-MAX_DEFAULTED = 79
+REFERENCE_DIRS = ("src", "demos", "bench")
+REFERENCE_FILES = ("README.md", "pyproject.toml")
+MAX_DEFAULTED = 77
+WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def _parse(path):
@@ -143,3 +155,78 @@ def test_defaulted_parameter_count_is_bounded():
     assert len(defaulted) <= MAX_DEFAULTED, (
         f"{len(defaulted)} defaulted parameters and dataclass fields "
         f"(bound {MAX_DEFAULTED})")
+
+
+def _public_definitions():
+    """(label, name) of every public top-level function and class and every
+    public method of a public class under ``src/fbmcf``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    node.name.startswith("_"):
+                continue
+            out.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{path.stem}.{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")]
+    return out
+
+
+class _References(ast.NodeVisitor):
+    """Names used in a module, each outside the definitions of that name:
+    names, attributes and the words of strings that are not docstrings."""
+
+    def __init__(self, tree):
+        self.names, self._inside = set(), []
+        self._docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+        self.visit(tree)
+
+    def _add(self, name):
+        if name not in self._inside:
+            self.names.add(name)
+
+    def visit_FunctionDef(self, node):
+        self._inside.append(node.name)
+        self.generic_visit(node)
+        self._inside.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        self._add(node.id)
+
+    def visit_Attribute(self, node):
+        self._add(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and id(node) not in self._docstrings:
+            for word in WORD.findall(node.value):
+                self._add(word)
+
+
+def _references():
+    names = set()
+    for d in REFERENCE_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            names |= _References(_parse(path)).names
+    for f in REFERENCE_FILES:
+        names |= set(WORD.findall((ROOT / f).read_text()))
+    return names
+
+
+def test_every_public_name_is_used_outside_tests():
+    used = _references()
+    unused = [label for label, name in _public_definitions()
+              if name not in used]
+    assert not unused, (
+        f"{len(unused)} public functions, classes or methods are named "
+        "nowhere but in their own definition and in tests; delete them or "
+        "move them into the tests that use them:\n  " + "\n  ".join(unused))

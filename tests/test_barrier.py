@@ -9,8 +9,16 @@ from hypothesis import given, settings, strategies as st
 from fbmcf.barrier import (Circle, Line, ParametricBarrier, measured_c1, norm2,
                            norm2_sq)
 from fbmcf.errors import BeyondReach
-from fbmcf.kernels import (KernelParams, cutoff, heat_kernel, reflected_cutoff,
+from fbmcf.kernels import (KernelParams, cutoff, heat_kernel,
                            reflected_truncated_kernel)
+
+
+def vector_reflection(S, x, v):
+    """v reflected across the tangent line at zeta(x): the linear part of
+    the affine reflection about that foot."""
+    foot = S.project(np.asarray(x, dtype=float))
+    refl = S.affine_reflection(foot)
+    return refl(foot + v) - refl(foot)
 
 
 def unit_circle_parametric(n=64):
@@ -141,44 +149,37 @@ class TestReflection:
             S.reflect_point(np.array([3.0, 0.0]))
 
     def test_reach_check_on_finite_and_infinite_reach(self):
-        """A Circle still checks its reach in both reflections; a Line skips
-        the check where it cannot fire and gives the mirror and reflected
-        vector bits of the unchecked formulas, and a distance that
-        overflows the norm still raises."""
+        """A Circle checks its reach in the point reflection; a Line skips
+        the check where it cannot fire and gives the mirror bits of the
+        unchecked formula, and a distance that overflows the norm still
+        raises."""
         S = Circle((0.0, 0.0), 1.0)
-        far = np.array([[0.5, 0.0], [0.0, 2.5]])
-        for query in (lambda x: S.reflect_point(x),
-                      lambda x: S.reflect_vector(x, np.ones_like(x))):
-            with pytest.raises(BeyondReach):
-                query(far)
+        with pytest.raises(BeyondReach):
+            S.reflect_point(np.array([[0.5, 0.0], [0.0, 2.5]]))
         line = Line(normal=(0.6, -0.8), offset=0.3)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(64, 2)) * 10.0 ** rng.uniform(-3, 140, (64, 1))
-        v = rng.normal(size=(64, 2))
         feet = line.project(x)
-        n = line.normal(x)
         assert line.reflect_point(x).tobytes() == (2.0 * feet - x).tobytes()
-        assert line.reflect_vector(x, v).tobytes() == (
-            v - 2.0 * np.sum(v * n, axis=-1, keepdims=True) * n).tobytes()
         with np.errstate(over="ignore"), pytest.raises(BeyondReach):
             line.reflect_point(np.array([0.0, 1e200]))
 
     def test_vector_reflection_line(self):
         S = Line(normal=(0.0, 1.0), offset=0.0)
         np.testing.assert_allclose(
-            S.reflect_vector(np.array([0.0, 0.5]), np.array([1.0, 1.0])),
+            vector_reflection(S, [0.0, 0.5], np.array([1.0, 1.0])),
             [1.0, -1.0])
 
     def test_tangent_vector_fixed(self):
         S = Circle((0.0, 0.0), 1.0)
         x = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])  # tangent at (1, 0)
-        np.testing.assert_allclose(S.reflect_vector(x, v), v, atol=1e-12)
+        np.testing.assert_allclose(vector_reflection(S, x, v), v, atol=1e-12)
 
     def test_normal_vector_flips(self):
         S = Circle((0.0, 0.0), 1.0)
         np.testing.assert_allclose(
-            S.reflect_vector(np.array([1.0, 0.0]), np.array([1.0, 0.0])),
+            vector_reflection(S, [1.0, 0.0], np.array([1.0, 0.0])),
             [-1.0, 0.0], atol=1e-12)
 
     def test_vector_reflection_preserves_norm(self):
@@ -187,7 +188,7 @@ class TestReflection:
         for _ in range(50):
             x = np.array([1.0, 0.0]) + 0.3 * rng.standard_normal(2)
             v = rng.standard_normal(2)
-            w = S.reflect_vector(x, v)
+            w = vector_reflection(S, x, v)
             assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(v), abs=1e-12)
 
     @settings(max_examples=40, derandomize=True)
@@ -257,17 +258,6 @@ class TestReflection:
             y = base + rng.uniform(-0.1, 0.1) * t + rng.uniform(-0.1, 0.1) * n
             dev = np.linalg.norm(S.reflect_point(y) - S.affine_reflection(base)(y))
             assert dev <= 2.0 * np.sum((y - base) ** 2) + 1e-12
-
-
-class TestReflectionData:
-    def test_fields_consistent(self):
-        S = Circle((0.0, 0.0), 1.0)
-        x = np.array([0.8, 0.3])
-        data = S.reflection_data(x)
-        np.testing.assert_allclose(data.mirror, 2.0 * data.foot - data.base,
-                                   atol=1e-15)
-        assert data.distance == pytest.approx(np.linalg.norm(x - data.foot))
-        assert data.local_scale > 0.0
 
 
 class TestTraceEstimate:
@@ -623,13 +613,11 @@ class TestBatchInvariance:
             "distance": lambda x, t: S.distance(x),
             "tangent": lambda x, t: S.tangent(x),
             "reflect_point": lambda x, t: S.reflect_point(x),
-            "reflect_vector": lambda x, t: S.reflect_vector(x, x[..., ::-1]),
             "distance_gradient": lambda x, t: S.distance_gradient(x),
             "distance_hessian": lambda x, t: S.distance_hessian(x),
             "affine_reflection": lambda x, t: refl(x),
             "heat_kernel": lambda x, t: heat_kernel(x - foot, t),
             "cutoff": lambda x, t: cutoff(x - foot, t, p),
-            "reflected_cutoff": lambda x, t: reflected_cutoff(S, x, t, p),
             "reflected_truncated_kernel":
                 lambda x, t: reflected_truncated_kernel(S, X0, x, t, p),
         }

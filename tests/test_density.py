@@ -6,14 +6,15 @@ from fbmcf import density, kernels, varifold
 from fbmcf.barrier import Circle, Line
 from fbmcf.errors import InadmissibleRadius, KappaTooLarge
 from fbmcf.density import (
-    classify_regular, density_at_point, euclidean_density, gaussian_density,
-    monotonicity_report, reflected_density,
+    classify_regular, density_at_point, gaussian_density, monotonicity_report,
+    reflected_density,
 )
 from fbmcf.flow import (CurveState, FlowHistory, circle_curve, segment_curve,
                         static_history)
 from fbmcf.kernels import KernelParams
 from fbmcf.varifold import Component, DiscreteVarifold
 from conftest import DENSITY_LINE
+from test_scan_references import integrate_per_component
 
 SHRINKER_DENSITY = np.sqrt(2.0 * np.pi / np.e)  # 1.520347...
 BIG_KAPPA = KernelParams(kappa=1e7, alpha=8.0, c1=2.0)
@@ -116,9 +117,9 @@ class TestReflectedDensity:
             term = kernels.cutoff(m, t - t0, params) \
                 * kernels.heat_kernel(m, t - t0)
             assert (np.where(inside, term, 0.0) == 0.0).all()
-        direct = varifold.integrate_slice(
+        direct = integrate_per_component(
             state, lambda p: kernels.cutoff(p - x0, t - t0, params)
-            * kernels.heat_kernel(p - x0, t - t0))
+            * kernels.heat_kernel(p - x0, t - t0), 8)
         assert theta > 0.0
         assert np.float64(theta).tobytes() == np.float64(direct).tobytes()
 
@@ -439,6 +440,12 @@ class TestUpperSemiContinuity:
                                    (0.0, 0.0, 0.5), BIG_KAPPA,
                                    radii=[0.6, 0.3, 0.15, 0.075])
         assert max(vals) <= base * 1.02
+
+
+def euclidean_density(V, x, r):
+    """mu_V(B_r(x)) / (omega_1 r) with omega_1 = 2, so a line through x
+    has density one at every scale."""
+    return V.ball_mass(np.asarray(x, dtype=float), r) / (2.0 * r)
 
 
 class TestEuclideanDensity:

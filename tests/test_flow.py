@@ -88,6 +88,26 @@ class TestStep:
             assert np.isfinite(comp.points).all()
             assert np.abs(S.distance(comp.points[comp.on_s])).max() <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["closed", "line", "curved"])
+    def test_zero_length_segment_raises(self, kind):
+        """Vertex 1 moved onto vertex 0 makes a zero-length segment, whose
+        coupling dt / l is not finite: the step raises StepTooLarge rather
+        than return non-finite points, from a previous level too."""
+        Sc = Circle((0.0, 0.0), 1.0, omega_side="outside")
+        S, st0 = {"closed": (None, circle_curve(radius=1.0, n=32)),
+                  "line": (LINE, half_circle_curve(radius=1.0, n=32)),
+                  "curved": (Sc, lasso_curve(barrier_radius=1.0, n=64))}[kind]
+        comp = st0.components[0]
+        pts = comp.points.copy()
+        pts[1] = pts[0]
+        fresh = Component(pts, comp.closed, comp.on_s)
+        stepped = Component(pts, comp.closed, comp.on_s)
+        object.__setattr__(stepped, "_previous",
+                           (comp.points, comp.segment_lengths(), 1e-3))
+        for c in (fresh, stepped):
+            with pytest.raises(StepTooLarge, match="zero-length"):
+                step(CurveState([c], 0.0, S), 1e-3)
+
     @pytest.mark.parametrize("closed, flags", [
         (False, [True, False]), (False, [True, True]), (True, [False, False])])
     def test_two_vertex_component_is_passed_on(self, closed, flags):

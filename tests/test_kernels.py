@@ -8,7 +8,7 @@ from fbmcf.barrier import Circle, Line
 from fbmcf.errors import CalibrationFailure, KappaTooLarge, NonNegativeTime
 from fbmcf.kernels import (
     KernelParams, beta0_squared, calibrate_alpha, cutoff, cutoff_argument,
-    heat_kernel, heat_operator, reflected_cutoff, reflected_truncated_kernel,
+    heat_kernel, heat_operator, reflected_truncated_kernel,
     sample_heat_operator_cases, support_probe,
 )
 
@@ -71,19 +71,29 @@ class TestCutoff:
 
 
 class TestReflectedCutoff:
+    """The mirror summand phi~ rho~ of ``reflected_truncated_kernel``."""
+
     def test_flat_mirror(self):
         p = KernelParams(kappa=1.0, alpha=8.0)
         tau = 0.5 * p.beta0_sq
-        x = np.array([0.01, 0.02])
-        assert reflected_cutoff(LINE, x, -tau, p) == pytest.approx(
-            float(cutoff(np.array([0.01, -0.02]), -tau, p)))
+        X0 = np.array([0.0, 0.002, 0.0])
+        x, mirror = np.array([0.003, 0.004]), np.array([0.003, -0.004])
+        direct = cutoff(x - X0[:2], -tau, p) * heat_kernel(x - X0[:2], -tau)
+        mirrored = cutoff(mirror - X0[:2], -tau, p) \
+            * heat_kernel(mirror - X0[:2], -tau)
+        assert mirrored > 0.0
+        assert reflected_truncated_kernel(LINE, X0, x, -tau, p) \
+            == pytest.approx(float(direct + mirrored))
 
     def test_fixed_points_on_barrier(self):
+        """A point on the barrier is its own mirror image."""
         p = KernelParams(kappa=1.0, alpha=8.0)
         tau = 0.3 * p.beta0_sq
-        x = np.array([0.03, 0.0])
-        assert reflected_cutoff(LINE, x, -tau, p) == pytest.approx(
-            float(cutoff(x, -tau, p)))
+        x = np.array([0.003, 0.0])
+        direct = cutoff(x, -tau, p) * heat_kernel(x, -tau)
+        assert direct > 0.0
+        assert reflected_truncated_kernel(LINE, np.zeros(3), x, -tau, p) \
+            == pytest.approx(2.0 * float(direct))
 
     def test_combined_support_near_barrier(self):
         S = Circle((0.0, 0.0), 1.0, omega_side="outside")
@@ -110,20 +120,13 @@ class TestReflectedCutoff:
             assert repr(got) == repr(_support_probe_loop(S, p, 300, seed))
 
     def test_out_of_reach_is_zero(self):
+        """A point far outside the reach tube has no mirror term, even with
+        the centre at its mirror image 2 zeta(x) - x = (-3, 0)."""
         S = Circle((0.0, 0.0), 1.0)
         p = KernelParams(kappa=0.15, alpha=8.0)
-        # a point far outside the reach tube
-        assert reflected_cutoff(S, np.array([5.0, 0.0]), -0.5 * p.beta0_sq * p.kappa ** 2, p) == 0.0
-
-    def test_times_per_point_with_a_point_out_of_reach(self):
-        S = Circle((0.0, 0.0), 1.0)
-        p = KernelParams(kappa=0.1)
-        x = np.array([[0.9, 0.0], [0.0, 0.95], [2.5, 0.0]])
-        t = np.array([-1e-4, -2e-4, -3e-4])
-        vals = reflected_cutoff(S, x, t, p)
-        assert vals[2] == 0.0
-        for xi, ti, v in zip(x, t, vals):
-            assert v == reflected_cutoff(S, xi, ti, p)
+        assert reflected_truncated_kernel(
+            S, np.array([-3.0, 0.0, 0.0]), np.array([5.0, 0.0]),
+            -0.5 * p.beta0_sq * p.kappa ** 2, p) == 0.0
 
 
 class TestReflectedTruncatedKernel:

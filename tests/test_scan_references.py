@@ -8,7 +8,9 @@ snapshot once, a block of a history's columns at a time.  ``slice_at``,
 density centre integrates its radii in one kernel pass.  The references
 below evaluate the same quantities the plain way, one snapshot or one
 radius at a time and with numpy's norm reductions; every result must have
-the same bits.
+the same bits.  A slice integral goes through ``varifold.integrate_slices``,
+one integrand call on the stacked segments of every component; its
+reference takes each component's own nodes and sums them one at a time.
 """
 
 import base64
@@ -17,6 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from fbmcf import density, tangent
 from fbmcf.barrier import Circle, Line
@@ -24,7 +27,7 @@ from fbmcf.errors import InadmissibleRadius, KappaTooLarge, OutOfHistory
 from fbmcf.flow import (Component, CurveState, FlowHistory, circle_curve,
                         half_circle_curve, mass_bound_check, resample_uniform,
                         run, _masses_and_reach)
-from fbmcf.kernels import KernelParams, reflected_truncated_kernel
+from fbmcf.kernels import KernelParams, heat_kernel, reflected_truncated_kernel
 from fbmcf.varifold import DiscreteVarifold, ball_masses, integrate_slice
 
 
@@ -475,10 +478,18 @@ def test_rescale_equals_per_snapshot_rescale(name, decoded):
     assert not np.shares_memory(once._points, history._points)
 
 
+def min_barrier_distance(state):
+    """Reference for a summary row's distance: the least barrier distance
+    of all the slice's points, inf without a barrier or a vertex."""
+    if state.barrier is None or not state.components:
+        return np.inf
+    return float(np.min(state.barrier.distance(state.all_points())))
+
+
 @pytest.mark.parametrize("name", ["corner", "pop"])
 def test_summary_rows_equal_per_snapshot_rows(name, decoded):
     history, states, _ = decoded[name]
-    ref = [(s.time, s.total_length(), s.min_barrier_distance(),
+    ref = [(s.time, s.total_length(), min_barrier_distance(s),
             len(s.components)) for s in states]
     assert np.array(history.summary_rows()).tobytes() == np.array(ref).tobytes()
 
@@ -491,7 +502,7 @@ def test_summary_rows_of_empty_and_one_vertex_components():
     dot = Component([(1.0, 1.0)])
     hist = FlowHistory([CurveState([one, pair], 0.0), CurveState([], 0.1),
                         CurveState([dot, pair, one], 0.2)])
-    ref = [(s.time, s.total_length(), s.min_barrier_distance(),
+    ref = [(s.time, s.total_length(), min_barrier_distance(s),
             len(s.components)) for s in hist.snapshots]
     assert hist.summary_rows() == ref
     assert hist.summary_rows()[0][1] == 10.0
@@ -563,13 +574,62 @@ def _density_cases(corner_history, pop_history):
     ]
 
 
+def integrate_per_component(state, fn, order):
+    """Reference for ``integrate_slice``: ``order``-point Gauss-Legendre on
+    each component's own segment vectors and lengths, one call of fn and
+    one sum per component, the sums added in component order."""
+    nodes, weights = leggauss(order)
+    s = 0.5 * (nodes + 1.0)
+    total = 0.0
+    for comp in state.components:
+        if len(comp.points) < 2:
+            continue
+        d, L = comp.segment_vectors(), comp.segment_lengths()
+        pts = np.empty((len(d), order, 2))
+        for c in range(2):
+            np.add(comp.points[:len(d), c, None], s * d[:, c, None],
+                   out=pts[..., c])
+        vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(len(L), order)
+        total += float(np.sum(0.5 * L * (vals @ weights)))
+    return total
+
+
 def _reflected_density_per_slice(history, S, X0, r, params):
     """Reference for a reflected density: the reflected truncated kernel at
-    the slice's points through ``integrate_slice``, one slice at a time."""
+    the slice's points, integrated one component at a time."""
     t0 = float(X0[2])
-    return integrate_slice(history.slice_at(t0 - r * r), lambda p:
-                           reflected_truncated_kernel(S, X0, p, t0 - r * r,
-                                                      params))
+    return integrate_per_component(
+        history.slice_at(t0 - r * r),
+        lambda p: reflected_truncated_kernel(S, X0, p, t0 - r * r, params), 8)
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_slice_integrals_after_a_pop_equal_per_component_sums(pop_history,
+                                                              order):
+    """On the lasso's slices after its pop, of two components each, one
+    integrand call over the stacked segments gives the bits of the
+    per-component sums: for the plain heat kernel, and for a group of
+    kernel times on one slice through the reflected kernel."""
+    S = pop_history.barrier
+    params = KernelParams(kappa=0.15, alpha=8.0, c1=2.0)
+    after = pop_history.times[pop_history.times > pop_history.events[0].time]
+    states = [pop_history.slice_at(t) for t in after[:6]]
+    assert min(len(s.components) for s in states) >= 2
+    x0 = np.array([0.0, 1.0])
+    for st in states:
+        fn = lambda p: heat_kernel(p - x0, -0.01)  # noqa: E731
+        assert same_bits(integrate_slice(st, fn, order),
+                         integrate_per_component(st, fn, order))
+    centre = np.array([0.0, 1.0, after[5] + 1e-4])
+    comps = states[0].components
+    times = states[0].time + np.array([0.0, 1e-3, 2e-3])
+    thetas = density._integrate_group(S, centre, [(t, comps) for t in times],
+                                      params)
+    for t, theta in zip(times, thetas):
+        assert theta > 0.0
+        assert same_bits(theta, integrate_per_component(
+            states[0], lambda p: reflected_truncated_kernel(S, centre, p, t,
+                                                            params), 8))
 
 
 def _memo_bits(history):

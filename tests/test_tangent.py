@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbmcf.barrier import Line, norm2, norm2_sq
-from fbmcf.density import density_at_point, euclidean_density, gaussian_density
+from fbmcf.density import density_at_point, gaussian_density
 from fbmcf.flow import (Component, CurveState, FlowHistory, circle_curve,
                         segment_curve, static_history)
 from fbmcf.kernels import KernelParams
@@ -204,7 +204,8 @@ class TestDensityTransfer:
         th_gauss = gaussian_density(hist, (0.0, 0.0, 0.0), 1.0)
         slice_pts = hist.slice_at(-1.0)
         V = DiscreteVarifold.from_polyline(slice_pts.components[0].points)
-        th_eucl = euclidean_density(V, (0.0, 0.0), 2.0)
+        # mu_V(B_r(x)) / (omega_1 r), omega_1 = 2, at r = 2
+        th_eucl = V.ball_mass(np.zeros(2), 2.0) / 4.0
         assert th_eucl == pytest.approx(th_gauss, rel=0.01)
 
 

@@ -5,9 +5,9 @@ from hypothesis import assume, given, settings, strategies as st
 from fbmcf.barrier import Circle, Line, ParametricBarrier
 from fbmcf.varifold import (
     Component, DiscreteVarifold, ScalarField, boundary_monotonicity_check,
-    certify_free_boundary, check_tangential, first_variation, polynomial_field,
-    reflect_varifold, rotational_field, tangential_family,
-    vanishing_factor_field, Poly2, _split_by_tube,
+    certify_free_boundary, first_variation, rotational_field,
+    tangential_family, vanishing_factor_field, windowed_field, Poly2,
+    _split_by_tube,
 )
 # aliased so that pytest does not collect it as a test class
 from fbmcf.varifold import TestField as VectorField
@@ -19,6 +19,44 @@ ELLIPSE = ParametricBarrier.from_function(  # 1.5 x 1, reach 1/1.5
     lambda t: np.array([-1.5 * np.cos(t), -np.sin(t)]), n_samples=256)
 LINEAR_H = ScalarField(lambda p: 1.0 + 0.3 * p[:, 0],
                        lambda p: np.tile([0.3, 0.0], (len(p), 1)))
+
+
+def polynomial_field(cx, cy):
+    """The field (px, py) of two ``Poly2`` coefficient tables."""
+    px, py = Poly2(cx), Poly2(cy)
+
+    def value(pts):
+        return np.stack([px(pts), py(pts)], axis=-1)
+
+    def value_and_jacobian(pts):
+        (vx, gx), (vy, gy) = px.value_and_grad(pts), py.value_and_grad(pts)
+        j = np.empty((len(pts), 2, 2))
+        j[:, 0, :] = gx
+        j[:, 1, :] = gy
+        return np.stack([vx, vy], axis=-1), j
+
+    return VectorField(value, value_and_jacobian)
+
+
+def transformed_field(X, rotation, shift):
+    """Pushforward of X under the rigid motion x -> R x + shift."""
+    R = np.asarray(rotation, dtype=float)
+    b = np.asarray(shift, dtype=float)
+
+    def value(pts):
+        return X.value((pts - b) @ R) @ R.T
+
+    def value_and_jacobian(pts):
+        v, jac = X.value_and_jacobian((pts - b) @ R)
+        return v @ R.T, np.einsum("ab,qbc,dc->qad", R, jac, R)
+
+    return VectorField(value, value_and_jacobian)
+
+
+def check_tangential(X, S, n_samples):
+    """max |X . nu_S| over barrier samples (about 0 for tangential fields)."""
+    pts = S.boundary_samples(n_samples)
+    return float(np.abs(np.sum(X.value(pts) * S.normal(pts), axis=-1)).max())
 
 
 def kgon(k, radius=1.0, center=(0.0, 0.0)):
@@ -279,7 +317,6 @@ class TestCertification:
 
     def test_rigid_motion_invariance(self):
         """Certification is unchanged when V, S, and the family move together."""
-        from fbmcf.varifold import transformed_field
         ang = 0.63
         R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         shift = np.array([0.4, -1.1])
@@ -341,7 +378,6 @@ class TestCertification:
     def test_fields_share_one_evaluation(self, S, monkeypatch):
         """``value_and_jacobian`` gives the bits of ``value``, and a windowed
         field evaluates its inner polynomials once for both."""
-        from fbmcf.varifold import transformed_field, windowed_field
         pts = np.random.default_rng(3).uniform(-2.0, 2.0, (200, 2))
         fields = tangential_family(S, n_fields=16, seed=7)
         fields += [polynomial_field([[0.1, 0.2], [0.3, 0.0]], [[0.5]])]
@@ -361,26 +397,16 @@ class TestCertification:
 
 
 class TestReflection:
-    def test_half_circle_doubles_to_circle(self):
-        V = half_circle(64)
-        W = reflect_varifold(V, LINE)
-        assert W.total_mass == pytest.approx(2.0 * V.total_mass, abs=1e-12)
-
-    def test_reflecting_twice_returns(self):
-        V = half_circle(16)
-        W = reflect_varifold(reflect_varifold(V, LINE), LINE)
-        assert W.total_mass == pytest.approx(4.0 * V.total_mass, abs=1e-12)
-        np.testing.assert_allclose(W.chains[0].points, V.chains[0].points)
-
     def test_doubled_varifold_has_no_boundary_atom(self):
         """The doubled half circle balances its conormals at the seam.
 
         An atomic boundary term survives window shrinking; the smooth
         curvature contribution scales away with the window width.
         """
-        from fbmcf.varifold import windowed_field
         V = half_circle(256)
-        W = reflect_varifold(V, LINE)
+        W = DiscreteVarifold(V.chains + [
+            Component(LINE.reflect_point(c.points), c.closed)
+            for c in V.chains])
         X = polynomial_field([[1.0]], [[1.0]])  # constant field (1, 1)
         ratios = []
         for w in (0.3, 0.15, 0.075):
