@@ -697,10 +697,9 @@ class InverseProjection:
         j[..., 1, 1] = 1.0 / w
         return j
 
-    def second_derivative(self, xi, s, h=None):
-        """D^2 Phi by central differences of the analytic Jacobian."""
-        if h is None:
-            h = 1e-6 * max(abs(float(np.max(np.abs(xi)))) + abs(float(np.max(np.abs(s)))), 1.0)
+    def second_derivative(self, xi, s, h):
+        """D^2 Phi by central differences, of step h, of the analytic
+        Jacobian."""
         d_xi = (self.jacobian(xi + h, s) - self.jacobian(xi - h, s)) / (2 * h)
         d_s = (self.jacobian(xi, s + h) - self.jacobian(xi, s - h)) / (2 * h)
         return np.stack([d_xi, d_s], axis=-1)  # [..., i, j, k] = d_k (DPhi)_{ij}

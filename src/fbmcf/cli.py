@@ -84,7 +84,7 @@ def _cmd_density(args):
     from .density import monotonicity_report
     from .flow import FlowHistory
     from .kernels import KernelParams
-    from .scenario import barrier_from_config
+    from .scenario import DENSITY_RADII, barrier_from_config
 
     try:
         x, y, t = (float(v) for v in args.center.split(","))
@@ -97,7 +97,7 @@ def _cmd_density(args):
                           f"{args.kappa}")
     try:
         radii = [float(r) for r in args.radii.split(",")] if args.radii \
-            else [0.4, 0.2, 0.1, 0.05]
+            else DENSITY_RADII
     except ValueError:
         raise ConfigError("--radii expects comma separated numbers, got "
                           f"{args.radii!r}") from None

@@ -563,8 +563,9 @@ def _implicit_step(comp: Component, dt, barrier: Barrier | None):
     extrapolated lengths are not all positive (a collapsing segment, such
     as an end sliding under its neighbor).  Multiplied by the masses the
     system is symmetric and positive definite.  Raises StepTooLarge when a
-    frozen length is zero or NaN (a zero-length or non-finite segment),
-    where the stencil's coupling dt / l would not be finite.
+    frozen length is zero, infinite or NaN (a zero-length or non-finite
+    segment), where the stencil's coupling dt / l or its mass would not be
+    finite.
     """
     X, lengths = comp.points, comp.segment_lengths()
     a, rhs, frozen = 1.0, X, lengths
@@ -576,7 +577,7 @@ def _implicit_step(comp: Component, dt, barrier: Barrier | None):
             a = (1.0 + 2.0 * w) / (1.0 + w)
             rhs = (1.0 + w) * X - (w * w / (1.0 + w)) * X_old
             frozen = extrapolated
-    if not frozen.min() > 0.0:  # a NaN fails the comparison too
+    if not 0.0 < frozen.min() <= frozen.max() < np.inf:  # NaN fails too
         raise StepTooLarge("an implicit step met a zero-length or non-finite "
                            "segment")
     if comp.closed:
@@ -910,7 +911,7 @@ def detect_and_pop(state: CurveState):
         if not np.any(interior & (depth < band)):
             out.append(comp)
             continue
-        vel = vertex_velocity(comp, S)
+        vel = vertex_velocity(comp, None)  # read only at unflagged vertices
         feet = S.project(pts)
         toward = np.sum(vel * (feet - pts), axis=1) > 0.0
         contact = interior & ((depth < 0.0) | ((depth < band) & toward))
@@ -1350,13 +1351,11 @@ def half_circle_curve(radius=1.0, n=256, center=(0.0, 0.0)):
     return CurveState([Component(pts, closed=False, on_s=flags)])
 
 
-def segment_curve(p0, p1, n=16, flag_start=False):
-    """Straight open chain from p0 to p1; only its start may sit on S."""
+def segment_curve(p0, p1, n=16):
+    """Straight open chain from p0 to p1, no vertex on S."""
     s = np.linspace(0.0, 1.0, n + 1)[:, None]
     pts = np.asarray(p0) + s * (np.asarray(p1) - np.asarray(p0))
-    flags = np.zeros(n + 1, dtype=bool)
-    flags[0] = flag_start
-    return CurveState([Component(pts, closed=False, on_s=flags)])
+    return CurveState([Component(pts, closed=False)])
 
 
 def resample_uniform(comp: Component, n):

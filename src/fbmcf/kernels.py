@@ -23,7 +23,7 @@ the cutoff constant ``alpha``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,12 @@ def beta0_squared(alpha):
 class KernelParams:
     """Cutoff and monotonicity parameters (cutoff radius kappa) of a curve flow.
 
-    ``beta0_sq`` and the default monotonicity horizon ``tau0`` are derived
-    from ``alpha``; ``tau0`` may be shrunk but never exceeds beta0^2 kappa^2.
+    ``beta0_sq`` and the monotonicity horizon ``tau0`` = beta0^2 kappa^2
+    are derived from ``alpha`` and ``kappa``.
     """
 
     kappa: float = 1.0
     alpha: float = 8.0
-    tau0: float = field(default=None)  # type: ignore[assignment]
     c1: float = 2.0
 
     def __post_init__(self):
@@ -57,14 +56,14 @@ class KernelParams:
             raise ValueError("kappa must be positive")
         if self.alpha < 0.5:
             raise ValueError("alpha must be at least 1/2")
-        if self.tau0 is None:
-            object.__setattr__(self, "tau0", self.beta0_sq * self.kappa ** 2)
-        if self.tau0 > self.beta0_sq * self.kappa ** 2 * (1 + 1e-12):
-            raise ValueError("tau0 must satisfy tau0 <= beta0^2 kappa^2")
 
     @property
     def beta0_sq(self):
         return beta0_squared(self.alpha)
+
+    @property
+    def tau0(self):
+        return self.beta0_sq * self.kappa ** 2
 
     @classmethod
     def for_barrier(cls, S: Barrier, kappa=None, alpha=8.0, c1=None):

@@ -275,9 +275,10 @@ def translate_slices(profile: TranslatorProfile, t_grid):
     return profile.radius_at(zz)
 
 
-def meridian_polyline(profile: TranslatorProfile, n=400):
-    """The (x, z) section through the axis on the x >= 0 side."""
-    z_grid = np.linspace(0.0, profile.z_max, n)
+def meridian_polyline(profile: TranslatorProfile):
+    """The (x, z) section through the axis on the x >= 0 side, at 400
+    uniform heights."""
+    z_grid = np.linspace(0.0, profile.z_max, 400)
     return np.stack([profile.radius_at(z_grid), z_grid], axis=-1)
 
 

@@ -1,8 +1,10 @@
 """Scenario configs: JSON in, validated objects out, artifacts written.
 
 A scenario bundles a barrier, an initial curve, kernel parameters, and a
-pipeline selection.  ``run_scenario`` executes the requested pipelines and
-writes deterministic artifacts (JSON lines history, CSV tables, JSON
+pipeline selection.  ``_KINDS`` says what each barrier and initial-curve
+kind is, its builder supplying every default, and ``_BLOCKS`` what each
+other block may set.  ``run_scenario`` executes the requested pipelines
+and writes deterministic artifacts (JSON lines history, CSV tables, JSON
 reports) plus a manifest listing every file with its content hash.
 """
 
@@ -20,33 +22,68 @@ import numpy as np
 from .barrier import Circle, Line, ParametricBarrier
 from .errors import ConfigError
 from .kernels import (KernelParams, calibrate_alpha, measured_c1,
-                      sample_heat_operator_cases, support_probe,
-                      write_heat_operator_csv)
-from . import flow as flow_mod
-from .flow import (CurveState, check_initial_curve, check_run_params,
-                   check_run_work, circle_curve, half_circle_curve,
-                   lasso_curve, run)
+                      sample_heat_operator_cases, write_heat_operator_csv)
+from .flow import (Component, CurveState, check_initial_curve,
+                   check_run_params, check_run_work, circle_curve,
+                   half_circle_curve, lasso_curve, run)
+
+# the radii of a density report that sets none
+DENSITY_RADII = (0.4, 0.2, 0.1, 0.05)
+
+
+def _polyline(points, flags=(), closed=False):
+    """One polyline, flags marking its vertices on the barrier (none when
+    flags is left out: a JSON config cannot give the tuple)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1:] != (2,) or len(pts) < 2:
+        raise ConfigError(f"polyline points must be at least 2 [x, y] pairs, "
+                          f"got shape {pts.shape}")
+    flags = [False] * len(pts) if flags == () else flags
+    if not (isinstance(closed, bool) and isinstance(flags, list)
+            and all(f in (0, 1) for f in flags)):
+        raise ConfigError(f"polyline closed must be true or false and flags "
+                          f"a list of true, false, 0 or 1; got "
+                          f"closed={closed!r}, flags={flags!r}")
+    if len(flags) != len(pts):
+        raise ConfigError(f"polyline has {len(pts)} points but {len(flags)} "
+                          f"flags")
+    return CurveState([Component(pts, closed, np.array(flags, dtype=bool))])
+
+
+# what each barrier and initial_curve kind is: (builder, required keys,
+# optional keys); a key left out takes the builder's default
+_KINDS = {
+    "barrier": {
+        "line": (Line, (), ("normal", "offset", "scale_cap")),
+        "circle": (Circle, ("radius",), ("center", "omega_side")),
+        "parametric": (ParametricBarrier, ("points",), ("omega_side",))},
+    "initial_curve": {
+        "circle": (circle_curve, (), ("center", "radius", "n")),
+        "half_circle": (half_circle_curve, (), ("center", "radius", "n")),
+        "lasso": (lasso_curve, (), ("barrier_radius", "n")),
+        "polyline": (_polyline, ("points",), ("flags", "closed"))},
+}
+
+
+def _build(block, body):
+    """The object a barrier or initial_curve block describes: its kind's
+    builder called with the keys of that kind that the block sets.  Other
+    keys are ignored here (``load_config`` refuses them in a config)."""
+    try:
+        kind = body["kind"]
+        if not (isinstance(kind, str) and kind in _KINDS[block]):
+            raise ConfigError(f"unknown {block.replace('_', ' ')} kind "
+                              f"{kind!r}")
+        builder, required, optional = _KINDS[block][kind]
+        args = {key: body[key] for key in required}
+        args.update((key, body[key]) for key in optional if key in body)
+        return builder(**args)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {block} block: {exc}") from exc
 
 
 def barrier_from_config(cfg):
-    if cfg is None:
-        return None
-    try:
-        kind = cfg["kind"]
-        if kind == "line":
-            return Line(normal=cfg.get("normal", (0.0, -1.0)),
-                        offset=cfg.get("offset", 0.0),
-                        scale_cap=cfg.get("scale_cap", 1e6))
-        if kind == "circle":
-            return Circle(center=cfg.get("center", (0.0, 0.0)),
-                          radius=cfg["radius"],
-                          omega_side=cfg.get("omega_side", "inside"))
-        if kind == "parametric":
-            return ParametricBarrier(np.asarray(cfg["points"], dtype=float),
-                                     omega_side=cfg.get("omega_side", "inside"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad barrier block: {exc}") from exc
-    raise ConfigError(f"unknown barrier kind {cfg.get('kind')!r}")
+    return None if cfg is None else _build("barrier", cfg)
 
 
 def barrier_to_config(S):
@@ -62,69 +99,6 @@ def barrier_to_config(S):
         return {"kind": "parametric", "points": S.points.tolist(),
                 "omega_side": S.omega_side}
     raise ConfigError("unserializable barrier")
-
-
-def initial_curve_from_config(cfg):
-    try:
-        kind = cfg["kind"]
-        if kind == "circle":
-            return circle_curve(center=cfg.get("center", (0.0, 0.0)),
-                                radius=cfg.get("radius", 1.0),
-                                n=cfg.get("n", 512))
-        if kind == "half_circle":
-            return half_circle_curve(radius=cfg.get("radius", 1.0),
-                                     n=cfg.get("n", 256),
-                                     center=cfg.get("center", (0.0, 0.0)))
-        if kind == "lasso":
-            return lasso_curve(barrier_radius=cfg.get("barrier_radius", 1.0),
-                               n=cfg.get("n", 384))
-        if kind == "polyline":
-            pts = np.asarray(cfg["points"], dtype=float)
-            if pts.ndim != 2 or pts.shape[1:] != (2,) or len(pts) < 2:
-                raise ConfigError(f"polyline points must be at least 2 [x, "
-                                  f"y] pairs, got shape {pts.shape}")
-            closed = cfg.get("closed", False)
-            flags = cfg.get("flags", [False] * len(pts))
-            if not (isinstance(closed, bool) and isinstance(flags, list)
-                    and all(f in (0, 1) for f in flags)):
-                raise ConfigError(f"polyline closed must be true or false and "
-                                  f"flags a list of true, false, 0 or 1; got "
-                                  f"closed={closed!r}, flags={flags!r}")
-            if len(flags) != len(pts):
-                raise ConfigError(f"polyline has {len(pts)} points but "
-                                  f"{len(flags)} flags")
-            return CurveState([flow_mod.Component(
-                pts, closed, np.array(flags, dtype=bool))])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad initial_curve block: {exc}") from exc
-    raise ConfigError(f"unknown initial curve kind {cfg.get('kind')!r}")
-
-
-def flow_params_from_config(fc, h_default):
-    """(t_end, h_target, snapshot_dt, vanish_length) of a flow block,
-    checked by ``flow.check_run_params`` to let the run end."""
-    params = (fc.get("t_end", 0.25), fc.get("h_target", h_default),
-              fc.get("snapshot_dt", 0.005), fc.get("vanish_length"))
-    check_run_params(*params)
-    return params
-
-
-def kernel_params_from_config(cfg, barrier, seed=0):
-    cfg = dict(cfg or {})
-    if barrier is None:
-        raise ConfigError("kernel checks need a barrier")
-    c1 = cfg["c1"] if "c1" in cfg else measured_c1(barrier)
-    alpha = cfg.get("alpha")
-    kappa = cfg.get("kappa")
-    try:
-        draft = KernelParams.for_barrier(barrier, kappa=kappa,
-                                         alpha=alpha or 8.0, c1=c1)
-        if alpha is None:
-            alpha = calibrate_alpha(draft, barrier, seed=seed)
-        return KernelParams.for_barrier(barrier, kappa=kappa, alpha=alpha,
-                                        c1=c1)
-    except ValueError as exc:  # kappa <= 0 or alpha < 1/2
-        raise ConfigError(f"bad kernels block: {exc}") from exc
 
 
 def _write_atomic(path, writer):
@@ -166,23 +140,6 @@ def env_seed(default):
         raise ConfigError(f"seed must be an integer, got {value!r}") from None
 
 
-# keys of earlier configs whose values are fixed constants: a config that
-# sets one is refused rather than run without it
-_REMOVED_KEYS = (("flow", "cfl"), ("flow", "pop_threshold"),
-                 ("kernels", "sample_budget"))
-# every key each block may set: a misspelled one is refused rather than
-# run with the default of the key it meant
-_BLOCK_KEYS = {
-    "flow": ("t_end", "h_target", "snapshot_dt", "vanish_length"),
-    "kernels": ("kappa", "alpha", "c1"),
-    "density": ("center", "radii"),
-    "tangent": ("center", "lambdas", "tol"),
-    "varifold": ("vertices", "closed", "multiplicity", "n_fields", "tol"),
-    "kernel_checks": ("n_samples",),
-    "regularize": ("epsilon", "R0", "tol", "t_max"),
-}
-
-
 def _real(v):
     return isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max
 
@@ -203,33 +160,44 @@ def _reals(n, test):
         and (n is None or len(v) == n) and all(map(test, v))
 
 
-# what each block value must be, checked when the config is read, so a
-# malformed value is refused before any work rather than where it is used
-_BLOCK_VALUES = {
-    ("initial_curve", "center"): (_reals(2, _real),
-                                  "a list of 2 finite numbers"),
-    ("density", "center"): (_reals(3, _real), "a list of 3 finite numbers"),
-    ("density", "radii"): (_reals(None, _positive),
-                           "a list of positive finite numbers"),
-    ("tangent", "center"): (_reals(3, _real), "a list of 3 finite numbers"),
-    ("tangent", "lambdas"): (
-        lambda v: _reals(None, _positive)(v) and sorted(v, reverse=True) == v,
-        "a decreasing list of positive finite numbers"),
-    ("tangent", "tol"): (_positive, "a positive finite number"),
-    ("varifold", "vertices"): (
-        lambda v: _reals(None, _reals(2, _real))(v) and len(v) >= 2,
-        "a list of at least 2 [x, y] pairs of finite numbers"),
-    ("varifold", "closed"): (lambda v: isinstance(v, bool), "true or false"),
-    ("varifold", "multiplicity"): (_count, "an integer >= 1"),
-    ("varifold", "n_fields"): (_count, "an integer >= 1"),
-    ("varifold", "tol"): (lambda v: v is None or _positive(v),
-                          "a positive finite number or null"),
-    ("kernel_checks", "n_samples"): (_count, "an integer >= 1"),
-    ("regularize", "epsilon"): (_positive, "a positive finite number"),
-    ("regularize", "R0"): (_positive, "a positive finite number"),
-    ("regularize", "tol"): (_reals(2, _positive),
-                            "a list of 2 positive finite numbers"),
-    ("regularize", "t_max"): (_positive, "a positive finite number"),
+_POSITIVE = (_positive, "a positive finite number")
+_COUNT = (_count, "an integer >= 1")
+# every key each block may set, so a misspelled one is refused rather than
+# run with the default of the key it meant, and what its value must be,
+# checked when the config is read so a malformed value is refused before
+# any work; None for a value checked where it is used
+_BLOCKS = {
+    # check_run_params checks these once the default h_target is known
+    "flow": dict.fromkeys(("t_end", "h_target", "snapshot_dt",
+                           "vanish_length")),
+    # null leaves a kernel value to be measured or calibrated; anything
+    # else must be a finite number, since NaN passes every bound check
+    "kernels": dict.fromkeys(("kappa", "alpha", "c1"), (
+        lambda v: v is None or _real(v), "a finite number or null")),
+    "density": {
+        "center": (_reals(3, _real), "a list of 3 finite numbers"),
+        "radii": (_reals(None, _positive),
+                  "a list of positive finite numbers")},
+    "tangent": {
+        "center": (_reals(3, _real), "a list of 3 finite numbers"),
+        "lambdas": (lambda v: _reals(None, _positive)(v)
+                    and sorted(v, reverse=True) == v,
+                    "a decreasing list of positive finite numbers"),
+        "tol": _POSITIVE},
+    "varifold": {
+        "vertices": (lambda v: _reals(None, _reals(2, _real))(v)
+                     and len(v) >= 2,
+                     "a list of at least 2 [x, y] pairs of finite numbers"),
+        "closed": (lambda v: isinstance(v, bool), "true or false"),
+        "multiplicity": _COUNT,
+        "n_fields": _COUNT,
+        "tol": (lambda v: v is None or _positive(v),
+                "a positive finite number or null")},
+    "kernel_checks": {"n_samples": _COUNT},
+    "regularize": {"epsilon": _POSITIVE, "R0": _POSITIVE,
+                   "tol": (_reals(2, _positive),
+                           "a list of 2 positive finite numbers"),
+                   "t_max": _POSITIVE},
 }
 # the stages a pipeline lists, and the block value each stage cannot run
 # without
@@ -238,17 +206,6 @@ _STAGES = ("flow", "density", "tangent", "varifold_checks", "kernel_checks",
 _STAGE_NEEDS = {"density": ("density", "center"),
                 "tangent": ("tangent", "center"),
                 "varifold_checks": ("varifold", "vertices")}
-# every key besides "kind" that a barrier or initial_curve block of each
-# kind may set, for the same reason
-_KIND_KEYS = {
-    "barrier": {"line": ("normal", "offset", "scale_cap"),
-                "circle": ("center", "radius", "omega_side"),
-                "parametric": ("points", "omega_side")},
-    "initial_curve": {"circle": ("center", "radius", "n"),
-                      "half_circle": ("center", "radius", "n"),
-                      "lasso": ("barrier_radius", "n"),
-                      "polyline": ("points", "flags", "closed")},
-}
 
 
 def load_config(path):
@@ -266,28 +223,22 @@ def load_config(path):
         raise ConfigError(f"config needs a 'name' naming one directory: a "
                           f"nonempty string without a path separator or "
                           f"NUL, not '.' or '..'; got {name!r}")
-    for block, keys in _BLOCK_KEYS.items():
+    for block, checks in _BLOCKS.items():
         body = cfg.get(block) or {}
         if not isinstance(body, dict):
             raise ConfigError(f"{block} must be an object, got {body!r}")
-        for key in body:
-            if (block, key) in _REMOVED_KEYS:
-                raise ConfigError(f"{block}.{key} is not a setting: its value "
-                                  "is fixed; remove the key")
-            if key not in keys:
+        for key, value in body.items():
+            if key not in checks:
                 raise ConfigError(f"{block}.{key} is not a setting; the "
-                                  f"{block} block takes {', '.join(keys)}")
-    # null leaves a kernel value to be measured or calibrated; anything
-    # else must be a finite number, since NaN passes every bound check
-    for key, value in (cfg.get("kernels") or {}).items():
-        if value is not None and not _real(value):
-            raise ConfigError(f"kernels.{key} must be a finite number or "
-                              f"null, got {value!r}")
-    for (block, key), (test, what) in _BLOCK_VALUES.items():
-        body = cfg.get(block) or {}
-        if key in body and not test(body[key]):
-            raise ConfigError(f"{block}.{key} must be {what}, "
-                              f"got {body[key]!r}")
+                                  f"{block} block takes {', '.join(checks)}")
+            if checks[key] and not checks[key][0](value):
+                raise ConfigError(f"{block}.{key} must be {checks[key][1]}, "
+                                  f"got {value!r}")
+    curve = cfg.get("initial_curve")
+    if isinstance(curve, dict) and "center" in curve \
+            and not _reals(2, _real)(curve["center"]):
+        raise ConfigError(f"initial_curve.center must be a list of 2 finite "
+                          f"numbers, got {curve['center']!r}")
     pipeline = cfg.get("pipeline", ["flow"])
     if not (isinstance(pipeline, list)
             and all(stage in _STAGES for stage in pipeline)):
@@ -296,16 +247,17 @@ def load_config(path):
     for stage, (block, key) in _STAGE_NEEDS.items():
         if stage in pipeline and (cfg.get(block) or {}).get(key) is None:
             raise ConfigError(f"the {stage} stage needs {block}.{key}")
-    for block, kinds in _KIND_KEYS.items():
+    for block, kinds in _KINDS.items():
         body = cfg.get(block)
         kind = body.get("kind") if isinstance(body, dict) else None
         if not (isinstance(kind, str) and kind in kinds):
             continue  # refused with the block when it is built
+        keys = kinds[kind][1] + kinds[kind][2]
         for key in body:
-            if key != "kind" and key not in kinds[kind]:
+            if key != "kind" and key not in keys:
                 raise ConfigError(
                     f"{block}.{key} is not a setting of kind {kind!r}; it "
-                    f"takes {', '.join(kinds[kind])}")
+                    f"takes {', '.join(keys)}")
     return cfg
 
 
@@ -322,30 +274,40 @@ def run_scenario(config_path, out_dir=None, seed=None):
     if seed is None:
         seed = env_seed(cfg.get("seed", 0))
     pipeline = cfg.get("pipeline", ["flow"])
-    runs_flow = "flow" in pipeline or "density" in pipeline \
-        or "tangent" in pipeline
+    runs_flow = not {"flow", "density", "tangent"}.isdisjoint(pipeline)
 
     # everything a config block can refuse is built before the artifact
     # directory is made, so a refused config leaves no directory behind
     barrier = barrier_from_config(cfg.get("barrier"))
     if runs_flow:
-        fc = cfg.get("flow", {})
+        fc = cfg.get("flow") or {}
         if cfg.get("initial_curve") is None:
             raise ConfigError("the flow needs an initial_curve block")
-        initial = initial_curve_from_config(cfg["initial_curve"])
+        initial = _build("initial_curve", cfg["initial_curve"])
         check_initial_curve(initial)  # before it is measured below
         n_pts = sum(len(c.points) for c in initial.components)
-        h_default = initial.total_length() / max(n_pts - 1, 1)
-        t_end, h_target, snapshot_dt, vanish_length = \
-            flow_params_from_config(fc, h_default)
-        check_run_work(CurveState(initial.components, initial.time,
-                                  barrier if barrier is not None
-                                  else initial.barrier),
-                       t_end, h_target, snapshot_dt)
+        t_end, h_target, snapshot_dt, vanish_length = (
+            fc.get("t_end", 0.25),
+            fc.get("h_target", initial.total_length() / max(n_pts - 1, 1)),
+            fc.get("snapshot_dt", 0.005), fc.get("vanish_length"))
+        check_run_params(t_end, h_target, snapshot_dt, vanish_length)
+        check_run_work(initial, t_end, h_target, snapshot_dt)
     if "density" in pipeline or "kernel_checks" in pipeline:
-        params = kernel_params_from_config(cfg.get("kernels"), barrier, seed)
+        if barrier is None:
+            raise ConfigError("kernel checks need a barrier")
+        kern = cfg.get("kernels") or {}
+        c1 = kern["c1"] if "c1" in kern else measured_c1(barrier)
+        alpha, kappa = kern.get("alpha"), kern.get("kappa")
+        try:
+            if alpha is None:
+                alpha = calibrate_alpha(KernelParams.for_barrier(
+                    barrier, kappa=kappa, c1=c1), barrier, seed=seed)
+            params = KernelParams.for_barrier(barrier, kappa=kappa,
+                                              alpha=alpha, c1=c1)
+        except ValueError as exc:  # kappa <= 0 or alpha < 1/2
+            raise ConfigError(f"bad kernels block: {exc}") from exc
     if "regularize" in pipeline:
-        rc = cfg.get("regularize", {})
+        rc = cfg.get("regularize") or {}
         eps, R0 = rc.get("epsilon", 0.05), rc.get("R0", 1.0)
         if not eps <= R0 / 2.0:
             raise ConfigError("regularize.epsilon must be at most R0 / 2")
@@ -379,21 +341,19 @@ def run_scenario(config_path, out_dir=None, seed=None):
 
         if "density" in pipeline:
             from .density import monotonicity_report
-            dc = cfg.get("density", {})
-            radii = dc.get("radii", [0.4, 0.2, 0.1, 0.05])
+            dc = cfg["density"]
             rep = monotonicity_report(history, barrier, dc["center"], params,
-                                      radii)
+                                      dc.get("radii", DENSITY_RADII))
             emit("density_profile.csv", rep.write_csv)
-
             emit("density_report.json", _json_writer(rep.to_dict()))
 
         if "tangent" in pipeline:
             from .tangent import extract_tangent_flow
-            tc = cfg.get("tangent", {})
+            tc = cfg["tangent"]
             lambdas = tc.get("lambdas", [0.5, 0.4, 0.3])
             _, rep = extract_tangent_flow(
                 history, tc["center"], lambdas, tol=tc.get("tol", 1e-3),
-                mesh_h=cfg.get("flow", {}).get("h_target"))
+                mesh_h=fc.get("h_target"))
             emit("tangent_report.json", _json_writer({
                 "lambdas": rep.lambdas,
                 "hausdorff_gaps": rep.hausdorff_gaps,
@@ -407,7 +367,7 @@ def run_scenario(config_path, out_dir=None, seed=None):
         if "varifold_checks" in pipeline:
             from .varifold import (DiscreteVarifold, certify_free_boundary,
                                    tangential_family)
-            vc = cfg.get("varifold", {})
+            vc = cfg["varifold"]
             V = DiscreteVarifold.from_polyline(
                 np.asarray(vc["vertices"], dtype=float),
                 closed=vc.get("closed", False),
@@ -423,7 +383,7 @@ def run_scenario(config_path, out_dir=None, seed=None):
             }))
 
         if "kernel_checks" in pipeline:
-            kc = cfg.get("kernel_checks", {})
+            kc = cfg.get("kernel_checks") or {}
             samples = sample_heat_operator_cases(
                 barrier, params, n_samples=kc.get("n_samples", 1000),
                 seed=seed)

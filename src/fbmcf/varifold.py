@@ -549,9 +549,6 @@ class TestField:
     value: Callable[[np.ndarray], np.ndarray]
     value_and_jacobian: Callable[[np.ndarray], tuple]
 
-    def jacobian(self, pts):
-        return self.value_and_jacobian(pts)[1]
-
     def c1_norm(self, pts):
         value, jac = self.value_and_jacobian(pts)
         return float(np.abs(value).max() + np.abs(jac).max())
@@ -691,7 +688,7 @@ def windowed_field(X: TestField, center, width):
     return TestField(value, value_and_jacobian)
 
 
-def tangential_family(S: Barrier, n_fields=40, seed=0, window=None,
+def tangential_family(S: Barrier, n_fields=40, seed=0,
                       localized_fraction=0.7):
     """A family of fields tangent to S with exact Jacobians.
 
@@ -699,8 +696,7 @@ def tangential_family(S: Barrier, n_fields=40, seed=0, window=None,
     circles get rotational fields plus fields vanishing on S; other barriers
     get the vanishing-factor family only.  Global polynomials alone span a
     low-dimensional space, so most fields are localized with randomly
-    placed C^1 bump windows inside the square |x|, |y| <= 3; ``window =
-    (center, width)`` instead pins one window for every field.
+    placed C^1 bump windows inside the square |x|, |y| <= 3.
     """
     rng = np.random.default_rng(seed)
     fields = []
@@ -725,9 +721,7 @@ def tangential_family(S: Barrier, n_fields=40, seed=0, window=None,
             ang = rng.uniform(0, 2 * np.pi)
             X = vanishing_factor_field(
                 S, rand_poly(deg), np.array([np.cos(ang), np.sin(ang)]))
-        if window is not None:
-            X = windowed_field(X, *window)
-        elif rng.uniform() < localized_fraction:
+        if rng.uniform() < localized_fraction:
             c = rng.uniform(-1.0, 1.0, 2) * 3.0
             w = 3.0 * rng.uniform(0.2, 0.9)
             X = windowed_field(X, c, w)

@@ -5,8 +5,10 @@ and every defaulted field of a public dataclass. A second scan of the call
 sites in ``src/``, ``tests/``, ``demos/`` and ``bench/`` records which of
 them some call sets, by keyword or by position. Calls are matched by the
 name they use (``f(...)``, ``obj.f(...)``, ``Cls(...)``), so a call sets a
-parameter of every definition with that name. A default that no call
-overrides is a constant in disguise: it doubles the configurations the
+parameter of every definition with that name. A key of a barrier or
+initial-curve kind in ``scenario._KINDS`` counts as a call that sets that
+parameter of the kind's builder, since a config sets it. A default that no
+call overrides is a constant in disguise: it doubles the configurations the
 acceptance rows would have to cover and may guard a branch no run reaches.
 
 A third scan collects every public top-level function and class and every
@@ -21,15 +23,18 @@ tests' sake: move it into the test that needs it.
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 from pathlib import Path
+
+from fbmcf.scenario import _KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fbmcf"
 CALLER_DIRS = ("src", "tests", "demos", "bench")
 REFERENCE_DIRS = ("src", "demos", "bench")
 REFERENCE_FILES = ("README.md", "pyproject.toml")
-MAX_DEFAULTED = 77
+MAX_DEFAULTED = 73
 WORD = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -102,8 +107,11 @@ def _definitions():
 
 
 def _set_parameters(defs):
-    """Set of (callee name, parameter name) that some call site sets."""
-    used = set()
+    """Set of (callee name, parameter name) that some call site or kind key
+    sets."""
+    used = {(builder.__name__, key) for kinds in _KINDS.values()
+            for builder, required, optional in kinds.values()
+            for key in required + optional}
     for d in CALLER_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
             for node in ast.walk(_parse(path)):
@@ -148,6 +156,17 @@ def test_every_default_is_set_by_some_caller():
     assert not unset, (
         f"{len(unset)} defaulted parameters or dataclass fields are set by "
         "no call site; make each a constant:\n  " + "\n  ".join(unset))
+
+
+def test_kind_keys_are_builder_parameters():
+    """Every kind key names a parameter of its builder, and every parameter
+    of a builder without a default is a required key of its kind."""
+    for kinds in _KINDS.values():
+        for kind, (builder, required, optional) in kinds.items():
+            params = inspect.signature(builder).parameters
+            assert set(required + optional) <= set(params), kind
+            assert {name for name, p in params.items()
+                    if p.default is p.empty} <= set(required), kind
 
 
 def test_defaulted_parameter_count_is_bounded():

@@ -531,6 +531,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "config error: the flow needs an initial_curve block\n"
 
+    @pytest.mark.parametrize("block, rest", [
+        ("flow", {"initial_curve": {"kind": "circle", "n": 8}}),
+        ("kernel_checks", {"pipeline": ["kernel_checks"],
+                           "barrier": {"kind": "line"},
+                           "kernels": {"kappa": 0.5, "alpha": 8.0,
+                                       "c1": 2.0}})])
+    def test_null_block_runs_as_an_empty_one(self, tmp_path, block, rest):
+        """A block set to null takes every default, as an empty one does."""
+        manifests = []
+        for body in (None, {}):
+            p = tmp_path / "null_block.json"
+            p.write_text(json.dumps({"name": "null_block", block: body,
+                                     **rest}))
+            out = tmp_path / f"out-{body}"
+            assert main(["run", str(p), "--out", str(out)]) == 0
+            manifests.append((out / "null_block" / "manifest.json")
+                             .read_bytes())
+        assert manifests[0] == manifests[1]
+
     @pytest.mark.parametrize("block, body, stage", [
         ("flow", {"t_end": 0.01, "snapshot_dt": 0.005,
                   "vanish_length": "abc"}, "flow"),
@@ -666,6 +685,9 @@ _BAD_POINTS = st.one_of(
     st.lists(st.lists(_PAIR, min_size=1, max_size=2), max_size=3),
     st.lists(st.lists(_JUNK, min_size=2, max_size=2), max_size=3))
 _BAD_SIDE = st.sampled_from(["bogus", 1, None])
+_NOT_OBJECT = st.one_of(st.lists(st.integers(), max_size=2), st.integers(),
+                        st.floats(allow_nan=False), st.text(max_size=3),
+                        st.booleans())
 # a malformed value of each part, one of which an example takes
 _MALFORMED = {
     "top": st.one_of(st.lists(st.text(max_size=3), max_size=2),
@@ -684,7 +706,8 @@ _MALFORMED = {
         st.fixed_dictionaries({"kind": st.just("parametric"),
                                "points": _BAD_POINTS}),
         st.fixed_dictionaries({"kind": st.just("parametric"),
-                               "points": _RING, "omega_side": _BAD_SIDE})),
+                               "points": _RING, "omega_side": _BAD_SIDE}),
+        _NOT_OBJECT),
     "initial_curve": st.one_of(
         st.fixed_dictionaries({"kind": st.just("circle"),
                                "center": _BAD_VECTOR}),
@@ -696,7 +719,7 @@ _MALFORMED = {
         st.fixed_dictionaries({"kind": st.just("polyline"), "points": _RING,
                                "flags": st.lists(st.sampled_from(
                                    ["no", 0.5, None, True]), max_size=12)}),
-        st.none()),
+        _NOT_OBJECT, st.none()),
 }
 
 

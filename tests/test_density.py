@@ -55,7 +55,8 @@ class TestReflectedDensity:
         The truncation excess is ~24 sqrt(r/kappa), so r = 1e-3 with the
         large flat-barrier cutoff keeps it inside the 1e-4 budget.
         """
-        st = segment_curve((0.0, 0.0), (0.0, 0.5), n=500, flag_start=True)
+        pts = segment_curve((0.0, 0.0), (0.0, 0.5), n=500).components[0].points
+        st = CurveState([Component(pts, False, np.arange(501) == 0)])
         hist = static_history(st, -1.0, 0.1, 12)
         wide = Line(normal=(0.0, -1.0), offset=0.0, scale_cap=1e10)
         params = KernelParams(kappa=1e9, alpha=8.0, c1=2.0)

@@ -62,8 +62,8 @@ class TestStep:
         assert drop == pytest.approx(dt / 1.0, rel=0.01)
 
     def test_orthogonal_segment_is_fixed(self):
-        st = segment_curve((0.0, 0.0), (0.0, 1.0), n=16, flag_start=True)
-        st = CurveState(st.components, 0.0, LINE)
+        pts = segment_curve((0.0, 0.0), (0.0, 1.0), n=16).components[0].points
+        st = CurveState([Component(pts, False, np.arange(17) == 0)], 0.0, LINE)
         st2 = step(st, 1e-4 * (1.0 / 16) ** 2)
         assert np.abs(st2.components[0].points - st.components[0].points).max() <= 1e-10
 
@@ -107,6 +107,18 @@ class TestStep:
         for c in (fresh, stepped):
             with pytest.raises(StepTooLarge, match="zero-length"):
                 step(CurveState([c], 0.0, S), 1e-3)
+
+    @pytest.mark.parametrize("x", [np.inf, 1e300])
+    def test_infinite_length_segment_raises(self, x):
+        """A vertex at infinity, or so far out that its segments' squared
+        lengths overflow, makes infinite frozen lengths, whose masses are
+        not finite: the step raises StepTooLarge rather than return
+        non-finite points."""
+        pts = circle_curve(radius=1.0, n=32).components[0].points.copy()
+        pts[3] = (x, 0.0)
+        with np.errstate(over="ignore"), \
+                pytest.raises(StepTooLarge, match="non-finite"):
+            step(CurveState([Component(pts, True)], 0.0, None), 1e-3)
 
     @pytest.mark.parametrize("closed, flags", [
         (False, [True, False]), (False, [True, True]), (True, [False, False])])

@@ -65,10 +65,6 @@ class TestCutoff:
     def test_beta0_formula(self):
         assert beta0_squared(8.0) == pytest.approx((9.0 * 400.0) ** (-4.0 / 3.0))
 
-    def test_tau0_cap(self):
-        with pytest.raises(ValueError):
-            KernelParams(kappa=1.0, alpha=8.0, tau0=1.0)
-
 
 class TestReflectedCutoff:
     """The mirror summand phi~ rho~ of ``reflected_truncated_kernel``."""

@@ -313,14 +313,14 @@ class TestHalving:
         varifold certification against the axis line passes."""
         from fbmcf.barrier import Line
         from fbmcf.varifold import (DiscreteVarifold, certify_free_boundary,
-                                    tangential_family)
-        pts = meridian_polyline(profile_010, n=300)
+                                    tangential_family, windowed_field)
+        pts = meridian_polyline(profile_010)
         pts[-1, 0] = 0.0  # endpoint exactly on the axis
         V = DiscreteVarifold.from_polyline(pts)
         axis = Line(normal=(-1.0, 0.0), offset=0.0)  # Omega = {x >= 0}
         z_top = profile_010.z_max
-        fields = tangential_family(
-            axis, n_fields=60, seed=3,
-            window=((0.0, z_top), 0.6 * z_top))
+        fields = [windowed_field(X, (0.0, z_top), 0.6 * z_top)
+                  for X in tangential_family(axis, n_fields=60, seed=3,
+                                             localized_fraction=0.0)]
         rep = certify_free_boundary(V, axis, fields, tol=2e-2 * V.total_mass)
         assert rep.is_free_boundary

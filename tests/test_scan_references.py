@@ -26,7 +26,8 @@ from fbmcf.barrier import Circle, Line
 from fbmcf.errors import InadmissibleRadius, KappaTooLarge, OutOfHistory
 from fbmcf.flow import (Component, CurveState, FlowHistory, circle_curve,
                         half_circle_curve, mass_bound_check, resample_uniform,
-                        run, _masses_and_reach)
+                        run, segment_curve, static_history,
+                        _masses_and_reach)
 from fbmcf.kernels import KernelParams, heat_kernel, reflected_truncated_kernel
 from fbmcf.varifold import DiscreteVarifold, ball_masses, integrate_slice
 
@@ -547,8 +548,10 @@ def test_mass_scan_memory_is_bounded(corner_history):
 def _density_cases(corner_history, pop_history):
     """(history, barrier, params, centre, radii): smooth points of the
     corner on its line, one with an inadmissible radius and one with radii
-    out of history, points on the pop's circle, one across the pop, and
-    points of both farther than kappa / 10 from the barrier."""
+    out of history, points on the pop's circle, one across the pop, points
+    of both farther than kappa / 10 from the barrier, and a point between
+    two parallel chains above the line, whose slices' per-chain sums give
+    other bits than one sum over both chains at radii 0.2 and 0.1."""
     line = corner_history.barrier
     big = KernelParams(kappa=1e6, alpha=8.0, c1=2.0)
     circle = pop_history.barrier
@@ -559,6 +562,8 @@ def _density_cases(corner_history, pop_history):
     # a vertex of the lasso 0.05 or more from the circle, at t = 0.05
     lasso = pop_history.slice_at(0.05).all_points()
     far = lasso[np.argmax(circle.distance(lasso) >= 0.05)]
+    pair = CurveState([segment_curve((-1.0, y), (1.0, y), n=100).components[0]
+                       for y in (0.1, 0.3)], 0.0, line)
     return [
         (corner_history, line, big, (0.6, 0.3, 0.25), [0.2, 0.1, 0.05, 0.025]),
         (corner_history, line, big, (0.3, 0.0, 0.1), [0.4, 0.2, 0.1, 0.05]),
@@ -571,6 +576,8 @@ def _density_cases(corner_history, pop_history):
          (0.3, 0.5568, 0.3), [4e-3, 2e-3, 1e-3, 5e-4]),
         (pop_history, circle, small, (far[0], far[1], 0.05),
          [6e-4, 4e-4, 2e-4, 1e-4]),
+        (static_history(pair, 0.0, 0.4), line, big, (0.05, 0.2, 0.3),
+         [0.2, 0.1, 0.05, 0.025]),
     ]
 
 
@@ -637,9 +644,9 @@ def _memo_bits(history):
             for key, v in history._densities.items()}
 
 
-@pytest.mark.parametrize("case", range(7), ids=[
+@pytest.mark.parametrize("case", range(8), ids=[
     "line", "line-inadmissible", "line-out-of-history", "circle-pop",
-    "circle", "line-interior", "circle-interior"])
+    "circle", "line-interior", "circle-interior", "two-chains"])
 def test_one_pass_densities_equal_per_radius_densities(
         case, corner_history, pop_history, monkeypatch):
     """``density_at_point`` and ``monotonicity_report``, with the pass of
